@@ -28,7 +28,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("output_dir", nargs="?", default="nls4-out")
     parser.add_argument("--only", default=None, help="comma-separated experiment kinds")
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     kinds = args.only.split(",") if args.only else ORDER
@@ -37,7 +36,7 @@ def main() -> int:
         cfg = load_config(CONFIG_DIR / f"{kind}.cfg")
         cfg.output_dir = Path(args.output_dir) / kind
         started = time.perf_counter()
-        report = run_experiment(cfg, jobs=args.jobs)
+        report = run_experiment(cfg)
         elapsed = time.perf_counter() - started
         verdict = report.worst_verdict
         print(f"{kind:28s} {verdict.upper():4s}  ({elapsed:6.1f}s)")

@@ -326,7 +326,6 @@ class LocalizedMassRateReport:
     max_abs_rate: float
     rates: np.ndarray
     masses: np.ndarray
-    resolved: bool
 
 
 def localized_mass_rate_check(
@@ -349,7 +348,6 @@ def localized_mass_rate_check(
         return masses, energies, rates
 
     masses, energies, rates = peak_and_profile(sample)
-    resolved = True
     if sample.times.size >= 6:
         _, _, rates_coarse = peak_and_profile(sample.decimated(2))
         peak, peak_coarse = np.max(np.abs(rates)), np.max(np.abs(rates_coarse))
@@ -377,7 +375,6 @@ def localized_mass_rate_check(
         max_abs_rate=float(np.max(np.abs(rates))) if rates.size else 0.0,
         rates=rates,
         masses=masses,
-        resolved=resolved,
     )
 
 
@@ -388,14 +385,12 @@ class MorawetzReport:
     lhs: float            # int_I int_{|x| <= K |I|^{1/4}} |u|^{2#} / |x| dx dt
     rhs_core: float       # (K^3 + 1/K) sup_I (E + E^{2#/2}) |I|^{3/4}
     empirical_constant: float
-    verdict: bool | None
 
 
 def morawetz_check(
     sample: SpaceTimeSample,
     k_parameter: float,
     cfg: SimulationConfig,
-    c_cap: float | None = None,
 ) -> MorawetzReport:
     """Weighted space-time nonlinearity inside |x| <= K |I|^{1/4} vs its bound."""
     n = sample.fields[0].grid.dimension
@@ -419,12 +414,10 @@ def morawetz_check(
     lhs = float(np.trapezoid(density, sample.times))
     rhs_core = (k_parameter**3 + 1.0 / k_parameter) * sup_e_hat * length**0.75
     c_emp = lhs / rhs_core if rhs_core > 0 else 0.0
-    verdict = None if c_cap is None else bool(c_emp <= c_cap)
     return MorawetzReport(
         k_parameter=k_parameter,
         interval=sample.interval,
         lhs=lhs,
         rhs_core=rhs_core,
         empirical_constant=c_emp,
-        verdict=verdict,
     )

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    nls4 run <config> [--output-dir D] [--seed S] [--jobs J]
+    nls4 run <config> [--output-dir D] [--seed S]
     nls4 check-potential <config>
     nls4 emit <report> <series> [--out FILE]
 
@@ -28,7 +28,7 @@ def _cmd_run(args) -> int:
         cfg.seed = args.seed
     if args.output_dir is not None:
         cfg.output_dir = Path(args.output_dir)
-    report = run_experiment(cfg, jobs=args.jobs)
+    report = run_experiment(cfg)
     for check in report.checks:
         print(check.line())
     print(f"report: {Path(cfg.output_dir) / f'report-{cfg.experiment}.txt'}")
@@ -64,7 +64,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--jobs", type=int, default=1)
     p_run.set_defaults(fn=_cmd_run)
 
     p_chk = sub.add_parser("check-potential", help="print the hypothesis compliance report")

@@ -238,7 +238,6 @@ class ExperimentConfig:
     output_dir: Path = Path("nls4-out")
     delta_n: float = DEFAULT_DELTA_N
     knobs: dict = field(default_factory=dict)
-    jobs: int = 1
 
     def canonical_items(self) -> list[tuple[str, str]]:
         """Deterministic, fully resolved (key, value) echo for reports."""

@@ -9,6 +9,7 @@ order, so identical config + seed reproduces the report body byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, potentials, radial, scattering, solver, spectral, states
+from . import __version__, analysis, potentials, radial, scattering, solver, spectral, states
 from .config import ExperimentConfig
 from .perturbation import perturbation_experiment
 from .radial import RadialField
@@ -24,6 +25,7 @@ from .reporting import (
     CheckResult,
     ExperimentReport,
     check_flag,
+    check_geq,
     check_leq,
     check_range,
     skipped,
@@ -31,15 +33,12 @@ from .reporting import (
     write_monitor_csv,
 )
 
-__version__ = "0.1.0"
-
 
 @dataclass
 class RunContext:
     cfg: ExperimentConfig
     rng: np.random.Generator
     out_dir: Path
-    jobs: int = 1
     _grid: radial.RadialGrid | None = None
     _ops: dict = dc_field(default_factory=dict)
 
@@ -70,16 +69,6 @@ def _smooth_data(ctx: RunContext, op, amplitude: float, width: float, xi_cut: fl
     return states.soft_lowpass(op, raw, xi_cut)
 
 
-def _parallel_map(fn, items, jobs: int) -> list:
-    """Order-preserving map over independent sweep items (thread pool)."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 
 def run_conservation(ctx: RunContext):
@@ -89,15 +78,8 @@ def run_conservation(ctx: RunContext):
 
     sim = cfg.sim
     rec = solver.run_trajectory(u0, op, sim)
-    half = solver.SimulationConfig(
-        lam=sim.lam,
-        p=sim.p,
-        dt=sim.dt / 2.0,
-        t_end=sim.t_end,
-        monitor_stride=sim.monitor_stride * 2,
-        boundary_threshold=sim.boundary_threshold,
-        blowup_factor=sim.blowup_factor,
-        critical=sim.critical,
+    half = dataclasses.replace(
+        sim, dt=sim.dt / 2.0, monitor_stride=sim.monitor_stride * 2, snapshot_stride=0
     )
     rec_half = solver.run_trajectory(u0, op, half)
 
@@ -192,14 +174,9 @@ def run_sobolev_equiv(ctx: RunContext):
         for s in knobs["s_values"]
         for p in knobs["p_values"]
     ]
-    ratios = np.array(_parallel_map(
-        lambda c: analysis.sobolev_equiv_ratio(op_full, op_free, *c), combos, ctx.jobs
-    ))
+    ratios = np.array([analysis.sobolev_equiv_ratio(op_full, op_free, *c) for c in combos])
     checks = [
-        CheckResult(
-            "ratio_min", "pass" if ratios.min() >= knobs["ratio_lo"] else "fail",
-            float(ratios.min()), knobs["ratio_lo"], ">=",
-        ),
+        check_geq("ratio_min", float(ratios.min()), knobs["ratio_lo"]),
         check_leq("ratio_max", float(ratios.max()), knobs["ratio_hi"]),
     ]
     if knobs["include_zero_control"]:
@@ -246,14 +223,12 @@ def run_strichartz(ctx: RunContext):
         draws.append((u0, analysis.ModalForcing(omegas, gs)))
 
     combos = [(u0, forcing, pair) for u0, forcing in draws for pair in pairs]
-    quotients = np.array(_parallel_map(
-        lambda c: analysis.strichartz_quotient(
-            op_full, op_free, c[0], c[1], c[2], interval,
-            num_samples=knobs["num_samples"],
-        ),
-        combos,
-        ctx.jobs,
-    ))
+    quotients = np.array([
+        analysis.strichartz_quotient(
+            op_full, op_free, u0, forcing, pair, interval, num_samples=knobs["num_samples"]
+        )
+        for u0, forcing, pair in combos
+    ])
     spread = float(quotients.max() / quotients.min())
     checks = [check_leq("quotient_spread", spread, knobs["spread_cap"],
                         note=f"max={quotients.max():.4g} min={quotients.min():.4g}")]
@@ -335,11 +310,7 @@ def run_localized_mass(ctx: RunContext):
 
     # stationary eigenmode under the linear flow: |u| is time-independent
     mode = op.eigenfield(knobs["eigenmode_index"])
-    lin = solver.SimulationConfig(
-        lam=0.0, p=sim.p, dt=sim.dt, t_end=sim.t_end,
-        monitor_stride=sim.monitor_stride, snapshot_stride=sim.snapshot_stride,
-        boundary_threshold=1.0,
-    )
+    lin = dataclasses.replace(sim, lam=0.0, boundary_threshold=1.0)
     rec_mode = solver.run_trajectory(mode, op, lin)
     rep_mode = analysis.localized_mass_rate_check(
         analysis.sample_from_trajectory(rec_mode), knobs["radii"][0]
@@ -423,16 +394,11 @@ def run_subcritical_global_cases(ctx: RunContext):
     def shaped(amp):
         return _smooth_data(ctx, op, amp, knobs["width"], knobs["xi_cut"])
 
-    def run_case(lam, p, amp, t_end=None):
-        case_sim = solver.SimulationConfig(
-            lam=lam, p=p, dt=sim.dt, t_end=t_end or sim.t_end,
-            monitor_stride=sim.monitor_stride, boundary_threshold=1.0,
-            blowup_factor=sim.blowup_factor,
+    def run_case(lam, p, amp):
+        case_sim = dataclasses.replace(
+            sim, lam=lam, p=p, critical=False, snapshot_stride=0, boundary_threshold=1.0
         )
-        return run_case_data(shaped(amp), case_sim)
-
-    def run_case_data(u0, case_sim):
-        return solver.run_trajectory(u0, op, case_sim)
+        return solver.run_trajectory(shaped(amp), op, case_sim)
 
     checks = []
     # (a) defocusing: energy conservation bounds ||Delta u|| by sqrt(2E)
@@ -461,7 +427,7 @@ def run_subcritical_global_cases(ctx: RunContext):
         knobs["growth_cap"],
     ))
     # ... and large data beyond the smallness hypotheses: blow-up flag fires
-    rec_blow = run_case(-1.0, p_super, knobs["blowup_amplitude"], t_end=sim.t_end)
+    rec_blow = run_case(-1.0, p_super, knobs["blowup_amplitude"])
     ratio = float(np.max(rec_blow.h2dot_series) / rec_blow.h2dot_series[0])
     checks.append(check_flag(
         "case_d_blowup_flagged", rec_blow.status == "blowup_suspected", ratio,
@@ -474,9 +440,7 @@ def run_perturbation(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
     op_full = ctx.op_full()
     op_free = ctx.op_free()
-    sim = cfg.sim
-    if sim.snapshot_stride < 1:
-        sim.snapshot_stride = 1
+    sim = dataclasses.replace(cfg.sim, snapshot_stride=max(cfg.sim.snapshot_stride, 1))
     u_tilde0 = _smooth_data(ctx, op_full, knobs["amplitude"], knobs["width"], knobs["xi_cut"])
     direction = states.random_low_mode_field(op_free, ctx.rng)
     direction = (1.0 / spectral.h2_norm(direction)) * direction
@@ -548,13 +512,8 @@ def _scattering_run(ctx: RunContext, lam: float, t_end: float | None = None):
     op_full = ctx.op_full()
     op_free = ctx.op_free()
     sim = cfg.sim
-    run_sim = solver.SimulationConfig(
-        lam=lam, p=sim.p, dt=sim.dt, t_end=t_end or sim.t_end,
-        monitor_stride=sim.monitor_stride,
-        snapshot_stride=max(sim.snapshot_stride, 1),
-        picard_tol=sim.picard_tol, picard_max_iter=sim.picard_max_iter,
-        boundary_threshold=sim.boundary_threshold, blowup_factor=sim.blowup_factor,
-        critical=sim.critical,
+    run_sim = dataclasses.replace(
+        sim, lam=lam, t_end=t_end or sim.t_end, snapshot_stride=max(sim.snapshot_stride, 1)
     )
     base = _smooth_data(ctx, op_free, 1.0, knobs["data_width"], knobs["xi_cut"])
     u0 = (knobs["amplitude"] / spectral.l2_norm(base)) * base
@@ -624,10 +583,7 @@ def run_final_state(ctx: RunContext):
     ]
 
     # linear case: the backward map is exactly the linear flow
-    lin = solver.SimulationConfig(
-        lam=0.0, p=sim.p, dt=sim.dt, t_end=sim.t_end,
-        picard_tol=sim.picard_tol, picard_max_iter=sim.picard_max_iter,
-    )
+    lin = dataclasses.replace(sim, lam=0.0)
     sol_lin = scattering.solve_final_state(u_plus, op_full, lin, t_start, t_max)
     exact = spectral.apply_function(op_full, "exp_it", t_start, u_plus)
     checks.append(check_leq("linear_case_exact", spectral.h2_norm(sol_lin.field - exact),
@@ -663,12 +619,12 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the configured experiment; module errors become failed checks."""
     t_start = time.perf_counter()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ctx = RunContext(cfg=cfg, rng=np.random.default_rng(cfg.seed), out_dir=out_dir, jobs=jobs)
+    ctx = RunContext(cfg=cfg, rng=np.random.default_rng(cfg.seed), out_dir=out_dir)
     try:
         checks, series = EXPERIMENTS[cfg.experiment](ctx)
     except Exception as exc:  # noqa: BLE001 - captured into the report by contract

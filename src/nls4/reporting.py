@@ -121,18 +121,31 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_bytes(path: str | Path, chunks) -> None:
+    """Write the byte chunks one after another to a unique temp file, then rename.
+
+    The file gets the mode a plain open() would give (0666 less the umask),
+    not mkstemp's 0600, so a shared cache directory stays readable.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    atomic_write_bytes(path, [text.encode()])
 
 
 def write_report(report: ExperimentReport, path: str | Path) -> None:

@@ -24,14 +24,7 @@ import numpy as np
 
 from .analysis import SpaceTimeSample, WindowError, sample_from_trajectory, spacetime_norm
 from .radial import RadialField, boundary_mass, lp_norm
-from .solver import (
-    GaussPanels,
-    SimulationConfig,
-    _picard_iterate,
-    critical_exponent,
-    energy,
-    mass,
-)
+from .solver import SimulationConfig, _duhamel_window, critical_exponent, energy, mass
 from .spectral import SpectralOperator, apply_function, h2_norm, hdot2_norm
 
 Z_TAIL_THRESHOLD = 1e-3
@@ -200,19 +193,9 @@ def solve_final_state(
         )
         w_tail = spacetime_norm(linear, "W", op_free)
 
-    panels = GaussPanels(t_start, t_max, max(1, int(round((t_max - t_start) / cfg.dt))))
-    mu = op_full.eigenvalues
-    c_plus = op_full.to_modal(u_plus.values)
-    start_phase = np.exp(1j * mu * t_start)
-
-    def combine(node_phases, g_cum, g_total):
-        new_coeffs = node_phases * (c_plus - 1j * cfg.lam * (g_total[None, None] - g_cum))
-        return new_coeffs, start_phase * (c_plus - 1j * cfg.lam * g_total)
-
-    initial = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None]) * c_plus
-    start_modal, solution = _picard_iterate(op_full, cfg, panels, combine, initial)
+    solution = _duhamel_window(u_plus, op_full, cfg, t_start, t_max, backward=True)
     return FinalStateSolution(
-        field=RadialField(u_plus.grid, op_full.from_modal(start_modal)),
+        field=solution.final_field,
         iterations=solution.iterations,
         converged=solution.converged,
         contraction_factor=solution.contraction_factor,
@@ -233,15 +216,4 @@ def forward_picard_on_window(
     Used by the round-trip test: identical collocation makes the forward
     solve the exact inverse of the backward one up to fixed-point tolerance.
     """
-    panels = GaussPanels(t_start, t_max, max(1, int(round((t_max - t_start) / cfg.dt))))
-    mu = op_full.eigenvalues
-    c_start = op_full.to_modal(u_start.values) * np.exp(-1j * mu * t_start)
-    end_phase = np.exp(1j * mu * t_max)
-
-    def combine(node_phases, g_cum, g_total):
-        new_coeffs = node_phases * (c_start + 1j * cfg.lam * g_cum)
-        return new_coeffs, end_phase * (c_start + 1j * cfg.lam * g_total)
-
-    initial = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None]) * c_start
-    end_modal, _ = _picard_iterate(op_full, cfg, panels, combine, initial)
-    return RadialField(u_start.grid, op_full.from_modal(end_modal))
+    return _duhamel_window(u_start, op_full, cfg, t_start, t_max).final_field

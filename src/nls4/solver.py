@@ -127,13 +127,19 @@ def _nonlinear_phase(values: np.ndarray, lam: float, p: float, tau: float) -> np
     return values * rot
 
 
+def _strang_step(
+    values: np.ndarray, op: SpectralOperator, cfg: SimulationConfig, phases: np.ndarray
+) -> np.ndarray:
+    """Half rotation, linear propagator (phases = exp(i dt mu)), half rotation."""
+    values = _nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2.0)
+    values = op.from_modal(phases * op.to_modal(values))
+    return _nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2.0)
+
+
 def step_strang(u: RadialField, op_full: SpectralOperator, cfg: SimulationConfig) -> RadialField:
     """One second-order splitting step of size cfg.dt."""
-    values = _nonlinear_phase(u.values, cfg.lam, cfg.p, cfg.dt / 2.0)
     phases = np.exp(1j * cfg.dt * op_full.eigenvalues)
-    values = op_full.from_modal(phases * op_full.to_modal(values))
-    values = _nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2.0)
-    return RadialField(u.grid, values)
+    return RadialField(u.grid, _strang_step(u.values, op_full, cfg, phases))
 
 
 def run_trajectory(
@@ -196,9 +202,7 @@ def run_trajectory(
         t_prev = (step - 1) * cfg.dt
         t = step * cfg.dt
         try:
-            values = _nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2.0)
-            values = op_full.from_modal(phases * op_full.to_modal(values))
-            values = _nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2.0)
+            values = _strang_step(values, op_full, cfg, phases)
             if forcing is not None:
                 src = -1j * cfg.dt * np.asarray(forcing(t_prev + cfg.dt / 2.0))
                 values = values + op_full.from_modal(half_phases * op_full.to_modal(src))
@@ -280,17 +284,6 @@ class PicardSolution:
     diffs: list = field(default_factory=list)
 
 
-def _modal_many(op: SpectralOperator, values_matrix: np.ndarray) -> np.ndarray:
-    """to_modal applied to rows of values_matrix (batched gemm)."""
-    z = values_matrix * op.grid.metric_sqrt
-    return (z.real @ op.eigenvectors) + 1j * (z.imag @ op.eigenvectors)
-
-
-def _values_many(op: SpectralOperator, coeff_matrix: np.ndarray) -> np.ndarray:
-    z = (coeff_matrix.real @ op.eigenvectors.T) + 1j * (coeff_matrix.imag @ op.eigenvectors.T)
-    return z / op.grid.metric_sqrt
-
-
 def _picard_iterate(
     op: SpectralOperator,
     cfg: SimulationConfig,
@@ -317,9 +310,9 @@ def _picard_iterate(
     for iteration in range(1, cfg.picard_max_iter + 1):
         flat = coeffs.reshape(-1, mu.size)
         with np.errstate(over="ignore", invalid="ignore"):
-            u_nodes = _values_many(op, flat)
+            u_nodes = op.from_modal(flat)
             g_nodes = np.abs(u_nodes) ** (cfg.p - 1.0) * u_nodes
-            f_modal = _modal_many(op, g_nodes).reshape(shape + (mu.size,))
+            f_modal = op.to_modal(g_nodes).reshape(shape + (mu.size,))
             g_tilde = np.conj(node_phases) * f_modal
             g_cum, g_total = panels.cumulative(g_tilde)
             new_coeffs, payload = combine(node_phases, g_cum, g_total)
@@ -343,25 +336,53 @@ def _picard_iterate(
     )
 
 
+def _duhamel_window(
+    u: RadialField,
+    op: SpectralOperator,
+    cfg: SimulationConfig,
+    t0: float,
+    t1: float,
+    *,
+    backward: bool = False,
+) -> PicardSolution:
+    """Fixed point of the Duhamel map on [t0, t1], one Gauss panel per dt.
+
+    Forward, u is the state at t0 and the result is the state at t1:
+        u(t) = e^{i(t-t0)H} u + i lam int_{t0}^t e^{i(t-s)H} f(u) ds.
+    Backward, u is the scattering datum u+ and the result is the state at t0:
+        u(t) = e^{itH} u+ - i lam int_t^{t1} e^{i(t-s)H} f(u) ds.
+    Iterates are interaction-picture coefficients anchored at the datum.
+    """
+    panels = GaussPanels(t0, t1, max(1, int(round((t1 - t0) / cfg.dt))))
+    mu = op.eigenvalues
+    anchor = op.to_modal(u.values)
+    if backward:
+        out_phase = np.exp(1j * mu * t0)
+
+        def combine(node_phases, g_cum, g_total):
+            new_coeffs = node_phases * (anchor - 1j * cfg.lam * (g_total[None, None] - g_cum))
+            return new_coeffs, out_phase * (anchor - 1j * cfg.lam * g_total)
+    else:
+        anchor = anchor * np.exp(-1j * mu * t0)
+        out_phase = np.exp(1j * mu * t1)
+
+        def combine(node_phases, g_cum, g_total):
+            new_coeffs = node_phases * (anchor + 1j * cfg.lam * g_cum)
+            return new_coeffs, out_phase * (anchor + 1j * cfg.lam * g_total)
+
+    initial = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None]) * anchor
+    out_modal, solution = _picard_iterate(op, cfg, panels, combine, initial)
+    solution.final_field = RadialField(u.grid, op.from_modal(out_modal))
+    return solution
+
+
 def picard_solve(
     u0: RadialField, op_full: SpectralOperator, cfg: SimulationConfig, t_final: float
 ) -> PicardSolution:
     """Fixed point of the Duhamel map on [0, t_final]; returns u(t_final) + diagnostics."""
     if t_final <= 0:
         raise ValueError("t_final must be positive")
-    panels = GaussPanels(0.0, t_final, max(1, int(round(t_final / cfg.dt))))
-    mu = op_full.eigenvalues
-    c0 = op_full.to_modal(u0.values)
-    end_phase = np.exp(1j * mu * t_final)
-
-    def combine(node_phases, g_cum, g_total):
-        new_coeffs = node_phases * (c0 + 1j * cfg.lam * g_cum)
-        return new_coeffs, end_phase * (c0 + 1j * cfg.lam * g_total)
-
-    initial = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None]) * c0
-    final_modal, solution = _picard_iterate(op_full, cfg, panels, combine, initial)
-    solution.final_field = RadialField(u0.grid, op_full.from_modal(final_modal))
-    return solution
+    return _duhamel_window(u0, op_full, cfg, 0.0, t_final)
 
 
 def solve_picard(

@@ -10,7 +10,8 @@ keeps the bandwidth at two, so a dense banded eigensolve
 All functions f(H) -- propagators exp(itH), heat maps exp(-tH), fractional
 powers H^{s/4}, resolvents -- are evaluated exactly in the discretization by
 scaling modal coefficients.  |grad|^s is realized as (Delta^2)^{s/4} through
-the free operator's calculus.
+the free operator's calculus.  The modal transform pair takes batches: it
+transforms each row of an array of shape (..., N) through one matmul.
 
 An optional little-endian binary cache stores eigendecompositions keyed by
 (kind, n, r_max, N, potential); the same container layout is reused for
@@ -30,6 +31,7 @@ from scipy.linalg import eig_banded
 
 from .potentials import PotentialSpec, evaluate_potential
 from .radial import RadialField, RadialGrid
+from .reporting import atomic_write_bytes
 
 DEFAULT_EIG_BUDGET = 4096
 RESOLVENT_MARGIN = 1e-12
@@ -50,17 +52,11 @@ def apply_tridiag(diag: np.ndarray, off: np.ndarray, y: np.ndarray) -> np.ndarra
     return out
 
 
-def _rmatvec(q: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """q.T @ z for real q and complex z without complex promotion of q."""
-    if np.iscomplexobj(z):
-        return q.T @ z.real + 1j * (q.T @ z.imag)
-    return q.T @ z
-
-
-def _matvec(q: np.ndarray, z: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(z):
-        return q @ z.real + 1j * (q @ z.imag)
-    return q @ z
+def _rows_times(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """rows @ q for real q; complex rows are split so q is never promoted."""
+    if np.iscomplexobj(rows):
+        return rows.real @ q + 1j * (rows.imag @ q)
+    return rows @ q
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +120,12 @@ class SpectralOperator:
     potential_values: np.ndarray = field(repr=False, default=None)
 
     def to_modal(self, values: np.ndarray) -> np.ndarray:
-        return _rmatvec(self.eigenvectors, self.grid.metric_sqrt * values)
+        """Modal coefficients of each row of `values`, shape (..., N)."""
+        return _rows_times(self.grid.metric_sqrt * values, self.eigenvectors)
 
     def from_modal(self, coeffs: np.ndarray) -> np.ndarray:
-        return _matvec(self.eigenvectors, coeffs) / self.grid.metric_sqrt
+        """Grid values of each row of `coeffs`, shape (..., N)."""
+        return _rows_times(coeffs, self.eigenvectors.T) / self.grid.metric_sqrt
 
     def eigenfield(self, k: int) -> RadialField:
         return RadialField(self.grid, self.eigenvectors[:, k] / self.grid.metric_sqrt)
@@ -254,42 +252,60 @@ def _operator_key(kind: str, grid: RadialGrid, spec: PotentialSpec | None) -> by
     return hashlib.sha256(token.encode()).digest()[:16]
 
 
+def _read_header(fh, path, magic: bytes, what: str) -> tuple[float, int, bytes]:
+    raw = fh.read(_HEADER.size)
+    if len(raw) < _HEADER.size:
+        raise SpectralError(
+            f"{path} is truncated: expected a {_HEADER.size}-byte header, got {len(raw)} bytes"
+        )
+    file_magic, version, _, r_max, n, key = _HEADER.unpack(raw)
+    if file_magic != magic or version != _FORMAT_VERSION:
+        raise SpectralError(f"{path} is not a valid {what}")
+    return r_max, n, key
+
+
+def _read_blocks(fh, path, n: int, rows: int) -> np.ndarray:
+    """The float64 payload as (rows, n), after checking the file length against N."""
+    expected = _HEADER.size + 8 * rows * n
+    actual = os.fstat(fh.fileno()).st_size
+    if actual != expected:
+        raise SpectralError(
+            f"{path} is corrupt: expected {expected} bytes for N={n}, found {actual}"
+        )
+    return np.fromfile(fh, dtype="<f8", count=rows * n).reshape(rows, n)
+
+
 def save_operator(path: str | Path, op: SpectralOperator) -> None:
     key = _operator_key(op.kind, op.grid, op.potential)
     payload_kind = 0 if op.kind == "free" else 1
     header = _HEADER.pack(
         _CACHE_MAGIC, _FORMAT_VERSION, payload_kind, op.grid.r_max, op.grid.num_points, key
     )
-    tmp = Path(path).with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(op.eigenvectors, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(op.eigenvalues, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    atomic_write_bytes(path, [
+        header,
+        np.ascontiguousarray(op.eigenvectors, dtype="<f8"),
+        np.ascontiguousarray(op.eigenvalues, dtype="<f8"),
+    ])
 
 
 def load_operator(
     path: str | Path, kind: str, grid: RadialGrid, spec: PotentialSpec | None
 ) -> SpectralOperator:
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, version, _, r_max, n, key = _HEADER.unpack(header)
-        if magic != _CACHE_MAGIC or version != _FORMAT_VERSION:
-            raise SpectralError(f"{path} is not a valid eigendecomposition cache")
+        r_max, n, key = _read_header(fh, path, _CACHE_MAGIC, "eigendecomposition cache")
         if n != grid.num_points or r_max != grid.r_max:
             raise SpectralError(f"cache {path} was built for a different grid")
         if key != _operator_key(kind, grid, spec):
             raise SpectralError(f"cache {path} key mismatch")
-        vecs = np.frombuffer(fh.read(8 * n * n), dtype="<f8").reshape(n, n).copy()
-        vals = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
+        blocks = _read_blocks(fh, path, n, n + 1)
     v_values = (
         evaluate_potential(spec, grid).values.real if spec is not None else np.zeros(n)
     )
     return SpectralOperator(
         kind=kind,
         grid=grid,
-        eigenvalues=vals,
-        eigenvectors=vecs,
+        eigenvalues=blocks[n],
+        eigenvectors=blocks[:n],
         potential=spec,
         potential_values=v_values,
     )
@@ -328,21 +344,17 @@ def save_field(path: str | Path, u: RadialField) -> None:
     header = _HEADER.pack(
         _FIELD_MAGIC, _FORMAT_VERSION, 2, grid.r_max, grid.num_points, key
     )
-    tmp = Path(path).with_suffix(".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(u.values.real, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(u.values.imag, dtype="<f8").tobytes())
-    os.replace(tmp, path)
+    atomic_write_bytes(path, [
+        header,
+        np.ascontiguousarray(u.values.real, dtype="<f8"),
+        np.ascontiguousarray(u.values.imag, dtype="<f8"),
+    ])
 
 
 def load_field(path: str | Path, grid: RadialGrid) -> RadialField:
     with open(path, "rb") as fh:
-        magic, version, _, r_max, n, _ = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _FIELD_MAGIC or version != _FORMAT_VERSION:
-            raise SpectralError(f"{path} is not a valid field snapshot")
+        r_max, n, _ = _read_header(fh, path, _FIELD_MAGIC, "field snapshot")
         if n != grid.num_points or r_max != grid.r_max:
             raise SpectralError(f"snapshot {path} was saved on a different grid")
-        re = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        im = np.frombuffer(fh.read(8 * n), dtype="<f8")
+        re, im = _read_blocks(fh, path, n, 2)
     return RadialField(grid, re + 1j * im)

@@ -1,5 +1,7 @@
 """Spectral operators: eigenstructure, functional calculus, caching."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -137,6 +139,31 @@ class TestFunctionalCalculus:
             apply_function(op_full, "exp_it", 1.0, random_smooth_field(other, rng))
 
 
+class TestBatchedTransforms:
+    @pytest.mark.parametrize("shape", [(5,), (3, 4)])
+    def test_batch_matches_rows(self, op_full, shape):
+        rng = np.random.default_rng(11)
+        n = op_full.grid.num_points
+        x = rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
+        for transform in (op_full.to_modal, op_full.from_modal):
+            out = transform(x)
+            assert out.shape == x.shape
+            rows = np.array([transform(row) for row in x.reshape(-1, n)]).reshape(x.shape)
+            assert np.max(np.abs(out - rows)) <= 1e-13 * np.max(np.abs(rows))
+
+    def test_real_input_stays_real(self, op_full):
+        x = np.random.default_rng(12).standard_normal((4, op_full.grid.num_points))
+        assert not np.iscomplexobj(op_full.to_modal(x))
+        assert not np.iscomplexobj(op_full.from_modal(x))
+
+    def test_batch_roundtrip(self, op_full):
+        rng = np.random.default_rng(13)
+        n = op_full.grid.num_points
+        x = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+        back = op_full.from_modal(op_full.to_modal(x))
+        assert np.max(np.abs(back - x)) <= 1e-10 * np.max(np.abs(x))
+
+
 class TestFractionalGradient:
     def test_s_zero_identity(self, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
@@ -197,12 +224,36 @@ class TestCacheAndFieldIO:
         load_or_build("free", grid)
         assert len(list(tmp_path.glob("*.eig"))) == 1
 
+    def test_truncated_cache_fails_by_name(self, grid, tmp_path):
+        load_or_build("free", grid, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("*.eig")
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(SpectralError, match=str(path)) as info:
+            load_or_build("free", grid, cache_dir=tmp_path)
+        assert f"expected {len(data)} bytes" in str(info.value)
+        assert f"found {len(data) // 2}" in str(info.value)
+
+    def test_cache_files_get_umask_mode(self, grid, tmp_path):
+        umask = os.umask(0)
+        os.umask(umask)
+        load_or_build("free", grid, cache_dir=tmp_path)
+        (path,) = tmp_path.iterdir()
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
     def test_field_io_roundtrip(self, grid, rng, tmp_path):
         u = random_smooth_field(grid, rng)
         path = tmp_path / "state.fld"
         spectral.save_field(path, u)
         back = spectral.load_field(path, grid)
         assert np.array_equal(u.values, back.values)
+
+    def test_truncated_field_fails_by_name(self, grid, rng, tmp_path):
+        path = tmp_path / "state.fld"
+        spectral.save_field(path, random_smooth_field(grid, rng))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(SpectralError, match=str(path)):
+            spectral.load_field(path, grid)
 
     def test_field_io_grid_mismatch(self, grid, rng, tmp_path):
         u = random_smooth_field(grid, rng)
