@@ -25,11 +25,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .radial import RadialField, boundary_mass, localized_mass, lp_norm, smooth_cutoff
+from .radial import (
+    RadialField,
+    boundary_mass,
+    localized_mass,
+    lp_norm,
+    lp_norm_values,
+    smooth_cutoff,
+)
 from .solver import SimulationConfig, critical_exponent, mass
 from .spectral import (
     SpectralOperator,
     apply_function,
+    evolve,
+    fractional_gradient_values,
     free_fractional_gradient,
     hdot2_norm,
     laplacian_values,
@@ -133,21 +142,16 @@ def spacetime_norm(
         raise ResolutionError(
             f"need at least {MIN_TIME_SAMPLES} time samples, got {sample.times.size}"
         )
-    n = sample.fields[0].grid.dimension
-    q, r = spacetime_exponents(which, n)
-    q_f, r_f = float(q), float(r)
-    spatial = np.empty(sample.times.size)
-    for i, u in enumerate(sample.fields):
-        if which == "M":
-            g = RadialField(u.grid, laplacian_values(u.grid, u.values))
-        elif which in ("W", "N"):
-            if op_free is None:
-                raise ValueError(f"norm {which} needs the free operator for |grad|")
-            g = free_fractional_gradient(op_free, 1.0, u)
-        else:
-            g = u
-        spatial[i] = lp_norm(g, r_f)
-    return _time_lq(sample.times, spatial, q_f)
+    grid = sample.fields[0].grid
+    q, r = spacetime_exponents(which, grid.dimension)
+    values = np.array([u.values for u in sample.fields])
+    if which == "M":
+        values = laplacian_values(grid, values)
+    elif which in ("W", "N"):
+        if op_free is None:
+            raise ValueError(f"norm {which} needs the free operator for |grad|")
+        values = fractional_gradient_values(op_free, 1.0, values)
+    return _time_lq(sample.times, lp_norm_values(grid, values, float(r)), float(q))
 
 
 def is_b_admissible(q: Fraction, r: Fraction, n: int) -> bool:
@@ -199,6 +203,8 @@ class FitResult:
     amplitude: float
     residual: float    # RMS of the log-log fit
     window: tuple[float, float]
+    times: np.ndarray  # the log-spaced sample times
+    norms: np.ndarray  # ||exp(itH) u0||_{L^p} at each sample time
 
 
 def fit_decay(
@@ -219,17 +225,16 @@ def fit_decay(
         raise ValueError("window must satisfy 0 < t_lo < t_hi")
     times = np.geomspace(t_lo, t_hi, num_samples)
     m0 = mass(u0)
-    norms = np.empty(num_samples)
-    for i, t in enumerate(times):
-        ut = apply_function(op, "exp_it", t, u0)
-        if boundary_mass(ut) > boundary_threshold * m0:
+    rows = evolve(op, u0.values, times)
+    for t, row in zip(times, rows):
+        if boundary_mass(RadialField(op.grid, row)) > boundary_threshold * m0:
             raise WindowError(f"boundary contamination at t = {t:.4g}")
-        norms[i] = lp_norm(ut, p)
+    norms = lp_norm_values(op.grid, rows, p)
     logs_t = np.log(times)
     logs_n = np.log(norms)
     slope, intercept = np.polyfit(logs_t, logs_n, 1)
     resid = float(np.sqrt(np.mean((logs_n - (slope * logs_t + intercept)) ** 2)))
-    return FitResult(float(slope), float(math.exp(intercept)), resid, window)
+    return FitResult(float(slope), float(math.exp(intercept)), resid, window, times, norms)
 
 
 def predicted_decay_exponent(n: int, p: float) -> float:
@@ -247,37 +252,36 @@ class ModalForcing:
     omegas: np.ndarray
     fields: list[RadialField]
 
-    def values_at(self, t: float) -> np.ndarray:
+    def values_at(self, t) -> np.ndarray:
+        """h(t) as (N,) for a scalar time, or (T, N) for an array of T times."""
+        t = np.asarray(t, dtype=float)[..., None]
         out = np.zeros_like(self.fields[0].values)
         for w, g in zip(self.omegas, self.fields):
             out = out + np.exp(1j * w * t) * g.values
         return out
 
 
-def _phase_integral(delta: np.ndarray, t: float) -> np.ndarray:
-    """int_0^t exp(i delta s) ds, stable near delta = 0."""
-    out = np.empty_like(delta, dtype=complex)
+def _phase_integral(delta: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """int_0^t exp(i delta s) ds on the broadcast grid of delta and t, stable near delta = 0."""
     small = np.abs(delta * t) < 1e-8
-    d_small = delta[small]
-    out[small] = t * (1.0 + 0.5j * d_small * t - (d_small * t) ** 2 / 6.0)
-    d = delta[~small]
-    out[~small] = (np.exp(1j * d * t) - 1.0) / (1j * d)
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = (np.exp(1j * delta * t) - 1.0) / (1j * delta)
+    return np.where(small, t * (1.0 + 0.5j * delta * t - (delta * t) ** 2 / 6.0), closed)
 
 
-def duhamel_solution_at(
-    op: SpectralOperator, u0: RadialField, forcing: ModalForcing | None, t: float
-) -> RadialField:
-    """u(t) = e^{itH} u0 + i int_0^t e^{i(t-s)H} h(s) ds, exact per mode."""
+def duhamel_solution(
+    op: SpectralOperator, u0: RadialField, forcing: ModalForcing | None, times
+) -> np.ndarray:
+    """u(t_k) = e^{i t_k H} u0 + i int_0^{t_k} e^{i(t_k-s)H} h(s) ds, exact per mode; (T, N)."""
     mu = op.eigenvalues
-    coeffs = op.to_modal(u0.values) * np.exp(1j * mu * t)
+    t = np.asarray(times, dtype=float)[:, None]
+    phases = np.exp(1j * mu * t)
+    coeffs = op.to_modal(u0.values) * phases
     if forcing is not None:
-        for w, g in zip(forcing.omegas, forcing.fields):
-            g_modal = op.to_modal(g.values)
-            coeffs = coeffs + 1j * np.exp(1j * mu * t) * g_modal * _phase_integral(
-                w - mu, t
-            )
-    return RadialField(op.grid, op.from_modal(coeffs))
+        g_modal = op.to_modal(np.array([g.values for g in forcing.fields]))
+        for w, g_m in zip(forcing.omegas, g_modal):
+            coeffs = coeffs + 1j * phases * g_m * _phase_integral(w - mu, t)
+    return op.from_modal(coeffs)
 
 
 def strichartz_quotient(
@@ -295,21 +299,14 @@ def strichartz_quotient(
     require_b_admissible(q, r, n, r_below_half_n=True)
     t0, t1 = interval
     times = np.linspace(t0, t1, num_samples)
-    lhs_spatial = np.empty(num_samples)
-    rhs_spatial = np.zeros(num_samples)
-    _, r_dual = spacetime_exponents("N", n)
-    for i, t in enumerate(times):
-        u_t = duhamel_solution_at(op_full, u0, forcing, t)
-        lhs_spatial[i] = lp_norm(
-            RadialField(u_t.grid, laplacian_values(u_t.grid, u_t.values)), float(r)
-        )
-        if forcing is not None:
-            h_t = RadialField(op_full.grid, forcing.values_at(t))
-            rhs_spatial[i] = lp_norm(
-                free_fractional_gradient(op_free, 1.0, h_t), float(r_dual)
-            )
-    lhs = _time_lq(times, lhs_spatial, float(q))
-    dual = _time_lq(times, rhs_spatial, 2.0) if forcing is not None else 0.0
+    grid = op_full.grid
+    u = duhamel_solution(op_full, u0, forcing, times)
+    lhs = _time_lq(times, lp_norm_values(grid, laplacian_values(grid, u), float(r)), float(q))
+    dual = 0.0
+    if forcing is not None:
+        _, r_dual = spacetime_exponents("N", n)
+        grad_h = fractional_gradient_values(op_free, 1.0, forcing.values_at(times))
+        dual = _time_lq(times, lp_norm_values(grid, grad_h, float(r_dual)), 2.0)
     denom = hdot2_norm(u0) + dual
     if denom == 0.0:
         raise ZeroDivisionError("trivial data and forcing")

@@ -93,7 +93,6 @@ KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
         "mass_tol": (_parse_float, 1e-8),
         "energy_tol": (_parse_float, 1e-6),
         "ratio_band": (_parse_float, 0.3),
-        "runtime_cap": (_parse_float, 120.0),
     },
     "decay": {
         "lp_exponents": (_parse_floats, (10.0, 2.0)),

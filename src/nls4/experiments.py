@@ -146,16 +146,12 @@ def run_decay(ctx: RunContext):
                 )
                 checks.append(check_leq(f"residual_{label}_p{p:g}", fit.residual,
                                         knobs["residual_cap"]))
-            ts = np.geomspace(window[0], window[1], knobs["num_samples"])
-            norms = [
-                radial.lp_norm(spectral.apply_function(op, "exp_it", t, u0), p) for t in ts
-            ]
             fname = f"decay_{label}_p{p:g}.csv"
-            fit_line = fit.amplitude * ts**fit.exponent
+            fit_line = fit.amplitude * fit.times**fit.exponent
             write_csv(
                 ctx.out_dir / fname,
                 ["log_t", "log_norm", "fit_line"],
-                zip(np.log(ts), np.log(norms), np.log(fit_line)),
+                zip(np.log(fit.times), np.log(fit.norms), np.log(fit_line)),
             )
             series[f"decay_{label}_p{p:g}"] = fname
     return checks, series
@@ -566,14 +562,13 @@ def run_scattering(ctx: RunContext):
 def run_final_state(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
     op_full = ctx.op_full()
-    op_free = ctx.op_free()
     u0, rec, report = _scattering_run(ctx, cfg.sim.lam)
     sim = cfg.sim
     t_max = float(rec.snapshots[-1][0])
     t_start = t_max * (1.0 - knobs["window_fraction"])
     u_plus = report.u_plus
 
-    sol = scattering.solve_final_state(u_plus, op_full, sim, t_start, t_max, op_free)
+    sol = scattering.solve_final_state(u_plus, op_full, sim, t_start, t_max)
     u_end = scattering.forward_picard_on_window(sol.field, op_full, sim, t_start, t_max)
     u_plus_new = spectral.apply_function(op_full, "exp_it", -t_max, u_end)
     roundtrip = spectral.h2_norm(u_plus_new - u_plus)

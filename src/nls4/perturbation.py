@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .analysis import ModalForcing, SpaceTimeSample, sample_from_trajectory, spacetime_norm
 from .radial import RadialField
 from .solver import SimulationConfig, run_trajectory
-from .spectral import SpectralOperator, apply_function
+from .spectral import SpectralOperator, evolve
 
 
 @dataclass
@@ -60,7 +60,7 @@ def perturbation_experiment(
     gap0 = u0 - u_tilde0
     linear_gap = SpaceTimeSample(
         times,
-        [apply_function(op_full, "exp_it", t, gap0) for t in times],
+        [RadialField(u0.grid, row) for row in evolve(op_full, gap0.values, times)],
         interval,
     )
     eps_data = spacetime_norm(linear_gap, "W", op_free)
@@ -69,7 +69,7 @@ def perturbation_experiment(
     if forcing is not None:
         forcing_sample = SpaceTimeSample(
             times,
-            [RadialField(u0.grid, forcing.values_at(t)) for t in times],
+            [RadialField(u0.grid, row) for row in forcing.values_at(times)],
             interval,
         )
         eps_forcing = spacetime_norm(forcing_sample, "N", op_free)

@@ -226,18 +226,24 @@ def _check_same_grid(u: RadialField, v: RadialField) -> None:
         raise ValueError("fields live on different grids")
 
 
-def lp_norm(u: RadialField, p: float) -> float:
-    """L^p norm against omega r^{n-1} dr; p = inf means the max over nodes."""
+def lp_norm_values(grid: RadialGrid, values: np.ndarray, p: float) -> np.ndarray:
+    """L^p norm of each row of values, shape (..., N) -> (...); p = inf means the max."""
     if p != math.inf and p < 1:
         raise ValueError(f"lp_norm requires p >= 1, got p={p}")
-    a = np.abs(u.values)
+    a = np.abs(values)
+    peak = np.max(a, axis=-1, initial=0.0)
     if p == math.inf:
-        return float(a.max()) if a.size else 0.0
-    peak = a.max()
-    if peak == 0.0:
-        return 0.0
-    # factor out the peak so large p never overflows
-    return float(peak * np.sum(u.grid.metric * (a / peak) ** p) ** (1.0 / p))
+        return peak
+    # factor out each row's peak so large p never overflows; all-zero rows give 0
+    scale = np.where(peak > 0.0, peak, 1.0)
+    sums = np.sum(grid.metric * (a / scale[..., None]) ** p, axis=-1)
+    # a scalar pow per row, as one field takes: numpy's vectorised pow can differ in the last bit
+    return peak * np.reshape([s ** (1.0 / p) for s in np.ravel(sums)], np.shape(sums))
+
+
+def lp_norm(u: RadialField, p: float) -> float:
+    """L^p norm against omega r^{n-1} dr; p = inf means the max over nodes."""
+    return float(lp_norm_values(u.grid, u.values, p))
 
 
 def weak_lp_norm(u: RadialField, r: float, num_levels: int = WEAK_NORM_LEVELS) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import SpaceTimeSample, WindowError, sample_from_trajectory, spacetime_norm
 from .radial import RadialField, boundary_mass, lp_norm
 from .solver import SimulationConfig, _duhamel_window, critical_exponent, energy, mass
-from .spectral import SpectralOperator, apply_function, h2_norm, hdot2_norm
+from .spectral import SpectralOperator, apply_function, evolve, h2_norm, hdot2_norm
 
 Z_TAIL_THRESHOLD = 1e-3
 LEBESGUE_TRIGGER = 0.1
@@ -60,12 +60,11 @@ def probe_wave_operator(
     if np.any(np.diff(times) <= 0):
         raise ValueError("probe times must be strictly increasing")
     m0 = mass(test_state)
-    series = []
-    for t in times:
-        free_back = apply_function(op_free, "exp_it", -t, test_state)
-        if boundary_mass(free_back) > boundary_threshold * m0:
+    free_back = evolve(op_free, test_state.values, -times)
+    for t, row in zip(times, free_back):
+        if boundary_mass(RadialField(op_free.grid, row)) > boundary_threshold * m0:
             raise WindowError(f"free evolution leaves the clean window at t = {t:.4g}")
-        series.append(apply_function(op_full, "exp_it", t, free_back))
+    series = [RadialField(op_full.grid, row) for row in evolve(op_full, free_back, times)]
     gaps = np.array([h2_norm(b - a) for a, b in zip(series, series[1:])])
     tail = gaps[-3:] if gaps.size >= 3 else gaps
     convergent = bool(np.all(np.diff(tail) < 0)) if tail.size >= 2 else False
@@ -107,7 +106,8 @@ def extract_scattering_state(
         raise ValueError("need at least 4 snapshots to extract a scattering state")
     times = sample.times
     v_fields = [
-        apply_function(op_full, "exp_it", -t, u) for t, u in zip(times, sample.fields)
+        RadialField(op_full.grid, row)
+        for row in evolve(op_full, np.array([u.values for u in sample.fields]), -times)
     ]
     cauchy = [
         ((times[k], times[k + 1]), h2_norm(v_fields[k + 1] - v_fields[k]))
@@ -140,9 +140,10 @@ def extract_scattering_state(
         u_plus_star = free_frame_transfer(op_full, op_free, u_plus, float(times[-1]))
         e0 = energy(u0, op_full.potential_values, cfg.lam, cfg.p)
         energy_gap = abs(2.0 * e0 - hdot2_norm(u_plus_star) ** 2) / abs(2.0 * e0)
+        free_flow = evolve(op_free, u_plus_star.values, times)
         free_series = [
-            (float(t), h2_norm(u - apply_function(op_free, "exp_it", t, u_plus_star)))
-            for t, u in zip(times, sample.fields)
+            (float(t), h2_norm(u - RadialField(op_free.grid, row)))
+            for t, u, row in zip(times, sample.fields, free_flow)
         ]
 
     decreasing = has_decreasing_triplet(gaps)
@@ -167,7 +168,6 @@ class FinalStateSolution:
     iterations: int
     converged: bool
     contraction_factor: float
-    w_tail_norm: float | None   # ||e^{itH} u+||_{W([t_start, t_max])} when measurable
     diffs: list = field(default_factory=list)
 
 
@@ -177,29 +177,16 @@ def solve_final_state(
     cfg: SimulationConfig,
     t_start: float,
     t_max: float,
-    op_free: SpectralOperator | None = None,
-    num_w_samples: int = 17,
 ) -> FinalStateSolution:
     """Backward fixed point from the scattering datum down to t_start."""
     if not 0 <= t_start < t_max:
         raise ValueError("need 0 <= t_start < t_max")
-    w_tail = None
-    if op_free is not None:
-        ts = np.linspace(t_start, t_max, num_w_samples)
-        linear = SpaceTimeSample(
-            ts,
-            [apply_function(op_full, "exp_it", t, u_plus) for t in ts],
-            (t_start, t_max),
-        )
-        w_tail = spacetime_norm(linear, "W", op_free)
-
     solution = _duhamel_window(u_plus, op_full, cfg, t_start, t_max, backward=True)
     return FinalStateSolution(
         field=solution.final_field,
         iterations=solution.iterations,
         converged=solution.converged,
         contraction_factor=solution.contraction_factor,
-        w_tail_norm=w_tail,
         diffs=solution.diffs,
     )
 

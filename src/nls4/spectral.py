@@ -46,9 +46,10 @@ class SpectralError(ValueError):
 
 
 def apply_tridiag(diag: np.ndarray, off: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix (diag, off) applied to each row of y, (..., N)."""
     out = diag * y
-    out[:-1] += off * y[1:]
-    out[1:] += off * y[:-1]
+    out[..., :-1] += off * y[..., 1:]
+    out[..., 1:] += off * y[..., :-1]
     return out
 
 
@@ -63,7 +64,7 @@ def _rows_times(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
 # grid-level stencils (no eigendecomposition required)
 
 def laplacian_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Delta u on the grid via the metric-symmetric stencil."""
+    """Delta u on the grid via the metric-symmetric stencil, for each row of (..., N)."""
     y = grid.metric_sqrt * values
     return -apply_tridiag(grid.lap_diag, grid.lap_off, y) / grid.metric_sqrt
 
@@ -228,15 +229,27 @@ def apply_function(op: SpectralOperator, func: str, parameter, u: RadialField) -
     return RadialField(op.grid, op.from_modal(coeffs))
 
 
-def propagate(op: SpectralOperator, t: float, u: RadialField) -> RadialField:
-    return apply_function(op, "exp_it", t, u)
+def evolve(op: SpectralOperator, values: np.ndarray, times) -> np.ndarray:
+    """e^{i t_k H} at every time t_k, as a (T, N) array: one transform in, one out.
+
+    values is one field (N,), sent to every time, or one row per time (T, N),
+    where row k is sent through e^{i t_k H}.
+    """
+    times = np.asarray(times, dtype=float)
+    return op.from_modal(np.exp(1j * times[:, None] * op.eigenvalues) * op.to_modal(values))
+
+
+def fractional_gradient_values(op_free: SpectralOperator, s: float, values: np.ndarray) -> np.ndarray:
+    """|grad|^s = (Delta^2)^{s/4} of each row of values, shape (..., N), through the free calculus."""
+    if op_free.kind != "free":
+        raise SpectralError("the fractional gradient needs the free operator")
+    return op_free.from_modal(op_free.to_modal(values) * _scalar_factors(op_free, "power_s", s))
 
 
 def free_fractional_gradient(op_free: SpectralOperator, s: float, u: RadialField) -> RadialField:
     """|grad|^s u = (Delta^2)^{s/4} u through the free calculus."""
-    if op_free.kind != "free":
-        raise SpectralError("free_fractional_gradient needs the free operator")
-    return apply_function(op_free, "power_s", s, u)
+    _check_field(op_free, u)
+    return RadialField(op_free.grid, fractional_gradient_values(op_free, s, u.values))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +318,8 @@ def load_operator(
         kind=kind,
         grid=grid,
         eigenvalues=blocks[n],
-        eigenvectors=blocks[:n],
+        # the column-major order eig_banded returns, so BLAS sums as in a fresh build
+        eigenvectors=np.asfortranarray(blocks[:n]),
         potential=spec,
         potential_values=v_values,
     )

@@ -12,7 +12,7 @@ from nls4.analysis import (
     ModalForcing,
     ResolutionError,
     SpaceTimeSample,
-    duhamel_solution_at,
+    duhamel_solution,
     fit_decay,
     is_b_admissible,
     localized_mass_rate_check,
@@ -194,9 +194,36 @@ class TestStrichartzQuotient:
 
     def test_duhamel_solution_linear_part(self, op_full, op_free, rng):
         u0 = random_low_mode_field(op_free, rng)
-        out = duhamel_solution_at(op_full, u0, None, 0.7)
+        out = duhamel_solution(op_full, u0, None, [0.7])
         exact = apply_function(op_full, "exp_it", 0.7, u0)
-        assert np.allclose(out.values, exact.values, rtol=1e-12, atol=1e-14)
+        assert np.allclose(out[0], exact.values, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("ops", [("small_op_full", "small_op_free"), ("op_full", "op_free")])
+    def test_forced_duhamel_matches_per_time_reference(self, request, ops):
+        op, op_free = (request.getfixturevalue(name) for name in ops)
+        rng = np.random.default_rng(19)
+        u0 = random_low_mode_field(op_free, rng)
+        forcing = ModalForcing(
+            rng.uniform(-8, 8, 2),
+            [random_low_mode_field(op_free, rng, norm=0.5) for _ in range(2)],
+        )
+        times = np.linspace(0.0, 1.0, 9)
+        mu = op.eigenvalues
+        ref = []
+        for t in times:
+            coeffs = op.to_modal(u0.values) * np.exp(1j * mu * t)
+            for w, g in zip(forcing.omegas, forcing.fields):
+                # int_0^t e^{i(t-s)mu} e^{i w s} ds in closed form
+                d = w - mu
+                coeffs = coeffs + 1j * np.exp(1j * mu * t) * op.to_modal(g.values) * (
+                    (np.exp(1j * d * t) - 1.0) / (1j * d)
+                )
+            ref.append(op.from_modal(coeffs))
+        ref = np.array(ref)
+        out = duhamel_solution(op, u0, forcing, times)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(out[0] - u0.values)) <= 1e-10 * np.max(np.abs(u0.values))
 
     def test_forced_quotients_bounded(self, op_full, op_free):
         rng = np.random.default_rng(17)

@@ -68,3 +68,17 @@ def test_experiment_does_not_mutate_config(tmp_path):
     report = run_experiment(cfg)
     assert ("simulation.snapshot_stride", "0") in report.config_items
     assert cfg == before
+
+
+@pytest.mark.parametrize("kind", ["conservation", "sobolev_equiv"])
+def test_warm_cache_reproduces_cold_body(kind, tmp_path, monkeypatch):
+    # a loaded eigenbasis must sum in the same order as a freshly built one
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("NLS4_CACHE_DIR", str(cache))
+    bodies = []
+    for run in ("cold", "warm"):
+        cfg = load_config(CONFIG_DIR / f"{kind}.cfg")
+        cfg.output_dir = tmp_path / run
+        bodies.append(run_experiment(cfg).body_text())
+    assert list(cache.glob("*.eig"))
+    assert bodies[0] == bodies[1]

@@ -12,6 +12,7 @@ from nls4.radial import (
     RadialField,
     localized_mass,
     lp_norm,
+    lp_norm_values,
     make_grid,
     smooth_cutoff,
     weak_lp_norm,
@@ -87,6 +88,28 @@ class TestLpNorm:
     def test_rejects_p_below_one(self, grid, rng):
         with pytest.raises(ValueError):
             lp_norm(random_smooth_field(grid, rng), 0.5)
+
+    @pytest.mark.parametrize("grid_name", ["small_grid", "grid"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 90.0 / 41.0, 18.0, math.inf])
+    def test_rows_match_per_field_reference(self, request, grid_name, p):
+        g = request.getfixturevalue(grid_name)
+        rng = np.random.default_rng(21)
+        rows = np.array(
+            [random_smooth_field(g, rng).values for _ in range(3)]
+            + [np.zeros(g.num_points, dtype=complex)]
+        )
+
+        def one_field(values):
+            a = np.abs(values)
+            peak = a.max()
+            if p == math.inf or peak == 0.0:
+                return peak
+            return peak * np.sum(g.metric * (a / peak) ** p) ** (1.0 / p)
+
+        ref = np.array([one_field(row) for row in rows])
+        assert np.array_equal(lp_norm_values(g, rows, p), ref)
+        assert np.array_equal([lp_norm(RadialField(g, row), p) for row in rows], ref)
+        assert ref[-1] == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), p=st.sampled_from([2.0, 10.0 / 3.0, 10.0]))

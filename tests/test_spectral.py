@@ -163,6 +163,24 @@ class TestBatchedTransforms:
         back = op_full.from_modal(op_full.to_modal(x))
         assert np.max(np.abs(back - x)) <= 1e-10 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("op_name", ["small_op_full", "op_full"])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_evolve_matches_per_time_propagation(self, request, op_name, per_row):
+        op = request.getfixturevalue(op_name)
+        rng = np.random.default_rng(14)
+        times = np.array([-1.3, 0.0, 0.25, 2.0, 7.5])
+        if per_row:
+            fields = [random_smooth_field(op.grid, rng) for _ in times]
+            out = spectral.evolve(op, np.array([u.values for u in fields]), times)
+        else:
+            fields = [random_smooth_field(op.grid, rng)] * times.size
+            out = spectral.evolve(op, fields[0].values, times)
+        ref = np.array([
+            apply_function(op, "exp_it", t, u).values for t, u in zip(times, fields)
+        ])
+        assert out.shape == (times.size, op.grid.num_points)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
 
 class TestFractionalGradient:
     def test_s_zero_identity(self, op_free, grid, rng):
@@ -198,6 +216,14 @@ class TestFractionalGradient:
 
 
 class TestNorms:
+    @pytest.mark.parametrize("grid_name", ["small_grid", "grid"])
+    def test_laplacian_rows_match_per_field(self, request, grid_name):
+        g = request.getfixturevalue(grid_name)
+        rng = np.random.default_rng(16)
+        rows = np.array([random_smooth_field(g, rng).values for _ in range(4)])
+        ref = np.array([laplacian_values(g, row) for row in rows])
+        assert np.array_equal(laplacian_values(g, rows), ref)
+
     def test_h2_norm_definition(self, grid, rng):
         u = random_smooth_field(grid, rng)
         lap = laplacian_values(grid, u.values)
@@ -213,6 +239,15 @@ class TestCacheAndFieldIO:
         assert np.array_equal(first.eigenvalues, again.eigenvalues)
         assert np.array_equal(first.eigenvectors, again.eigenvectors)
         assert len(list(tmp_path.glob("*.eig"))) == 1
+
+    def test_cached_operator_transforms_bitwise(self, grid, tmp_path):
+        # a warm cache must reproduce a cold run's report bodies byte for byte
+        spec = example_potential(5)
+        fresh = load_or_build("full", grid, spec, cache_dir=tmp_path)
+        cached = load_or_build("full", grid, spec, cache_dir=tmp_path)
+        x = random_smooth_field(grid, np.random.default_rng(15)).values
+        assert np.array_equal(fresh.to_modal(x), cached.to_modal(x))
+        assert np.array_equal(fresh.from_modal(x), cached.from_modal(x))
 
     def test_cache_key_separates_potentials(self, grid, tmp_path):
         load_or_build("full", grid, example_potential(5, c=0.01), cache_dir=tmp_path)
