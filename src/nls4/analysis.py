@@ -67,17 +67,13 @@ class SpaceTimeSample:
     times: np.ndarray
     fields: list[RadialField]
     interval: tuple[float, float]
-    uniform: bool = True
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         if len(self.fields) != self.times.size:
             raise ValueError("times and fields length mismatch")
-        if self.times.size >= 2:
-            dt = np.diff(self.times)
-            if np.any(dt <= 0):
-                raise ValueError("sample times must be strictly increasing")
-            self.uniform = bool(np.allclose(dt, dt[0], rtol=1e-9))
+        if np.any(np.diff(self.times) <= 0):
+            raise ValueError("sample times must be strictly increasing")
         lo, hi = self.interval
         if self.times.size and (self.times[0] < lo - 1e-12 or self.times[-1] > hi + 1e-12):
             raise ValueError("sample times fall outside the stated interval")
@@ -202,7 +198,6 @@ class FitResult:
     exponent: float    # fitted slope of log||u(t)|| vs log t
     amplitude: float
     residual: float    # RMS of the log-log fit
-    window: tuple[float, float]
     times: np.ndarray  # the log-spaced sample times
     norms: np.ndarray  # ||exp(itH) u0||_{L^p} at each sample time
 
@@ -234,7 +229,7 @@ def fit_decay(
     logs_n = np.log(norms)
     slope, intercept = np.polyfit(logs_t, logs_n, 1)
     resid = float(np.sqrt(np.mean((logs_n - (slope * logs_t + intercept)) ** 2)))
-    return FitResult(float(slope), float(math.exp(intercept)), resid, window, times, norms)
+    return FitResult(float(slope), float(math.exp(intercept)), resid, times, norms)
 
 
 def predicted_decay_exponent(n: int, p: float) -> float:
@@ -318,11 +313,8 @@ def strichartz_quotient(
 
 @dataclass
 class LocalizedMassRateReport:
-    radius: float
     empirical_constant: float   # sup |dM/dt| R / (E^{3/4} M^{1/4})
     max_abs_rate: float
-    rates: np.ndarray
-    masses: np.ndarray
 
 
 def localized_mass_rate_check(
@@ -367,21 +359,15 @@ def localized_mass_rate_check(
         else:
             constants.append(abs(rate) * radius / (e_k**0.75 * m_k**0.25))
     return LocalizedMassRateReport(
-        radius=radius,
         empirical_constant=float(np.max(constants)) if constants else 0.0,
         max_abs_rate=float(np.max(np.abs(rates))) if rates.size else 0.0,
-        rates=rates,
-        masses=masses,
     )
 
 
 @dataclass
 class MorawetzReport:
-    k_parameter: float
-    interval: tuple[float, float]
     lhs: float            # int_I int_{|x| <= K |I|^{1/4}} |u|^{2#} / |x| dx dt
-    rhs_core: float       # (K^3 + 1/K) sup_I (E + E^{2#/2}) |I|^{3/4}
-    empirical_constant: float
+    empirical_constant: float   # lhs / ((K^3 + 1/K) sup_I (E + E^{2#/2}) |I|^{3/4})
 
 
 def morawetz_check(
@@ -411,10 +397,4 @@ def morawetz_check(
     lhs = float(np.trapezoid(density, sample.times))
     rhs_core = (k_parameter**3 + 1.0 / k_parameter) * sup_e_hat * length**0.75
     c_emp = lhs / rhs_core if rhs_core > 0 else 0.0
-    return MorawetzReport(
-        k_parameter=k_parameter,
-        interval=sample.interval,
-        lhs=lhs,
-        rhs_core=rhs_core,
-        empirical_constant=c_emp,
-    )
+    return MorawetzReport(lhs=lhs, empirical_constant=c_emp)

@@ -47,14 +47,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("true", "yes", "on", "1"):
@@ -62,10 +54,6 @@ def _parse_bool(text: str) -> bool:
     if low in ("false", "no", "off", "0"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -87,136 +75,136 @@ def _parse_pairs(text: str) -> tuple[tuple[Fraction, Fraction], ...]:
 # knob name -> (parser, default); one schema per experiment kind
 KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
     "conservation": {
-        "amplitude": (_parse_float, 1.15),
-        "width": (_parse_float, 4.0),
-        "xi_cut": (_parse_float, 1.3),
-        "mass_tol": (_parse_float, 1e-8),
-        "energy_tol": (_parse_float, 1e-6),
-        "ratio_band": (_parse_float, 0.3),
+        "amplitude": (float, 1.15),
+        "width": (float, 4.0),
+        "xi_cut": (float, 1.3),
+        "mass_tol": (float, 1e-8),
+        "energy_tol": (float, 1e-6),
+        "ratio_band": (float, 0.3),
     },
     "decay": {
         "lp_exponents": (_parse_floats, (10.0, 2.0)),
-        "xi_cut": (_parse_float, 1.6),
-        "data_width": (_parse_float, 2.0),
-        "t_lo": (_parse_float, 1.2),
-        "t_hi": (_parse_float, 12.0),
-        "num_samples": (_parse_int, 24),
-        "slope_tol": (_parse_float, 0.15),
-        "control_tol": (_parse_float, 0.05),
-        "residual_cap": (_parse_float, 0.1),
+        "xi_cut": (float, 1.6),
+        "data_width": (float, 2.0),
+        "t_lo": (float, 1.2),
+        "t_hi": (float, 12.0),
+        "num_samples": (int, 24),
+        "slope_tol": (float, 0.15),
+        "control_tol": (float, 0.05),
+        "residual_cap": (float, 0.1),
         "include_zero_potential": (_parse_bool, True),
     },
     "sobolev_equiv": {
-        "num_fields": (_parse_int, 50),
+        "num_fields": (int, 50),
         "s_values": (_parse_floats, (0.5, 1.0, 1.5, 2.0)),
         "p_values": (_parse_floats, (1.5, 2.0, 2.2)),
-        "ratio_lo": (_parse_float, 0.5),
-        "ratio_hi": (_parse_float, 2.0),
-        "exact_tol": (_parse_float, 1e-9),
+        "ratio_lo": (float, 0.5),
+        "ratio_hi": (float, 2.0),
+        "exact_tol": (float, 1e-9),
         "include_zero_control": (_parse_bool, True),
     },
     "strichartz": {
-        "num_draws": (_parse_int, 30),
+        "num_draws": (int, 30),
         "pairs": (_parse_pairs, ()),  # empty means the three stock pairs for n
-        "t_end": (_parse_float, 1.0),
-        "num_samples": (_parse_int, 129),
-        "spread_cap": (_parse_float, 10.0),
-        "eigenmode_tol": (_parse_float, 1e-6),
-        "eigenmode_index": (_parse_int, 4),
-        "forcing_modes": (_parse_int, 2),
+        "t_end": (float, 1.0),
+        "num_samples": (int, 129),
+        "spread_cap": (float, 10.0),
+        "eigenmode_tol": (float, 1e-6),
+        "eigenmode_index": (int, 4),
+        "forcing_modes": (int, 2),
     },
     "localized_mass": {
         "radii": (_parse_floats, (2.0, 4.0, 8.0)),
-        "packet_center": (_parse_float, 3.0),
-        "packet_width": (_parse_float, 2.0),
-        "packet_carrier": (_parse_float, 1.0),
-        "xi_cut": (_parse_float, 2.0),
-        "amplitude": (_parse_float, 1.0),
-        "ratio_band": (_parse_float, 3.0),
-        "zero_tol": (_parse_float, 1e-8),
-        "eigenmode_index": (_parse_int, 2),
+        "packet_center": (float, 3.0),
+        "packet_width": (float, 2.0),
+        "packet_carrier": (float, 1.0),
+        "xi_cut": (float, 2.0),
+        "amplitude": (float, 1.0),
+        "ratio_band": (float, 3.0),
+        "zero_tol": (float, 1e-8),
+        "eigenmode_index": (int, 2),
     },
     "morawetz": {
         "k_values": (_parse_floats, (1.0, 2.0, 4.0)),
         "interval_lengths": (_parse_floats, (0.5, 1.0, 2.0)),
-        "interval_start": (_parse_float, 0.1),
-        "amplitude": (_parse_float, 1.2),
-        "width": (_parse_float, 2.0),
-        "xi_cut": (_parse_float, 1.3),
-        "target_h2dot": (_parse_float, 1.0),
-        "spread_cap": (_parse_float, 10.0),
-        "c_cap": (_parse_float, 100.0),
+        "interval_start": (float, 0.1),
+        "amplitude": (float, 1.2),
+        "width": (float, 2.0),
+        "xi_cut": (float, 1.3),
+        "target_h2dot": (float, 1.0),
+        "spread_cap": (float, 10.0),
+        "c_cap": (float, 100.0),
     },
     "small_data_global": {
-        "target_h2dot": (_parse_float, 1e-4),
-        "width": (_parse_float, 4.0),
-        "xi_cut": (_parse_float, 1.3),
-        "growth_cap": (_parse_float, 2.0),
+        "target_h2dot": (float, 1e-4),
+        "width": (float, 4.0),
+        "xi_cut": (float, 1.3),
+        "growth_cap": (float, 2.0),
     },
     "subcritical_global_cases": {
-        "moderate_amplitude": (_parse_float, 0.8),
-        "small_amplitude": (_parse_float, 0.05),
-        "blowup_amplitude": (_parse_float, 6.0),
-        "width": (_parse_float, 2.5),
-        "xi_cut": (_parse_float, 1.6),
-        "bound_slack": (_parse_float, 1e-6),
-        "growth_cap": (_parse_float, 10.0),
+        "moderate_amplitude": (float, 0.8),
+        "small_amplitude": (float, 0.05),
+        "blowup_amplitude": (float, 6.0),
+        "width": (float, 2.5),
+        "xi_cut": (float, 1.6),
+        "bound_slack": (float, 1e-6),
+        "growth_cap": (float, 10.0),
     },
     "perturbation": {
         "data_gaps": (_parse_floats, (1e-3, 1e-4, 1e-5)),
-        "slope_band": (_parse_float, 0.3),
-        "forcing_amplitude": (_parse_float, 1e-3),
-        "amplitude": (_parse_float, 0.8),
-        "width": (_parse_float, 2.5),
-        "xi_cut": (_parse_float, 1.6),
-        "zero_case_tol": (_parse_float, 1e-10),
+        "slope_band": (float, 0.3),
+        "forcing_amplitude": (float, 1e-3),
+        "amplitude": (float, 0.8),
+        "width": (float, 2.5),
+        "xi_cut": (float, 1.6),
+        "zero_case_tol": (float, 1e-10),
     },
     "wave_operator": {
         "times": (_parse_floats, (5.0, 10.0, 20.0, 40.0)),
-        "data_width": (_parse_float, 3.0),
-        "xi_cut": (_parse_float, 1.0),
-        "mu_power": (_parse_int, 2),
-        "final_gap_fraction": (_parse_float, 0.1),
+        "data_width": (float, 3.0),
+        "xi_cut": (float, 1.0),
+        "mu_power": (int, 2),
+        "final_gap_fraction": (float, 0.1),
     },
     "scattering": {
-        "amplitude": (_parse_float, 0.45),
-        "data_width": (_parse_float, 2.0),
-        "xi_cut": (_parse_float, 1.2),
-        "mass_tol": (_parse_float, 1e-6),
-        "energy_tol": (_parse_float, 0.05),
-        "linear_control_tol": (_parse_float, 1e-9),
+        "amplitude": (float, 0.45),
+        "data_width": (float, 2.0),
+        "xi_cut": (float, 1.2),
+        "mass_tol": (float, 1e-6),
+        "energy_tol": (float, 0.05),
+        "linear_control_tol": (float, 1e-9),
         "include_linear_control": (_parse_bool, True),
     },
     "final_state": {
-        "amplitude": (_parse_float, 5.0),
-        "data_width": (_parse_float, 2.0),
-        "xi_cut": (_parse_float, 1.4),
-        "window_fraction": (_parse_float, 0.25),
-        "roundtrip_factor": (_parse_float, 10.0),
-        "shrink_factor": (_parse_float, 0.1),
+        "amplitude": (float, 5.0),
+        "data_width": (float, 2.0),
+        "xi_cut": (float, 1.4),
+        "window_fraction": (float, 0.25),
+        "roundtrip_factor": (float, 10.0),
+        "shrink_factor": (float, 0.1),
     },
 }
 
-_EXPERIMENT_KEYS = {"kind": _parse_str, "seed": _parse_int, "output_dir": _parse_str}
-_GRID_KEYS = {"dimension": _parse_int, "r_max": _parse_float, "num_points": _parse_int}
+_EXPERIMENT_KEYS = {"kind": str.strip, "seed": int, "output_dir": str.strip}
+_GRID_KEYS = {"dimension": int, "r_max": float, "num_points": int}
 _POTENTIAL_KEYS = {
-    "family": _parse_str,
-    "c": _parse_float,
-    "beta": _parse_float,
-    "a": _parse_float,
-    "delta_n": _parse_float,
+    "family": str.strip,
+    "c": float,
+    "beta": float,
+    "a": float,
+    "delta_n": float,
 }
 _SIMULATION_KEYS = {
-    "lambda": _parse_str,  # number
-    "p": _parse_str,       # number or the literal 'critical'
-    "dt": _parse_float,
-    "t_end": _parse_float,
-    "monitor_stride": _parse_int,
-    "snapshot_stride": _parse_int,
-    "picard_tol": _parse_float,
-    "picard_max_iter": _parse_int,
-    "boundary_threshold": _parse_float,
-    "blowup_factor": _parse_float,
+    "lambda": float,
+    "p": str.strip,  # number or the literal 'critical'
+    "dt": float,
+    "t_end": float,
+    "monitor_stride": int,
+    "snapshot_stride": int,
+    "picard_tol": float,
+    "picard_max_iter": int,
+    "boundary_threshold": float,
+    "blowup_factor": float,
 }
 
 
@@ -253,7 +241,8 @@ class ExperimentConfig:
             ("potential.delta_n", repr(self.delta_n)),
             ("simulation.lambda", repr(self.sim.lam)),
             ("simulation.p", repr(self.sim.p)),
-            ("simulation.critical", repr(self.sim.critical)),
+            ("simulation.critical",
+             repr(abs(self.sim.p - critical_exponent(self.grid.dimension)) < 1e-12)),
             ("simulation.dt", repr(self.sim.dt)),
             ("simulation.t_end", repr(self.sim.t_end)),
             ("simulation.monitor_stride", repr(self.sim.monitor_stride)),
@@ -315,11 +304,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             )
 
     grid_raw = _typed_section(_section_dict(parser, "grid"), _GRID_KEYS, "grid")
-    grid = GridParams(
-        dimension=grid_raw.get("dimension", 5),
-        r_max=grid_raw.get("r_max", 20.0),
-        num_points=grid_raw.get("num_points", 256),
-    )
+    grid = GridParams(**grid_raw)
 
     pot_raw = _typed_section(_section_dict(parser, "potential"), _POTENTIAL_KEYS, "potential")
     family = pot_raw.get("family", "zero")
@@ -336,28 +321,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"invalid [potential]: {exc}") from exc
 
     sim_raw = _typed_section(_section_dict(parser, "simulation"), _SIMULATION_KEYS, "simulation")
-    p_text = sim_raw.get("p", "critical")
-    critical = False
-    if isinstance(p_text, str) and p_text.strip().lower() == "critical":
-        p_value = critical_exponent(grid.dimension)
-        critical = True
-    else:
-        p_value = float(p_text)
-        critical = abs(p_value - critical_exponent(grid.dimension)) < 1e-12
+    if "lambda" in sim_raw:
+        sim_raw["lam"] = sim_raw.pop("lambda")
+    p_text = sim_raw.pop("p", "critical")
     try:
-        sim = SimulationConfig(
-            lam=float(sim_raw.get("lambda", 1.0)),
-            p=p_value,
-            dt=sim_raw.get("dt", 1e-3),
-            t_end=sim_raw.get("t_end", 1.0),
-            monitor_stride=sim_raw.get("monitor_stride", 10),
-            snapshot_stride=sim_raw.get("snapshot_stride", 0),
-            picard_tol=sim_raw.get("picard_tol", 1e-10),
-            picard_max_iter=sim_raw.get("picard_max_iter", 50),
-            boundary_threshold=sim_raw.get("boundary_threshold", 1e-6),
-            blowup_factor=sim_raw.get("blowup_factor", 1e6),
-            critical=critical,
-        )
+        if p_text.lower() == "critical":
+            p_value = critical_exponent(grid.dimension)
+        else:
+            p_value = float(p_text)
+        sim = SimulationConfig(p=p_value, **sim_raw)
     except ValueError as exc:
         raise ConfigError(f"invalid [simulation]: {exc}") from exc
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import traceback
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
@@ -331,7 +332,6 @@ def run_morawetz(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
     op = ctx.op_full()
     sim = cfg.sim
-    sim.validate_criticality(ctx.grid.dimension)
     u0 = _smooth_data(ctx, op, knobs["amplitude"], knobs["width"], knobs["xi_cut"])
     u0 = (np.sqrt(knobs["target_h2dot"]) / spectral.hdot2_norm(u0)) * u0
     rec = solver.run_trajectory(u0, op, sim)
@@ -392,7 +392,7 @@ def run_subcritical_global_cases(ctx: RunContext):
 
     def run_case(lam, p, amp):
         case_sim = dataclasses.replace(
-            sim, lam=lam, p=p, critical=False, snapshot_stride=0, boundary_threshold=1.0
+            sim, lam=lam, p=p, snapshot_stride=0, boundary_threshold=1.0
         )
         return solver.run_trajectory(shaped(amp), op, case_sim)
 
@@ -568,8 +568,8 @@ def run_final_state(ctx: RunContext):
     t_start = t_max * (1.0 - knobs["window_fraction"])
     u_plus = report.u_plus
 
-    sol = scattering.solve_final_state(u_plus, op_full, sim, t_start, t_max)
-    u_end = scattering.forward_picard_on_window(sol.field, op_full, sim, t_start, t_max)
+    sol = solver.duhamel_window(u_plus, op_full, sim, t_start, t_max, backward=True)
+    u_end = solver.duhamel_window(sol.final_field, op_full, sim, t_start, t_max).final_field
     u_plus_new = spectral.apply_function(op_full, "exp_it", -t_max, u_end)
     roundtrip = spectral.h2_norm(u_plus_new - u_plus)
     checks = [
@@ -579,22 +579,18 @@ def run_final_state(ctx: RunContext):
 
     # linear case: the backward map is exactly the linear flow
     lin = dataclasses.replace(sim, lam=0.0)
-    sol_lin = scattering.solve_final_state(u_plus, op_full, lin, t_start, t_max)
+    sol_lin = solver.duhamel_window(u_plus, op_full, lin, t_start, t_max, backward=True)
     exact = spectral.apply_function(op_full, "exp_it", t_start, u_plus)
-    checks.append(check_leq("linear_case_exact", spectral.h2_norm(sol_lin.field - exact),
+    checks.append(check_leq("linear_case_exact", spectral.h2_norm(sol_lin.final_field - exact),
                             1e-9 * max(spectral.h2_norm(exact), 1.0)))
 
-    # shrinking the datum shrinks the measured contraction factor
-    sol_small = scattering.solve_final_state(
-        knobs["shrink_factor"] * u_plus, op_full, sim, t_start, t_max
-    )
-    if sol.contraction_factor > 0:
-        checks.append(check_leq("smallness_contraction", sol_small.contraction_factor,
-                                sol.contraction_factor,
-                                note=f"full={sol.contraction_factor:.3g} "
-                                     f"small={sol_small.contraction_factor:.3g}"))
-    else:
-        checks.append(skipped("smallness_contraction", "contraction factor at floor"))
+    # shrinking the datum shrinks the first Picard step relative to the datum
+    small_datum = knobs["shrink_factor"] * u_plus
+    sol_small = solver.duhamel_window(small_datum, op_full, sim, t_start, t_max, backward=True)
+    full = sol.diffs[0] / spectral.h2_norm(u_plus)
+    small = sol_small.diffs[0] / spectral.h2_norm(small_datum)
+    checks.append(check_leq("smallness_contraction", small, full,
+                            note="first-sweep distance over the datum's H2 norm"))
     return checks, {}
 
 
@@ -620,21 +616,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(cfg=cfg, rng=np.random.default_rng(cfg.seed), out_dir=out_dir)
+    provenance = {"code_version": __version__}
     try:
         checks, series = EXPERIMENTS[cfg.experiment](ctx)
     except Exception as exc:  # noqa: BLE001 - captured into the report by contract
         checks = [CheckResult("experiment_error", "fail", None, None, "-",
                               note=f"{type(exc).__name__}: {exc}")]
         series = {}
+        # one line, so read_report parses it; codecs.decode(..., "unicode_escape") restores it
+        provenance["experiment_traceback"] = (
+            traceback.format_exc().rstrip().encode("unicode_escape").decode("ascii")
+        )
+    provenance["runtime_seconds"] = f"{time.perf_counter() - t_start:.3f}"
     report = ExperimentReport(
         experiment=cfg.experiment,
         config_items=cfg.canonical_items(),
         checks=checks,
         series=series,
-        provenance={
-            "code_version": __version__,
-            "runtime_seconds": f"{time.perf_counter() - t_start:.3f}",
-        },
+        provenance=provenance,
     )
     from .reporting import write_report
 

@@ -70,9 +70,7 @@ def _moment_corrected(
     return weights, err
 
 
-def _corrected_weights(
-    nodes: np.ndarray, h: float, n: int, r_max: float
-) -> tuple[np.ndarray, int]:
+def _corrected_weights(nodes: np.ndarray, h: float, n: int, r_max: float) -> np.ndarray:
     """Trapezoid weights for int f r^{n-1} dr plus a tapered moment correction.
 
     The trapezoid defect on polynomials is an endpoint effect, so the
@@ -92,7 +90,7 @@ def _corrected_weights(
                     nodes, h, n, r_max, degree, taper, both_ends=not one_end_first
                 )
                 if np.all(weights > 0) and err < 1e-12:
-                    return weights, degree
+                    return weights
     raise GridError("no positive moment-corrected quadrature found for this grid")
 
 
@@ -110,15 +108,12 @@ class RadialGrid:
     nodes: np.ndarray
     quad_weights: np.ndarray
     surface_constant: float
-    spacing: float
     # metric = surface_constant * quad_weights; metric_sqrt maps u -> y
     metric: np.ndarray = field(repr=False)
     metric_sqrt: np.ndarray = field(repr=False)
     # symmetric tridiagonal -Delta in metric coordinates
     lap_diag: np.ndarray = field(repr=False)
     lap_off: np.ndarray = field(repr=False)
-    # highest monomial degree k with exact integration of r^{n-1+k}
-    exact_degree: int = MONOMIAL_DEGREE
 
     def integrate(self, values: np.ndarray) -> complex:
         """Quadrature of int f(x) dx = omega int f(r) r^{n-1} dr."""
@@ -153,7 +148,7 @@ def make_grid(
 
     h = r_max / (num_points + 1)
     nodes = h * np.arange(1, num_points + 1, dtype=float)
-    weights, exact_degree = _corrected_weights(nodes, h, n, r_max)
+    weights = _corrected_weights(nodes, h, n, r_max)
     omega = sphere_surface_area(n)
     metric = omega * weights
     metric_sqrt = np.sqrt(metric)
@@ -174,12 +169,10 @@ def make_grid(
         nodes=nodes,
         quad_weights=weights,
         surface_constant=omega,
-        spacing=h,
         metric=metric,
         metric_sqrt=metric_sqrt,
         lap_diag=diag,
         lap_off=off,
-        exact_degree=exact_degree,
     )
 
 

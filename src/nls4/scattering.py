@@ -1,4 +1,4 @@
-"""Wave-operator probes, scattering-state extraction, and the final-state solver.
+"""Wave-operator probes and scattering-state extraction.
 
 On the truncated disk only finite-time compositions of the two exact
 propagators exist, so every asymptotic statement becomes a trend measured on
@@ -9,22 +9,18 @@ the pre-reflection window:
                       u+ = v at the last clean time, the mass identity
                       M(u0) = M(u+), and the energy identity
                       2 E(u0) = ||u+_*||_{Hdot^2}^2 once the critical
-                      Lebesgue norm of u has collapsed;
-* final state:        backward fixed point of
-                      u(t) = e^{itH} u+ - i lam int_t^{Tmax} e^{i(t-s)H} f(u) ds,
-                      sharing the forward oracle's Gauss panels so the
-                      round trip isolates fixed-point error only.
+                      Lebesgue norm of u has collapsed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import SpaceTimeSample, WindowError, sample_from_trajectory, spacetime_norm
 from .radial import RadialField, boundary_mass, lp_norm
-from .solver import SimulationConfig, _duhamel_window, critical_exponent, energy, mass
+from .solver import SimulationConfig, critical_exponent, energy, mass
 from .spectral import SpectralOperator, apply_function, evolve, h2_norm, hdot2_norm
 
 Z_TAIL_THRESHOLD = 1e-3
@@ -41,8 +37,6 @@ def has_decreasing_triplet(gaps: np.ndarray) -> bool:
 
 @dataclass
 class WaveOperatorProbe:
-    test_state: RadialField
-    times: np.ndarray
     series: list[RadialField]          # W(t) psi per time
     convergence_gaps: np.ndarray       # H^2 distance of consecutive entries
     convergent: bool
@@ -68,7 +62,7 @@ def probe_wave_operator(
     gaps = np.array([h2_norm(b - a) for a, b in zip(series, series[1:])])
     tail = gaps[-3:] if gaps.size >= 3 else gaps
     convergent = bool(np.all(np.diff(tail) < 0)) if tail.size >= 2 else False
-    return WaveOperatorProbe(test_state, times, series, gaps, convergent)
+    return WaveOperatorProbe(series, gaps, convergent)
 
 
 def free_frame_transfer(
@@ -85,7 +79,6 @@ class ScatteringReport:
     mass_identity_gap: float
     energy_identity_gap: float | None
     free_comparison_series: list[tuple[float, float]]
-    u_plus_star: RadialField | None
     z_tail: float
     trigger_time: float | None          # first time the critical norm fell below 10%
     status: str                         # scattered | not yet scattered
@@ -134,7 +127,6 @@ def extract_scattering_state(
     trigger_time = float(times[triggered[0]]) if triggered.size else None
 
     energy_gap = None
-    u_plus_star = None
     free_series: list[tuple[float, float]] = []
     if trigger_time is not None:
         u_plus_star = free_frame_transfer(op_full, op_free, u_plus, float(times[-1]))
@@ -155,52 +147,7 @@ def extract_scattering_state(
         mass_identity_gap=mass_gap,
         energy_identity_gap=energy_gap,
         free_comparison_series=free_series,
-        u_plus_star=u_plus_star,
         z_tail=z_tail,
         trigger_time=trigger_time,
         status="scattered" if scattered else "not yet scattered",
     )
-
-
-@dataclass
-class FinalStateSolution:
-    field: RadialField          # u at t_start
-    iterations: int
-    converged: bool
-    contraction_factor: float
-    diffs: list = field(default_factory=list)
-
-
-def solve_final_state(
-    u_plus: RadialField,
-    op_full: SpectralOperator,
-    cfg: SimulationConfig,
-    t_start: float,
-    t_max: float,
-) -> FinalStateSolution:
-    """Backward fixed point from the scattering datum down to t_start."""
-    if not 0 <= t_start < t_max:
-        raise ValueError("need 0 <= t_start < t_max")
-    solution = _duhamel_window(u_plus, op_full, cfg, t_start, t_max, backward=True)
-    return FinalStateSolution(
-        field=solution.final_field,
-        iterations=solution.iterations,
-        converged=solution.converged,
-        contraction_factor=solution.contraction_factor,
-        diffs=solution.diffs,
-    )
-
-
-def forward_picard_on_window(
-    u_start: RadialField,
-    op_full: SpectralOperator,
-    cfg: SimulationConfig,
-    t_start: float,
-    t_max: float,
-) -> RadialField:
-    """Forward fixed point on [t_start, t_max] with the same panel layout.
-
-    Used by the round-trip test: identical collocation makes the forward
-    solve the exact inverse of the backward one up to fixed-point tolerance.
-    """
-    return _duhamel_window(u_start, op_full, cfg, t_start, t_max).final_field

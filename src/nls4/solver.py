@@ -15,7 +15,8 @@ Two independent integrators share the exact spectral propagator:
   interpolant, so the oracle's time error sits far below the splitting error
   it cross-validates.  Contraction is monitored, not assumed: a growing
   iterate distance raises an error carrying the measured factor (the window
-  was too long for the data size).
+  was too long for the data size).  Run backward from a scattering datum u+,
+  the same fixed point gives the final state, the solution scattering to u+.
 """
 
 from __future__ import annotations
@@ -50,19 +51,18 @@ def critical_exponent(n: int) -> float:
     return 2.0 * n / (n - 4.0) - 1.0
 
 
-@dataclass
+@dataclass(kw_only=True)
 class SimulationConfig:
-    lam: float
+    lam: float = 1.0
     p: float
-    dt: float
-    t_end: float
+    dt: float = 1e-3
+    t_end: float = 1.0
     monitor_stride: int = 10
     snapshot_stride: int = 0
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
     boundary_threshold: float = 1e-6
     blowup_factor: float = 1e6
-    critical: bool = False
 
     def __post_init__(self):
         if self.p <= 1:
@@ -71,13 +71,6 @@ class SimulationConfig:
             raise ValueError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
         if self.monitor_stride < 1:
             raise ValueError("monitor_stride must be >= 1")
-
-    def validate_criticality(self, n: int) -> None:
-        if self.critical and abs(self.p - critical_exponent(n)) >= 1e-12:
-            raise ValueError(
-                f"config marked critical but p={self.p} differs from "
-                f"{critical_exponent(n)} for n={n}"
-            )
 
 
 @dataclass
@@ -157,7 +150,6 @@ def run_trajectory(
     inhomogeneous term of the perturbed equation; it enters through a
     midpoint-propagated source, preserving second order.
     """
-    cfg.validate_criticality(u0.grid.dimension)
     grid = u0.grid
     v_pot = op_full.potential_values
     mu = op_full.eigenvalues
@@ -336,7 +328,7 @@ def _picard_iterate(
     )
 
 
-def _duhamel_window(
+def duhamel_window(
     u: RadialField,
     op: SpectralOperator,
     cfg: SimulationConfig,
@@ -353,6 +345,8 @@ def _duhamel_window(
         u(t) = e^{itH} u+ - i lam int_t^{t1} e^{i(t-s)H} f(u) ds.
     Iterates are interaction-picture coefficients anchored at the datum.
     """
+    if not 0 <= t0 < t1:
+        raise ValueError(f"need 0 <= t0 < t1, got t0={t0}, t1={t1}")
     panels = GaussPanels(t0, t1, max(1, int(round((t1 - t0) / cfg.dt))))
     mu = op.eigenvalues
     anchor = op.to_modal(u.values)
@@ -374,18 +368,3 @@ def _duhamel_window(
     out_modal, solution = _picard_iterate(op, cfg, panels, combine, initial)
     solution.final_field = RadialField(u.grid, op.from_modal(out_modal))
     return solution
-
-
-def picard_solve(
-    u0: RadialField, op_full: SpectralOperator, cfg: SimulationConfig, t_final: float
-) -> PicardSolution:
-    """Fixed point of the Duhamel map on [0, t_final]; returns u(t_final) + diagnostics."""
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    return _duhamel_window(u0, op_full, cfg, 0.0, t_final)
-
-
-def solve_picard(
-    u0: RadialField, op_full: SpectralOperator, cfg: SimulationConfig, t_final: float
-) -> RadialField:
-    return picard_solve(u0, op_full, cfg, t_final).final_field

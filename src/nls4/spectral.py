@@ -69,10 +69,6 @@ def laplacian_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     return -apply_tridiag(grid.lap_diag, grid.lap_off, y) / grid.metric_sqrt
 
 
-def laplacian(u: RadialField) -> RadialField:
-    return RadialField(u.grid, laplacian_values(u.grid, u.values))
-
-
 def bilaplacian_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     y = grid.metric_sqrt * values
     by = apply_tridiag(grid.lap_diag, grid.lap_off, y)

@@ -308,7 +308,7 @@ class TestMorawetz:
         u0 = soft_lowpass(op, RadialField(
             op.grid, 1.2 * np.exp(-(op.grid.nodes / 2.0) ** 2).astype(complex)), 1.3)
         cfg = SimulationConfig(lam=lam, p=9.0, dt=2e-3, t_end=t_end, monitor_stride=5,
-                               snapshot_stride=1, boundary_threshold=1.0, critical=True)
+                               snapshot_stride=1, boundary_threshold=1.0)
         rec = run_trajectory(u0, op, cfg)
         return analysis.sample_from_trajectory(rec)
 

@@ -24,6 +24,7 @@ class TestLoadConfig:
         assert cfg.experiment == "conservation"
         assert cfg.grid.r_max == 20.0
         assert cfg.sim.dt == 1e-3
+        assert (cfg.sim.lam, cfg.sim.t_end, cfg.sim.monitor_stride) == (1.0, 1.0, 10)
         assert cfg.sim.picard_tol == 1e-10
         assert cfg.knobs["mass_tol"] == 1e-8
         # every resolved key appears in the echo
@@ -49,12 +50,21 @@ class TestLoadConfig:
         text = MINIMAL + "\n[simulation]\np = critical\n"
         cfg = load_config(write(tmp_path, text))
         assert cfg.sim.p == 9.0  # 2*5/(5-4) - 1
-        assert cfg.sim.critical
+        assert ("simulation.critical", "True") in cfg.canonical_items()
 
     def test_numeric_critical_power_detected(self, tmp_path):
         text = MINIMAL + "\n[simulation]\np = 9.0\n"
         cfg = load_config(write(tmp_path, text))
-        assert cfg.sim.critical
+        assert ("simulation.critical", "True") in cfg.canonical_items()
+
+    def test_non_critical_power_echoed(self, tmp_path):
+        text = MINIMAL + "\n[simulation]\np = 8.9\n"
+        cfg = load_config(write(tmp_path, text))
+        assert ("simulation.critical", "False") in cfg.canonical_items()
+
+    def test_non_numeric_power_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="simulation"):
+            load_config(write(tmp_path, MINIMAL + "\n[simulation]\np = nine\n"))
 
     def test_invalid_simulation_rejected_with_rule(self, tmp_path):
         text = MINIMAL + "\n[simulation]\ndt = 5.0\nt_end = 1.0\n"

@@ -82,3 +82,17 @@ def test_warm_cache_reproduces_cold_body(kind, tmp_path, monkeypatch):
         bodies.append(run_experiment(cfg).body_text())
     assert list(cache.glob("*.eig"))
     assert bodies[0] == bodies[1]
+
+
+
+@pytest.mark.parametrize("shrink, verdict", [(0.1, "pass"), (2.0, "fail")])
+def test_smallness_contraction_measures_the_first_sweep(shrink, verdict, tmp_path):
+    # the check compares first Picard steps relative to the datum, both
+    # nonzero; a "shrink" factor above 1 grows the datum and must fail it
+    cfg = load_config(CONFIG_DIR / "final_state.cfg")
+    cfg.knobs["shrink_factor"] = shrink
+    cfg.output_dir = tmp_path
+    checks = {c.name: c for c in run_experiment(cfg).checks}
+    check = checks["smallness_contraction"]
+    assert check.verdict == verdict
+    assert check.measured > 0 and check.threshold > 0

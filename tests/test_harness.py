@@ -1,11 +1,14 @@
 """Report writing, determinism, atomicity, series emission, and the CLI."""
 
+import codecs
+import hashlib
+
 import numpy as np
 import pytest
 
 from nls4.cli import main as cli_main
 from nls4.config import load_config
-from nls4.experiments import run_experiment
+from nls4.experiments import EXPERIMENTS, run_experiment
 from nls4.reporting import (
     ExperimentReport,
     ReportError,
@@ -97,6 +100,24 @@ class TestReports:
         report = run_experiment(cfg)
         assert report.worst_verdict == "fail"
         assert report.checks[0].name == "experiment_error"
+
+    def test_error_traceback_kept_in_provenance(self, fast_cfg, monkeypatch):
+        cfg, _ = fast_cfg
+
+        def raising_driver(ctx):
+            raise RuntimeError("driver failed at 'C:\\tmp'")
+
+        monkeypatch.setitem(EXPERIMENTS, cfg.experiment, raising_driver)
+        report = run_experiment(cfg)
+        path = cfg.output_dir / f"report-{cfg.experiment}.txt"
+        body = report_body_from_file(path)
+        _, provenance = read_report(path)
+        trace = codecs.decode(provenance["experiment_traceback"], "unicode_escape")
+        assert trace.startswith("Traceback (most recent call last):")
+        assert "in raising_driver" in trace
+        assert trace.endswith("RuntimeError: driver failed at 'C:\\tmp'")
+        assert "Traceback" not in body
+        assert provenance["body_sha256"] == hashlib.sha256(report.body_text().encode()).hexdigest()
 
 
 class TestEmit:

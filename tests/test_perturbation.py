@@ -17,7 +17,7 @@ def setup(small_op_full, small_op_free):
     raw = RadialField(grid, 0.8 * np.exp(-((grid.nodes / 2.5) ** 2)).astype(complex))
     u_tilde0 = soft_lowpass(small_op_full, raw, 1.6)
     cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=0.5, monitor_stride=5,
-                           snapshot_stride=5, boundary_threshold=1.0, critical=True)
+                           snapshot_stride=5, boundary_threshold=1.0)
     return u_tilde0, cfg
 
 
@@ -61,10 +61,3 @@ class TestPerturbation:
             )
             dists.append(rep.w_distance)
         assert dists[1] <= dists[0] * 1.05
-
-    def test_bound_exponent_reported(self, setup, small_op_full, small_op_free):
-        u_tilde0, cfg = setup
-        rep = perturbation_experiment(
-            u_tilde0, None, u_tilde0.copy(), cfg, small_op_full, small_op_free
-        )
-        assert rep.bound_exponent == pytest.approx(15.0, rel=1e-12)  # 15/(n-4)^3, n=5

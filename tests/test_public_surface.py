@@ -1,0 +1,52 @@
+"""Names the benchmark in perfbench/ imports, wraps or reads from outside the package.
+
+Nothing in src/ calls some of them (spectral.load_operator,
+reporting.report_body_from_file), so only this test notices their loss.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from nls4 import experiments, reporting, solver, spectral
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_layers_and_cli_import():
+    tracer = load_tracer()
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"nls4.{layer}")
+    importlib.import_module("nls4.cli")
+
+
+def test_wrapped_methods_are_defined_on_their_class():
+    for layer, cls_name, meth in load_tracer().METHODS:
+        cls = getattr(importlib.import_module(f"nls4.{layer}"), cls_name)
+        assert callable(cls.__dict__[meth])
+
+
+def test_tracer_installs_and_restores():
+    tracer = load_tracer()
+    original = solver.run_trajectory
+    with tracer.Tracer():
+        assert solver.run_trajectory is not original
+    assert solver.run_trajectory is original
+
+
+def test_names_the_benchmark_calls():
+    assert callable(spectral.load_operator)
+    assert isinstance(experiments.EXPERIMENTS, dict)
+    assert callable(experiments.run_experiment)
+    for name in ("atomic_write_text", "read_report", "report_body_from_file"):
+        assert callable(getattr(reporting, name))
+    # the step counter reads cfg by keyword or as the third positional argument
+    assert list(inspect.signature(solver.run_trajectory).parameters)[2] == "cfg"

@@ -8,13 +8,11 @@ from nls4.analysis import WindowError
 from nls4.radial import RadialField
 from nls4.scattering import (
     extract_scattering_state,
-    forward_picard_on_window,
     free_frame_transfer,
     has_decreasing_triplet,
     probe_wave_operator,
-    solve_final_state,
 )
-from nls4.solver import SimulationConfig, run_trajectory
+from nls4.solver import SimulationConfig, duhamel_window, run_trajectory
 from nls4.spectral import apply_function, h2_norm, l2_norm
 from nls4.states import soft_lowpass
 
@@ -131,9 +129,9 @@ class TestFinalState:
     def test_linear_case_exact(self, op_full, op_free):
         u_plus = smooth_state(op_full, amp=0.9)
         cfg = SimulationConfig(lam=0.0, p=9.0, dt=2e-3, t_end=2.0, picard_tol=1e-10)
-        sol = solve_final_state(u_plus, op_full, cfg, 1.5, 2.0)
+        sol = duhamel_window(u_plus, op_full, cfg, 1.5, 2.0, backward=True)
         exact = apply_function(op_full, "exp_it", 1.5, u_plus)
-        assert h2_norm(sol.field - exact) <= 1e-10 * h2_norm(exact)
+        assert h2_norm(sol.final_field - exact) <= 1e-10 * h2_norm(exact)
         assert sol.iterations == 1
 
     def test_round_trip_closes_to_picard_tolerance(self, op_full, op_free):
@@ -142,8 +140,8 @@ class TestFinalState:
         report = extract_scattering_state(rec, op_full, op_free, cfg)
         t_max = rec.snapshots[-1][0]
         t_start = 0.7 * t_max
-        sol = solve_final_state(report.u_plus, op_full, cfg, t_start, t_max)
-        u_end = forward_picard_on_window(sol.field, op_full, cfg, t_start, t_max)
+        sol = duhamel_window(report.u_plus, op_full, cfg, t_start, t_max, backward=True)
+        u_end = duhamel_window(sol.final_field, op_full, cfg, t_start, t_max).final_field
         u_plus_new = apply_function(op_full, "exp_it", -t_max, u_end)
         assert h2_norm(u_plus_new - report.u_plus) <= 10.0 * cfg.picard_tol
 
@@ -163,11 +161,12 @@ class TestFinalState:
         u_plus = smooth_state(op_full, amp=2.5)
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=2.0, picard_tol=1e-12,
                                picard_max_iter=60)
-        full = solve_final_state(u_plus, op_full, cfg, 1.5, 2.0)
-        small = solve_final_state(0.1 * u_plus, op_full, cfg, 1.5, 2.0)
+        full = duhamel_window(u_plus, op_full, cfg, 1.5, 2.0, backward=True)
+        small = duhamel_window(0.1 * u_plus, op_full, cfg, 1.5, 2.0, backward=True)
         assert small.contraction_factor <= full.contraction_factor
 
     def test_window_validation(self, op_full, grid, rng):
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=2.0)
         with pytest.raises(ValueError):
-            solve_final_state(random_smooth_field(grid, rng), op_full, cfg, 2.0, 1.0)
+            duhamel_window(random_smooth_field(grid, rng), op_full, cfg, 2.0, 1.0,
+                           backward=True)

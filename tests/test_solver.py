@@ -13,11 +13,10 @@ from nls4.solver import (
     PicardNonContraction,
     SimulationConfig,
     critical_exponent,
+    duhamel_window,
     energy,
     mass,
-    picard_solve,
     run_trajectory,
-    solve_picard,
     step_strang,
 )
 from nls4.spectral import apply_function, l2_norm
@@ -45,13 +44,6 @@ class TestConfig:
 
     def test_critical_exponent_value(self):
         assert critical_exponent(5) == pytest.approx(9.0, abs=1e-14)
-
-    def test_critical_flag_consistency(self):
-        cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-3, t_end=1.0, critical=True)
-        cfg.validate_criticality(5)  # exact match passes
-        bad = SimulationConfig(lam=1.0, p=8.9, dt=1e-3, t_end=1.0, critical=True)
-        with pytest.raises(ValueError):
-            bad.validate_criticality(5)
 
 
 class TestMassEnergy:
@@ -135,7 +127,7 @@ class TestRunTrajectory:
     def test_defocusing_critical_conservation(self, op_full):
         u0 = small_gaussian(op_full, amp=1.0)
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-3, t_end=0.5, monitor_stride=25,
-                               boundary_threshold=1.0, critical=True)
+                               boundary_threshold=1.0)
         rec = run_trajectory(u0, op_full, cfg)
         assert rec.mass_drift() <= 1e-8
         assert rec.energy_drift() <= 1e-6
@@ -203,7 +195,7 @@ class TestPicard:
     def test_linear_case_single_iteration(self, op_full):
         u0 = small_gaussian(op_full, amp=0.7)
         cfg = SimulationConfig(lam=0.0, p=9.0, dt=2e-3, t_end=0.04)
-        sol = picard_solve(u0, op_full, cfg, 0.04)
+        sol = duhamel_window(u0, op_full, cfg, 0.0, 0.04)
         assert sol.iterations == 1
         exact = apply_function(op_full, "exp_it", 0.04, u0)
         assert l2_norm(sol.final_field - exact) <= 1e-12
@@ -212,7 +204,7 @@ class TestPicard:
         u0 = small_gaussian(op_full, amp=1.3)
         t_final = 0.04
         oracle_cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-3, t_end=t_final)
-        reference = solve_picard(u0, op_full, oracle_cfg, t_final)
+        reference = duhamel_window(u0, op_full, oracle_cfg, 0.0, t_final).final_field
         constants = []
         for dt in (4e-3, 2e-3, 1e-3):
             cfg = SimulationConfig(lam=1.0, p=9.0, dt=dt, t_end=t_final)
@@ -227,7 +219,7 @@ class TestPicard:
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=5e-3, t_end=1.0, picard_max_iter=80)
         factors = []
         for t_final in (0.1, 0.4, 1.0):
-            sol = picard_solve(u0, op_full, cfg, t_final)
+            sol = duhamel_window(u0, op_full, cfg, 0.0, t_final)
             factors.append(sol.contraction_factor)
         assert factors[0] < factors[-1]
 
@@ -235,6 +227,6 @@ class TestPicard:
         u0 = small_gaussian(op_full, amp=3.0)
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=0.25, t_end=8.0, picard_max_iter=60)
         with pytest.raises((PicardNonContraction, solver.SolverError)) as err:
-            picard_solve(u0, op_full, cfg, 8.0)
+            duhamel_window(u0, op_full, cfg, 0.0, 8.0)
         if isinstance(err.value, PicardNonContraction):
             assert err.value.factor > 0
