@@ -620,10 +620,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     try:
         checks, series = EXPERIMENTS[cfg.experiment](ctx)
     except Exception as exc:  # noqa: BLE001 - captured into the report by contract
-        checks = [CheckResult("experiment_error", "fail", None, None, "-",
-                              note=f"{type(exc).__name__}: {exc}")]
+        # note and traceback stay one line each, so read_report parses them;
+        # codecs.decode(..., "unicode_escape") restores them
+        note = f"{type(exc).__name__}: {exc}".encode("unicode_escape").decode("ascii")
+        checks = [CheckResult("experiment_error", "fail", None, None, "-", note=note)]
         series = {}
-        # one line, so read_report parses it; codecs.decode(..., "unicode_escape") restores it
         provenance["experiment_traceback"] = (
             traceback.format_exc().rstrip().encode("unicode_escape").decode("ascii")
         )

@@ -1,11 +1,15 @@
 """Spectral discretization of Delta^2 and H = Delta^2 + V with functional calculus.
 
 The grid carries the symmetric tridiagonal matrix B representing -Delta in
-metric coordinates (see radial.py).  The bi-Laplacian is formed as B @ B,
-which is pentadiagonal and guarantees its eigenvalues are the squares of the
-eigenvalues of B, hence nonnegative.  Adding the potential on the diagonal
-keeps the bandwidth at two, so a dense banded eigensolve
-(scipy.linalg.eig_banded) yields the full orthonormal eigenbasis.
+metric coordinates (see radial.py).  The bi-Laplacian is B @ B, so its
+eigenbasis is B's: a divide-and-conquer tridiagonal solve of B (LAPACK
+stevd) whose eigenvalues, squared, are those of Delta^2 -- nonnegative and
+accurate for the low modes.  H adds the potential on the diagonal of the
+pentadiagonal B @ B; it is solved densely (LAPACK syevd) and its eigenvalues
+are taken as the factored Rayleigh quotients ||B q||^2 + q^T V q, which keep
+the low modes as accurate as the free ones.  A full operator with V == 0
+takes the free route.  Eigenvector signs are canonical: the first component
+of every eigenvector (the node nearest the origin) is positive.
 
 All functions f(H) -- propagators exp(itH), heat maps exp(-tH), fractional
 powers H^{s/4}, resolvents -- are evaluated exactly in the discretization by
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eig_banded
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from .potentials import PotentialSpec, evaluate_potential
 from .radial import RadialField, RadialGrid
@@ -39,6 +43,8 @@ RESOLVENT_MARGIN = 1e-12
 _CACHE_MAGIC = b"NLS4EIG\x00"
 _FIELD_MAGIC = b"NLS4FLD\x00"
 _FORMAT_VERSION = 1
+# names the eigensolvers in the cache key, so .eig files from other solvers are never reused
+_SOLVER_TAG = "stevd|syevd+rq"
 
 
 class SpectralError(ValueError):
@@ -54,9 +60,13 @@ def apply_tridiag(diag: np.ndarray, off: np.ndarray, y: np.ndarray) -> np.ndarra
 
 
 def _rows_times(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """rows @ q for real q; complex rows are split so q is never promoted."""
+    """rows @ q for real q; complex rows are split so q is never promoted.
+
+    The parts are copied contiguous first: a strided view of a 2-D batch
+    misses the BLAS path and multiplies about twice as slowly, to the same bits.
+    """
     if np.iscomplexobj(rows):
-        return rows.real @ q + 1j * (rows.imag @ q)
+        return np.ascontiguousarray(rows.real) @ q + 1j * (np.ascontiguousarray(rows.imag) @ q)
     return rows @ q
 
 
@@ -101,6 +111,12 @@ def grad_l2_norm(u: RadialField) -> float:
 # ---------------------------------------------------------------------------
 # eigendecomposed operators
 
+def canonical_signs(eigenvectors: np.ndarray) -> np.ndarray:
+    """Flip columns in place so each eigenvector's first component is >= 0; returns them."""
+    eigenvectors *= np.where(eigenvectors[0] < 0, -1.0, 1.0)
+    return eigenvectors
+
+
 @dataclass(eq=False)
 class SpectralOperator:
     """Eigendecomposition of Delta^2 (free) or H = Delta^2 + V (full).
@@ -139,7 +155,13 @@ def build_operator(
     *,
     eig_budget: int = DEFAULT_EIG_BUDGET,
 ) -> SpectralOperator:
-    """Assemble and eigendecompose the banded operator."""
+    """Eigendecompose Delta^2 (free) or H = Delta^2 + V (full), eigenvalues ascending.
+
+    Delta^2, and H when V == 0, come from the tridiagonal solve of B = -Delta
+    with squared eigenvalues; H with V != 0 from a dense solve of its lower
+    triangle with factored Rayleigh-quotient eigenvalues.  Eigenvectors are
+    Fortran-ordered columns with a positive first component.
+    """
     if kind not in ("free", "full"):
         raise SpectralError(f"kind must be 'free' or 'full', got {kind!r}")
     if kind == "full" and spec is None:
@@ -153,20 +175,35 @@ def build_operator(
         )
 
     d, e = grid.lap_diag, grid.lap_off
-    band = np.zeros((3, n))
-    band[0] = d**2
-    band[0, :-1] += e**2
-    band[0, 1:] += e**2
-    band[1, :-1] = e * (d[:-1] + d[1:])
-    band[2, :-2] = e[:-1] * e[1:]
-
     if spec is not None:
         v_values = evaluate_potential(spec, grid).values.real
-        band[0] += v_values
     else:
         v_values = np.zeros(n)
 
-    eigenvalues, eigenvectors = eig_banded(band, lower=True)
+    if not np.any(v_values):
+        # Delta^2 = B^2 with B = -Delta positive definite: squaring keeps the order
+        b_values, eigenvectors = eigh_tridiagonal(d, e, lapack_driver="stevd")
+        eigenvalues = b_values**2
+    else:
+        # only the lower triangle of the pentadiagonal H = B^2 + V, in one
+        # Fortran-ordered array that the solver overwrites with the eigenvectors
+        diag = d**2
+        diag[:-1] += e**2
+        diag[1:] += e**2
+        diag += v_values
+        h = np.zeros((n, n), order="F")
+        i = np.arange(n)
+        h[i, i] = diag
+        h[i[1:], i[:-1]] = e * (d[:-1] + d[1:])
+        h[i[2:], i[:-2]] = e[:-1] * e[1:]
+        _, eigenvectors = eigh(h, lower=True, driver="evd", overwrite_a=True)
+        # factored Rayleigh quotients ||B q||^2 + q^T V q: the dense solve's own
+        # eigenvalues carry an eps * rho(H) absolute error that swamps the low modes
+        bq = apply_tridiag(d, e, eigenvectors.T)
+        eigenvalues = np.einsum("ki,ki->k", bq, bq) + np.einsum(
+            "i,ik,ik->k", v_values, eigenvectors, eigenvectors
+        )
+    canonical_signs(eigenvectors)
 
     if kind == "free" or np.all(v_values >= 0):
         # Delta^2 and H with V >= 0 are nonnegative; clip eigensolver noise
@@ -255,8 +292,9 @@ _HEADER = struct.Struct("<8sII d I 16s")  # magic, version, payload kind, r_max,
 
 
 def _operator_key(kind: str, grid: RadialGrid, spec: PotentialSpec | None) -> bytes:
-    token = f"{kind}|n={grid.dimension}|N={grid.num_points}|rmax={grid.r_max!r}|" + (
-        spec.cache_token() if spec is not None else "none"
+    token = (
+        f"{kind}|solver={_SOLVER_TAG}|n={grid.dimension}|N={grid.num_points}|rmax={grid.r_max!r}|"
+        + (spec.cache_token() if spec is not None else "none")
     )
     return hashlib.sha256(token.encode()).digest()[:16]
 
@@ -314,7 +352,7 @@ def load_operator(
         kind=kind,
         grid=grid,
         eigenvalues=blocks[n],
-        # the column-major order eig_banded returns, so BLAS sums as in a fresh build
+        # the column-major order the eigensolvers return, so BLAS sums as in a fresh build
         eigenvectors=np.asfortranarray(blocks[:n]),
         potential=spec,
         potential_values=v_values,

@@ -8,8 +8,11 @@ Localized dispersive packets are synthesized in the free eigenbasis with a
 smooth compactly supported coefficient profile c(xi), xi = mu^{1/4} the
 frequency of the mode.  Band limitation is exact, so the Dirichlet group
 velocity is capped at 4 xi_max^3 and the pre-reflection window can be sized
-in advance.  Mode signs are fixed so that <e_k, 1> > 0, making smooth
-profiles synthesize constructively near the origin.
+in advance.  The packets rely on the operator's sign convention: every
+eigenvector is positive at the node nearest the origin
+(spectral.canonical_signs), so a smooth coefficient profile synthesizes
+constructively near r = 0 and cancels elsewhere (a discrete Hankel-type
+wavelet); the opposite signs would scatter the state over the disk.
 """
 
 from __future__ import annotations
@@ -36,18 +39,6 @@ def random_low_mode_field(
 def mode_frequencies(op: SpectralOperator) -> np.ndarray:
     """xi_k = mu_k^{1/4}, the dispersive frequency of each mode."""
     return np.maximum(op.eigenvalues, 0.0) ** 0.25
-
-
-def _mode_signs(op: SpectralOperator) -> np.ndarray:
-    """+-1 per mode so every eigenfield is positive at the origin.
-
-    With this convention a smooth coefficient profile synthesizes
-    constructively near r = 0 and cancels elsewhere (a discrete Hankel-type
-    wavelet); the opposite signs would scatter the state over the disk.
-    """
-    signs = np.sign(op.eigenvectors[0, :])
-    signs[signs == 0] = 1.0
-    return signs
 
 
 def bump_profile(x: np.ndarray) -> np.ndarray:
@@ -81,7 +72,6 @@ def bandlimited_state(
         coeffs = bump_profile(xi / xi_max)
     if moment:
         coeffs = coeffs * xi**moment
-    coeffs = coeffs * _mode_signs(op)
     if not np.any(coeffs):
         raise ValueError("no eigenmodes inside the requested frequency band")
     coeffs = coeffs.astype(complex)

@@ -119,6 +119,19 @@ class TestReports:
         assert "Traceback" not in body
         assert provenance["body_sha256"] == hashlib.sha256(report.body_text().encode()).hexdigest()
 
+    def test_multiline_error_stays_one_check(self, fast_cfg, monkeypatch):
+        cfg, _ = fast_cfg
+
+        def raising_driver(ctx):
+            raise ValueError("first line\nsecond = line")
+
+        monkeypatch.setitem(EXPERIMENTS, cfg.experiment, raising_driver)
+        run_experiment(cfg)
+        body, _ = read_report(cfg.output_dir / f"report-{cfg.experiment}.txt")
+        assert list(body["checks"]) == ["experiment_error"]
+        note = body["checks"]["experiment_error"].partition("note=")[2]
+        assert codecs.decode(note, "unicode_escape") == "ValueError: first line\nsecond = line"
+
 
 class TestEmit:
     def test_emit_series_and_unknown_name(self, fast_cfg, tmp_path):

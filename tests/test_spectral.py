@@ -1,5 +1,6 @@
 """Spectral operators: eigenstructure, functional calculus, caching."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -13,6 +14,7 @@ from nls4.radial import RadialField, make_grid
 from nls4.spectral import (
     SpectralError,
     apply_function,
+    apply_tridiag,
     build_operator,
     free_fractional_gradient,
     h2_norm,
@@ -23,6 +25,9 @@ from nls4.spectral import (
 )
 
 from conftest import random_smooth_field
+
+# a wide grid whose lowest eigenvalues sit far below eps * rho(Delta^2)
+WIDE_GRID = (5, 2000.0, 512)
 
 
 class TestBuildOperator:
@@ -35,8 +40,9 @@ class TestBuildOperator:
         assert np.max(np.abs(op_free.eigenvalues - lam**2)) <= 1e-8 * scale
 
     def test_zero_potential_matches_free(self, op_free, op_zero):
-        scale = np.max(op_free.eigenvalues)
-        assert np.max(np.abs(op_free.eigenvalues - op_zero.eigenvalues)) <= 1e-10 * scale
+        # V == 0 takes the free route, so the zero-potential controls are exact
+        assert np.array_equal(op_free.eigenvalues, op_zero.eigenvalues)
+        assert np.array_equal(op_free.eigenvectors, op_zero.eigenvectors)
 
     def test_lowest_mode_against_refined_grid_and_bessel(self):
         # reference: same operator at N = 1024, plus the Dirichlet Bessel zero
@@ -47,6 +53,29 @@ class TestBuildOperator:
         # transformed -Delta has index nu = 3/2; J_{3/2} zeros solve tan x = x
         zero = brentq(lambda x: np.tan(x) - x, np.pi / 2 + 1e-9, 3 * np.pi / 2 - 1e-9)
         assert mu0 == pytest.approx((zero / 20.0) ** 4, rel=0.05)
+
+    def test_full_spectrum_above_free_spectrum(self):
+        # Weyl: V >= 0 gives lambda_k(H) >= lambda_k(Delta^2) for every k
+        grid = make_grid(*WIDE_GRID)
+        free = build_operator("free", grid)
+        full = build_operator("full", grid, example_potential(5))
+        assert np.all(full.eigenvalues >= free.eigenvalues)
+        assert np.all(np.diff(full.eigenvalues) > 0)
+
+    def test_low_free_modes_have_small_factored_residual(self):
+        # the residual of the factor B = -Delta, relative to B's eigenvalue sqrt(mu)
+        grid = make_grid(*WIDE_GRID)
+        op = build_operator("free", grid)
+        q = op.eigenvectors[:, :10].T
+        root = np.sqrt(op.eigenvalues[:10])
+        residual = apply_tridiag(grid.lap_diag, grid.lap_off, q) - root[:, None] * q
+        assert np.all(np.linalg.norm(residual, axis=1) <= 1e-9 * root)
+
+    @pytest.mark.parametrize("op_name", ["op_free", "op_full", "op_zero"])
+    def test_eigenvector_signs_canonical(self, request, op_name):
+        op = request.getfixturevalue(op_name)
+        assert np.all(op.eigenvectors[0] > 0)
+        assert op.eigenvectors.flags.f_contiguous
 
     def test_eigenvector_orthonormality(self, op_full):
         gram = op_full.eigenvectors.T @ op_full.eigenvectors
@@ -156,6 +185,14 @@ class TestBatchedTransforms:
         assert not np.iscomplexobj(op_full.to_modal(x))
         assert not np.iscomplexobj(op_full.from_modal(x))
 
+    @pytest.mark.parametrize("shape", [(256,), (8, 256)])
+    def test_complex_rows_match_strided_product(self, op_full, shape):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for q in (op_full.eigenvectors, op_full.eigenvectors.T):
+            strided = x.real @ q + 1j * (x.imag @ q)
+            assert np.array_equal(spectral._rows_times(x, q), strided)
+
     def test_batch_roundtrip(self, op_full):
         rng = np.random.default_rng(13)
         n = op_full.grid.num_points
@@ -248,6 +285,26 @@ class TestCacheAndFieldIO:
         x = random_smooth_field(grid, np.random.default_rng(15)).values
         assert np.array_equal(fresh.to_modal(x), cached.to_modal(x))
         assert np.array_equal(fresh.from_modal(x), cached.from_modal(x))
+
+    def test_cache_from_older_solver_not_read(self, grid, tmp_path, monkeypatch):
+        def untagged_key(kind, grid, spec):
+            token = f"{kind}|n={grid.dimension}|N={grid.num_points}|rmax={grid.r_max!r}|none"
+            return hashlib.sha256(token.encode()).digest()[:16]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_operator_key", untagged_key)
+            load_or_build("free", grid, cache_dir=tmp_path)
+        builds = []
+        real_build = spectral.build_operator
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "build_operator", counting_build)
+        load_or_build("free", grid, cache_dir=tmp_path)
+        assert len(builds) == 1
+        assert len(list(tmp_path.glob("*.eig"))) == 2
 
     def test_cache_key_separates_potentials(self, grid, tmp_path):
         load_or_build("full", grid, example_potential(5, c=0.01), cache_dir=tmp_path)

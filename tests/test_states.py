@@ -5,7 +5,7 @@ import pytest
 
 from nls4.radial import boundary_mass
 from nls4.solver import mass
-from nls4.spectral import l2_norm
+from nls4.spectral import SpectralOperator, canonical_signs, l2_norm
 from nls4.states import (
     bandlimited_state,
     fast_escape_state,
@@ -23,6 +23,21 @@ class TestRandomFields:
         b = random_low_mode_field(op_free, np.random.default_rng(42))
         assert np.array_equal(a.values, b.values)
         assert l2_norm(a) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("op_name", ["op_free", "op_full"])
+    def test_draw_independent_of_eigenvector_signs(self, request, op_name):
+        op = request.getfixturevalue(op_name)
+        flipped = SpectralOperator(
+            kind=op.kind,
+            grid=op.grid,
+            eigenvalues=op.eigenvalues,
+            eigenvectors=canonical_signs(-op.eigenvectors),
+            potential=op.potential,
+            potential_values=op.potential_values,
+        )
+        a = random_low_mode_field(op, np.random.default_rng(42))
+        b = random_low_mode_field(flipped, np.random.default_rng(42))
+        assert np.array_equal(a.values, b.values)
 
     def test_uses_only_low_modes(self, op_free):
         u = random_low_mode_field(op_free, np.random.default_rng(0), num_modes=10)
