@@ -3,8 +3,9 @@
 
 Usage: python scripts/run_all.py [output_dir] [--only kind1,kind2]
 
-Heavy configs (decay, wave_operator, scattering) take a few minutes total;
-set NLS4_CACHE_DIR to reuse eigendecompositions across invocations.
+The heaviest configs are scattering, decay and wave_operator, in that order;
+the per-config time is printed next to each verdict.  Set NLS4_CACHE_DIR to
+reuse eigendecompositions across invocations.
 """
 
 import argparse

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .analysis import ModalForcing, SpaceTimeSample, sample_from_trajectory, spacetime_norm
 from .radial import RadialField
-from .solver import SimulationConfig, run_trajectory
+from .solver import SimulationConfig, TrajectoryRecord, run_trajectory
 from .spectral import SpectralOperator, evolve
 
 
@@ -31,12 +31,22 @@ def perturbation_experiment(
     cfg: SimulationConfig,
     op_full: SpectralOperator,
     op_free: SpectralOperator,
+    *,
+    rec_tilde: TrajectoryRecord | None = None,
+    rec_exact: TrajectoryRecord | None = None,
 ) -> PerturbationReport:
+    """W-distance of the forced run from u_tilde0 and the exact run from u0.
+
+    Either run may be passed in, made by run_trajectory from the same data,
+    forcing and cfg, so that experiments sharing a run pay for it once.
+    """
     if cfg.snapshot_stride < 1:
         raise ValueError("perturbation runs need snapshots; set snapshot_stride >= 1")
-    forcing_fn = forcing.values_at if forcing is not None else None
-    rec_tilde = run_trajectory(u_tilde0, op_full, cfg, forcing=forcing_fn)
-    rec_exact = run_trajectory(u0, op_full, cfg)
+    if rec_tilde is None:
+        forcing_fn = forcing.values_at if forcing is not None else None
+        rec_tilde = run_trajectory(u_tilde0, op_full, cfg, forcing=forcing_fn)
+    if rec_exact is None:
+        rec_exact = run_trajectory(u0, op_full, cfg)
 
     s_tilde = sample_from_trajectory(rec_tilde)
     s_exact = sample_from_trajectory(rec_exact)

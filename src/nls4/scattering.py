@@ -25,14 +25,22 @@ from .spectral import SpectralOperator, apply_function, evolve, h2_norm, hdot2_n
 
 Z_TAIL_THRESHOLD = 1e-3
 LEBESGUE_TRIGGER = 0.1
+SETTLED_FRACTION = 1e-9
 
 
-def has_decreasing_triplet(gaps: np.ndarray) -> bool:
-    """True when some three consecutive gaps strictly decrease."""
+def gaps_converging(gaps: np.ndarray, scale: float) -> bool:
+    """True when the last three gaps strictly decrease, or all sit at roundoff.
+
+    Roundoff is SETTLED_FRACTION * max(scale, 1), scale being the size of the
+    state whose gaps these are; an earlier decreasing run does not count.
+    """
     gaps = np.asarray(gaps)
     if gaps.size < 3:
         return False
-    return bool(np.any((gaps[:-2] > gaps[1:-1]) & (gaps[1:-1] > gaps[2:])))
+    tail = gaps[-3:]
+    decreasing = bool(np.all(np.diff(tail) < 0))
+    settled = bool(np.max(tail) <= SETTLED_FRACTION * max(scale, 1.0))
+    return decreasing or settled
 
 
 @dataclass
@@ -138,9 +146,7 @@ def extract_scattering_state(
             for t, u, row in zip(times, sample.fields, free_flow)
         ]
 
-    decreasing = has_decreasing_triplet(gaps)
-    settled = gaps.size >= 3 and bool(np.max(gaps[-3:]) <= 1e-9 * max(h2_norm(u0), 1.0))
-    scattered = (decreasing or settled) and z_tail < Z_TAIL_THRESHOLD
+    scattered = gaps_converging(gaps, h2_norm(u0)) and z_tail < Z_TAIL_THRESHOLD
     return ScatteringReport(
         cauchy_series=cauchy,
         u_plus=u_plus,

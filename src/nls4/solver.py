@@ -6,7 +6,13 @@ Two independent integrators share the exact spectral propagator:
   exact pointwise phase rotation u -> exp(i lambda dt |u|^{p-1}) u (|u| is
   invariant), so a step is half rotation / full linear propagator / half
   rotation.  Both substeps conserve the quadrature mass exactly; energy
-  drifts at O(dt^2).
+  drifts at O(dt^2).  The linear substep is one dense complex matrix
+  P = e^{i dt H} in grid space, built once per run (16 N^2 bytes), so a step
+  is one matrix-vector product.  As rotations commute with each other, the
+  closing half rotation of a step merges with the opening one of the next;
+  the owed half is flushed before every monitor and every forced step.
+  With lambda = 0 and no forcing nothing is stepped: each monitor state is
+  the exact linear flow e^{itH} u0.
 
 * A Picard iteration on the integral form
   u(t) = e^{itH} u0 + i lambda int_0^t e^{i(t-s)H} |u|^{p-1} u(s) ds,
@@ -29,6 +35,8 @@ from .radial import RadialField, boundary_mass
 from .spectral import SpectralOperator, hdot2_norm
 
 PICARD_ORDER = 8
+# rows of the step propagator filled per pair of real products
+_PROPAGATOR_ROWS = 64
 
 
 class SolverError(RuntimeError):
@@ -120,19 +128,36 @@ def _nonlinear_phase(values: np.ndarray, lam: float, p: float, tau: float) -> np
     return values * rot
 
 
-def _strang_step(
-    values: np.ndarray, op: SpectralOperator, cfg: SimulationConfig, phases: np.ndarray
-) -> np.ndarray:
-    """Half rotation, linear propagator (phases = exp(i dt mu)), half rotation."""
-    values = _nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2.0)
-    values = op.from_modal(phases * op.to_modal(values))
-    return _nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2.0)
+def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
+    """e^{i tau H} as one complex grid-space matrix acting on values (N,).
+
+    P = diag(1/sqrt m) Q diag(e^{i tau mu}) Q^T diag(sqrt m), filled by blocks
+    of _PROPAGATOR_ROWS rows from two real products, so no N x N temporary
+    exists beside P: its 16 N^2 bytes are the whole memory cost.
+    """
+    q = op.eigenvectors
+    qt = q.T
+    phase = tau * op.eigenvalues
+    cos, sin = np.cos(phase), np.sin(phase)
+    sqrt_m = op.grid.metric_sqrt
+    n = q.shape[0]
+    out = np.empty((n, n), dtype=complex)
+    for start in range(0, n, _PROPAGATOR_ROWS):
+        rows = slice(start, start + _PROPAGATOR_ROWS)
+        for part, factor in ((out.real, cos), (out.imag, sin)):
+            block = (q[rows] * factor) @ qt
+            block *= sqrt_m
+            block /= sqrt_m[rows, None]
+            part[rows] = block
+    return out
 
 
 def step_strang(u: RadialField, op_full: SpectralOperator, cfg: SimulationConfig) -> RadialField:
-    """One second-order splitting step of size cfg.dt."""
-    phases = np.exp(1j * cfg.dt * op_full.eigenvalues)
-    return RadialField(u.grid, _strang_step(u.values, op_full, cfg, phases))
+    """One second-order splitting step of size cfg.dt: half rotation, P, half rotation."""
+    half = cfg.dt / 2.0
+    values = _nonlinear_phase(u.values, cfg.lam, cfg.p, half)
+    values = step_propagator(op_full, cfg.dt) @ values
+    return RadialField(u.grid, _nonlinear_phase(values, cfg.lam, cfg.p, half))
 
 
 def run_trajectory(
@@ -148,15 +173,22 @@ def run_trajectory(
     Halts early (keeping partial data) on boundary contamination or suspected
     blow-up.  `forcing` is an optional callable t -> values adding the
     inhomogeneous term of the perturbed equation; it enters through a
-    midpoint-propagated source, preserving second order.
+    midpoint-propagated source, preserving second order.  With lam == 0 and
+    no forcing the flow is linear, and each monitor state is e^{itH} u0
+    itself, taken from u0's modal coefficients without stepping.
     """
     grid = u0.grid
     v_pot = op_full.potential_values
     mu = op_full.eigenvalues
-    phases = np.exp(1j * cfg.dt * mu)
-    half_phases = np.exp(1j * (cfg.dt / 2.0) * mu)
+    dt, half = cfg.dt, cfg.dt / 2.0
+    exact = cfg.lam == 0.0 and forcing is None
+    if exact:
+        coeffs0 = op_full.to_modal(u0.values)
+    else:
+        prop = step_propagator(op_full, dt)
+        half_prop = step_propagator(op_full, half) if forcing is not None else None
 
-    num_steps = int(round(cfg.t_end / cfg.dt))
+    num_steps = int(round(cfg.t_end / dt))
     times, masses, energies, h2dots, bmasses = [], [], [], [], []
     snapshots: list[tuple[float, RadialField]] = []
     status = "ok"
@@ -166,7 +198,7 @@ def run_trajectory(
     e2_0 = hdot2_norm(u0) ** 2
 
     def record(step: int, t: float) -> bool:
-        """Append monitors; returns False when the run must halt."""
+        """Append monitors of `values`; returns False when the run must halt."""
         u = RadialField(grid, values)
         times.append(t)
         masses.append(mass(u))
@@ -185,28 +217,48 @@ def run_trajectory(
             return False
         return True
 
+    def advance(values: np.ndarray, first: int, last: int) -> np.ndarray:
+        """Steps first+1..last.  The closing half rotation of one step merges
+        with the opening one of the next; it is owed until a monitor or a
+        forced step, where it is flushed."""
+        tau = half
+        for step in range(first + 1, last + 1):
+            values = prop @ _nonlinear_phase(values, cfg.lam, cfg.p, tau)
+            if forcing is None:
+                tau = dt
+                continue
+            values = _nonlinear_phase(values, cfg.lam, cfg.p, half)
+            src = -1j * dt * np.asarray(forcing((step - 1) * dt + half))
+            values = values + half_prop @ src
+        if forcing is None:
+            values = _nonlinear_phase(values, cfg.lam, cfg.p, half)
+        return values
+
     healthy = record(0, 0.0)
     if not healthy:
         status = "blowup_suspected" if not np.isfinite(h2dots[-1]) else "boundary_contaminated"
         num_steps = 0
 
-    for step in range(1, num_steps + 1):
-        t_prev = (step - 1) * cfg.dt
-        t = step * cfg.dt
-        try:
-            values = _strang_step(values, op_full, cfg, phases)
-            if forcing is not None:
-                src = -1j * cfg.dt * np.asarray(forcing(t_prev + cfg.dt / 2.0))
-                values = values + op_full.from_modal(half_phases * op_full.to_modal(src))
-        except SolverError:
-            status = "blowup_suspected"
-            break
-        if step % cfg.monitor_stride == 0 or step == num_steps:
-            if not record(step, t):
-                h2 = h2dots[-1]
-                bad_h2 = not np.isfinite(h2) or (e2_0 > 0 and h2 > cfg.blowup_factor * e2_0)
-                status = "blowup_suspected" if bad_h2 else "boundary_contaminated"
+    monitor_steps = [*range(cfg.monitor_stride, num_steps, cfg.monitor_stride)]
+    if num_steps:
+        monitor_steps.append(num_steps)
+    done = 0
+    for step in monitor_steps:
+        t = step * dt
+        if exact:
+            values = op_full.from_modal(np.exp(1j * t * mu) * coeffs0)
+        else:
+            try:
+                values = advance(values, done, step)
+            except SolverError:
+                status = "blowup_suspected"
                 break
+        done = step
+        if not record(step, t):
+            h2 = h2dots[-1]
+            bad_h2 = not np.isfinite(h2) or (e2_0 > 0 and h2 > cfg.blowup_factor * e2_0)
+            status = "blowup_suspected" if bad_h2 else "boundary_contaminated"
+            break
 
     record_arrays = TrajectoryRecord(
         times=np.array(times),

@@ -24,8 +24,8 @@ from nls4.analysis import (
     spacetime_norm,
     strichartz_quotient,
 )
-from nls4.radial import RadialField, lp_norm, zero_field
-from nls4.solver import SimulationConfig, run_trajectory
+from nls4.radial import RadialField, localized_mass, lp_norm, zero_field
+from nls4.solver import SimulationConfig, mass, run_trajectory
 from nls4.spectral import apply_function, hdot2_norm, laplacian_values
 from nls4.states import random_low_mode_field, soft_lowpass
 
@@ -258,15 +258,11 @@ class TestLocalizedMassRate:
         rec = run_trajectory(mode, op_full, cfg)
         sample = analysis.sample_from_trajectory(rec)
         rep = localized_mass_rate_check(sample, 2.0)
-        from nls4.solver import mass
-
         assert rep.max_abs_rate <= 1e-8 * mass(mode) / 0.05
 
     def test_saturating_radius_rate_vanishes(self, op_full):
         sample = self._moving_packet_sample(op_full)
         rep = localized_mass_rate_check(sample, 1.2 * op_full.grid.r_max)
-        from nls4.solver import mass
-
         dt_snap = float(np.min(np.diff(sample.times)))
         assert rep.max_abs_rate <= 1e-8 * mass(sample.fields[0]) / dt_snap
 
@@ -287,6 +283,31 @@ class TestLocalizedMassRate:
         times = np.arange(12) * (0.25 * 2 * np.pi / beat)
         fields = [apply_function(op_full, "exp_it", t, u) for t in times]
         sample = SpaceTimeSample(times, fields, (times[0], times[-1]))
+        with pytest.raises(ResolutionError):
+            localized_mass_rate_check(sample, 2.0)
+
+    def test_roundoff_noise_on_stationary_sample_not_rejected(self, op_full):
+        # the stride-halving guard must not compare two rates made of roundoff
+        rng = np.random.default_rng(3)
+        mode = op_full.eigenfield(2)
+        times = np.arange(12) * 0.05
+        fields = [
+            RadialField(mode.grid, mode.values * (1.0 + 1e-16 * rng.standard_normal()))
+            for _ in times
+        ]
+        sample = SpaceTimeSample(times, fields, (times[0], times[-1]))
+        rep = localized_mass_rate_check(sample, 2.0)
+        assert rep.empirical_constant == 0.0
+
+    def test_under_resolved_rate_above_floor_rejected(self, op_full):
+        # the same guard still bites when the aliased rate is far above roundoff
+        u = op_full.eigenfield(0) + op_full.eigenfield(6)
+        beat = op_full.eigenvalues[6] - op_full.eigenvalues[0]
+        times = np.arange(12) * (0.3 * 2 * np.pi / beat)
+        sample = linear_sample(op_full, u, times)
+        masses = [localized_mass(f, 2.0) for f in sample.fields]
+        floor = 1e-12 * mass(u) / (times[1] - times[0])
+        assert np.ptp(masses) / (times[2] - times[0]) > 1e6 * floor
         with pytest.raises(ResolutionError):
             localized_mass_rate_check(sample, 2.0)
 

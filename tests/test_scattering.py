@@ -9,7 +9,7 @@ from nls4.radial import RadialField
 from nls4.scattering import (
     extract_scattering_state,
     free_frame_transfer,
-    has_decreasing_triplet,
+    gaps_converging,
     probe_wave_operator,
 )
 from nls4.solver import SimulationConfig, duhamel_window, run_trajectory
@@ -33,9 +33,19 @@ def run_with_snapshots(op, u0, lam=1.0, t_end=1.5, dt=2e-3):
 
 class TestDecreasingTriplet:
     def test_detects(self):
-        assert has_decreasing_triplet(np.array([1.0, 3.0, 2.0, 1.0]))
-        assert not has_decreasing_triplet(np.array([1.0, 2.0, 3.0]))
-        assert not has_decreasing_triplet(np.array([2.0, 1.0]))
+        assert gaps_converging(np.array([1.0, 3.0, 2.0, 1.0]), 1.0)
+        assert not gaps_converging(np.array([1.0, 2.0, 3.0]), 1.0)
+        assert not gaps_converging(np.array([2.0, 1.0]), 1.0)
+
+    def test_tail_flat_at_roundoff_passes(self):
+        gaps = np.array([1e-3, 1e-6, 4.209e-12, 4.155e-12, 4.220e-12])
+        assert gaps_converging(gaps, 1.0)
+
+    def test_tail_rising_above_roundoff_fails(self):
+        assert not gaps_converging(np.array([1e-3, 1e-4, 2e-4, 3e-4]), 1.0)
+
+    def test_early_triplet_then_rising_tail_fails(self):
+        assert not gaps_converging(np.array([3.0, 2.0, 1.0, 2.0, 3.0]), 1.0)
 
 
 class TestWaveOperatorProbe:

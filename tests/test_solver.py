@@ -1,6 +1,11 @@
 """Time evolution: splitting, conservation monitors, and the Picard oracle."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +22,10 @@ from nls4.solver import (
     energy,
     mass,
     run_trajectory,
+    step_propagator,
     step_strang,
 )
-from nls4.spectral import apply_function, l2_norm
+from nls4.spectral import apply_function, build_operator, evolve, l2_norm
 from nls4.states import soft_lowpass
 
 from conftest import random_smooth_field
@@ -114,6 +120,78 @@ class TestStrangStep:
 
         gaps = {dt: l2_norm(evolve(dt) - evolve(dt / 2)) for dt in (1e-3, 5e-4)}
         assert gaps[1e-3] / gaps[5e-4] == pytest.approx(4.0, rel=0.2)
+
+
+class TestStepPropagator:
+    @pytest.mark.parametrize("which", ["small_op_full", "op_full"])
+    def test_matches_modal_round_trip(self, which, request, rng):
+        op = request.getfixturevalue(which)
+        u = random_smooth_field(op.grid, rng)
+        dt = 2e-3
+        modal = op.from_modal(np.exp(1j * dt * op.eigenvalues) * op.to_modal(u.values))
+        dense = step_propagator(op, dt) @ u.values
+        assert np.linalg.norm(dense - modal) <= 1e-12 * np.linalg.norm(modal)
+
+    def test_merged_rotations_match_unmerged_steps(self, small_op_full):
+        op = small_op_full
+        u0 = small_gaussian(op, amp=1.3, width=2.5, xi_cut=1.6)
+        cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=0.2, monitor_stride=7,
+                               snapshot_stride=1, boundary_threshold=1.0)
+        rec = run_trajectory(u0, op, cfg)
+        assert rec.status == "ok"
+        phases = np.exp(1j * cfg.dt * op.eigenvalues)
+        values, reference = u0.values, {}
+        for step in range(1, int(round(cfg.t_end / cfg.dt)) + 1):
+            values = solver._nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2)
+            values = op.from_modal(phases * op.to_modal(values))
+            values = solver._nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2)
+            reference[round(step * cfg.dt, 12)] = values
+        assert len(rec.snapshots) == len(rec.times) > 3
+        for t, u in rec.snapshots[1:]:
+            ref = reference[round(t, 12)]
+            assert np.linalg.norm(u.values - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_linear_run_is_the_exact_flow(self, op_full):
+        u0 = small_gaussian(op_full, amp=0.5)
+        cfg = SimulationConfig(lam=0.0, p=9.0, dt=1e-2, t_end=0.5, monitor_stride=5,
+                               snapshot_stride=1, boundary_threshold=1.0)
+        rec = run_trajectory(u0, op_full, cfg)
+        assert np.array_equal(rec.snapshots[0][1].values, u0.values)
+        exact = evolve(op_full, u0.values, rec.times[1:])
+        for (t, u), row in zip(rec.snapshots[1:], exact, strict=True):
+            assert np.linalg.norm(u.values - row) <= 1e-14 * np.linalg.norm(row)
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        script = (
+            "import hashlib, numpy as np\n"
+            "from nls4 import radial, solver, spectral\n"
+            "grid = radial.make_grid(5, 20.0, 512)\n"
+            "p = solver.step_propagator(spectral.build_operator('free', grid), 2e-3)\n"
+            "u = np.exp(-(grid.nodes / 3.0) ** 2).astype(complex)\n"
+            "for _ in range(200):\n"
+            "    u = p @ u\n"
+            "print(hashlib.sha256(p.tobytes()).hexdigest(), hashlib.sha256(u.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(solver.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True)
+            digests.append(out.stdout.split())
+        assert digests[0] == digests[1]
+
+    def test_build_memory_stays_near_the_matrix(self):
+        grid = make_grid(5, 20.0, 512)
+        op = build_operator("free", grid)
+        tracemalloc.start()
+        try:
+            step_propagator(op, 2e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * grid.num_points**2
 
 
 class TestRunTrajectory:
