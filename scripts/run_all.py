@@ -3,12 +3,15 @@
 
 Usage: python scripts/run_all.py [output_dir] [--only kind1,kind2]
 
-The heaviest configs are scattering, decay and wave_operator, in that order;
-the per-config time is printed next to each verdict.  Set NLS4_CACHE_DIR to
-reuse eigendecompositions across invocations.
+Each line gives the verdict, the first 16 hex digits of the sha256 of the
+report body (everything above [provenance]) and the config's time, so the
+digest columns of two runs show whether any report body changed.  The
+heaviest configs are scattering, decay and wave_operator, in that order.
+Set NLS4_CACHE_DIR to reuse eigendecompositions across invocations.
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
@@ -40,7 +43,8 @@ def main() -> int:
         report = run_experiment(cfg)
         elapsed = time.perf_counter() - started
         verdict = report.worst_verdict
-        print(f"{kind:28s} {verdict.upper():4s}  ({elapsed:6.1f}s)")
+        digest = hashlib.sha256(report.body_text().encode()).hexdigest()[:16]
+        print(f"{kind:28s} {verdict.upper():4s}  {digest}  ({elapsed:6.1f}s)")
         if verdict != "pass":
             worst = 1
             for check in report.checks:

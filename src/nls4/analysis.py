@@ -175,19 +175,28 @@ def sobolev_equiv_ratio(
     op_free: SpectralOperator,
     u: RadialField,
     s: float,
-    p: float,
-) -> float:
-    """||H^{s/4} u||_{L^p} / || |grad|^s u ||_{L^p}."""
+    ps,
+) -> np.ndarray:
+    """||H^{s/4} u||_{L^p} / || |grad|^s u ||_{L^p} for each p in ps, as an array.
+
+    H^{s/4} u and |grad|^s u are computed once and shared by every p; each p
+    costs two L^p norms.  Every p is range-checked before any transform.
+    """
     n = u.grid.dimension
     if not 0.0 <= s <= 2.0:
         raise ValueError(f"s must lie in [0, 2], got {s}")
-    if not 1.0 < p < n / 2.0:
-        raise ValueError(f"p must lie in (1, n/2) = (1, {n/2}), got {p}")
-    num = lp_norm(apply_function(op_full, "power_s", s, u), p)
-    den = lp_norm(free_fractional_gradient(op_free, s, u), p)
-    if den == 0.0:
-        raise ZeroDivisionError("|grad|^s u vanishes; ratio undefined")
-    return num / den
+    for p in ps:
+        if not 1.0 < p < n / 2.0:
+            raise ValueError(f"p must lie in (1, n/2) = (1, {n/2}), got {p}")
+    h_s = apply_function(op_full, "power_s", s, u)
+    grad_s = free_fractional_gradient(op_free, s, u)
+    ratios = []
+    for p in ps:
+        den = lp_norm(grad_s, p)
+        if den == 0.0:
+            raise ZeroDivisionError("|grad|^s u vanishes; ratio undefined")
+        ratios.append(lp_norm(h_s, p) / den)
+    return np.array(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +293,24 @@ def strichartz_quotient(
     op_free: SpectralOperator,
     u0: RadialField,
     forcing: ModalForcing | None,
-    pair: tuple[Fraction, Fraction],
+    pairs,
     interval: tuple[float, float] = (0.0, 1.0),
     num_samples: int = 129,
-) -> float:
-    """||Delta u||_{L^q L^r} / (||Delta u0||_2 + ||grad h||_{L^2 L^{2n/(n+2)}})."""
+) -> np.ndarray:
+    """||Delta u||_{L^q L^r} / (||Delta u0||_2 + ||grad h||_{L^2 L^{2n/(n+2)}}) per pair (q, r).
+
+    One Duhamel solve, one Delta u and one denominator are shared by every
+    pair; each pair costs one L^r norm per sample time and one L^q time
+    norm.  Every pair is checked for admissibility before the solve.
+    """
     n = op_full.grid.dimension
-    q, r = Fraction(pair[0]), Fraction(pair[1])
-    require_b_admissible(q, r, n, r_below_half_n=True)
+    pairs = [(Fraction(q), Fraction(r)) for q, r in pairs]
+    for q, r in pairs:
+        require_b_admissible(q, r, n, r_below_half_n=True)
     t0, t1 = interval
     times = np.linspace(t0, t1, num_samples)
     grid = op_full.grid
-    u = duhamel_solution(op_full, u0, forcing, times)
-    lhs = _time_lq(times, lp_norm_values(grid, laplacian_values(grid, u), float(r)), float(q))
+    lap_u = laplacian_values(grid, duhamel_solution(op_full, u0, forcing, times))
     dual = 0.0
     if forcing is not None:
         _, r_dual = spacetime_exponents("N", n)
@@ -305,7 +319,10 @@ def strichartz_quotient(
     denom = hdot2_norm(u0) + dual
     if denom == 0.0:
         raise ZeroDivisionError("trivial data and forcing")
-    return lhs / denom
+    return np.array([
+        _time_lq(times, lp_norm_values(grid, lap_u, float(r)), float(q)) / denom
+        for q, r in pairs
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -333,21 +333,23 @@ def _picard_iterate(
     cfg: SimulationConfig,
     panels: GaussPanels,
     combine,
-    initial_coeffs: np.ndarray,
+    anchor: np.ndarray,
 ) -> tuple[np.ndarray, PicardSolution]:
     """Shared fixed-point loop.
 
-    `combine(G_nodes, G_total)` maps the interaction-picture cumulative
-    integrals to the next iterate's modal coefficients at the nodes, plus
-    whatever endpoint payload the caller wants; both forward and final-state
-    solves are instances.
+    The first iterate is the free flow of the interaction-picture `anchor`,
+    e^{i t mu} anchor at every node, from the same (K, m, N) phase table the
+    sweeps use.  `combine(node_phases, G_nodes, G_total)` maps the
+    interaction-picture cumulative integrals to the next iterate's modal
+    coefficients at the nodes, plus whatever endpoint payload the caller
+    wants; both forward and final-state solves are instances.
     """
     mu = op.eigenvalues
     shape = panels.nodes.shape
     node_phases = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
     h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
 
-    coeffs = initial_coeffs
+    coeffs = node_phases * anchor
     diffs: list[float] = []
     growth_streak = 0
     payload = None
@@ -416,7 +418,6 @@ def duhamel_window(
             new_coeffs = node_phases * (anchor + 1j * cfg.lam * g_cum)
             return new_coeffs, out_phase * (anchor + 1j * cfg.lam * g_total)
 
-    initial = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None]) * anchor
-    out_modal, solution = _picard_iterate(op, cfg, panels, combine, initial)
+    out_modal, solution = _picard_iterate(op, cfg, panels, combine, anchor)
     solution.final_field = RadialField(u.grid, op.from_modal(out_modal))
     return solution

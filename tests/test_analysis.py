@@ -24,6 +24,7 @@ from nls4.analysis import (
     spacetime_norm,
     strichartz_quotient,
 )
+from nls4.experiments import _stock_pairs
 from nls4.radial import RadialField, localized_mass, lp_norm, zero_field
 from nls4.solver import SimulationConfig, mass, run_trajectory
 from nls4.spectral import apply_function, hdot2_norm, laplacian_values
@@ -114,11 +115,11 @@ class TestSobolevRatio:
         u = random_smooth_field(grid, rng)
         for s in (0.5, 1.0, 1.5, 2.0):
             for p in (1.5, 2.0, 2.2):
-                assert abs(sobolev_equiv_ratio(op_zero, op_free, u, s, p) - 1.0) <= 1e-9
+                assert abs(sobolev_equiv_ratio(op_zero, op_free, u, s, [p])[0] - 1.0) <= 1e-9
 
     def test_s_zero_exactly_one(self, op_full, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
-        assert sobolev_equiv_ratio(op_full, op_free, u, 0.0, 2.0) == pytest.approx(
+        assert sobolev_equiv_ratio(op_full, op_free, u, 0.0, [2.0])[0] == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -128,24 +129,45 @@ class TestSobolevRatio:
             u = random_low_mode_field(op_free, rng)
             for s in (0.5, 2.0):
                 for p in (1.5, 2.2):
-                    assert 0.5 <= sobolev_equiv_ratio(op_full, op_free, u, s, p) <= 2.0
+                    assert 0.5 <= sobolev_equiv_ratio(op_full, op_free, u, s, [p])[0] <= 2.0
 
     def test_scaling_invariance(self, op_full, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
-        a = sobolev_equiv_ratio(op_full, op_free, u, 1.5, 2.0)
-        b = sobolev_equiv_ratio(op_full, op_free, 5.0 * u, 1.5, 2.0)
+        a = sobolev_equiv_ratio(op_full, op_free, u, 1.5, [2.0])[0]
+        b = sobolev_equiv_ratio(op_full, op_free, 5.0 * u, 1.5, [2.0])[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_parameter_validation(self, op_full, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
         with pytest.raises(ValueError):
-            sobolev_equiv_ratio(op_full, op_free, u, 2.5, 2.0)
+            sobolev_equiv_ratio(op_full, op_free, u, 2.5, [2.0])
         with pytest.raises(ValueError):
-            sobolev_equiv_ratio(op_full, op_free, u, 1.0, 2.6)  # p >= n/2
+            sobolev_equiv_ratio(op_full, op_free, u, 1.0, [2.6])  # p >= n/2
 
     def test_zero_field_rejected(self, op_full, op_free, grid):
         with pytest.raises(ZeroDivisionError):
-            sobolev_equiv_ratio(op_full, op_free, zero_field(grid), 1.0, 2.0)
+            sobolev_equiv_ratio(op_full, op_free, zero_field(grid), 1.0, [2.0])
+
+    def test_many_p_equal_one_p_calls(self, op_full, op_free, rng):
+        u = random_low_mode_field(op_free, rng)
+        ps = [1.5, 2.0, 2.2]
+        for s in (0.5, 1.0, 1.5, 2.0):
+            together = sobolev_equiv_ratio(op_full, op_free, u, s, ps)
+            apart = [sobolev_equiv_ratio(op_full, op_free, u, s, [p])[0] for p in ps]
+            assert together.shape == (3,)
+            assert list(together) == apart
+
+    def test_bad_p_anywhere_raises_before_any_transform(self, op_full, op_free, grid, rng,
+                                                        monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("transform reached before p was checked")
+
+        monkeypatch.setattr(analysis, "apply_function", unreachable)
+        monkeypatch.setattr(analysis, "free_fractional_gradient", unreachable)
+        u = random_smooth_field(grid, rng)
+        for ps in ([2.6, 1.5], [1.5, 2.0, 2.6], [1.5, 1.0]):
+            with pytest.raises(ValueError, match="p must lie"):
+                sobolev_equiv_ratio(op_full, op_free, u, 1.0, ps)
 
 
 class TestDecayFit:
@@ -175,7 +197,7 @@ class TestStrichartzQuotient:
     def test_single_eigenmode_closed_form(self, op_full, op_free):
         mode = op_full.eigenfield(4)
         pair = (Fraction(18), Fraction(90, 41))
-        measured = strichartz_quotient(op_full, op_free, mode, None, pair, (0.0, 1.0))
+        measured = strichartz_quotient(op_full, op_free, mode, None, [pair], (0.0, 1.0))[0]
         lap = RadialField(op_full.grid, laplacian_values(op_full.grid, mode.values))
         expected = lp_norm(lap, 90.0 / 41.0) / hdot2_norm(mode)
         assert measured == pytest.approx(expected, rel=1e-6)
@@ -183,14 +205,44 @@ class TestStrichartzQuotient:
     def test_linear_scaling_invariance(self, op_full, op_free, rng):
         u0 = random_low_mode_field(op_free, rng)
         pair = (Fraction(18), Fraction(90, 41))
-        a = strichartz_quotient(op_full, op_free, u0, None, pair, (0.0, 1.0))
-        b = strichartz_quotient(op_full, op_free, 3.0 * u0, None, pair, (0.0, 1.0))
+        a = strichartz_quotient(op_full, op_free, u0, None, [pair], (0.0, 1.0))[0]
+        b = strichartz_quotient(op_full, op_free, 3.0 * u0, None, [pair], (0.0, 1.0))[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_non_admissible_pair_rejected(self, op_full, op_free, rng):
         u0 = random_low_mode_field(op_free, rng)
         with pytest.raises(AdmissibilityError):
-            strichartz_quotient(op_full, op_free, u0, None, (Fraction(3), Fraction(3)))
+            strichartz_quotient(op_full, op_free, u0, None, [(Fraction(3), Fraction(3))])
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_stock_pairs_in_one_call_equal_one_pair_calls(self, op_full, op_free, forced):
+        rng = np.random.default_rng(23)
+        u0 = random_low_mode_field(op_free, rng)
+        forcing = ModalForcing(
+            rng.uniform(-8, 8, 2),
+            [random_low_mode_field(op_free, rng, norm=0.5) for _ in range(2)],
+        ) if forced else None
+        pairs = _stock_pairs(5)
+        together = strichartz_quotient(op_full, op_free, u0, forcing, pairs, (0.0, 1.0))
+        apart = [
+            strichartz_quotient(op_full, op_free, u0, forcing, [pair], (0.0, 1.0))[0]
+            for pair in pairs
+        ]
+        assert together.shape == (3,)
+        assert list(together) == apart
+
+    def test_inadmissible_pair_anywhere_raises_before_solve(self, op_full, op_free, rng,
+                                                            monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Duhamel solve reached before the pairs were checked")
+
+        monkeypatch.setattr(analysis, "duhamel_solution", unreachable)
+        u0 = random_low_mode_field(op_free, rng)
+        first, *rest = _stock_pairs(5)
+        for pairs in ([first, (Fraction(3), Fraction(3))], [(Fraction(3), Fraction(3)), first],
+                      [first, *rest, (Fraction(8), Fraction(5, 2))]):
+            with pytest.raises(AdmissibilityError):
+                strichartz_quotient(op_full, op_free, u0, None, pairs, (0.0, 1.0))
 
     def test_duhamel_solution_linear_part(self, op_full, op_free, rng):
         u0 = random_low_mode_field(op_free, rng)
@@ -236,7 +288,7 @@ class TestStrichartzQuotient:
                 [random_low_mode_field(op_free, rng, norm=0.5) for _ in range(2)],
             )
             values.append(
-                strichartz_quotient(op_full, op_free, u0, forcing, pair, (0.0, 1.0))
+                strichartz_quotient(op_full, op_free, u0, forcing, [pair], (0.0, 1.0))[0]
             )
         assert max(values) / min(values) <= 10.0
 

@@ -1,0 +1,70 @@
+"""Negative controls: each injects one defect and asserts that a named check fails.
+
+A check that cannot fail measures nothing.  Each case monkeypatches one
+defect into the code a check exercises, runs the canonical config
+(scripts/configs/) at its canonical seed, and asserts that the named check
+turns to fail.  The same checks pass on the unpatched code in
+test_acceptance.py.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from nls4 import analysis, spectral
+from nls4.config import load_config
+from nls4.experiments import run_experiment
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+DEFECT = 1.0 + 1e-6
+
+
+def scale_factors(monkeypatch, func, kind=None):
+    """Multiply the modal factors of `func` by DEFECT, on operators of `kind` only."""
+    original = spectral._scalar_factors
+
+    def factors(op, name, parameter):
+        out = original(op, name, parameter)
+        if name == func and kind in (None, op.kind):
+            out = out * DEFECT
+        return out
+
+    monkeypatch.setattr(spectral, "_scalar_factors", factors)
+
+
+def power_s_on_full(monkeypatch):
+    # the free calculus stays exact, else both sides of the ratio move together
+    scale_factors(monkeypatch, "power_s", kind="full")
+
+
+def growing_duhamel_rows(monkeypatch):
+    original = analysis.duhamel_solution
+
+    def grown(op, u0, forcing, times):
+        return original(op, u0, forcing, times) * (1.0 + np.asarray(times, dtype=float))[:, None]
+
+    monkeypatch.setattr(analysis, "duhamel_solution", grown)
+
+
+def non_unitary_exp_it(monkeypatch):
+    scale_factors(monkeypatch, "exp_it")
+
+
+@pytest.mark.parametrize(
+    "kind, check, defect",
+    [
+        ("sobolev_equiv", "zero_potential_ratio_dev", power_s_on_full),
+        ("strichartz", "eigenmode_closed_form_dev", growing_duhamel_rows),
+        ("final_state", "linear_case_exact", non_unitary_exp_it),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else v,
+)
+def test_defect_fails_named_check(kind, check, defect, monkeypatch, tmp_path):
+    defect(monkeypatch)
+    cfg = load_config(CONFIG_DIR / f"{kind}.cfg")
+    cfg.output_dir = tmp_path / kind
+    report = run_experiment(cfg)
+    verdicts = {c.name: c.verdict for c in report.checks}
+    assert "experiment_error" not in verdicts, report.checks
+    assert verdicts[check] == "fail"
