@@ -68,9 +68,7 @@ def probe_wave_operator(
             raise WindowError(f"free evolution leaves the clean window at t = {t:.4g}")
     series = [RadialField(op_full.grid, row) for row in evolve(op_full, free_back, times)]
     gaps = np.array([h2_norm(b - a) for a, b in zip(series, series[1:])])
-    tail = gaps[-3:] if gaps.size >= 3 else gaps
-    convergent = bool(np.all(np.diff(tail) < 0)) if tail.size >= 2 else False
-    return WaveOperatorProbe(series, gaps, convergent)
+    return WaveOperatorProbe(series, gaps, gaps_converging(gaps, h2_norm(test_state)))
 
 
 def free_frame_transfer(

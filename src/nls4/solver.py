@@ -2,17 +2,19 @@
 
 Two independent integrators share the exact spectral propagator:
 
-* Strang splitting.  The nonlinear flow i u_t + lambda |u|^{p-1} u = 0 is an
-  exact pointwise phase rotation u -> exp(i lambda dt |u|^{p-1}) u (|u| is
-  invariant), so a step is half rotation / full linear propagator / half
-  rotation.  Both substeps conserve the quadrature mass exactly; energy
-  drifts at O(dt^2).  The linear substep is one dense complex matrix
-  P = e^{i dt H} in grid space, built once per run (16 N^2 bytes), so a step
-  is one matrix-vector product.  As rotations commute with each other, the
-  closing half rotation of a step merges with the opening one of the next;
-  the owed half is flushed before every monitor and every forced step.
-  With lambda = 0 and no forcing nothing is stepped: each monitor state is
-  the exact linear flow e^{itH} u0.
+* Strang splitting, in run_trajectory, the one stepper.  The nonlinear flow
+  i u_t + lambda |u|^{p-1} u = 0 is an exact pointwise phase rotation
+  u -> exp(i lambda dt |u|^{p-1}) u (|u| is invariant), so a step is half
+  rotation / full linear propagator / half rotation.  Both substeps conserve
+  the quadrature mass exactly; energy drifts at O(dt^2).  The linear substep
+  is one dense complex matrix P = e^{i dt H} in grid space, built once per
+  run (16 N^2 bytes), so a step is one matrix-vector product.  As rotations
+  commute with each other, the closing half rotation of a step merges with
+  the opening one of the next; the owed half is flushed before every monitor
+  and every forced step.  With lambda = 0 and no forcing nothing is stepped:
+  each monitor state is the exact linear flow e^{itH} u0.  A run halts at the
+  first monitor that suspects blow-up or sees mass at the boundary, and says
+  which.
 
 * A Picard iteration on the integral form
   u(t) = e^{itH} u0 + i lambda int_0^t e^{i(t-s)H} |u|^{p-1} u(s) ds,
@@ -27,7 +29,7 @@ Two independent integrators share the exact spectral propagator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,8 +79,16 @@ class SimulationConfig:
             raise ValueError(f"nonlinearity power must satisfy p > 1, got {self.p}")
         if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
             raise ValueError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
-        if self.monitor_stride < 1:
-            raise ValueError("monitor_stride must be >= 1")
+        for name, value, ok, rule in (
+            ("monitor_stride", self.monitor_stride, self.monitor_stride >= 1, ">= 1"),
+            ("snapshot_stride", self.snapshot_stride, self.snapshot_stride >= 0, ">= 0"),
+            ("picard_tol", self.picard_tol, self.picard_tol > 0, "> 0"),
+            ("picard_max_iter", self.picard_max_iter, self.picard_max_iter >= 1, ">= 1"),
+            ("boundary_threshold", self.boundary_threshold, self.boundary_threshold > 0, "> 0"),
+            ("blowup_factor", self.blowup_factor, self.blowup_factor > 1, "> 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass
@@ -105,9 +115,12 @@ def mass(u: RadialField) -> float:
     return float(np.sum(u.grid.metric * np.abs(u.values) ** 2))
 
 
-def energy(u: RadialField, potential, lam: float, p: float) -> float:
-    """(1/2) int |Delta u|^2 + V |u|^2 + (2 lambda / (p+1)) |u|^{p+1} dx."""
-    v = potential.values.real if isinstance(potential, RadialField) else np.asarray(potential)
+def energy(u: RadialField, potential: np.ndarray, lam: float, p: float) -> float:
+    """(1/2) int |Delta u|^2 + V |u|^2 + (2 lambda / (p+1)) |u|^{p+1} dx.
+
+    `potential` holds V's values on u's nodes.
+    """
+    v = np.asarray(potential)
     if v.shape != u.values.shape:
         raise ValueError("potential and field live on different grids")
     kinetic = hdot2_norm(u) ** 2
@@ -152,21 +165,12 @@ def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
     return out
 
 
-def step_strang(u: RadialField, op_full: SpectralOperator, cfg: SimulationConfig) -> RadialField:
-    """One second-order splitting step of size cfg.dt: half rotation, P, half rotation."""
-    half = cfg.dt / 2.0
-    values = _nonlinear_phase(u.values, cfg.lam, cfg.p, half)
-    values = step_propagator(op_full, cfg.dt) @ values
-    return RadialField(u.grid, _nonlinear_phase(values, cfg.lam, cfg.p, half))
-
-
 def run_trajectory(
     u0: RadialField,
     op_full: SpectralOperator,
     cfg: SimulationConfig,
     *,
     forcing=None,
-    csv_path=None,
 ) -> TrajectoryRecord:
     """Advance to t_end by splitting, recording monitors every monitor_stride steps.
 
@@ -191,14 +195,13 @@ def run_trajectory(
     num_steps = int(round(cfg.t_end / dt))
     times, masses, energies, h2dots, bmasses = [], [], [], [], []
     snapshots: list[tuple[float, RadialField]] = []
-    status = "ok"
 
     values = u0.values.copy()
     m0 = mass(u0)
     e2_0 = hdot2_norm(u0) ** 2
 
-    def record(step: int, t: float) -> bool:
-        """Append monitors of `values`; returns False when the run must halt."""
+    def record(step: int, t: float) -> str | None:
+        """Append monitors of `values`; returns why the run must halt, or None."""
         u = RadialField(grid, values)
         times.append(t)
         masses.append(mass(u))
@@ -212,10 +215,10 @@ def run_trajectory(
         ):
             snapshots.append((t, u.copy()))
         if not np.isfinite(h2) or (e2_0 > 0 and h2 > cfg.blowup_factor * e2_0):
-            return False
+            return "blowup_suspected"
         if bm > cfg.boundary_threshold * m0:
-            return False
-        return True
+            return "boundary_contaminated"
+        return None
 
     def advance(values: np.ndarray, first: int, last: int) -> np.ndarray:
         """Steps first+1..last.  The closing half rotation of one step merges
@@ -234,16 +237,11 @@ def run_trajectory(
             values = _nonlinear_phase(values, cfg.lam, cfg.p, half)
         return values
 
-    healthy = record(0, 0.0)
-    if not healthy:
-        status = "blowup_suspected" if not np.isfinite(h2dots[-1]) else "boundary_contaminated"
-        num_steps = 0
-
-    monitor_steps = [*range(cfg.monitor_stride, num_steps, cfg.monitor_stride)]
-    if num_steps:
-        monitor_steps.append(num_steps)
+    halt = record(0, 0.0)
     done = 0
-    for step in monitor_steps:
+    for step in [*range(cfg.monitor_stride, num_steps, cfg.monitor_stride), num_steps]:
+        if halt is not None:
+            break
         t = step * dt
         if exact:
             values = op_full.from_modal(np.exp(1j * t * mu) * coeffs0)
@@ -251,29 +249,20 @@ def run_trajectory(
             try:
                 values = advance(values, done, step)
             except SolverError:
-                status = "blowup_suspected"
+                halt = "blowup_suspected"
                 break
         done = step
-        if not record(step, t):
-            h2 = h2dots[-1]
-            bad_h2 = not np.isfinite(h2) or (e2_0 > 0 and h2 > cfg.blowup_factor * e2_0)
-            status = "blowup_suspected" if bad_h2 else "boundary_contaminated"
-            break
+        halt = record(step, t)
 
-    record_arrays = TrajectoryRecord(
+    return TrajectoryRecord(
         times=np.array(times),
         mass_series=np.array(masses),
         energy_series=np.array(energies),
         h2dot_series=np.array(h2dots),
         boundary_mass_series=np.array(bmasses),
         snapshots=snapshots,
-        status=status,
+        status=halt or "ok",
     )
-    if csv_path is not None:
-        from .reporting import write_monitor_csv
-
-        write_monitor_csv(csv_path, record_arrays)
-    return record_arrays
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +312,8 @@ class GaussPanels:
 class PicardSolution:
     final_field: RadialField
     iterations: int
-    converged: bool
     contraction_factor: float
-    diffs: list = field(default_factory=list)
+    diffs: list[float]             # iterate distance of every sweep
 
 
 def _picard_iterate(
@@ -334,7 +322,7 @@ def _picard_iterate(
     panels: GaussPanels,
     combine,
     anchor: np.ndarray,
-) -> tuple[np.ndarray, PicardSolution]:
+) -> tuple[np.ndarray, list[float]]:
     """Shared fixed-point loop.
 
     The first iterate is the free flow of the interaction-picture `anchor`,
@@ -342,7 +330,8 @@ def _picard_iterate(
     sweeps use.  `combine(node_phases, G_nodes, G_total)` maps the
     interaction-picture cumulative integrals to the next iterate's modal
     coefficients at the nodes, plus whatever endpoint payload the caller
-    wants; both forward and final-state solves are instances.
+    wants; both forward and final-state solves are instances.  Returns the
+    payload of the converged sweep and the iterate distance of every sweep.
     """
     mu = op.eigenvalues
     shape = panels.nodes.shape
@@ -352,8 +341,7 @@ def _picard_iterate(
     coeffs = node_phases * anchor
     diffs: list[float] = []
     growth_streak = 0
-    payload = None
-    for iteration in range(1, cfg.picard_max_iter + 1):
+    for _ in range(cfg.picard_max_iter):
         flat = coeffs.reshape(-1, mu.size)
         with np.errstate(over="ignore", invalid="ignore"):
             u_nodes = op.from_modal(flat)
@@ -370,8 +358,7 @@ def _picard_iterate(
         diffs.append(d)
         coeffs = new_coeffs
         if d < cfg.picard_tol:
-            factor = diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 0.0
-            return payload, PicardSolution(None, iteration, True, factor, diffs)
+            return payload, diffs
         if len(diffs) > 1:
             growth_streak = growth_streak + 1 if d > diffs[-2] else 0
             if growth_streak >= 3:
@@ -418,6 +405,6 @@ def duhamel_window(
             new_coeffs = node_phases * (anchor + 1j * cfg.lam * g_cum)
             return new_coeffs, out_phase * (anchor + 1j * cfg.lam * g_total)
 
-    out_modal, solution = _picard_iterate(op, cfg, panels, combine, anchor)
-    solution.final_field = RadialField(u.grid, op.from_modal(out_modal))
-    return solution
+    out_modal, diffs = _picard_iterate(op, cfg, panels, combine, anchor)
+    factor = diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 0.0
+    return PicardSolution(RadialField(u.grid, op.from_modal(out_modal)), len(diffs), factor, diffs)

@@ -125,7 +125,7 @@ def test_criterion_07_small_data_global(tmp_path_factory):
 def test_criterion_08_oracle_equivalence(op_full):
     # Picard fixed point vs splitting: error <= C dt^2 with stable C
     from nls4.radial import RadialField
-    from nls4.solver import SimulationConfig, duhamel_window, step_strang
+    from nls4.solver import SimulationConfig, duhamel_window, run_trajectory
     from nls4.spectral import l2_norm
     from nls4.states import soft_lowpass
 
@@ -137,11 +137,11 @@ def test_criterion_08_oracle_equivalence(op_full):
     reference = duhamel_window(u0, op_full, oracle_cfg, 0.0, horizon).final_field
     constants = {}
     for dt in (4e-3, 2e-3, 1e-3):
-        cfg = SimulationConfig(lam=1.0, p=9.0, dt=dt, t_end=horizon)
-        u = u0.copy()
-        for _ in range(int(round(horizon / dt))):
-            u = step_strang(u, op_full, cfg)
-        constants[dt] = l2_norm(u - reference) / dt**2
+        cfg = SimulationConfig(lam=1.0, p=9.0, dt=dt, t_end=horizon, snapshot_stride=1,
+                               boundary_threshold=1.0)
+        rec = run_trajectory(u0, op_full, cfg)
+        assert rec.status == "ok"
+        constants[dt] = l2_norm(rec.snapshots[-1][1] - reference) / dt**2
     spread = max(constants.values()) / min(constants.values())
     verdict = "PASS" if spread <= 1.5 else "FAIL"
     print(f"\nACCEPTANCE  8 oracle_equivalence: {verdict}")

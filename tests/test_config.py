@@ -71,6 +71,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="dt"):
             load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("picard_max_iter", "0"),
+            ("picard_tol", "0.0"),
+            ("snapshot_stride", "-1"),
+            ("blowup_factor", "0.5"),
+            ("boundary_threshold", "0.0"),
+        ],
+    )
+    def test_out_of_range_simulation_key_named(self, tmp_path, key, value):
+        text = MINIMAL + f"\n[simulation]\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=key):
+            load_config(write(tmp_path, text))
+
     def test_potential_validation(self, tmp_path):
         text = MINIMAL + "\n[potential]\nfamily = inverse_bracket\nc = 0.01\n"
         with pytest.raises(ConfigError, match="beta"):

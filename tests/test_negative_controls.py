@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nls4 import analysis, spectral
+from nls4 import analysis, solver, spectral
 from nls4.config import load_config
 from nls4.experiments import run_experiment
 
@@ -51,12 +51,29 @@ def non_unitary_exp_it(monkeypatch):
     scale_factors(monkeypatch, "exp_it")
 
 
+def flipped_nonlinear_sign(monkeypatch):
+    # the rotation solves the equation with -lambda; the monitor keeps +lambda
+    original = solver._nonlinear_phase
+
+    def flipped(values, lam, p, tau):
+        return original(values, -lam, p, tau)
+
+    monkeypatch.setattr(solver, "_nonlinear_phase", flipped)
+
+
+def non_unitary_step_propagator(monkeypatch):
+    original = solver.step_propagator
+    monkeypatch.setattr(solver, "step_propagator", lambda op, tau: original(op, tau) * DEFECT)
+
+
 @pytest.mark.parametrize(
     "kind, check, defect",
     [
         ("sobolev_equiv", "zero_potential_ratio_dev", power_s_on_full),
         ("strichartz", "eigenmode_closed_form_dev", growing_duhamel_rows),
         ("final_state", "linear_case_exact", non_unitary_exp_it),
+        ("conservation", "energy_drift", flipped_nonlinear_sign),
+        ("conservation", "mass_drift", non_unitary_step_propagator),
     ],
     ids=lambda v: v.__name__ if callable(v) else v,
 )

@@ -56,6 +56,15 @@ class TestWaveOperatorProbe:
         scale = h2_norm(psi)
         assert np.all(probe.convergence_gaps <= 1e-9 * scale)
 
+    def test_zero_potential_gaps_at_roundoff_converge(self, op_free, op_zero):
+        # W(t) is the identity: three gaps at roundoff, not strictly decreasing
+        psi = smooth_state(op_free, width=2.0)
+        probe = probe_wave_operator(op_zero, op_free, psi, (0.5, 1.0, 2.0, 4.0),
+                                    boundary_threshold=1.0)
+        assert probe.convergence_gaps.size == 3
+        assert np.all(probe.convergence_gaps <= 1e-9 * h2_norm(psi))
+        assert probe.convergent
+
     def test_time_zero_is_identity(self, op_full, op_free):
         psi = smooth_state(op_free, width=2.0)
         probe = probe_wave_operator(op_full, op_free, psi, (0.0, 0.5),
