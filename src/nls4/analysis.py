@@ -27,6 +27,7 @@ import numpy as np
 
 from .radial import (
     RadialField,
+    SpaceTimeSample,
     boundary_mass,
     localized_mass,
     lp_norm,
@@ -60,56 +61,6 @@ class ResolutionError(RuntimeError):
     """Sampling too sparse for the requested estimate."""
 
 
-@dataclass
-class SpaceTimeSample:
-    """Fields sampled at increasing times inside an interval."""
-
-    times: np.ndarray
-    fields: list[RadialField]
-    interval: tuple[float, float]
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if len(self.fields) != self.times.size:
-            raise ValueError("times and fields length mismatch")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("sample times must be strictly increasing")
-        lo, hi = self.interval
-        if self.times.size and (self.times[0] < lo - 1e-12 or self.times[-1] > hi + 1e-12):
-            raise ValueError("sample times fall outside the stated interval")
-
-    @property
-    def length(self) -> float:
-        return self.interval[1] - self.interval[0]
-
-    def restricted(self, t_lo: float, t_hi: float) -> "SpaceTimeSample":
-        keep = (self.times >= t_lo - 1e-12) & (self.times <= t_hi + 1e-12)
-        return SpaceTimeSample(
-            self.times[keep],
-            [f for f, k in zip(self.fields, keep) if k],
-            (t_lo, t_hi),
-        )
-
-    def decimated(self, stride: int) -> "SpaceTimeSample":
-        return SpaceTimeSample(
-            self.times[::stride], self.fields[::stride], self.interval
-        )
-
-
-def sample_from_trajectory(record, t_lo=None, t_hi=None) -> SpaceTimeSample:
-    if not record.snapshots:
-        raise ValueError("trajectory record carries no snapshots")
-    times = np.array([t for t, _ in record.snapshots])
-    lo = times[0] if t_lo is None else t_lo
-    hi = times[-1] if t_hi is None else t_hi
-    keep = (times >= lo - 1e-12) & (times <= hi + 1e-12)
-    return SpaceTimeSample(
-        times[keep],
-        [f for (_, f), k in zip(record.snapshots, keep) if k],
-        (lo, hi),
-    )
-
-
 def spacetime_exponents(which: str, n: int) -> tuple[Fraction, Fraction]:
     q_crit = Fraction(2 * (n + 4), n - 4)
     if which == "M":
@@ -138,9 +89,9 @@ def spacetime_norm(
         raise ResolutionError(
             f"need at least {MIN_TIME_SAMPLES} time samples, got {sample.times.size}"
         )
-    grid = sample.fields[0].grid
+    grid = sample.grid
     q, r = spacetime_exponents(which, grid.dimension)
-    values = np.array([u.values for u in sample.fields])
+    values = sample.values
     if which == "M":
         values = laplacian_values(grid, values)
     elif which in ("W", "N"):
@@ -348,14 +299,19 @@ def localized_mass_rate_check(
     if sample.times.size < 3:
         raise ResolutionError("need at least 3 snapshots for a central difference")
 
+    grid = sample.grid
+
     def peak_and_profile(s: SpaceTimeSample):
-        masses = np.array([localized_mass(u, radius, chi) for u in s.fields])
-        energies = np.array([hdot2_norm(u) ** 2 for u in s.fields])
+        # one call per row: no (S, N) temporaries, and a row-wise
+        # np.linalg.norm would differ from hdot2_norm in the last bits
+        rows = [RadialField(grid, row) for row in s.values]
+        masses = np.array([localized_mass(u, radius, chi) for u in rows])
+        energies = np.array([hdot2_norm(u) ** 2 for u in rows])
         rates = (masses[2:] - masses[:-2]) / (s.times[2:] - s.times[:-2])
         return masses, energies, rates
 
     masses, energies, rates = peak_and_profile(sample)
-    total = mass(sample.fields[0])
+    total = mass(RadialField(grid, sample.values[0]))
     dt = float(np.min(np.diff(sample.times)))
     rate_floor = 1e-12 * total / dt
     if sample.times.size >= 6:
@@ -394,7 +350,8 @@ def morawetz_check(
     cfg: SimulationConfig,
 ) -> MorawetzReport:
     """Weighted space-time nonlinearity inside |x| <= K |I|^{1/4} vs its bound."""
-    n = sample.fields[0].grid.dimension
+    grid = sample.grid
+    n = grid.dimension
     p_crit = critical_exponent(n)
     if abs(cfg.p - p_crit) > 1e-9:
         raise ValueError(
@@ -403,14 +360,14 @@ def morawetz_check(
     two_sharp = p_crit + 1.0
     length = sample.length
     ball = k_parameter * length**0.25
-    grid = sample.fields[0].grid
-    inside = grid.nodes <= ball
+    # nodes increase, so the ball is a leading slice: each row stays contiguous
+    # and sums in the order one field's sum takes
+    inside = slice(0, np.searchsorted(grid.nodes, ball, side="right"))
     weights = grid.metric[inside] / grid.nodes[inside]
-    density = np.empty(sample.times.size)
+    density = np.sum(weights * np.abs(sample.values[:, inside]) ** two_sharp, axis=-1)
     sup_e_hat = 0.0
-    for i, u in enumerate(sample.fields):
-        density[i] = float(np.sum(weights * np.abs(u.values[inside]) ** two_sharp))
-        e = hdot2_norm(u) ** 2
+    for row in sample.values:
+        e = hdot2_norm(RadialField(grid, row)) ** 2
         sup_e_hat = max(sup_e_hat, e + e ** (two_sharp / 2.0))
     lhs = float(np.trapezoid(density, sample.times))
     rhs_core = (k_parameter**3 + 1.0 / k_parameter) * sup_e_hat * length**0.75

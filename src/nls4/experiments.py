@@ -267,8 +267,7 @@ def run_localized_mass(ctx: RunContext):
         carrier=knobs["packet_carrier"],
     )
     packet = states.soft_lowpass(op, packet, knobs["xi_cut"])
-    rec = solver.run_trajectory(packet, op, sim)
-    sample = analysis.sample_from_trajectory(rec)
+    sample = solver.run_trajectory(packet, op, sim).snapshots
     dt_snap = float(np.min(np.diff(sample.times)))
 
     checks = []
@@ -304,21 +303,17 @@ def run_localized_mass(ctx: RunContext):
     mode = op.eigenfield(knobs["eigenmode_index"])
     lin = dataclasses.replace(sim, lam=0.0, boundary_threshold=1.0)
     rec_mode = solver.run_trajectory(mode, op, lin)
-    rep_mode = analysis.localized_mass_rate_check(
-        analysis.sample_from_trajectory(rec_mode), knobs["radii"][0]
-    )
+    rep_mode = analysis.localized_mass_rate_check(rec_mode.snapshots, knobs["radii"][0])
     checks.append(
         check_leq("eigenmode_rate", rep_mode.max_abs_rate,
                   knobs["zero_tol"] * solver.mass(mode) / dt_snap)
     )
 
+    rows = [RadialField(ctx.grid, row) for row in sample.values]
     write_csv(
         ctx.out_dir / "localized_mass.csv",
         ["t"] + [f"M_R{r:g}" for r in knobs["radii"]],
-        zip(
-            sample.times,
-            *[[radial.localized_mass(u, r) for u in sample.fields] for r in knobs["radii"]],
-        ),
+        zip(sample.times, *[[radial.localized_mass(u, r) for u in rows] for r in knobs["radii"]]),
     )
     return checks, {"localized_mass": "localized_mass.csv"}
 
@@ -330,7 +325,7 @@ def run_morawetz(ctx: RunContext):
     u0 = _smooth_data(ctx, op, knobs["amplitude"], knobs["width"], knobs["xi_cut"])
     u0 = (np.sqrt(knobs["target_h2dot"]) / spectral.hdot2_norm(u0)) * u0
     rec = solver.run_trajectory(u0, op, sim)
-    sample = analysis.sample_from_trajectory(rec)
+    sample = rec.snapshots
 
     t0 = knobs["interval_start"]
     constants = {}
@@ -516,7 +511,7 @@ def _scattering_run(ctx: RunContext, lam: float, t_end: float | None = None):
     base = _smooth_data(ctx, op_free, 1.0, knobs["data_width"], knobs["xi_cut"])
     u0 = (knobs["amplitude"] / spectral.l2_norm(base)) * base
     rec = solver.run_trajectory(u0, op_full, run_sim)
-    report = scattering.extract_scattering_state(rec, op_full, op_free, run_sim)
+    report = scattering.extract_scattering_state(rec.snapshots, op_full, op_free, run_sim)
     return u0, rec, report
 
 
@@ -566,7 +561,7 @@ def run_final_state(ctx: RunContext):
     op_full = ctx.op_full()
     u0, rec, report = _scattering_run(ctx, cfg.sim.lam)
     sim = cfg.sim
-    t_max = float(rec.snapshots[-1][0])
+    t_max = float(rec.snapshots.times[-1])
     t_start = t_max * (1.0 - knobs["window_fraction"])
     u_plus = report.u_plus
 

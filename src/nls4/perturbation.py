@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import ModalForcing, SpaceTimeSample, sample_from_trajectory, spacetime_norm
-from .radial import RadialField
+from .analysis import ModalForcing, spacetime_norm
+from .radial import RadialField, SpaceTimeSample
 from .solver import SimulationConfig, TrajectoryRecord, run_trajectory
 from .spectral import SpectralOperator, evolve
 
@@ -48,23 +48,14 @@ def perturbation_experiment(
     if rec_exact is None:
         rec_exact = run_trajectory(u0, op_full, cfg)
 
-    s_tilde = sample_from_trajectory(rec_tilde)
-    s_exact = sample_from_trajectory(rec_exact)
+    s_tilde, s_exact = rec_tilde.snapshots, rec_exact.snapshots
     common = min(s_tilde.times.size, s_exact.times.size)
     times = s_tilde.times[:common]
     interval = (times[0], times[-1])
-    diff = SpaceTimeSample(
-        times,
-        [a - b for a, b in zip(s_exact.fields[:common], s_tilde.fields[:common])],
-        interval,
-    )
-    w_distance = spacetime_norm(diff, "W", op_free)
+    grid = u0.grid
+    diff = s_exact.values[:common] - s_tilde.values[:common]
+    w_distance = spacetime_norm(SpaceTimeSample(grid, times, diff, interval), "W", op_free)
 
-    gap0 = u0 - u_tilde0
-    linear_gap = SpaceTimeSample(
-        times,
-        [RadialField(u0.grid, row) for row in evolve(op_full, gap0.values, times)],
-        interval,
-    )
-    eps_data = spacetime_norm(linear_gap, "W", op_free)
+    linear_gap = evolve(op_full, u0.values - u_tilde0.values, times)
+    eps_data = spacetime_norm(SpaceTimeSample(grid, times, linear_gap, interval), "W", op_free)
     return PerturbationReport(w_distance=w_distance, eps_data=eps_data)

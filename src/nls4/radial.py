@@ -210,6 +210,48 @@ class RadialField:
     __rmul__ = __mul__
 
 
+@dataclass
+class SpaceTimeSample:
+    """One field per time on one grid: row k of values, shape (S, N), is u(times[k]).
+
+    times increase strictly and lie inside interval.
+    """
+
+    grid: RadialGrid
+    times: np.ndarray
+    values: np.ndarray
+    interval: tuple[float, float]
+
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.shape != (self.times.size, self.grid.num_points):
+            raise ValueError(
+                f"values have shape {self.values.shape}, need one row of "
+                f"{self.grid.num_points} nodes for each of {self.times.size} times"
+            )
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("sample contains non-finite values")
+        if np.any(np.diff(self.times) <= 0):
+            raise ValueError("sample times must be strictly increasing")
+        lo, hi = self.interval
+        if self.times.size and (self.times[0] < lo - 1e-12 or self.times[-1] > hi + 1e-12):
+            raise ValueError("sample times fall outside the stated interval")
+
+    @property
+    def length(self) -> float:
+        return self.interval[1] - self.interval[0]
+
+    def restricted(self, t_lo: float, t_hi: float) -> "SpaceTimeSample":
+        keep = (self.times >= t_lo - 1e-12) & (self.times <= t_hi + 1e-12)
+        return SpaceTimeSample(self.grid, self.times[keep], self.values[keep], (t_lo, t_hi))
+
+    def decimated(self, stride: int) -> "SpaceTimeSample":
+        return SpaceTimeSample(
+            self.grid, self.times[::stride], self.values[::stride], self.interval
+        )
+
+
 def zero_field(grid: RadialGrid) -> RadialField:
     return RadialField(grid, np.zeros(grid.num_points, dtype=complex))
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import SpaceTimeSample, WindowError, sample_from_trajectory, spacetime_norm
-from .radial import RadialField, boundary_mass, lp_norm
+from .analysis import WindowError, spacetime_norm
+from .radial import RadialField, SpaceTimeSample, boundary_mass, lp_norm_values
 from .solver import SimulationConfig, critical_exponent, energy, mass
 from .spectral import SpectralOperator, apply_function, evolve, h2_norm, hdot2_norm
 
@@ -91,23 +91,17 @@ class ScatteringReport:
 
 
 def extract_scattering_state(
-    record_or_sample,
+    sample: SpaceTimeSample,
     op_full: SpectralOperator,
     op_free: SpectralOperator,
     cfg: SimulationConfig,
 ) -> ScatteringReport:
     """Read v(t) = e^{-itH} u(t) off trajectory snapshots and test the identities."""
-    if isinstance(record_or_sample, SpaceTimeSample):
-        sample = record_or_sample
-    else:
-        sample = sample_from_trajectory(record_or_sample)
     if sample.times.size < 4:
         raise ValueError("need at least 4 snapshots to extract a scattering state")
     times = sample.times
-    v_fields = [
-        RadialField(op_full.grid, row)
-        for row in evolve(op_full, np.array([u.values for u in sample.fields]), -times)
-    ]
+    grid = sample.grid
+    v_fields = [RadialField(grid, row) for row in evolve(op_full, sample.values, -times)]
     cauchy = [
         ((times[k], times[k + 1]), h2_norm(v_fields[k + 1] - v_fields[k]))
         for k in range(len(v_fields) - 1)
@@ -115,7 +109,7 @@ def extract_scattering_state(
     gaps = np.array([g for _, g in cauchy])
     u_plus = v_fields[-1]
 
-    u0 = sample.fields[0]
+    u0 = RadialField(grid, sample.values[0])
     m0 = mass(u0)
     mass_gap = abs(m0 - mass(u_plus)) / m0
 
@@ -128,7 +122,7 @@ def extract_scattering_state(
         z_tail = spacetime_norm(sample.decimated(max(1, len(v_fields) // 8)), "Z")
 
     two_sharp = critical_exponent(op_full.grid.dimension) + 1.0
-    crit_norms = np.array([lp_norm(u, two_sharp) for u in sample.fields])
+    crit_norms = lp_norm_values(grid, sample.values, two_sharp)
     triggered = np.nonzero(crit_norms <= LEBESGUE_TRIGGER * crit_norms[0])[0]
     trigger_time = float(times[triggered[0]]) if triggered.size else None
 
@@ -140,8 +134,8 @@ def extract_scattering_state(
         energy_gap = abs(2.0 * e0 - hdot2_norm(u_plus_star) ** 2) / abs(2.0 * e0)
         free_flow = evolve(op_free, u_plus_star.values, times)
         free_series = [
-            (float(t), h2_norm(u - RadialField(op_free.grid, row)))
-            for t, u, row in zip(times, sample.fields, free_flow)
+            (float(t), h2_norm(RadialField(grid, u - row)))
+            for t, u, row in zip(times, sample.values, free_flow)
         ]
 
     scattered = gaps_converging(gaps, h2_norm(u0)) and z_tail < Z_TAIL_THRESHOLD

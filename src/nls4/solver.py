@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import RadialField, boundary_mass
+from .radial import RadialField, SpaceTimeSample, boundary_mass
 from .spectral import SpectralOperator, hdot2_norm
 
 PICARD_ORDER = 8
@@ -79,6 +79,10 @@ class SimulationConfig:
             raise ValueError(f"nonlinearity power must satisfy p > 1, got {self.p}")
         if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
             raise ValueError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ValueError(
+                f"t_end must be a whole number of dt steps, got t_end={self.t_end}, dt={self.dt}"
+            )
         for name, value, ok, rule in (
             ("monitor_stride", self.monitor_stride, self.monitor_stride >= 1, ">= 1"),
             ("snapshot_stride", self.snapshot_stride, self.snapshot_stride >= 0, ">= 0"),
@@ -98,7 +102,7 @@ class TrajectoryRecord:
     energy_series: np.ndarray
     h2dot_series: np.ndarray       # ||Delta u||^2
     boundary_mass_series: np.ndarray
-    snapshots: list[tuple[float, RadialField]]
+    snapshots: SpaceTimeSample     # every snapshot_stride-th monitor and the last step
     status: str                    # ok | boundary_contaminated | blowup_suspected
 
     def mass_drift(self) -> float:
@@ -174,27 +178,32 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """Advance to t_end by splitting, recording monitors every monitor_stride steps.
 
-    Halts early (keeping partial data) on boundary contamination or suspected
-    blow-up.  `forcing` is an optional callable t -> values adding the
-    inhomogeneous term of the perturbed equation; it enters through a
-    midpoint-propagated source, preserving second order.  With lam == 0 and
-    no forcing the flow is linear, and each monitor state is e^{itH} u0
-    itself, taken from u0's modal coefficients without stepping.
+    Every snapshot_stride-th monitor and the last step are also kept, as the
+    rows of one (S, N) SpaceTimeSample.  Halts early (keeping partial data)
+    on boundary contamination or suspected blow-up.  `forcing` is an optional
+    callable t -> values adding the inhomogeneous term of the perturbed
+    equation; it enters through a midpoint-propagated source, preserving
+    second order.  With lam == 0 and no forcing the flow is linear, and each
+    monitor state is e^{itH} u0 itself, taken from u0's modal coefficients
+    without stepping.
     """
     grid = u0.grid
     v_pot = op_full.potential_values
     mu = op_full.eigenvalues
     dt, half = cfg.dt, cfg.dt / 2.0
     exact = cfg.lam == 0.0 and forcing is None
-    if exact:
-        coeffs0 = op_full.to_modal(u0.values)
-    else:
-        prop = step_propagator(op_full, dt)
-        half_prop = step_propagator(op_full, half) if forcing is not None else None
-
     num_steps = int(round(cfg.t_end / dt))
+    monitor_steps = [*range(cfg.monitor_stride, num_steps, cfg.monitor_stride), num_steps]
+    snap_every = cfg.monitor_stride * cfg.snapshot_stride
+    snap_steps = [
+        step for step in (0, *monitor_steps)
+        if cfg.snapshot_stride and (step % snap_every == 0 or step == num_steps)
+    ]
+    # one row per snapshot, allocated once; a halted run leaves the tail unwritten
+    snap_times = np.empty(len(snap_steps))
+    snap_values = np.empty((len(snap_steps), grid.num_points), dtype=complex)
+    num_snaps = 0
     times, masses, energies, h2dots, bmasses = [], [], [], [], []
-    snapshots: list[tuple[float, RadialField]] = []
 
     values = u0.values.copy()
     m0 = mass(u0)
@@ -202,6 +211,7 @@ def run_trajectory(
 
     def record(step: int, t: float) -> str | None:
         """Append monitors of `values`; returns why the run must halt, or None."""
+        nonlocal num_snaps
         u = RadialField(grid, values)
         times.append(t)
         masses.append(mass(u))
@@ -210,10 +220,10 @@ def run_trajectory(
         h2dots.append(h2)
         bm = boundary_mass(u)
         bmasses.append(bm)
-        if cfg.snapshot_stride and (
-            step % (cfg.monitor_stride * cfg.snapshot_stride) == 0 or step == num_steps
-        ):
-            snapshots.append((t, u.copy()))
+        if num_snaps < len(snap_steps) and snap_steps[num_snaps] == step:
+            snap_times[num_snaps] = t
+            snap_values[num_snaps] = values
+            num_snaps += 1
         if not np.isfinite(h2) or (e2_0 > 0 and h2 > cfg.blowup_factor * e2_0):
             return "blowup_suspected"
         if bm > cfg.boundary_threshold * m0:
@@ -238,8 +248,14 @@ def run_trajectory(
         return values
 
     halt = record(0, 0.0)
+    if halt is None:  # a run that halts at t = 0 builds no propagator
+        if exact:
+            coeffs0 = op_full.to_modal(u0.values)
+        else:
+            prop = step_propagator(op_full, dt)
+            half_prop = step_propagator(op_full, half) if forcing is not None else None
     done = 0
-    for step in [*range(cfg.monitor_stride, num_steps, cfg.monitor_stride), num_steps]:
+    for step in monitor_steps:
         if halt is not None:
             break
         t = step * dt
@@ -260,7 +276,10 @@ def run_trajectory(
         energy_series=np.array(energies),
         h2dot_series=np.array(h2dots),
         boundary_mass_series=np.array(bmasses),
-        snapshots=snapshots,
+        snapshots=SpaceTimeSample(
+            grid, snap_times[:num_snaps], snap_values[:num_snaps],
+            (0.0, snap_times[num_snaps - 1] if num_snaps else 0.0),
+        ),
         status=halt or "ok",
     )
 

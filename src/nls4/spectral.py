@@ -11,11 +11,11 @@ the low modes as accurate as the free ones.  A full operator with V == 0
 takes the free route.  Eigenvector signs are canonical: the first component
 of every eigenvector (the node nearest the origin) is positive.
 
-All functions f(H) -- propagators exp(itH), heat maps exp(-tH), fractional
-powers H^{s/4}, resolvents -- are evaluated exactly in the discretization by
-scaling modal coefficients.  |grad|^s is realized as (Delta^2)^{s/4} through
-the free operator's calculus.  The modal transform pair takes batches: it
-transforms each row of an array of shape (..., N) through one matmul.
+Two functions f(H) -- propagators exp(itH) and fractional powers H^{s/4} --
+are evaluated exactly in the discretization by scaling modal coefficients.
+|grad|^s is realized as (Delta^2)^{s/4} through the free operator's
+calculus.  The modal transform pair takes batches: it transforms each row of
+an array of shape (..., N) through one matmul.
 
 An optional little-endian binary cache stores eigendecompositions keyed by
 (kind, n, r_max, N, potential); the same container layout is reused for
@@ -38,7 +38,6 @@ from .radial import RadialField, RadialGrid
 from .reporting import atomic_write_bytes
 
 DEFAULT_EIG_BUDGET = 4096
-RESOLVENT_MARGIN = 1e-12
 
 _CACHE_MAGIC = b"NLS4EIG\x00"
 _FIELD_MAGIC = b"NLS4FLD\x00"
@@ -143,10 +142,6 @@ class SpectralOperator:
     def eigenfield(self, k: int) -> RadialField:
         return RadialField(self.grid, self.eigenvectors[:, k] / self.grid.metric_sqrt)
 
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
-
 
 def build_operator(
     kind: str,
@@ -233,29 +228,16 @@ def _scalar_factors(op: SpectralOperator, func: str, parameter) -> np.ndarray:
     mu = op.eigenvalues
     if func == "exp_it":
         return np.exp(1j * float(parameter) * mu)
-    if func == "exp_minus_t":
-        t = float(parameter)
-        if t < 0:
-            raise SpectralError(f"exp_minus_t requires t >= 0, got {t}")
-        return np.exp(-t * mu)
     if func == "power_s":
         s = float(parameter)
         if not 0.0 <= s <= 4.0:
             raise SpectralError(f"power_s requires s in [0, 4], got {s}")
         return np.maximum(mu, 0.0) ** (s / 4.0)
-    if func == "resolvent_z":
-        z = complex(parameter)
-        gap = np.min(np.abs(mu - z))
-        if gap < RESOLVENT_MARGIN * max(op.spectral_radius, 1.0):
-            raise SpectralError(
-                f"resolvent point z={z} is within {gap} of the discrete spectrum"
-            )
-        return 1.0 / (mu - z)
     raise SpectralError(f"unknown function tag {func!r}")
 
 
 def apply_function(op: SpectralOperator, func: str, parameter, u: RadialField) -> RadialField:
-    """f(H) u via exact modal calculus; func in {exp_it, exp_minus_t, power_s, resolvent_z}."""
+    """f(H) u via exact modal calculus; func in {exp_it, power_s}."""
     _check_field(op, u)
     coeffs = op.to_modal(u.values)
     coeffs = coeffs * _scalar_factors(op, func, parameter)

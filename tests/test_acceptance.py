@@ -141,7 +141,7 @@ def test_criterion_08_oracle_equivalence(op_full):
                                boundary_threshold=1.0)
         rec = run_trajectory(u0, op_full, cfg)
         assert rec.status == "ok"
-        constants[dt] = l2_norm(rec.snapshots[-1][1] - reference) / dt**2
+        constants[dt] = l2_norm(RadialField(grid, rec.snapshots.values[-1]) - reference) / dt**2
     spread = max(constants.values()) / min(constants.values())
     verdict = "PASS" if spread <= 1.5 else "FAIL"
     print(f"\nACCEPTANCE  8 oracle_equivalence: {verdict}")

@@ -33,9 +33,14 @@ from nls4.states import random_low_mode_field, soft_lowpass
 from conftest import random_smooth_field
 
 
+def sample_of(times, fields, interval):
+    """The sample whose rows are the values of the given fields."""
+    return SpaceTimeSample(fields[0].grid, times, np.array([f.values for f in fields]), interval)
+
+
 def linear_sample(op, u0, t_grid):
     fields = [apply_function(op, "exp_it", t, u0) for t in t_grid]
-    return SpaceTimeSample(t_grid, fields, (t_grid[0], t_grid[-1]))
+    return sample_of(t_grid, fields, (t_grid[0], t_grid[-1]))
 
 
 class TestAdmissibility:
@@ -66,14 +71,14 @@ class TestSpaceTimeNorms:
 
     def test_zero_sample_vanishes(self, grid, op_free):
         ts = np.linspace(0, 1, 6)
-        sample = SpaceTimeSample(ts, [zero_field(grid) for _ in ts], (0.0, 1.0))
+        sample = sample_of(ts, [zero_field(grid) for _ in ts], (0.0, 1.0))
         for which in ("M", "W", "Z", "N"):
             assert spacetime_norm(sample, which, op_free) == 0.0
 
     def test_time_constant_field_separates(self, grid, op_free, rng):
         u = random_smooth_field(grid, rng)
         ts = np.linspace(0, 2, 9)
-        sample = SpaceTimeSample(ts, [u.copy() for _ in ts], (0.0, 2.0))
+        sample = sample_of(ts, [u.copy() for _ in ts], (0.0, 2.0))
         q, r = spacetime_exponents("Z", 5)
         expected = 2.0 ** (1.0 / float(q)) * lp_norm(u, float(r))
         assert spacetime_norm(sample, "Z") == pytest.approx(expected, rel=1e-12)
@@ -81,8 +86,8 @@ class TestSpaceTimeNorms:
     def test_homogeneity_and_positivity(self, grid, op_free, rng):
         u = random_smooth_field(grid, rng)
         ts = np.linspace(0, 1, 6)
-        sample = SpaceTimeSample(ts, [u.copy() for _ in ts], (0.0, 1.0))
-        double = SpaceTimeSample(ts, [2.0 * u for _ in ts], (0.0, 1.0))
+        sample = sample_of(ts, [u.copy() for _ in ts], (0.0, 1.0))
+        double = sample_of(ts, [2.0 * u for _ in ts], (0.0, 1.0))
         for which in ("M", "W", "Z", "N"):
             base = spacetime_norm(sample, which, op_free)
             assert base > 0
@@ -92,7 +97,7 @@ class TestSpaceTimeNorms:
 
     def test_too_few_samples_rejected(self, grid, rng):
         ts = np.array([0.0, 0.5, 1.0])
-        sample = SpaceTimeSample(ts, [random_smooth_field(grid, rng) for _ in ts], (0, 1))
+        sample = sample_of(ts, [random_smooth_field(grid, rng) for _ in ts], (0, 1))
         with pytest.raises(ResolutionError):
             spacetime_norm(sample, "Z")
 
@@ -301,14 +306,14 @@ class TestLocalizedMassRate:
         cfg = SimulationConfig(lam=0.0, p=9.0, dt=2e-3, t_end=0.6, monitor_stride=10,
                                snapshot_stride=1, boundary_threshold=1.0)
         rec = run_trajectory(packet, op, cfg)
-        return analysis.sample_from_trajectory(rec)
+        return rec.snapshots
 
     def test_stationary_eigenmode_rate_vanishes(self, op_full):
         mode = op_full.eigenfield(2)
         cfg = SimulationConfig(lam=0.0, p=9.0, dt=1e-2, t_end=0.5, monitor_stride=5,
                                snapshot_stride=1, boundary_threshold=1.0)
         rec = run_trajectory(mode, op_full, cfg)
-        sample = analysis.sample_from_trajectory(rec)
+        sample = rec.snapshots
         rep = localized_mass_rate_check(sample, 2.0)
         assert rep.max_abs_rate <= 1e-8 * mass(mode) / 0.05
 
@@ -316,7 +321,8 @@ class TestLocalizedMassRate:
         sample = self._moving_packet_sample(op_full)
         rep = localized_mass_rate_check(sample, 1.2 * op_full.grid.r_max)
         dt_snap = float(np.min(np.diff(sample.times)))
-        assert rep.max_abs_rate <= 1e-8 * mass(sample.fields[0]) / dt_snap
+        total = mass(RadialField(sample.grid, sample.values[0]))
+        assert rep.max_abs_rate <= 1e-8 * total / dt_snap
 
     def test_constant_stable_across_radius_doubling(self, op_full):
         sample = self._moving_packet_sample(op_full)
@@ -334,7 +340,7 @@ class TestLocalizedMassRate:
         beat = op_full.eigenvalues[6] - op_full.eigenvalues[0]
         times = np.arange(12) * (0.25 * 2 * np.pi / beat)
         fields = [apply_function(op_full, "exp_it", t, u) for t in times]
-        sample = SpaceTimeSample(times, fields, (times[0], times[-1]))
+        sample = sample_of(times, fields, (times[0], times[-1]))
         with pytest.raises(ResolutionError):
             localized_mass_rate_check(sample, 2.0)
 
@@ -347,7 +353,7 @@ class TestLocalizedMassRate:
             RadialField(mode.grid, mode.values * (1.0 + 1e-16 * rng.standard_normal()))
             for _ in times
         ]
-        sample = SpaceTimeSample(times, fields, (times[0], times[-1]))
+        sample = sample_of(times, fields, (times[0], times[-1]))
         rep = localized_mass_rate_check(sample, 2.0)
         assert rep.empirical_constant == 0.0
 
@@ -357,7 +363,7 @@ class TestLocalizedMassRate:
         beat = op_full.eigenvalues[6] - op_full.eigenvalues[0]
         times = np.arange(12) * (0.3 * 2 * np.pi / beat)
         sample = linear_sample(op_full, u, times)
-        masses = [localized_mass(f, 2.0) for f in sample.fields]
+        masses = [localized_mass(RadialField(sample.grid, row), 2.0) for row in sample.values]
         floor = 1e-12 * mass(u) / (times[1] - times[0])
         assert np.ptp(masses) / (times[2] - times[0]) > 1e6 * floor
         with pytest.raises(ResolutionError):
@@ -368,9 +374,7 @@ class TestLocalizedMassRate:
         sample = self._moving_packet_sample(op_full)
         fwd = localized_mass_rate_check(sample, 4.0).empirical_constant
         rev = SpaceTimeSample(
-            sample.times,
-            [RadialField(f.grid, np.conj(f.values)) for f in sample.fields[::-1]],
-            sample.interval,
+            sample.grid, sample.times, np.conj(sample.values[::-1]), sample.interval
         )
         bwd = localized_mass_rate_check(rev, 4.0).empirical_constant
         assert bwd <= fwd * 1.001
@@ -383,18 +387,18 @@ class TestMorawetz:
         cfg = SimulationConfig(lam=lam, p=9.0, dt=2e-3, t_end=t_end, monitor_stride=5,
                                snapshot_stride=1, boundary_threshold=1.0)
         rec = run_trajectory(u0, op, cfg)
-        return analysis.sample_from_trajectory(rec)
+        return rec.snapshots
 
     def test_zero_solution_trivial(self, grid):
         ts = np.linspace(0, 1, 8)
-        sample = SpaceTimeSample(ts, [zero_field(grid) for _ in ts], (0.0, 1.0))
+        sample = sample_of(ts, [zero_field(grid) for _ in ts], (0.0, 1.0))
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-3, t_end=1.0)
         rep = morawetz_check(sample, 1.0, cfg)
         assert rep.lhs == 0.0
 
     def test_non_critical_power_rejected(self, grid, rng):
         ts = np.linspace(0, 1, 8)
-        sample = SpaceTimeSample(ts, [random_smooth_field(grid, rng) for _ in ts], (0, 1))
+        sample = sample_of(ts, [random_smooth_field(grid, rng) for _ in ts], (0, 1))
         cfg = SimulationConfig(lam=1.0, p=3.0, dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
             morawetz_check(sample, 1.0, cfg)

@@ -71,6 +71,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="dt"):
             load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("dt", ["0.4", "0.3"])
+    def test_t_end_off_the_step_grid_rejected(self, tmp_path, dt):
+        # the run would stop at 0.8 or 0.9 and still report status ok
+        text = MINIMAL + f"\n[simulation]\ndt = {dt}\nt_end = 1.0\n"
+        with pytest.raises(ConfigError, match=f"t_end=1.0, dt={dt}"):
+            load_config(write(tmp_path, text))
+
     @pytest.mark.parametrize(
         "key, value",
         [

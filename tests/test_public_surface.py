@@ -9,7 +9,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from nls4 import analysis, experiments, reporting, solver, spectral
+import numpy as np
+
+from nls4 import analysis, experiments, radial, reporting, solver, spectral
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,3 +55,13 @@ def test_names_the_benchmark_calls():
         assert callable(getattr(reporting, name))
     # the step counter reads cfg by keyword or as the third positional argument
     assert list(inspect.signature(solver.run_trajectory).parameters)[2] == "cfg"
+
+
+def test_trajectory_record_has_times():
+    # the step counter adds round(record.times[-1] / cfg.dt) per run
+    grid = radial.make_grid(5, 16.0, 64)
+    op = spectral.build_operator("free", grid)
+    u0 = radial.RadialField(grid, np.exp(-grid.nodes**2).astype(complex))
+    cfg = solver.SimulationConfig(lam=1.0, p=9.0, dt=1e-2, t_end=0.1, boundary_threshold=1.0)
+    record = solver.run_trajectory(u0, op, cfg)
+    assert round(record.times[-1] / cfg.dt) == 10

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nls4.radial import (
     GridError,
     RadialField,
+    SpaceTimeSample,
     localized_mass,
     lp_norm,
     lp_norm_values,
@@ -215,6 +216,33 @@ class TestCutoffAndLocalizedMass:
             for radius in (0.5, 1.0, 2.0, 4.0):
                 ratios.append(localized_mass(u, radius) / (h2 * radius**4))
         assert max(ratios) <= 5.0
+
+
+class TestSpaceTimeSample:
+    def test_rejects_malformed(self, grid, rng):
+        times = np.linspace(0.0, 1.0, 4)
+        values = np.array([random_smooth_field(grid, rng).values for _ in times])
+        SpaceTimeSample(grid, times, values, (0.0, 1.0))
+        bad_value = values.copy()
+        bad_value[2, 5] = np.inf
+        for args in (
+            (times[:3], values, (0.0, 1.0)),
+            (times, values[:, 1:], (0.0, 1.0)),
+            (times, bad_value, (0.0, 1.0)),
+            (times[::-1], values, (0.0, 1.0)),
+            (times, values, (0.0, 0.5)),
+        ):
+            with pytest.raises(ValueError):
+                SpaceTimeSample(grid, *args)
+
+    def test_restricted_and_decimated_keep_rows(self, grid, rng):
+        times = np.linspace(0.0, 1.0, 5)
+        values = np.array([random_smooth_field(grid, rng).values for _ in times])
+        sample = SpaceTimeSample(grid, times, values, (0.0, 1.0))
+        sub = sample.restricted(0.25, 0.75)
+        assert np.array_equal(sub.times, times[1:4]) and sub.interval == (0.25, 0.75)
+        assert np.array_equal(sub.values, values[1:4])
+        assert np.array_equal(sample.decimated(2).values, values[::2])
 
 
 class TestRadialField:

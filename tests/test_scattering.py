@@ -86,7 +86,7 @@ class TestExtraction:
     def test_linear_flow_degenerate(self, op_full, op_free):
         u0 = smooth_state(op_full, amp=0.8)
         rec, cfg = run_with_snapshots(op_full, u0, lam=0.0)
-        report = extract_scattering_state(rec, op_full, op_free, cfg)
+        report = extract_scattering_state(rec.snapshots, op_full, op_free, cfg)
         scale = max(h2_norm(u0), 1.0)
         gaps = np.array([g for _, g in report.cauchy_series])
         assert np.max(gaps) <= 1e-9 * scale
@@ -96,7 +96,7 @@ class TestExtraction:
     def test_v_mass_invariance(self, op_full, op_free):
         u0 = smooth_state(op_full, amp=1.5)
         rec, cfg = run_with_snapshots(op_full, u0)
-        report = extract_scattering_state(rec, op_full, op_free, cfg)
+        report = extract_scattering_state(rec.snapshots, op_full, op_free, cfg)
         # e^{-itH} is unitary, so the extracted state keeps the run's mass
         assert report.mass_identity_gap <= 1e-10
 
@@ -108,10 +108,10 @@ class TestExtraction:
         moves = []
         deltas = (1e-3, 1e-4)
         base_rec, cfg = run_with_snapshots(op_full, u0, t_end=0.5)
-        base = extract_scattering_state(base_rec, op_full, op_free, cfg)
+        base = extract_scattering_state(base_rec.snapshots, op_full, op_free, cfg)
         for d in deltas:
             rec, _ = run_with_snapshots(op_full, u0 + d * direction, t_end=0.5)
-            rep = extract_scattering_state(rec, op_full, op_free, cfg)
+            rep = extract_scattering_state(rec.snapshots, op_full, op_free, cfg)
             moves.append(h2_norm(rep.u_plus - base.u_plus))
         slope = np.log(moves[0] / moves[1]) / np.log(deltas[0] / deltas[1])
         assert slope == pytest.approx(1.0, abs=0.3)
@@ -135,7 +135,10 @@ class TestExtraction:
                                snapshot_stride=2, boundary_threshold=1e-5)
         rec = run_trajectory(u0, op, cfg)
         assert rec.status == "ok"
-        lookup = {round(t, 6): f for t, f in rec.snapshots}
+        snaps = rec.snapshots
+        lookup = {
+            round(t, 6): RadialField(op.grid, row) for t, row in zip(snaps.times, snaps.values)
+        }
 
         def v_at(t):
             return apply_function(op, "exp_it", -t, lookup[round(t, 6)])
@@ -156,8 +159,8 @@ class TestFinalState:
     def test_round_trip_closes_to_picard_tolerance(self, op_full, op_free):
         u0 = smooth_state(op_full, amp=2.0)
         rec, cfg = run_with_snapshots(op_full, u0, t_end=1.0)
-        report = extract_scattering_state(rec, op_full, op_free, cfg)
-        t_max = rec.snapshots[-1][0]
+        report = extract_scattering_state(rec.snapshots, op_full, op_free, cfg)
+        t_max = rec.snapshots.times[-1]
         t_start = 0.7 * t_max
         sol = duhamel_window(report.u_plus, op_full, cfg, t_start, t_max, backward=True)
         u_end = duhamel_window(sol.final_field, op_full, cfg, t_start, t_max).final_field
@@ -168,11 +171,11 @@ class TestFinalState:
         # re-evolving the backward solution forward lands near the actual run
         u0 = smooth_state(op_full, amp=1.0)
         rec, cfg = run_with_snapshots(op_full, u0, t_end=1.0)
-        report = extract_scattering_state(rec, op_full, op_free, cfg)
-        t_max = rec.snapshots[-1][0]
+        report = extract_scattering_state(rec.snapshots, op_full, op_free, cfg)
+        t_max = rec.snapshots.times[-1]
         # the backward endpoint is e^{i t_max H} u+ by construction, which is
         # within splitting error of the trajectory's own final state
-        u_run_end = rec.snapshots[-1][1]
+        u_run_end = RadialField(op_full.grid, rec.snapshots.values[-1])
         w_end = apply_function(op_full, "exp_it", t_max, report.u_plus)
         assert l2_norm(w_end - u_run_end) <= 1e-9 * l2_norm(u_run_end)
 

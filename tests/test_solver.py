@@ -1,5 +1,6 @@
 """Time evolution: splitting, conservation monitors, and the Picard oracle."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -46,7 +47,7 @@ def strang_final_state(u0, op, dt, t_end):
                            boundary_threshold=1.0)
     rec = run_trajectory(u0, op, cfg)
     assert rec.status == "ok"
-    return rec.snapshots[-1][1]
+    return RadialField(op.grid, rec.snapshots.values[-1])
 
 
 class TestConfig:
@@ -141,20 +142,21 @@ class TestStepPropagator:
             values = op.from_modal(phases * op.to_modal(values))
             values = solver._nonlinear_phase(values, cfg.lam, cfg.p, cfg.dt / 2)
             reference[round(step * cfg.dt, 12)] = values
-        assert len(rec.snapshots) == len(rec.times) > 3
-        for t, u in rec.snapshots[1:]:
+        snaps = rec.snapshots
+        assert snaps.times.size == len(rec.times) > 3
+        for t, u in zip(snaps.times[1:], snaps.values[1:]):
             ref = reference[round(t, 12)]
-            assert np.linalg.norm(u.values - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(u - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_linear_run_is_the_exact_flow(self, op_full):
         u0 = small_gaussian(op_full, amp=0.5)
         cfg = SimulationConfig(lam=0.0, p=9.0, dt=1e-2, t_end=0.5, monitor_stride=5,
                                snapshot_stride=1, boundary_threshold=1.0)
         rec = run_trajectory(u0, op_full, cfg)
-        assert np.array_equal(rec.snapshots[0][1].values, u0.values)
+        assert np.array_equal(rec.snapshots.values[0], u0.values)
         exact = evolve(op_full, u0.values, rec.times[1:])
-        for (t, u), row in zip(rec.snapshots[1:], exact, strict=True):
-            assert np.linalg.norm(u.values - row) <= 1e-14 * np.linalg.norm(row)
+        for u, row in zip(rec.snapshots.values[1:], exact, strict=True):
+            assert np.linalg.norm(u - row) <= 1e-14 * np.linalg.norm(row)
 
     def test_same_bits_at_one_and_two_blas_threads(self):
         script = (
@@ -248,8 +250,39 @@ class TestRunTrajectory:
         cfg = SimulationConfig(lam=0.0, p=9.0, dt=1e-2, t_end=0.5, monitor_stride=5,
                                snapshot_stride=2, boundary_threshold=1.0)
         rec = run_trajectory(u0, op_full, cfg)
-        assert len(rec.snapshots) >= 4
-        assert rec.snapshots[0][0] == 0.0
+        assert rec.snapshots.times.size >= 4
+        assert rec.snapshots.times[0] == 0.0
+
+    def test_snapshots_are_one_array_ending_at_the_last_step(self, small_op_full):
+        op = small_op_full
+        u0 = small_gaussian(op, amp=1.3, width=2.5, xi_cut=1.6)
+        cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=0.2, monitor_stride=7,
+                               snapshot_stride=2, boundary_threshold=1.0)
+        rec = run_trajectory(u0, op, cfg)
+        snaps = rec.snapshots
+        # every 14th step, then step 100, which is off that grid
+        steps = [*range(0, 100, 14), 100]
+        assert isinstance(snaps.values, np.ndarray) and snaps.values.dtype == complex
+        assert snaps.values.shape == (len(steps), op.grid.num_points)
+        assert np.array_equal(snaps.times, np.array(steps) * cfg.dt)
+        final = run_trajectory(u0, op, dataclasses.replace(cfg, monitor_stride=100))
+        last = final.snapshots.values[-1]
+        assert np.linalg.norm(snaps.values[-1] - last) <= 1e-12 * np.linalg.norm(last)
+
+    def test_halt_at_t0_builds_no_propagator(self, monkeypatch):
+        grid = make_grid(5, 20.0, 64)
+        op = build_operator("free", grid)
+
+        def no_propagator(*args):
+            raise AssertionError("step propagator built for a run halted at t = 0")
+
+        monkeypatch.setattr(solver, "step_propagator", no_propagator)
+        u0 = RadialField(grid, np.ones(grid.num_points, dtype=complex))
+        cfg = SimulationConfig(lam=1.0, p=9.0, dt=0.01, t_end=1.0, snapshot_stride=1)
+        rec = run_trajectory(u0, op, cfg)
+        assert rec.status == "boundary_contaminated"
+        assert np.array_equal(rec.times, [0.0])
+        assert np.array_equal(rec.snapshots.times, [0.0])
 
 
 class TestGaussPanels:

@@ -146,22 +146,6 @@ class TestFunctionalCalculus:
         ip2 = np.sum(grid.metric * u.values * np.conj(hv.values))
         assert abs(ip1 - ip2) <= 1e-10 * abs(ip1)
 
-    def test_heat_map_positivity_proxy(self, op_full, grid):
-        u = RadialField(grid, np.exp(-grid.nodes**2).astype(complex))
-        hu = apply_function(op_full, "exp_minus_t", 0.5, u)
-        assert np.sum(grid.metric * hu.values * np.conj(u.values)).real > 0
-
-    def test_exp_minus_t_rejects_negative_time(self, op_full, grid, rng):
-        with pytest.raises(SpectralError):
-            apply_function(op_full, "exp_minus_t", -0.1, random_smooth_field(grid, rng))
-
-    def test_resolvent_rejects_spectrum(self, op_full, grid, rng):
-        u = random_smooth_field(grid, rng)
-        with pytest.raises(SpectralError):
-            apply_function(op_full, "resolvent_z", op_full.eigenvalues[3], u)
-        out = apply_function(op_full, "resolvent_z", -1.0 + 0.5j, u)
-        assert np.all(np.isfinite(out.values))
-
     def test_grid_mismatch_rejected(self, op_full, rng):
         other = make_grid(5, 20.0, 128)
         with pytest.raises(SpectralError):

@@ -7,10 +7,8 @@ from nls4.radial import boundary_mass
 from nls4.solver import mass
 from nls4.spectral import SpectralOperator, canonical_signs, l2_norm
 from nls4.states import (
-    bandlimited_state,
     fast_escape_state,
     gaussian_packet,
-    lowpass,
     mode_frequencies,
     random_low_mode_field,
     soft_lowpass,
@@ -51,17 +49,6 @@ class TestRandomFields:
 
 
 class TestBandLimiting:
-    def test_lowpass_is_projection(self, op_free, grid):
-        from conftest import random_smooth_field
-
-        u = random_smooth_field(grid, np.random.default_rng(3))
-        once = lowpass(op_free, u, 1.5)
-        twice = lowpass(op_free, once, 1.5)
-        assert np.allclose(once.values, twice.values, rtol=1e-12, atol=1e-14)
-        xi = mode_frequencies(op_free)
-        coeffs = op_free.to_modal(once.values)
-        assert np.max(np.abs(coeffs[xi > 1.5])) <= 1e-12
-
     def test_soft_lowpass_band_and_localization(self, op_free, grid):
         from nls4.radial import RadialField
 
@@ -72,16 +59,6 @@ class TestBandLimiting:
         assert np.max(np.abs(coeffs[xi > 1.3])) <= 1e-12
         # localized synthesis: tail mass tiny on this desk-size grid
         assert boundary_mass(u) <= 1e-4 * mass(u)
-
-    def test_bandlimited_state_localized(self, op_free):
-        u = bandlimited_state(op_free, 1.5)
-        # synthesized wavelet concentrates near the origin
-        peak_region = mass(u) - boundary_mass(u)
-        assert peak_region / mass(u) > 0.999
-
-    def test_empty_band_rejected(self, op_free):
-        with pytest.raises(ValueError):
-            bandlimited_state(op_free, 1e-6)
 
 
 class TestFastEscapeState:
