@@ -4,8 +4,11 @@
 Usage: python scripts/run_all.py [output_dir] [--only kind1,kind2]
 
 Each line gives the verdict, the first 16 hex digits of the sha256 of the
-report body (everything above [provenance]) and the config's time, so the
-digest columns of two runs show whether any report body changed.  The
+report body (everything above [provenance]), the same for the config's
+written files (every file in its output directory but the report: CSVs and
+u_plus.fld, by name and content) and the config's time, so the digest
+columns of two runs show whether any report body or output file changed.
+Give each run its own output directory, as stale files count.  The
 heaviest configs are scattering, decay and wave_operator, in that order.
 Set NLS4_CACHE_DIR to reuse eigendecompositions across invocations.
 """
@@ -28,6 +31,16 @@ ORDER = [
 ]
 
 
+def files_digest(out_dir: Path, report_name: str) -> str:
+    """sha256 over every file in out_dir but the report, by sorted name and content."""
+    sha = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        if path.is_file() and path.name != report_name:
+            sha.update(path.name.encode() + b"\0")
+            sha.update(hashlib.sha256(path.read_bytes()).digest())
+    return sha.hexdigest()[:16]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("output_dir", nargs="?", default="nls4-out")
@@ -44,7 +57,8 @@ def main() -> int:
         elapsed = time.perf_counter() - started
         verdict = report.worst_verdict
         digest = hashlib.sha256(report.body_text().encode()).hexdigest()[:16]
-        print(f"{kind:28s} {verdict.upper():4s}  {digest}  ({elapsed:6.1f}s)")
+        files = files_digest(cfg.output_dir, f"report-{kind}.txt")
+        print(f"{kind:28s} {verdict.upper():4s}  {digest}  {files}  ({elapsed:6.1f}s)")
         if verdict != "pass":
             worst = 1
             for check in report.checks:

@@ -7,14 +7,16 @@ Two independent integrators share the exact spectral propagator:
   u -> exp(i lambda dt |u|^{p-1}) u (|u| is invariant), so a step is half
   rotation / full linear propagator / half rotation.  Both substeps conserve
   the quadrature mass exactly; energy drifts at O(dt^2).  The linear substep
-  is one dense complex matrix P = e^{i dt H} in grid space, built once per
-  run (16 N^2 bytes), so a step is one matrix-vector product.  As rotations
-  commute with each other, the closing half rotation of a step merges with
-  the opening one of the next; the owed half is flushed before every monitor
-  and every forced step.  With lambda = 0 and no forcing nothing is stepped:
-  each monitor state is the exact linear flow e^{itH} u0.  A run halts at the
-  first monitor that suspects blow-up or sees mass at the boundary, and says
-  which.
+  is one dense complex matrix P = e^{i dt H} in grid space (16 N^2 bytes), so
+  a step is one matrix-vector product.  Each operator holds the last P it was
+  asked for, keyed on dt, so runs that share (operator, dt) build it once.
+  A rotation writes cos and sin of its phase into one complex array and
+  multiplies u into it in place.  As rotations commute with each other, the
+  closing half rotation of a step merges with the opening one of the next;
+  the owed half is flushed before every monitor and every forced step.  With
+  lambda = 0 and no forcing nothing is stepped: each monitor state is the
+  exact linear flow e^{itH} u0.  A run halts at the first monitor that
+  suspects blow-up or sees mass at the boundary, and says which.
 
 * A Picard iteration on the integral form
   u(t) = e^{itH} u0 + i lambda int_0^t e^{i(t-s)H} |u|^{p-1} u(s) ds,
@@ -29,16 +31,19 @@ Two independent integrators share the exact spectral propagator:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import RadialField, SpaceTimeSample, boundary_mass
+from .radial import RadialField, SpaceTimeSample
 from .spectral import SpectralOperator, hdot2_norm
 
 PICARD_ORDER = 8
 # rows of the step propagator filled per pair of real products
 _PROPAGATOR_ROWS = 64
+# operator -> ((tau, builder), P): the one step propagator each operator holds
+_HELD_PROPAGATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class SolverError(RuntimeError):
@@ -135,14 +140,24 @@ def energy(u: RadialField, potential: np.ndarray, lam: float, p: float) -> float
 
 
 def _nonlinear_phase(values: np.ndarray, lam: float, p: float, tau: float) -> np.ndarray:
-    """Exact flow of i u_t + lam |u|^{p-1} u = 0 over time tau."""
-    amp = np.abs(values)
+    """Exact flow of i u_t + lam |u|^{p-1} u = 0 over time tau: values * e^{i theta}.
+
+    theta = (lam tau) |u|^{p-1} stays in one real buffer; cos theta and sin
+    theta fill the parts of one complex array, which then takes the product.
+    The product keeps the order values * rot, as complex products are not
+    bitwise commutative.
+    """
+    theta = np.abs(values)
     with np.errstate(over="raise"):
         try:
-            rot = np.exp(1j * lam * tau * amp ** (p - 1.0))
+            theta **= p - 1.0
+            theta *= lam * tau
         except FloatingPointError as exc:
             raise SolverError("overflow in |u|^{p-1}: blow-up suspected") from exc
-    return values * rot
+    rot = np.empty(values.shape, dtype=complex)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    return np.multiply(values, rot, out=rot)
 
 
 def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
@@ -167,6 +182,24 @@ def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
             block /= sqrt_m[rows, None]
             part[rows] = block
     return out
+
+
+def _held_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
+    """step_propagator(op, tau), built once while runs keep asking for this tau.
+
+    Each operator holds at most one P, and the old one is dropped before the
+    next is built.  The key holds the builder, looked up by its module name on
+    every call, so a replaced solver.step_propagator is never bypassed.
+    """
+    key = (tau, step_propagator)
+    held = _HELD_PROPAGATORS.get(op)
+    if held is not None and held[0] == key:
+        return held[1]
+    held = None  # a local reference would keep the old P alive during the build
+    _HELD_PROPAGATORS.pop(op, None)
+    prop = step_propagator(op, tau)
+    _HELD_PROPAGATORS[op] = (key, prop)
+    return prop
 
 
 def run_trajectory(
@@ -208,17 +241,31 @@ def run_trajectory(
     values = u0.values.copy()
     m0 = mass(u0)
     e2_0 = hdot2_norm(u0) ** 2
+    # the weights of mass(), energy() and boundary_mass(), formed as they form them
+    metric = grid.metric
+    metric_v = metric * v_pot
+    edge = grid.boundary_mask()
+    metric_edge = metric[edge]
+    nl_power = (cfg.p + 1) / 2.0
+    nl_coeff = 2.0 * cfg.lam / (cfg.p + 1.0)
 
     def record(step: int, t: float) -> str | None:
-        """Append monitors of `values`; returns why the run must halt, or None."""
+        """Append monitors of `values`; returns why the run must halt, or None.
+
+        One |u|^2 and one ||Delta u||^2 serve every monitor; each sum is the
+        one mass(), energy() or boundary_mass() takes, so the bits agree.
+        """
         nonlocal num_snaps
         u = RadialField(grid, values)
-        times.append(t)
-        masses.append(mass(u))
-        energies.append(energy(u, v_pot, cfg.lam, cfg.p))
+        absu2 = np.abs(values) ** 2
         h2 = hdot2_norm(u) ** 2
+        pot = float(np.sum(metric_v * absu2))
+        nl = float(np.sum(metric * absu2 ** nl_power))
+        times.append(t)
+        masses.append(float(np.sum(metric * absu2)))
+        energies.append(0.5 * (h2 + pot + nl_coeff * nl))
         h2dots.append(h2)
-        bm = boundary_mass(u)
+        bm = float(np.sum(metric_edge * absu2[edge]))
         bmasses.append(bm)
         if num_snaps < len(snap_steps) and snap_steps[num_snaps] == step:
             snap_times[num_snaps] = t
@@ -252,8 +299,8 @@ def run_trajectory(
         if exact:
             coeffs0 = op_full.to_modal(u0.values)
         else:
-            prop = step_propagator(op_full, dt)
-            half_prop = step_propagator(op_full, half) if forcing is not None else None
+            prop = _held_propagator(op_full, dt)
+            half_prop = _held_propagator(op_full, half) if forcing is not None else None
     done = 0
     for step in monitor_steps:
         if halt is not None:

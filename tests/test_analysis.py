@@ -314,12 +314,12 @@ class TestLocalizedMassRate:
                                snapshot_stride=1, boundary_threshold=1.0)
         rec = run_trajectory(mode, op_full, cfg)
         sample = rec.snapshots
-        rep = localized_mass_rate_check(sample, 2.0)
+        rep = localized_mass_rate_check(sample, [2.0])[0]
         assert rep.max_abs_rate <= 1e-8 * mass(mode) / 0.05
 
     def test_saturating_radius_rate_vanishes(self, op_full):
         sample = self._moving_packet_sample(op_full)
-        rep = localized_mass_rate_check(sample, 1.2 * op_full.grid.r_max)
+        rep = localized_mass_rate_check(sample, [1.2 * op_full.grid.r_max])[0]
         dt_snap = float(np.min(np.diff(sample.times)))
         total = mass(RadialField(sample.grid, sample.values[0]))
         assert rep.max_abs_rate <= 1e-8 * total / dt_snap
@@ -327,12 +327,30 @@ class TestLocalizedMassRate:
     def test_constant_stable_across_radius_doubling(self, op_full):
         sample = self._moving_packet_sample(op_full)
         constants = [
-            localized_mass_rate_check(sample, radius).empirical_constant
+            localized_mass_rate_check(sample, [radius])[0].empirical_constant
             for radius in (2.0, 4.0, 8.0)
         ]
         assert all(np.isfinite(constants))
         for a, b in zip(constants, constants[1:]):
             assert 1.0 / 3.0 <= b / a <= 3.0
+
+    def test_many_radii_equal_one_radius_calls(self, op_full):
+        sample = self._moving_packet_sample(op_full)
+        radii = (2.0, 4.0, 8.0, 1.2 * op_full.grid.r_max)
+        reports = localized_mass_rate_check(sample, radii)
+        assert [rep.radius for rep in reports] == list(radii)
+        for radius, rep in zip(radii, reports):
+            (single,) = localized_mass_rate_check(sample, [radius])
+            assert rep.empirical_constant == single.empirical_constant
+            assert rep.max_abs_rate == single.max_abs_rate
+            assert np.array_equal(rep.masses, single.masses)
+            rows = [localized_mass(RadialField(sample.grid, row), radius) for row in sample.values]
+            assert np.array_equal(rep.masses, rows)
+
+    def test_nonpositive_radius_rejected(self, op_full):
+        sample = self._moving_packet_sample(op_full)
+        with pytest.raises(ValueError):
+            localized_mass_rate_check(sample, [2.0, 0.0])
 
     def test_under_resolved_beat_rejected(self, op_full):
         # two-mode beat sampled at a quarter period aliases the rate estimate
@@ -342,7 +360,7 @@ class TestLocalizedMassRate:
         fields = [apply_function(op_full, "exp_it", t, u) for t in times]
         sample = sample_of(times, fields, (times[0], times[-1]))
         with pytest.raises(ResolutionError):
-            localized_mass_rate_check(sample, 2.0)
+            localized_mass_rate_check(sample, [2.0])
 
     def test_roundoff_noise_on_stationary_sample_not_rejected(self, op_full):
         # the stride-halving guard must not compare two rates made of roundoff
@@ -354,7 +372,7 @@ class TestLocalizedMassRate:
             for _ in times
         ]
         sample = sample_of(times, fields, (times[0], times[-1]))
-        rep = localized_mass_rate_check(sample, 2.0)
+        rep = localized_mass_rate_check(sample, [2.0])[0]
         assert rep.empirical_constant == 0.0
 
     def test_under_resolved_rate_above_floor_rejected(self, op_full):
@@ -367,16 +385,16 @@ class TestLocalizedMassRate:
         floor = 1e-12 * mass(u) / (times[1] - times[0])
         assert np.ptp(masses) / (times[2] - times[0]) > 1e6 * floor
         with pytest.raises(ResolutionError):
-            localized_mass_rate_check(sample, 2.0)
+            localized_mass_rate_check(sample, [2.0])
 
     def test_time_reversal_does_not_increase_constant(self, op_full):
         # linear flow from real data: |u| of the reversed run mirrors forward
         sample = self._moving_packet_sample(op_full)
-        fwd = localized_mass_rate_check(sample, 4.0).empirical_constant
+        fwd = localized_mass_rate_check(sample, [4.0])[0].empirical_constant
         rev = SpaceTimeSample(
             sample.grid, sample.times, np.conj(sample.values[::-1]), sample.interval
         )
-        bwd = localized_mass_rate_check(rev, 4.0).empirical_constant
+        bwd = localized_mass_rate_check(rev, [4.0])[0].empirical_constant
         assert bwd <= fwd * 1.001
 
 

@@ -61,6 +61,38 @@ def flipped_nonlinear_sign(monkeypatch):
     monkeypatch.setattr(solver, "_nonlinear_phase", flipped)
 
 
+def non_unitary_rotation(monkeypatch):
+    original = solver._nonlinear_phase
+
+    def scaled(values, lam, p, tau):
+        return original(values, lam, p, tau) * DEFECT
+
+    monkeypatch.setattr(solver, "_nonlinear_phase", scaled)
+
+
+def lie_splitting(monkeypatch):
+    # u -> P R(dt) u, first order: the opening half rotation of each stretch
+    # between monitors becomes a whole one and the flush of the owed half
+    # before the monitor is dropped.  In an unforced run the half rotations
+    # alternate between the two, and run_trajectory tells the rotation its dt.
+    phase, run = solver._nonlinear_phase, solver.run_trajectory
+    state = {}
+
+    def run_lie(u0, op, cfg, **kwargs):
+        state.update(dt=cfg.dt, opening=True)
+        return run(u0, op, cfg, **kwargs)
+
+    def lie(values, lam, p, tau):
+        if tau == state["dt"]:
+            return phase(values, lam, p, tau)
+        opening = state["opening"]
+        state["opening"] = not opening
+        return phase(values, lam, p, 2.0 * tau) if opening else values.copy()
+
+    monkeypatch.setattr(solver, "run_trajectory", run_lie)
+    monkeypatch.setattr(solver, "_nonlinear_phase", lie)
+
+
 def non_unitary_step_propagator(monkeypatch):
     original = solver.step_propagator
     monkeypatch.setattr(solver, "step_propagator", lambda op, tau: original(op, tau) * DEFECT)
@@ -74,6 +106,8 @@ def non_unitary_step_propagator(monkeypatch):
         ("final_state", "linear_case_exact", non_unitary_exp_it),
         ("conservation", "energy_drift", flipped_nonlinear_sign),
         ("conservation", "mass_drift", non_unitary_step_propagator),
+        ("conservation", "mass_drift", non_unitary_rotation),
+        ("conservation", "energy_drift_halving_ratio", lie_splitting),
     ],
     ids=lambda v: v.__name__ if callable(v) else v,
 )

@@ -1,8 +1,10 @@
 """Time evolution: splitting, conservation monitors, and the Picard oracle."""
 
 import dataclasses
+import gc
 import math
 import os
+import weakref
 import subprocess
 import sys
 import tracemalloc
@@ -12,8 +14,10 @@ import numpy as np
 import pytest
 
 from nls4 import solver
+from nls4.config import load_config
+from nls4.experiments import run_experiment
 from nls4.potentials import example_potential
-from nls4.radial import RadialField, make_grid, zero_field
+from nls4.radial import RadialField, boundary_mass, make_grid, zero_field
 from nls4.solver import (
     GaussPanels,
     PicardNonContraction,
@@ -25,10 +29,12 @@ from nls4.solver import (
     run_trajectory,
     step_propagator,
 )
-from nls4.spectral import apply_function, build_operator, evolve, l2_norm
+from nls4.spectral import apply_function, build_operator, evolve, hdot2_norm, l2_norm
 from nls4.states import soft_lowpass
 
 from conftest import random_smooth_field
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 OMEGA_4 = 8.0 * math.pi**2 / 3.0
 # (1/2) omega_4 int (4r^2 - 10)^2 exp(-2 r^2) r^4 dr = 35 sqrt(2) pi^{5/2} / 16
@@ -116,6 +122,84 @@ class TestStrangStep:
 
         gaps = {dt: l2_norm(final(dt) - final(dt / 2)) for dt in (1e-3, 5e-4)}
         assert gaps[1e-3] / gaps[5e-4] == pytest.approx(4.0, rel=0.2)
+
+
+class TestRotationKernel:
+    @pytest.mark.parametrize("n_points", [192, 384, 512])
+    @pytest.mark.parametrize("p", [1.8, 3.0, 9.0])
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    @pytest.mark.parametrize("tau", [2e-3, 1e-3])
+    def test_equals_reference_bit_for_bit(self, n_points, p, lam, tau):
+        # amplitudes from 1e-3 to 1e2, so theta runs from roundoff to large arguments
+        rng = np.random.default_rng(n_points)
+        scale = np.logspace(-3.0, 2.0, n_points)
+        values = scale * (rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points))
+        before = values.copy()
+        reference = values * np.exp(1j * lam * tau * np.abs(values) ** (p - 1.0))
+        out = solver._nonlinear_phase(values, lam, p, tau)
+        assert out.tobytes() == reference.tobytes()
+        assert np.array_equal(values, before)
+
+    def test_overflow_raises_solver_error(self):
+        values = np.full(64, 1e200 + 0j)
+        with pytest.raises(solver.SolverError):
+            solver._nonlinear_phase(values, 1.0, 9.0, 1e-3)
+
+    def test_monitors_equal_the_reference_functions(self, small_op_full):
+        op = small_op_full
+        u0 = small_gaussian(op, amp=1.3, width=2.5, xi_cut=1.6)
+        cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=0.2, monitor_stride=5,
+                               snapshot_stride=1, boundary_threshold=1.0)
+        rec = run_trajectory(u0, op, cfg)
+        assert rec.status == "ok" and rec.snapshots.times.size == rec.times.size
+        for k, row in enumerate(rec.snapshots.values):
+            u = RadialField(op.grid, row)
+            assert rec.energy_series[k] == energy(u, op.potential_values, cfg.lam, cfg.p)
+            assert rec.mass_series[k] == mass(u)
+            assert rec.h2dot_series[k] == hdot2_norm(u) ** 2
+            assert rec.boundary_mass_series[k] == boundary_mass(u)
+
+
+class TestHeldPropagator:
+    @staticmethod
+    def counting(monkeypatch):
+        built = []
+        original = solver.step_propagator
+
+        def build(op, tau):
+            prop = original(op, tau)
+            built.append((tau, weakref.ref(prop)))
+            return prop
+
+        monkeypatch.setattr(solver, "step_propagator", build)
+        return built
+
+    def test_subcritical_cases_build_one_propagator(self, monkeypatch, tmp_path):
+        # five runs on one operator at one dt
+        built = self.counting(monkeypatch)
+        cfg = load_config(CONFIG_DIR / "subcritical_global_cases.cfg")
+        cfg.output_dir = tmp_path
+        report = run_experiment(cfg)
+        assert report.worst_verdict == "pass"
+        assert len(built) == 1
+
+    def test_second_tau_drops_the_first(self, monkeypatch):
+        built = self.counting(monkeypatch)
+        grid = make_grid(5, 20.0, 64)
+        op = build_operator("free", grid)
+        u0 = small_gaussian(op, amp=0.5)
+        cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-2, t_end=0.1, boundary_threshold=1.0)
+        half = dataclasses.replace(cfg, dt=5e-3)
+        run_trajectory(u0, op, cfg)
+        run_trajectory(u0, op, cfg)
+        assert [tau for tau, _ in built] == [1e-2]
+        run_trajectory(u0, op, half)
+        gc.collect()
+        assert [tau for tau, _ in built] == [1e-2, 5e-3]
+        assert built[0][1]() is None and built[1][1]() is not None
+        # keyed on tau: back at the first dt, P is built again
+        run_trajectory(u0, op, cfg)
+        assert [tau for tau, _ in built] == [1e-2, 5e-3, 1e-2]
 
 
 class TestStepPropagator:
