@@ -8,9 +8,10 @@ report body (everything above [provenance]), the same for the config's
 written files (every file in its output directory but the report: CSVs and
 u_plus.fld, by name and content) and the config's time, so the digest
 columns of two runs show whether any report body or output file changed.
-Give each run its own output directory, as stale files count.  The
-heaviest configs are scattering, decay and wave_operator, in that order.
-Set NLS4_CACHE_DIR to reuse eigendecompositions across invocations.
+The last line digests all body digests and all file digests in run order,
+so two runs of the same configs compare on one line.  Give each run its own
+output directory, as stale files count.  The heaviest configs are
+scattering, decay and wave_operator, in that order.
 """
 
 import argparse
@@ -49,6 +50,7 @@ def main() -> int:
 
     kinds = args.only.split(",") if args.only else ORDER
     worst = 0
+    bodies, outputs = hashlib.sha256(), hashlib.sha256()
     for kind in kinds:
         cfg = load_config(CONFIG_DIR / f"{kind}.cfg")
         cfg.output_dir = Path(args.output_dir) / kind
@@ -58,12 +60,16 @@ def main() -> int:
         verdict = report.worst_verdict
         digest = hashlib.sha256(report.body_text().encode()).hexdigest()[:16]
         files = files_digest(cfg.output_dir, f"report-{kind}.txt")
+        bodies.update(digest.encode())
+        outputs.update(files.encode())
         print(f"{kind:28s} {verdict.upper():4s}  {digest}  {files}  ({elapsed:6.1f}s)")
         if verdict != "pass":
             worst = 1
             for check in report.checks:
                 if check.verdict == "fail":
                     print(f"    {check.line()}")
+    label = f"all {len(kinds)} configs"
+    print(f"{label:33s}  {bodies.hexdigest()[:16]}  {outputs.hexdigest()[:16]}")
     return worst
 
 

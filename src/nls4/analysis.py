@@ -363,10 +363,13 @@ class MorawetzReport:
 
 def morawetz_check(
     sample: SpaceTimeSample,
-    k_parameter: float,
+    k_values,
     cfg: SimulationConfig,
-) -> MorawetzReport:
-    """Weighted space-time nonlinearity inside |x| <= K |I|^{1/4} vs its bound."""
+) -> list[MorawetzReport]:
+    """Weighted space-time nonlinearity inside |x| <= K |I|^{1/4} vs its bound, per K.
+
+    sup_I (E + E^{2#/2}) does not depend on K, so it is computed once.
+    """
     grid = sample.grid
     n = grid.dimension
     p_crit = critical_exponent(n)
@@ -376,17 +379,20 @@ def morawetz_check(
         )
     two_sharp = p_crit + 1.0
     length = sample.length
-    ball = k_parameter * length**0.25
-    # nodes increase, so the ball is a leading slice: each row stays contiguous
-    # and sums in the order one field's sum takes
-    inside = slice(0, np.searchsorted(grid.nodes, ball, side="right"))
-    weights = grid.metric[inside] / grid.nodes[inside]
-    density = np.sum(weights * np.abs(sample.values[:, inside]) ** two_sharp, axis=-1)
     sup_e_hat = 0.0
     for row in sample.values:
         e = hdot2_norm(RadialField(grid, row)) ** 2
         sup_e_hat = max(sup_e_hat, e + e ** (two_sharp / 2.0))
-    lhs = float(np.trapezoid(density, sample.times))
-    rhs_core = (k_parameter**3 + 1.0 / k_parameter) * sup_e_hat * length**0.75
-    c_emp = lhs / rhs_core if rhs_core > 0 else 0.0
-    return MorawetzReport(lhs=lhs, empirical_constant=c_emp)
+    reports = []
+    for k_parameter in k_values:
+        ball = k_parameter * length**0.25
+        # nodes increase, so the ball is a leading slice: each row stays contiguous
+        # and sums in the order one field's sum takes
+        inside = slice(0, np.searchsorted(grid.nodes, ball, side="right"))
+        weights = grid.metric[inside] / grid.nodes[inside]
+        density = np.sum(weights * np.abs(sample.values[:, inside]) ** two_sharp, axis=-1)
+        lhs = float(np.trapezoid(density, sample.times))
+        rhs_core = (k_parameter**3 + 1.0 / k_parameter) * sup_e_hat * length**0.75
+        c_emp = lhs / rhs_core if rhs_core > 0 else 0.0
+        reports.append(MorawetzReport(lhs=lhs, empirical_constant=c_emp))
+    return reports

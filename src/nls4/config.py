@@ -27,21 +27,6 @@ from pathlib import Path
 from .potentials import DEFAULT_DELTA_N, PotentialSpec
 from .solver import SimulationConfig, critical_exponent
 
-EXPERIMENT_KINDS = (
-    "conservation",
-    "decay",
-    "sobolev_equiv",
-    "strichartz",
-    "localized_mass",
-    "morawetz",
-    "small_data_global",
-    "subcritical_global_cases",
-    "perturbation",
-    "wave_operator",
-    "scattering",
-    "final_state",
-)
-
 
 class ConfigError(ValueError):
     pass
@@ -184,6 +169,8 @@ KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
         "shrink_factor": (float, 0.1),
     },
 }
+
+EXPERIMENT_KINDS = tuple(KNOB_SCHEMAS)
 
 _EXPERIMENT_KEYS = {"kind": str.strip, "seed": int, "output_dir": str.strip}
 _GRID_KEYS = {"dimension": int, "r_max": float, "num_points": int}

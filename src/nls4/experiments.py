@@ -52,14 +52,14 @@ class RunContext:
 
     def op_free(self) -> spectral.SpectralOperator:
         if "free" not in self._ops:
-            self._ops["free"] = spectral.load_or_build("free", self.grid)
+            self._ops["free"] = spectral.build_operator("free", self.grid)
         return self._ops["free"]
 
     def op_full(self, spec: potentials.PotentialSpec | None = None):
         spec = spec if spec is not None else self.cfg.potential
-        key = ("full", spec.cache_token())
+        key = ("full", spec)
         if key not in self._ops:
-            self._ops[key] = spectral.load_or_build("full", self.grid, spec)
+            self._ops[key] = spectral.build_operator("full", self.grid, spec)
         return self._ops[key]
 
 
@@ -329,12 +329,11 @@ def run_morawetz(ctx: RunContext):
     rec = solver.run_trajectory(u0, op, sim)
     sample = rec.snapshots
 
-    t0 = knobs["interval_start"]
+    t0, k_values = knobs["interval_start"], knobs["k_values"]
     constants = {}
     for length in knobs["interval_lengths"]:
-        sub = sample.restricted(t0, t0 + length)
-        for k in knobs["k_values"]:
-            rep = analysis.morawetz_check(sub, k, sim)
+        reports = analysis.morawetz_check(sample.restricted(t0, t0 + length), k_values, sim)
+        for k, rep in zip(k_values, reports):
             constants[(k, length)] = rep.empirical_constant
     values = np.array(list(constants.values()))
     positive = values[values > 0]

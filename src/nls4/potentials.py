@@ -70,10 +70,6 @@ class PotentialSpec:
             return -self.c * self.beta * r * (1.0 + r**2) ** (-self.beta / 2.0 - 1.0)
         return -2.0 * self.a * self.c * r * np.exp(-self.a * r**2)
 
-    def cache_token(self) -> str:
-        """Stable string identifying the potential for cache keys."""
-        return f"{self.family}:n={self.dimension}:c={self.c!r}:beta={self.beta!r}:a={self.a!r}"
-
 
 def zero_potential(n: int) -> PotentialSpec:
     return PotentialSpec(family="zero", dimension=n)

@@ -125,7 +125,7 @@ def atomic_write_bytes(path: str | Path, chunks) -> None:
     """Write the byte chunks one after another to a unique temp file, then rename.
 
     The file gets the mode a plain open() would give (0666 less the umask),
-    not mkstemp's 0600, so a shared cache directory stays readable.
+    not mkstemp's 0600, so reports and snapshots stay readable to others.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -382,59 +382,6 @@ class PicardSolution:
     diffs: list[float]             # iterate distance of every sweep
 
 
-def _picard_iterate(
-    op: SpectralOperator,
-    cfg: SimulationConfig,
-    panels: GaussPanels,
-    combine,
-    anchor: np.ndarray,
-) -> tuple[np.ndarray, list[float]]:
-    """Shared fixed-point loop.
-
-    The first iterate is the free flow of the interaction-picture `anchor`,
-    e^{i t mu} anchor at every node, from the same (K, m, N) phase table the
-    sweeps use.  `combine(node_phases, G_nodes, G_total)` maps the
-    interaction-picture cumulative integrals to the next iterate's modal
-    coefficients at the nodes, plus whatever endpoint payload the caller
-    wants; both forward and final-state solves are instances.  Returns the
-    payload of the converged sweep and the iterate distance of every sweep.
-    """
-    mu = op.eigenvalues
-    shape = panels.nodes.shape
-    node_phases = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
-    h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
-
-    coeffs = node_phases * anchor
-    diffs: list[float] = []
-    growth_streak = 0
-    for _ in range(cfg.picard_max_iter):
-        flat = coeffs.reshape(-1, mu.size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_nodes = op.from_modal(flat)
-            g_nodes = np.abs(u_nodes) ** (cfg.p - 1.0) * u_nodes
-            f_modal = op.to_modal(g_nodes).reshape(shape + (mu.size,))
-            g_tilde = np.conj(node_phases) * f_modal
-            g_cum, g_total = panels.cumulative(g_tilde)
-            new_coeffs, payload = combine(node_phases, g_cum, g_total)
-
-        delta = (new_coeffs - coeffs).reshape(-1, mu.size)
-        d = float(np.max(np.linalg.norm(delta * h2_weight, axis=1)))
-        if not np.isfinite(d):
-            raise PicardNonContraction(np.inf)
-        diffs.append(d)
-        coeffs = new_coeffs
-        if d < cfg.picard_tol:
-            return payload, diffs
-        if len(diffs) > 1:
-            growth_streak = growth_streak + 1 if d > diffs[-2] else 0
-            if growth_streak >= 3:
-                raise PicardNonContraction(d / diffs[-2])
-    raise SolverError(
-        f"fixed-point iteration did not reach tol={cfg.picard_tol} in "
-        f"{cfg.picard_max_iter} sweeps (last diff {diffs[-1]:.3g})"
-    )
-
-
 def duhamel_window(
     u: RadialField,
     op: SpectralOperator,
@@ -457,20 +404,47 @@ def duhamel_window(
     panels = GaussPanels(t0, t1, max(1, int(round((t1 - t0) / cfg.dt))))
     mu = op.eigenvalues
     anchor = op.to_modal(u.values)
-    if backward:
-        out_phase = np.exp(1j * mu * t0)
-
-        def combine(node_phases, g_cum, g_total):
-            new_coeffs = node_phases * (anchor - 1j * cfg.lam * (g_total[None, None] - g_cum))
-            return new_coeffs, out_phase * (anchor - 1j * cfg.lam * g_total)
-    else:
+    if not backward:
         anchor = anchor * np.exp(-1j * mu * t0)
-        out_phase = np.exp(1j * mu * t1)
+    shape = panels.nodes.shape
+    node_phases = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
+    h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
 
-        def combine(node_phases, g_cum, g_total):
+    # the first iterate is the free flow of the anchor
+    coeffs = node_phases * anchor
+    diffs: list[float] = []
+    growth_streak = 0
+    for _ in range(cfg.picard_max_iter):
+        flat = coeffs.reshape(-1, mu.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_nodes = op.from_modal(flat)
+            g_nodes = np.abs(u_nodes) ** (cfg.p - 1.0) * u_nodes
+            f_modal = op.to_modal(g_nodes).reshape(shape + (mu.size,))
+            g_cum, g_total = panels.cumulative(np.conj(node_phases) * f_modal)
+            if backward:
+                g_cum -= g_total  # G measured from the anchored end, t1
             new_coeffs = node_phases * (anchor + 1j * cfg.lam * g_cum)
-            return new_coeffs, out_phase * (anchor + 1j * cfg.lam * g_total)
 
-    out_modal, diffs = _picard_iterate(op, cfg, panels, combine, anchor)
+        delta = (new_coeffs - coeffs).reshape(-1, mu.size)
+        d = float(np.max(np.linalg.norm(delta * h2_weight, axis=1)))
+        if not np.isfinite(d):
+            raise PicardNonContraction(np.inf)
+        diffs.append(d)
+        coeffs = new_coeffs
+        if d < cfg.picard_tol:
+            break
+        if len(diffs) > 1:
+            growth_streak = growth_streak + 1 if d > diffs[-2] else 0
+            if growth_streak >= 3:
+                raise PicardNonContraction(d / diffs[-2])
+    else:
+        raise SolverError(
+            f"fixed-point iteration did not reach tol={cfg.picard_tol} in "
+            f"{cfg.picard_max_iter} sweeps (last diff {diffs[-1]:.3g})"
+        )
+
+    # read at the other end: G(t1) - 0 forward, 0 - G(t1) backward
+    t_out, g_out = (t0, -g_total) if backward else (t1, g_total)
+    out_modal = np.exp(1j * mu * t_out) * (anchor + 1j * cfg.lam * g_out)
     factor = diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 0.0
     return PicardSolution(RadialField(u.grid, op.from_modal(out_modal)), len(diffs), factor, diffs)

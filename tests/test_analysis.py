@@ -411,7 +411,7 @@ class TestMorawetz:
         ts = np.linspace(0, 1, 8)
         sample = sample_of(ts, [zero_field(grid) for _ in ts], (0.0, 1.0))
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-3, t_end=1.0)
-        rep = morawetz_check(sample, 1.0, cfg)
+        (rep,) = morawetz_check(sample, [1.0], cfg)
         assert rep.lhs == 0.0
 
     def test_non_critical_power_rejected(self, grid, rng):
@@ -419,26 +419,35 @@ class TestMorawetz:
         sample = sample_of(ts, [random_smooth_field(grid, rng) for _ in ts], (0, 1))
         cfg = SimulationConfig(lam=1.0, p=3.0, dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
-            morawetz_check(sample, 1.0, cfg)
+            morawetz_check(sample, [1.0], cfg)
 
     def test_lhs_monotone_in_k(self, op_full):
         sample = self._critical_sample(op_full)
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=1.0)
-        reports = [morawetz_check(sample, k, cfg) for k in (1.0, 2.0, 4.0)]
+        reports = morawetz_check(sample, [1.0, 2.0, 4.0], cfg)
         lhs = [rep.lhs for rep in reports]
         assert np.all(np.diff(lhs) >= -1e-15)
 
     def test_linear_run_stable_under_interval_doubling(self, op_full):
         sample = self._critical_sample(op_full, lam=0.0)
         cfg = SimulationConfig(lam=0.0, p=9.0, dt=2e-3, t_end=1.0)
-        c_short = morawetz_check(sample.restricted(0.0, 0.5), 2.0, cfg).empirical_constant
-        c_long = morawetz_check(sample, 2.0, cfg).empirical_constant
+        (short,) = morawetz_check(sample.restricted(0.0, 0.5), [2.0], cfg)
+        (long,) = morawetz_check(sample, [2.0], cfg)
+        c_short, c_long = short.empirical_constant, long.empirical_constant
         assert 0.5 <= c_long / c_short <= 2.0
 
     def test_defocusing_constants_bounded_across_k(self, op_full):
         sample = self._critical_sample(op_full)
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=1.0)
         values = [
-            morawetz_check(sample, k, cfg).empirical_constant for k in (1.0, 2.0, 4.0)
+            rep.empirical_constant for rep in morawetz_check(sample, [1.0, 2.0, 4.0], cfg)
         ]
         assert max(values) / min(values) <= 10.0
+
+    def test_k_list_equals_one_k_calls(self, op_full):
+        sample = self._critical_sample(op_full)
+        cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=1.0)
+        ks = [0.5, 1.0, 2.0, 4.0]
+        together = morawetz_check(sample, ks, cfg)
+        alone = [morawetz_check(sample, [k], cfg)[0] for k in ks]
+        assert together == alone

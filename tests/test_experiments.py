@@ -70,19 +70,20 @@ def test_experiment_does_not_mutate_config(tmp_path):
     assert cfg == before
 
 
-@pytest.mark.parametrize("kind", ["conservation", "sobolev_equiv"])
-def test_warm_cache_reproduces_cold_body(kind, tmp_path, monkeypatch):
-    # a loaded eigenbasis must sum in the same order as a freshly built one
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("NLS4_CACHE_DIR", str(cache))
-    bodies = []
-    for run in ("cold", "warm"):
-        cfg = load_config(CONFIG_DIR / f"{kind}.cfg")
+def test_cache_dir_variable_is_ignored(tmp_path, monkeypatch):
+    # operators are always built: the old cache variable writes nothing and moves no digit
+    def body(run):
+        cfg = load_config(CONFIG_DIR / "conservation.cfg")
         cfg.output_dir = tmp_path / run
-        bodies.append(run_experiment(cfg).body_text())
-    assert list(cache.glob("*.eig"))
-    assert bodies[0] == bodies[1]
+        return run_experiment(cfg).body_text()
 
+    monkeypatch.delenv("NLS4_CACHE_DIR", raising=False)
+    unset = body("unset")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("NLS4_CACHE_DIR", str(cache))
+    assert body("set") == unset
+    assert list(cache.iterdir()) == []
 
 
 @pytest.mark.parametrize("shrink, verdict", [(0.1, "pass"), (2.0, "fail")])

@@ -1,6 +1,5 @@
-"""Spectral operators: eigenstructure, functional calculus, caching."""
+"""Spectral operators: eigenstructure, functional calculus, field snapshots."""
 
-import hashlib
 import os
 
 import numpy as np
@@ -21,7 +20,6 @@ from nls4.spectral import (
     hdot2_norm,
     l2_norm,
     laplacian_values,
-    load_or_build,
 )
 
 from conftest import random_smooth_field
@@ -85,9 +83,10 @@ class TestBuildOperator:
     def test_nonneg_potential_keeps_spectrum_nonneg(self, op_full):
         assert np.all(op_full.eigenvalues >= 0)
 
-    def test_budget_rejected(self, grid):
-        with pytest.raises(SpectralError):
-            build_operator("free", grid, eig_budget=128)
+    def test_budget_rejected(self):
+        # rejected before any eigensolve, so the oversized grid costs nothing
+        with pytest.raises(SpectralError, match="num_points=4097 exceeds"):
+            build_operator("free", make_grid(5, 20.0, spectral.EIG_BUDGET + 1))
 
     def test_kind_and_spec_consistency(self, grid):
         with pytest.raises(SpectralError):
@@ -253,67 +252,16 @@ class TestNorms:
 
 
 class TestCacheAndFieldIO:
-    def test_operator_cache_roundtrip(self, grid, tmp_path):
-        spec = example_potential(5)
-        first = load_or_build("full", grid, spec, cache_dir=tmp_path)
-        again = load_or_build("full", grid, spec, cache_dir=tmp_path)
-        assert np.array_equal(first.eigenvalues, again.eigenvalues)
-        assert np.array_equal(first.eigenvectors, again.eigenvectors)
-        assert len(list(tmp_path.glob("*.eig"))) == 1
+    """Operators are not cached (load_operator only raises); fields are saved as .fld."""
 
-    def test_cached_operator_transforms_bitwise(self, grid, tmp_path):
-        # a warm cache must reproduce a cold run's report bodies byte for byte
-        spec = example_potential(5)
-        fresh = load_or_build("full", grid, spec, cache_dir=tmp_path)
-        cached = load_or_build("full", grid, spec, cache_dir=tmp_path)
-        x = random_smooth_field(grid, np.random.default_rng(15)).values
-        assert np.array_equal(fresh.to_modal(x), cached.to_modal(x))
-        assert np.array_equal(fresh.from_modal(x), cached.from_modal(x))
+    def test_cache_stub_raises(self, grid, tmp_path):
+        with pytest.raises(SpectralError, match="cache was removed"):
+            spectral.load_operator(tmp_path / "op.eig", "free", grid, None)
 
-    def test_cache_from_older_solver_not_read(self, grid, tmp_path, monkeypatch):
-        def untagged_key(kind, grid, spec):
-            token = f"{kind}|n={grid.dimension}|N={grid.num_points}|rmax={grid.r_max!r}|none"
-            return hashlib.sha256(token.encode()).digest()[:16]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_operator_key", untagged_key)
-            load_or_build("free", grid, cache_dir=tmp_path)
-        builds = []
-        real_build = spectral.build_operator
-
-        def counting_build(*args, **kwargs):
-            builds.append(args)
-            return real_build(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "build_operator", counting_build)
-        load_or_build("free", grid, cache_dir=tmp_path)
-        assert len(builds) == 1
-        assert len(list(tmp_path.glob("*.eig"))) == 2
-
-    def test_cache_key_separates_potentials(self, grid, tmp_path):
-        load_or_build("full", grid, example_potential(5, c=0.01), cache_dir=tmp_path)
-        load_or_build("full", grid, example_potential(5, c=0.02), cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("*.eig"))) == 2
-
-    def test_cache_env_variable(self, grid, tmp_path, monkeypatch):
-        monkeypatch.setenv("NLS4_CACHE_DIR", str(tmp_path))
-        load_or_build("free", grid)
-        assert len(list(tmp_path.glob("*.eig"))) == 1
-
-    def test_truncated_cache_fails_by_name(self, grid, tmp_path):
-        load_or_build("free", grid, cache_dir=tmp_path)
-        (path,) = tmp_path.glob("*.eig")
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(SpectralError, match=str(path)) as info:
-            load_or_build("free", grid, cache_dir=tmp_path)
-        assert f"expected {len(data)} bytes" in str(info.value)
-        assert f"found {len(data) // 2}" in str(info.value)
-
-    def test_cache_files_get_umask_mode(self, grid, tmp_path):
+    def test_field_files_get_umask_mode(self, grid, rng, tmp_path):
         umask = os.umask(0)
         os.umask(umask)
-        load_or_build("free", grid, cache_dir=tmp_path)
+        spectral.save_field(tmp_path / "state.fld", random_smooth_field(grid, rng))
         (path,) = tmp_path.iterdir()
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
@@ -327,9 +275,12 @@ class TestCacheAndFieldIO:
     def test_truncated_field_fails_by_name(self, grid, rng, tmp_path):
         path = tmp_path / "state.fld"
         spectral.save_field(path, random_smooth_field(grid, rng))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(SpectralError, match=str(path)):
+        data = path.read_bytes()
+        path.write_bytes(data[:-8])
+        with pytest.raises(SpectralError, match=str(path)) as info:
             spectral.load_field(path, grid)
+        assert f"expected {len(data)} bytes" in str(info.value)
+        assert f"found {len(data) - 8}" in str(info.value)
 
     def test_field_io_grid_mismatch(self, grid, rng, tmp_path):
         u = random_smooth_field(grid, rng)
