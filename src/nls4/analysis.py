@@ -33,6 +33,7 @@ from .radial import (
     lp_norm_values,
     smooth_cutoff,
 )
+from . import solver
 from .solver import SimulationConfig, critical_exponent, mass
 from .spectral import (
     SpectralOperator,
@@ -216,25 +217,42 @@ class ModalForcing:
 
 
 def _phase_integral(delta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """int_0^t exp(i delta s) ds on the broadcast grid of delta and t, stable near delta = 0."""
-    small = np.abs(delta * t) < 1e-8
+    """int_0^t exp(i delta s) ds on the broadcast grid of delta and t, stable near delta = 0.
+
+    The closed form is replaced by its series where |delta t| < 1e-8, and
+    the series is evaluated only at those entries.
+    """
+    delta_t = delta * t
+    small = np.abs(delta_t) < 1e-8
+    out = 1j * delta * t
+    np.exp(out, out=out)
+    out -= 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        closed = (np.exp(1j * delta * t) - 1.0) / (1j * delta)
-    return np.where(small, t * (1.0 + 0.5j * delta * t - (delta * t) ** 2 / 6.0), closed)
+        out /= 1j * delta
+    if small.any():
+        d_s = np.broadcast_to(delta, small.shape)[small]
+        t_s = np.broadcast_to(t, small.shape)[small]
+        out[small] = t_s * (1.0 + 0.5j * d_s * t_s - delta_t[small] ** 2 / 6.0)
+    return out
 
 
 def duhamel_solution(
     op: SpectralOperator, u0: RadialField, forcing: ModalForcing | None, times
 ) -> np.ndarray:
-    """u(t_k) = e^{i t_k H} u0 + i int_0^{t_k} e^{i(t_k-s)H} h(s) ds, exact per mode; (T, N)."""
+    """u(t_k) = e^{i t_k H} u0 + i int_0^{t_k} e^{i(t_k-s)H} h(s) ds, exact per mode; (T, N).
+
+    e^{i t_k mu} is held in the operator's "duhamel_phases" slot, so solves
+    at the same times build it once.
+    """
     mu = op.eigenvalues
-    t = np.asarray(times, dtype=float)[:, None]
-    phases = np.exp(1j * mu * t)
+    times = np.asarray(times, dtype=float)
+    phases = op.held("duhamel_phases", solver.phase_table, times)
     coeffs = op.to_modal(u0.values) * phases
     if forcing is not None:
         g_modal = op.to_modal(np.array([g.values for g in forcing.fields]))
+        i_phases = 1j * phases
         for w, g_m in zip(forcing.omegas, g_modal):
-            coeffs = coeffs + 1j * phases * g_m * _phase_integral(w - mu, t)
+            coeffs += i_phases * g_m * _phase_integral(w - mu, times[:, None])
     return op.from_modal(coeffs)
 
 

@@ -8,8 +8,9 @@ Two independent integrators share the exact spectral propagator:
   rotation / full linear propagator / half rotation.  Both substeps conserve
   the quadrature mass exactly; energy drifts at O(dt^2).  The linear substep
   is one dense complex matrix P = e^{i dt H} in grid space (16 N^2 bytes), so
-  a step is one matrix-vector product.  Each operator holds the last P it was
-  asked for, keyed on dt, so runs that share (operator, dt) build it once.
+  a step is one matrix-vector product.  The operator holds the last P it was
+  asked for in its "propagator" slot (SpectralOperator.held), keyed on dt,
+  so runs that share (operator, dt) build it once.
   A rotation writes cos and sin of its phase into one complex array and
   multiplies u into it in place.  As rotations commute with each other, the
   closing half rotation of a step merges with the opening one of the next;
@@ -27,11 +28,16 @@ Two independent integrators share the exact spectral propagator:
   iterate distance raises an error carrying the measured factor (the window
   was too long for the data size).  Run backward from a scattering datum u+,
   the same fixed point gives the final state, the solution scattering to u+.
+  The table e^{i t mu} at the collocation nodes is held in the operator's
+  "node_phases" slot, so windows that share (operator, [t0, t1], dt) build
+  it once.  A sweep forms |u|^{p-1} u, the conj-phase product, the next
+  iterate and its distance in place, each product in the operand order of
+  the expression form (complex products are not bitwise commutative), so
+  the iterates keep their bits and fewer (K, 8, N) arrays live at once.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +48,6 @@ from .spectral import SpectralOperator, hdot2_norm
 PICARD_ORDER = 8
 # rows of the step propagator filled per pair of real products
 _PROPAGATOR_ROWS = 64
-# operator -> ((tau, builder), P): the one step propagator each operator holds
-_HELD_PROPAGATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class SolverError(RuntimeError):
@@ -184,22 +188,9 @@ def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
     return out
 
 
-def _held_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
-    """step_propagator(op, tau), built once while runs keep asking for this tau.
-
-    Each operator holds at most one P, and the old one is dropped before the
-    next is built.  The key holds the builder, looked up by its module name on
-    every call, so a replaced solver.step_propagator is never bypassed.
-    """
-    key = (tau, step_propagator)
-    held = _HELD_PROPAGATORS.get(op)
-    if held is not None and held[0] == key:
-        return held[1]
-    held = None  # a local reference would keep the old P alive during the build
-    _HELD_PROPAGATORS.pop(op, None)
-    prop = step_propagator(op, tau)
-    _HELD_PROPAGATORS[op] = (key, prop)
-    return prop
+def phase_table(op: SpectralOperator, times: np.ndarray) -> np.ndarray:
+    """e^{i t mu} for every time t in `times` and eigenvalue mu: shape times.shape + (N,)."""
+    return np.exp(1j * op.eigenvalues * times[..., None])
 
 
 def run_trajectory(
@@ -299,8 +290,10 @@ def run_trajectory(
         if exact:
             coeffs0 = op_full.to_modal(u0.values)
         else:
-            prop = _held_propagator(op_full, dt)
-            half_prop = _held_propagator(op_full, half) if forcing is not None else None
+            prop = op_full.held("propagator", step_propagator, dt)
+            half_prop = (
+                op_full.held("propagator", step_propagator, half) if forcing is not None else None
+            )
     done = 0
     for step in monitor_steps:
         if halt is not None:
@@ -406,8 +399,7 @@ def duhamel_window(
     anchor = op.to_modal(u.values)
     if not backward:
         anchor = anchor * np.exp(-1j * mu * t0)
-    shape = panels.nodes.shape
-    node_phases = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
+    node_phases = op.held("node_phases", phase_table, panels.nodes)
     h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
 
     # the first iterate is the free flow of the anchor
@@ -415,18 +407,29 @@ def duhamel_window(
     diffs: list[float] = []
     growth_streak = 0
     for _ in range(cfg.picard_max_iter):
-        flat = coeffs.reshape(-1, mu.size)
         with np.errstate(over="ignore", invalid="ignore"):
-            u_nodes = op.from_modal(flat)
-            g_nodes = np.abs(u_nodes) ** (cfg.p - 1.0) * u_nodes
-            f_modal = op.to_modal(g_nodes).reshape(shape + (mu.size,))
-            g_cum, g_total = panels.cumulative(np.conj(node_phases) * f_modal)
+            u_nodes = op.from_modal(coeffs.reshape(-1, mu.size))
+            power = np.abs(u_nodes)
+            power **= cfg.p - 1.0
+            np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
+            del power
+            f_modal = op.to_modal(u_nodes).reshape(coeffs.shape)
+            del u_nodes
+            np.multiply(np.conj(node_phases), f_modal, out=f_modal)
+            g_cum, g_total = panels.cumulative(f_modal)
+            del f_modal
             if backward:
                 g_cum -= g_total  # G measured from the anchored end, t1
-            new_coeffs = node_phases * (anchor + 1j * cfg.lam * g_cum)
+            # (i lam G + anchor) * node_phases in g_cum: the operand order numpy
+            # took when it reused the temporaries of node_phases * (anchor + i lam G)
+            np.multiply(1j * cfg.lam, g_cum, out=g_cum)
+            np.add(g_cum, anchor, out=g_cum)
+            new_coeffs = np.multiply(g_cum, node_phases, out=g_cum)
 
-        delta = (new_coeffs - coeffs).reshape(-1, mu.size)
-        d = float(np.max(np.linalg.norm(delta * h2_weight, axis=1)))
+        # the old iterate's buffer takes the weighted distance
+        delta = np.subtract(new_coeffs, coeffs, out=coeffs).reshape(-1, mu.size)
+        delta *= h2_weight
+        d = float(np.max(np.linalg.norm(delta, axis=1)))
         if not np.isfinite(d):
             raise PicardNonContraction(np.inf)
         diffs.append(d)

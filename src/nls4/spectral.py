@@ -15,7 +15,15 @@ Two functions f(H) -- propagators exp(itH) and fractional powers H^{s/4} --
 are evaluated exactly in the discretization by scaling modal coefficients.
 |grad|^s is realized as (Delta^2)^{s/4} through the free operator's
 calculus.  The modal transform pair takes batches: it transforms each row of
-an array of shape (..., N) through one matmul.
+an array of shape (..., N) through one matmul.  A large batch of complex
+rows stacks its real and imaginary parts into one real operand, so that
+matmul is a single GEMM that reads the eigenvector matrix once; a single
+row or a small batch keeps two real products, to the same bits.
+
+An operator holds tables built from its eigenpairs (the step propagator, the
+phase tables e^{i t mu} of a fixed set of times) through SpectralOperator.held:
+one table per slot, kept while callers keep asking for the same argument,
+and dropped with the operator.
 
 Single fields are saved and loaded in a little-endian binary container
 (save_field / load_field).
@@ -24,6 +32,7 @@ Single fields are saved and loaded in a little-endian binary container
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -38,6 +47,11 @@ from .reporting import atomic_write_bytes
 
 # largest grid a dense eigendecomposition is attempted on
 EIG_BUDGET = 4096
+
+# m N^2 at or below which OpenBLAS may take a small-matrix GEMM kernel: its
+# bits differ from the regular kernel's, so a product of m rows and one of
+# 2m rows agree only when both are past this bound
+_SMALL_GEMM_WORK = 1e6
 
 _FIELD_MAGIC = b"NLS4FLD\x00"
 _FORMAT_VERSION = 1
@@ -58,12 +72,31 @@ def apply_tridiag(diag: np.ndarray, off: np.ndarray, y: np.ndarray) -> np.ndarra
 def _rows_times(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     """rows @ q for real q; complex rows are split so q is never promoted.
 
-    The parts are copied contiguous first: a strided view of a 2-D batch
-    misses the BLAS path and multiplies about twice as slowly, to the same bits.
+    The two-product form re @ q + 1j (im @ q) is the reference.  When each of
+    its products is a GEMM past _SMALL_GEMM_WORK, the parts are copied into
+    one contiguous (2m, N) real array, real parts above imaginary ones, and
+    multiplied by q in one GEMM that reads q once; the halves of the product
+    become the parts of the result, bit for bit the reference's.  The
+    stacked copy is freed before the result is allocated.  A single row
+    keeps two products: numpy sends it through gemv, whose bits a GEMM does
+    not reproduce.  (A strided view of the parts would miss the BLAS path.)
     """
-    if np.iscomplexobj(rows):
+    if not np.iscomplexobj(rows):
+        return rows @ q
+    # numpy multiplies each (m, N) slice of a batch as one product
+    m = rows.shape[-2] if rows.ndim > 1 else 1
+    if m < 2 or m * q.size <= _SMALL_GEMM_WORK:
         return np.ascontiguousarray(rows.real) @ q + 1j * (np.ascontiguousarray(rows.imag) @ q)
-    return rows @ q
+    num_rows = math.prod(rows.shape[:-1])
+    stacked = np.empty((2, *rows.shape))
+    stacked[0] = rows.real
+    stacked[1] = rows.imag
+    prod = stacked.reshape(2 * num_rows, -1) @ q
+    del stacked
+    out = np.empty((*rows.shape[:-1], q.shape[1]), dtype=complex)
+    out.real = prod[:num_rows].reshape(out.shape)
+    out.imag = prod[num_rows:].reshape(out.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +160,8 @@ class SpectralOperator:
     eigenvectors: np.ndarray  # (N, N), columns
     potential: PotentialSpec | None
     potential_values: np.ndarray = field(repr=False, default=None)
+    # slot -> (key, table): the tables this operator holds, see held()
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def to_modal(self, values: np.ndarray) -> np.ndarray:
         """Modal coefficients of each row of `values`, shape (..., N)."""
@@ -134,7 +169,29 @@ class SpectralOperator:
 
     def from_modal(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of each row of `coeffs`, shape (..., N)."""
-        return _rows_times(coeffs, self.eigenvectors.T) / self.grid.metric_sqrt
+        values = _rows_times(coeffs, self.eigenvectors.T)
+        values /= self.grid.metric_sqrt
+        return values
+
+    def held(self, slot: str, build, arg):
+        """build(self, arg), built once while callers keep asking for this arg.
+
+        Each slot holds at most one table, and its old table is dropped before
+        the next is built; a slot never evicts another.  The key holds the
+        builder, looked up by the caller on every call, so a replaced builder
+        is never bypassed, and an array arg by its exact shape and bytes.
+        Every caller shares the table, so it is made read-only.
+        """
+        key = (build, (arg.shape, arg.tobytes()) if isinstance(arg, np.ndarray) else arg)
+        held = self._tables.get(slot)
+        if held is not None and held[0] == key:
+            return held[1]
+        held = None  # a local reference would keep the old table alive during the build
+        self._tables.pop(slot, None)
+        table = build(self, arg)
+        table.flags.writeable = False
+        self._tables[slot] = (key, table)
+        return table
 
     def eigenfield(self, k: int) -> RadialField:
         return RadialField(self.grid, self.eigenvectors[:, k] / self.grid.metric_sqrt)

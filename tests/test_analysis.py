@@ -236,6 +236,35 @@ class TestStrichartzQuotient:
         assert together.shape == (3,)
         assert list(together) == apart
 
+    @pytest.mark.parametrize("case", ["none_small", "some_small", "all_small", "zero_delta"])
+    def test_phase_integral_matches_where_form(self, op_full, case):
+        def where_form(delta, t):
+            small = np.abs(delta * t) < 1e-8
+            with np.errstate(divide="ignore", invalid="ignore"):
+                closed = (np.exp(1j * delta * t) - 1.0) / (1j * delta)
+            return np.where(small, t * (1.0 + 0.5j * delta * t - (delta * t) ** 2 / 6.0),
+                            closed)
+
+        mu = op_full.eigenvalues
+        times = np.linspace(0.0, 1.0, 129)[:, None]
+        delta = 3.7 - mu
+        if case == "none_small":
+            times = times[1:]
+        elif case == "some_small":  # the t = 0 row and two whole columns
+            delta[7] = 0.0
+            delta[9] = 1e-9
+        elif case == "all_small":
+            times = times * 1e-15
+        else:
+            delta = np.zeros_like(mu)
+        small = np.abs(delta * times) < 1e-8
+        assert {"none_small": not small.any(), "some_small": 0 < small.mean() < 0.1}.get(
+            case, small.all())
+        new = analysis._phase_integral(delta, times)
+        old = where_form(delta, times)
+        assert new.shape == old.shape
+        assert new.tobytes() == old.tobytes()
+
     def test_inadmissible_pair_anywhere_raises_before_solve(self, op_full, op_free, rng,
                                                             monkeypatch):
         def unreachable(*args, **kwargs):

@@ -202,6 +202,148 @@ class TestHeldPropagator:
         assert [tau for tau, _ in built] == [1e-2, 5e-3, 1e-2]
 
 
+def final_state_window(op):
+    """final_state's window at N=256: [1.5, 2.0] at dt=2e-3, 250 Gauss panels."""
+    u = small_gaussian(op, amp=0.8)
+    cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=2.0)
+    return u, cfg, 1.5, 2.0
+
+
+# tracemalloc peak, in bytes, of one cold backward final_state_window on a fresh
+# N=256 operator with the code before sweeps ran in place (numpy 2.4.6)
+PARENT_WINDOW_PEAK = 84_137_644
+
+
+class TestHeldTables:
+    @staticmethod
+    def counting(monkeypatch):
+        built = []
+        original = solver.phase_table
+
+        def build(op, times):
+            table = original(op, times)
+            built.append((times.shape, weakref.ref(table)))
+            return table
+
+        monkeypatch.setattr(solver, "phase_table", build)
+        return built
+
+    @pytest.mark.parametrize("kind, shape", [("final_state", (250, 8)), ("strichartz", (129,))])
+    def test_config_builds_one_table(self, monkeypatch, tmp_path, kind, shape):
+        # final_state: four windows on one interval; strichartz: 31 Duhamel solves
+        built = self.counting(monkeypatch)
+        cfg = load_config(CONFIG_DIR / f"{kind}.cfg")
+        cfg.output_dir = tmp_path
+        report = run_experiment(cfg)
+        assert report.worst_verdict == "pass"
+        assert [s for s, _ in built] == [shape]
+
+    def test_other_interval_rebuilds_and_drops_the_old(self, monkeypatch, op_full):
+        built = self.counting(monkeypatch)
+        op = build_operator("full", op_full.grid, op_full.potential)
+        u, cfg, t0, t1 = final_state_window(op)
+        linear = dataclasses.replace(cfg, lam=0.0)
+        duhamel_window(u, op, linear, t0, t1)
+        duhamel_window(u, op, linear, t0, t1, backward=True)
+        assert len(built) == 1
+        duhamel_window(u, op, linear, t0 - 0.1, t1)
+        gc.collect()
+        assert len(built) == 2
+        assert built[0][1]() is None and built[1][1]() is not None
+
+    def test_warm_table_equals_cold(self, op_full):
+        u, cfg, t0, t1 = final_state_window(op_full)
+        cold_op = build_operator("full", op_full.grid, op_full.potential)
+        warm_op = build_operator("full", op_full.grid, op_full.potential)
+        duhamel_window(u, warm_op, cfg, t0, t1, backward=True)
+        for backward in (True, False):
+            cold = duhamel_window(u, cold_op, cfg, t0, t1, backward=backward)
+            warm = duhamel_window(u, warm_op, cfg, t0, t1, backward=backward)
+            assert cold.final_field.values.tobytes() == warm.final_field.values.tobytes()
+            assert cold.diffs == warm.diffs
+
+    def test_table_matches_the_inline_exponential(self, op_full):
+        panels = GaussPanels(1.5, 2.0, 250)
+        mu = op_full.eigenvalues
+        inline = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
+        assert solver.phase_table(op_full, panels.nodes).tobytes() == inline.tobytes()
+        times = np.linspace(0.0, 1.0, 129)
+        inline = np.exp(1j * mu * times[:, None])
+        assert solver.phase_table(op_full, times).tobytes() == inline.tobytes()
+
+    def test_held_tables_are_read_only(self, op_full):
+        op = build_operator("full", op_full.grid, op_full.potential)
+        table = op.held("node_phases", solver.phase_table, GaussPanels(0.0, 0.1, 5).nodes)
+        prop = op.held("propagator", solver.step_propagator, 1e-2)
+        for held in (table, prop):
+            with pytest.raises(ValueError):
+                held[0, 0] = 0.0
+
+    def test_table_dies_with_its_operator(self, monkeypatch, op_full):
+        built = self.counting(monkeypatch)
+        op = build_operator("full", op_full.grid, op_full.potential)
+        u, cfg, t0, t1 = final_state_window(op)
+        duhamel_window(u, op, dataclasses.replace(cfg, lam=0.0), t0, t1)
+        assert built[0][1]() is not None
+        del op
+        gc.collect()
+        assert built[0][1]() is None
+
+    def test_window_keeps_the_held_propagator(self, monkeypatch, op_full):
+        props = TestHeldPropagator.counting(monkeypatch)
+        op = build_operator("full", op_full.grid, op_full.potential)
+        u, cfg, t0, t1 = final_state_window(op)
+        run = dataclasses.replace(cfg, t_end=0.02, boundary_threshold=1.0)
+        run_trajectory(u, op, run)
+        duhamel_window(u, op, cfg, t0, t1, backward=True)
+        run_trajectory(u, op, run)
+        assert [tau for tau, _ in props] == [2e-3]
+
+    @pytest.mark.parametrize("backward", [True, False])
+    def test_in_place_sweeps_equal_the_expression_form(self, op_full, backward):
+        # the fixed point written as expressions, as before sweeps ran in place
+        u, cfg, t0, t1 = final_state_window(op_full)
+        panels = GaussPanels(t0, t1, 250)
+        mu = op_full.eigenvalues
+        anchor = op_full.to_modal(u.values)
+        if not backward:
+            anchor = anchor * np.exp(-1j * mu * t0)
+        node_phases = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
+        coeffs = node_phases * anchor
+        diffs = []
+        for _ in range(cfg.picard_max_iter):
+            u_nodes = op_full.from_modal(coeffs.reshape(-1, mu.size))
+            g_nodes = np.abs(u_nodes) ** (cfg.p - 1.0) * u_nodes
+            f_modal = op_full.to_modal(g_nodes).reshape(coeffs.shape)
+            g_cum, g_total = panels.cumulative(np.conj(node_phases) * f_modal)
+            if backward:
+                g_cum -= g_total
+            new_coeffs = node_phases * (anchor + 1j * cfg.lam * g_cum)
+            delta = (new_coeffs - coeffs).reshape(-1, mu.size)
+            h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
+            diffs.append(float(np.max(np.linalg.norm(delta * h2_weight, axis=1))))
+            coeffs = new_coeffs
+            if diffs[-1] < cfg.picard_tol:
+                break
+        sol = duhamel_window(u, op_full, cfg, t0, t1, backward=backward)
+        assert sol.diffs == diffs
+        t_out, g_out = (t0, -g_total) if backward else (t1, g_total)
+        out_modal = np.exp(1j * mu * t_out) * (anchor + 1j * cfg.lam * g_out)
+        expected = op_full.from_modal(out_modal)
+        assert sol.final_field.values.tobytes() == expected.tobytes()
+
+    def test_window_peak_memory_not_above_parent(self, op_full):
+        op = build_operator("full", op_full.grid, op_full.potential)
+        u, cfg, t0, t1 = final_state_window(op)
+        tracemalloc.start()
+        try:
+            duhamel_window(u, op, cfg, t0, t1, backward=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= PARENT_WINDOW_PEAK
+
+
 class TestStepPropagator:
     @pytest.mark.parametrize("which", ["small_op_full", "op_full"])
     def test_matches_modal_round_trip(self, which, request, rng):

@@ -202,6 +202,63 @@ class TestBatchedTransforms:
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bytes: signed zeros and NaN payloads count."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def two_products(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The reference complex transform: real and imaginary parts through q apart."""
+    return np.ascontiguousarray(x.real) @ q + 1j * (np.ascontiguousarray(x.imag) @ q)
+
+
+@pytest.fixture(scope="module")
+def eigenvectors_by_size():
+    return {
+        n: build_operator("full", make_grid(5, 20.0, n), example_potential(5)).eigenvectors
+        for n in (192, 256, 512)
+    }
+
+
+class TestStackedTransform:
+    """One GEMM over stacked parts equals the two-product form bit for bit."""
+
+    # every leading shape at each size, and final_state's Picard batch (2000, 256)
+    @pytest.mark.parametrize("n, lead", [
+        *((n, lead) for n in (192, 256, 512) for lead in [(), (1,), (2,), (3, 4), (129,)]),
+        (256, (2000,)),
+    ])
+    def test_complex_rows_bitwise(self, eigenvectors_by_size, n, lead):
+        q = eigenvectors_by_size[n]
+        rng = np.random.default_rng(n + len(lead))
+        x = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
+        for qq in (q, q.T):
+            assert bitwise_equal(spectral._rows_times(x, qq), two_products(x, qq))
+
+    def test_wide_rows_bitwise(self):
+        # N=2560 without an eigensolve: a random Fortran-ordered q of that size
+        rng = np.random.default_rng(2560)
+        q = np.asfortranarray(rng.standard_normal((2560, 2560)))
+        x = rng.standard_normal((8, 2560)) + 1j * rng.standard_normal((8, 2560))
+        for qq in (q, q.T):
+            assert bitwise_equal(spectral._rows_times(x, qq), two_products(x, qq))
+
+    @pytest.mark.parametrize("lead", [(), (2,), (129,)])
+    def test_real_rows_stay_real(self, eigenvectors_by_size, lead):
+        q = eigenvectors_by_size[256]
+        x = np.random.default_rng(3).standard_normal(lead + (256,))
+        out = spectral._rows_times(x, q)
+        assert out.dtype == np.float64
+        assert bitwise_equal(out, x @ q)
+
+    def test_from_modal_divides_in_place_to_the_same_bits(self, op_full):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((129, 256)) + 1j * rng.standard_normal((129, 256))
+        expected = two_products(x, op_full.eigenvectors.T) / op_full.grid.metric_sqrt
+        assert bitwise_equal(op_full.from_modal(x), expected)
+
 class TestFractionalGradient:
     def test_s_zero_identity(self, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
