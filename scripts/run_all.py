@@ -8,8 +8,10 @@ report body (everything above [provenance]), the same for the config's
 written files (every file in its output directory but the report: CSVs and
 u_plus.fld, by name and content) and the config's time, so the digest
 columns of two runs show whether any report body or output file changed.
-The last line digests all body digests and all file digests in run order,
-so two runs of the same configs compare on one line.  Give each run its own
+The line before the last names the BLAS pools nls4 stops around its
+eigensolves (the reports' blas_pools provenance).  The last line digests all
+body digests and all file digests in run order, so two runs of the same
+configs compare on one line.  Give each run its own
 output directory, as stale files count.  The heaviest configs are
 scattering, decay and wave_operator, in that order.
 """
@@ -68,6 +70,7 @@ def main() -> int:
             for check in report.checks:
                 if check.verdict == "fail":
                     print(f"    {check.line()}")
+    print(f"blas_pools: {report.provenance['blas_pools']}")
     label = f"all {len(kinds)} configs"
     print(f"{label:33s}  {bodies.hexdigest()[:16]}  {outputs.hexdigest()[:16]}")
     return worst

@@ -614,7 +614,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(cfg=cfg, rng=np.random.default_rng(cfg.seed), out_dir=out_dir)
-    provenance = {"code_version": __version__}
+    provenance = {"code_version": __version__, "blas_pools": spectral._blas_pools_note()}
     try:
         checks, series = EXPERIMENTS[cfg.experiment](ctx)
     except Exception as exc:  # noqa: BLE001 - captured into the report by contract

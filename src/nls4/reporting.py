@@ -6,7 +6,7 @@ A report file is plain text with stable field ordering:
     [config]    every resolved key = value
     [checks]    name = verdict | measured=... | threshold=... | cmp=...
     [series]    name = relative CSV path
-    [provenance]  code version, timestamp, runtime, body digest
+    [provenance]  code version, BLAS pools, timestamp, runtime, body digest
 
 Everything above [provenance] is the deterministic body: identical config
 and seed must reproduce it byte for byte.  Files are written atomically

@@ -10,7 +10,8 @@ Two independent integrators share the exact spectral propagator:
   is one dense complex matrix P = e^{i dt H} in grid space (16 N^2 bytes), so
   a step is one matrix-vector product.  The operator holds the last P it was
   asked for in its "propagator" slot (SpectralOperator.held), keyed on dt,
-  so runs that share (operator, dt) build it once.
+  so runs that share (operator, dt) build it once; a forced run's half-step
+  P(dt/2) has its own "half_propagator" slot, so it never evicts P(dt).
   A rotation writes cos and sin of its phase into one complex array and
   multiplies u into it in place.  As rotations commute with each other, the
   closing half rotation of a step merges with the opening one of the next;
@@ -292,7 +293,8 @@ def run_trajectory(
         else:
             prop = op_full.held("propagator", step_propagator, dt)
             half_prop = (
-                op_full.held("propagator", step_propagator, half) if forcing is not None else None
+                op_full.held("half_propagator", step_propagator, half)
+                if forcing is not None else None
             )
     done = 0
     for step in monitor_steps:

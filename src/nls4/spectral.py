@@ -20,10 +20,20 @@ rows stacks its real and imaginary parts into one real operand, so that
 matmul is a single GEMM that reads the eigenvector matrix once; a single
 row or a small batch keeps two real products, to the same bits.
 
-An operator holds tables built from its eigenpairs (the step propagator, the
+An operator holds tables built from its eigenpairs (the step propagators, the
 phase tables e^{i t mu} of a fixed set of times) through SpectralOperator.held:
 one table per slot, kept while callers keep asking for the same argument,
 and dropped with the operator.
+
+The eigensolves are the only scipy calls nls4 makes, and numpy and scipy
+wheels each ship their own OpenBLAS, whose helper threads busy-wait for a
+while after every threaded call.  So build_operator stops numpy's idle pool
+just before its LAPACK call and scipy's just after it, and the library with
+work never shares the cores with the other's spinning helpers.  OpenBLAS
+restarts a stopped pool, at the same thread count, on that library's next
+threaded call, so every product splits its work as before and keeps its
+bits.  Where the wheel libraries are not found (MKL, a system or conda
+BLAS) nothing is stopped.
 
 Single fields are saved and loaded in a little-endian binary container
 (save_field / load_field).
@@ -31,7 +41,10 @@ Single fields are saved and loaded in a little-endian binary container
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
+import importlib
 import math
 import os
 import struct
@@ -55,6 +68,9 @@ _SMALL_GEMM_WORK = 1e6
 
 _FIELD_MAGIC = b"NLS4FLD\x00"
 _FORMAT_VERSION = 1
+
+# the OpenBLAS each wheel ships in <package>.libs beside the package
+_WHEEL_BLAS = {"numpy": "libscipy_openblas64_*.so", "scipy": "libscipy_openblas-*.so"}
 
 
 class SpectralError(ValueError):
@@ -97,6 +113,50 @@ def _rows_times(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     out.real = prod[:num_rows].reshape(out.shape)
     out.imag = prod[num_rows:].reshape(out.shape)
     return out
+
+
+@functools.cache
+def _blas_pools() -> dict[str, ctypes.CDLL]:
+    """The wheel OpenBLAS libraries this process has loaded, by package (numpy, scipy).
+
+    A library is opened only if it is already loaded (RTLD_NOLOAD), so a
+    stray file never starts a pool of its own.  A package whose library is
+    not found is left out, and stopping its pool is a no-op.
+    """
+    pools = {}
+    for package, pattern in _WHEEL_BLAS.items():
+        libs = Path(importlib.import_module(package).__file__).parent.parent / f"{package}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except OSError:
+                continue
+            if hasattr(lib, "blas_thread_shutdown_"):
+                pools[package] = lib
+                break
+    return pools
+
+
+def _stop_blas_pool(package: str) -> None:
+    """Join the package's idle OpenBLAS helper threads; its next threaded call restarts them.
+
+    Only safe while no BLAS call of that library is in flight, which holds
+    as nls4 runs in one thread.
+    """
+    lib = _blas_pools().get(package)
+    if lib is not None:
+        lib.blas_thread_shutdown_()
+
+
+def _blas_pools_note() -> str:
+    """The [provenance] value: each wheel library found, and when its pool is stopped."""
+    pools = _blas_pools()
+    when = {"numpy": "before", "scipy": "after"}
+    return "; ".join(
+        f"{package} {Path(pools[package]._name).name} stopped {when[package]} eigensolves"
+        if package in pools else f"{package} library not found, not stopped"
+        for package in _WHEEL_BLAS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +267,10 @@ def build_operator(
     Delta^2, and H when V == 0, come from the tridiagonal solve of B = -Delta
     with squared eigenvalues; H with V != 0 from a dense solve of its lower
     triangle with factored Rayleigh-quotient eigenvalues.  Eigenvectors are
-    Fortran-ordered columns with a positive first component.
+    Fortran-ordered columns with a positive first component.  numpy's idle
+    OpenBLAS pool is stopped before the LAPACK call and scipy's after it (see
+    the module docstring); nls4 is single-threaded, so no BLAS call is in
+    flight when a pool stops.
     """
     if kind not in ("free", "full"):
         raise SpectralError(f"kind must be 'free' or 'full', got {kind!r}")
@@ -227,9 +290,11 @@ def build_operator(
     else:
         v_values = np.zeros(n)
 
+    _stop_blas_pool("numpy")
     if not np.any(v_values):
         # Delta^2 = B^2 with B = -Delta positive definite: squaring keeps the order
         b_values, eigenvectors = eigh_tridiagonal(d, e, lapack_driver="stevd")
+        _stop_blas_pool("scipy")
         eigenvalues = b_values**2
     else:
         # only the lower triangle of the pentadiagonal H = B^2 + V, in one
@@ -244,6 +309,7 @@ def build_operator(
         h[i[1:], i[:-1]] = e * (d[:-1] + d[1:])
         h[i[2:], i[:-2]] = e[:-1] * e[1:]
         _, eigenvectors = eigh(h, lower=True, driver="evd", overwrite_a=True)
+        _stop_blas_pool("scipy")
         # factored Rayleigh quotients ||B q||^2 + q^T V q: the dense solve's own
         # eigenvalues carry an eps * rho(H) absolute error that swamps the low modes
         bq = apply_tridiag(d, e, eigenvectors.T)

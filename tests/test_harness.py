@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from nls4 import spectral
 from nls4.cli import main as cli_main
 from nls4.config import load_config
 from nls4.experiments import EXPERIMENTS, run_experiment
@@ -83,6 +84,16 @@ class TestReports:
         sections, provenance = read_report(path)
         assert "timestamp" in provenance
         assert "body_sha256" in provenance
+
+    def test_blas_pools_in_provenance_not_body(self, fast_cfg):
+        cfg, _ = fast_cfg
+        report = run_experiment(cfg)
+        path = cfg.output_dir / f"report-{cfg.experiment}.txt"
+        _, provenance = read_report(path)
+        assert provenance["blas_pools"] == spectral._blas_pools_note()
+        assert "numpy" in provenance["blas_pools"] and "scipy" in provenance["blas_pools"]
+        assert "blas" not in report.body_text().lower()
+        assert "blas" not in report_body_from_file(path).lower()
 
     def test_worst_verdict(self):
         rep = ExperimentReport("x", [], [check_leq("a", 0.0, 1.0), check_leq("b", 2.0, 1.0)])

@@ -201,6 +201,34 @@ class TestHeldPropagator:
         run_trajectory(u0, op, cfg)
         assert [tau for tau, _ in built] == [1e-2, 5e-3, 1e-2]
 
+    def test_forced_runs_keep_both_propagators(self, monkeypatch):
+        # P(dt) and the half step's P(dt/2) hold separate slots: neither evicts the other
+        grid = make_grid(5, 20.0, 64)
+        u0 = small_gaussian(build_operator("free", grid), amp=0.5)
+        cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-2, t_end=0.1, boundary_threshold=1.0,
+                               snapshot_stride=1)
+
+        def forcing(t):
+            return 1e-2 * np.cos(t) * u0.values
+
+        cold = run_trajectory(u0, build_operator("free", grid), cfg, forcing=forcing)
+        built = self.counting(monkeypatch)
+        op = build_operator("free", grid)
+        first = run_trajectory(u0, op, cfg, forcing=forcing)
+        second = run_trajectory(u0, op, cfg, forcing=forcing)
+        assert [tau for tau, _ in built] == [1e-2, 5e-3]
+        for rec in (first, second):
+            assert rec.snapshots.values.tobytes() == cold.snapshots.values.tobytes()
+            assert rec.energy_series.tobytes() == cold.energy_series.tobytes()
+
+    def test_perturbation_builds_two_propagators(self, monkeypatch, tmp_path):
+        built = self.counting(monkeypatch)
+        cfg = load_config(CONFIG_DIR / "perturbation.cfg")
+        cfg.output_dir = tmp_path
+        report = run_experiment(cfg)
+        assert report.worst_verdict == "pass"
+        assert len(built) == 2
+
 
 def final_state_window(op):
     """final_state's window at N=256: [1.5, 2.0] at dt=2e-3, 250 Gauss panels."""

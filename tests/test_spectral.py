@@ -1,6 +1,7 @@
 """Spectral operators: eigenstructure, functional calculus, field snapshots."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +259,83 @@ class TestStackedTransform:
         x = rng.standard_normal((129, 256)) + 1j * rng.standard_normal((129, 256))
         expected = two_products(x, op_full.eigenvectors.T) / op_full.grid.metric_sqrt
         assert bitwise_equal(op_full.from_modal(x), expected)
+
+
+def busy_numpy_blas():
+    """A burst of threaded numpy products, which leaves numpy's OpenBLAS pool spinning."""
+    a = np.random.default_rng(0).standard_normal((384, 384))
+    for _ in range(5):
+        a @ a
+
+
+def blas_threads(lib) -> int:
+    """The thread count an OpenBLAS wheel library reports (numpy's symbols end in 64_)."""
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+        if hasattr(lib, name):
+            return getattr(lib, name)()
+    raise AssertionError(f"{lib._name} exports no thread-count getter")
+
+
+class TestBlasPools:
+    """Stopping the idle OpenBLAS pools around eigensolves moves no bit and no thread count."""
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("kind", ["free", "full"])
+    def test_eigenpairs_equal_without_the_stop(self, monkeypatch, kind, n):
+        grid = make_grid(5, 20.0 * n / 256, n)
+        spec = example_potential(5) if kind == "full" else None
+        busy_numpy_blas()
+        stopped = build_operator(kind, grid, spec)
+        monkeypatch.setattr(spectral, "_stop_blas_pool", lambda package: None)
+        busy_numpy_blas()
+        kept = build_operator(kind, grid, spec)
+        assert bitwise_equal(stopped.eigenvalues, kept.eigenvalues)
+        assert bitwise_equal(stopped.eigenvectors, kept.eigenvectors)
+
+    def test_numpy_stops_before_the_solve_and_scipy_after(self, monkeypatch, grid):
+        events = []
+        monkeypatch.setattr(spectral, "_stop_blas_pool", lambda package: events.append(package))
+
+        def logged(name):
+            solve = getattr(spectral, name)
+
+            def run(*args, **kwargs):
+                events.append(name)
+                return solve(*args, **kwargs)
+            return run
+
+        for name in ("eigh", "eigh_tridiagonal"):
+            monkeypatch.setattr(spectral, name, logged(name))
+        build_operator("free", grid)
+        build_operator("full", grid, example_potential(5))
+        assert events == ["numpy", "eigh_tridiagonal", "scipy", "numpy", "eigh", "scipy"]
+
+    def test_thread_counts_unchanged(self, grid):
+        pools = spectral._blas_pools()
+        if not pools:
+            pytest.skip("no OpenBLAS wheel library is loaded")
+        busy_numpy_blas()
+        before = {package: blas_threads(lib) for package, lib in pools.items()}
+        build_operator("full", grid, example_potential(5))
+        assert {package: blas_threads(lib) for package, lib in pools.items()} == before
+        busy_numpy_blas()
+        assert {package: blas_threads(lib) for package, lib in pools.items()} == before
+
+    def test_no_library_found_leaves_the_build_working(self, monkeypatch, grid, op_full):
+        monkeypatch.setattr(spectral, "_blas_pools", lambda: {})
+        op = build_operator("full", grid, example_potential(5))
+        assert bitwise_equal(op.eigenvectors, op_full.eigenvectors)
+        assert spectral._blas_pools_note() == (
+            "numpy library not found, not stopped; scipy library not found, not stopped"
+        )
+
+    def test_note_names_each_library_found(self):
+        pools = spectral._blas_pools()
+        note = spectral._blas_pools_note()
+        for package, lib in pools.items():
+            assert f"{package} {Path(lib._name).name} stopped" in note
+        assert note.count("not found") == 2 - len(pools)
+
 
 class TestFractionalGradient:
     def test_s_zero_identity(self, op_free, grid, rng):
