@@ -435,11 +435,10 @@ def run_perturbation(ctx: RunContext):
     checks = []
     # the unforced run from u_tilde0 is shared by the zero case and the gap sweep
     rec_tilde = solver.run_trajectory(u_tilde0, op_full, sim)
-    # exact-zero case: no forcing, identical data; the exact run stays a fresh
-    # one, so the check compares two runs and not one record with itself
-    rep0 = perturbation_experiment(
-        u_tilde0, None, u_tilde0.copy(), sim, op_full, op_free, rec_tilde=rec_tilde
-    )
+    # exact-zero case: no forcing, identical data; the exact run is a second,
+    # fresh one, so the check compares two runs and not one record with itself
+    rec_same = solver.run_trajectory(u_tilde0, op_full, sim)
+    rep0 = perturbation_experiment(rec_tilde, rec_same, op_full, op_free)
     checks.append(check_leq("zero_case_w_distance", rep0.w_distance, knobs["zero_case_tol"]))
 
     # data-gap sweep: W-distance should vanish linearly with the gap
@@ -448,9 +447,7 @@ def run_perturbation(ctx: RunContext):
     for gap in gaps:
         u0 = u_tilde0 + gap * direction
         rec_exact = solver.run_trajectory(u0, op_full, sim)
-        rep = perturbation_experiment(
-            u_tilde0, None, u0, sim, op_full, op_free, rec_tilde=rec_tilde, rec_exact=rec_exact
-        )
+        rep = perturbation_experiment(rec_tilde, rec_exact, op_full, op_free)
         w_dists.append(rep.w_distance)
         eps_list.append(rep.eps_data)
     slope = float(np.polyfit(np.log(eps_list), np.log(w_dists), 1)[0])
@@ -467,9 +464,8 @@ def run_perturbation(ctx: RunContext):
     dists = []
     for scale in (1.0, 0.5):
         forcing = analysis.ModalForcing(np.array([1.7]), [scale * forcing_field])
-        rep = perturbation_experiment(
-            u_tilde0, forcing, u0, sim, op_full, op_free, rec_exact=rec_exact
-        )
+        rec_forced = solver.run_trajectory(u_tilde0, op_full, sim, forcing=forcing.values_at)
+        rep = perturbation_experiment(rec_forced, rec_exact, op_full, op_free)
         dists.append(rep.w_distance)
     checks.append(check_leq("forcing_halving_monotone", dists[1], dists[0] * 1.05,
                             note=f"full={dists[0]:.4g} half={dists[1]:.4g}"))

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import ModalForcing, spacetime_norm
-from .radial import RadialField, SpaceTimeSample
-from .solver import SimulationConfig, TrajectoryRecord, run_trajectory
+from .analysis import spacetime_norm
+from .radial import SpaceTimeSample
+from .solver import TrajectoryRecord
 from .spectral import SpectralOperator, evolve
 
 
@@ -25,37 +25,26 @@ class PerturbationReport:
 
 
 def perturbation_experiment(
-    u_tilde0: RadialField,
-    forcing: ModalForcing | None,
-    u0: RadialField,
-    cfg: SimulationConfig,
+    rec_tilde: TrajectoryRecord,
+    rec_exact: TrajectoryRecord,
     op_full: SpectralOperator,
     op_free: SpectralOperator,
-    *,
-    rec_tilde: TrajectoryRecord | None = None,
-    rec_exact: TrajectoryRecord | None = None,
 ) -> PerturbationReport:
-    """W-distance of the forced run from u_tilde0 and the exact run from u0.
+    """W-distance of the exact run from the (possibly forced) run rec_tilde.
 
-    Either run may be passed in, made by run_trajectory from the same data,
-    forcing and cfg, so that experiments sharing a run pay for it once.
+    The data u~0 and u0 are the records' first snapshot rows, which
+    run_trajectory stores as copies of the initial fields.
     """
-    if cfg.snapshot_stride < 1:
-        raise ValueError("perturbation runs need snapshots; set snapshot_stride >= 1")
-    if rec_tilde is None:
-        forcing_fn = forcing.values_at if forcing is not None else None
-        rec_tilde = run_trajectory(u_tilde0, op_full, cfg, forcing=forcing_fn)
-    if rec_exact is None:
-        rec_exact = run_trajectory(u0, op_full, cfg)
-
     s_tilde, s_exact = rec_tilde.snapshots, rec_exact.snapshots
+    if s_tilde.times.size == 0 or s_exact.times.size == 0:
+        raise ValueError("perturbation runs need snapshots; set snapshot_stride >= 1")
     common = min(s_tilde.times.size, s_exact.times.size)
     times = s_tilde.times[:common]
     interval = (times[0], times[-1])
-    grid = u0.grid
+    grid = s_tilde.grid
     diff = s_exact.values[:common] - s_tilde.values[:common]
     w_distance = spacetime_norm(SpaceTimeSample(grid, times, diff, interval), "W", op_free)
 
-    linear_gap = evolve(op_full, u0.values - u_tilde0.values, times)
+    linear_gap = evolve(op_full, s_exact.values[0] - s_tilde.values[0], times)
     eps_data = spacetime_norm(SpaceTimeSample(grid, times, linear_gap, interval), "W", op_free)
     return PerturbationReport(w_distance=w_distance, eps_data=eps_data)

@@ -137,9 +137,6 @@ def check_assumptions(
     if spec.family == "inverse_bracket":
         beta_probe = float(spec.beta)
         decay_ok = spec.beta > decay_required
-    elif spec.family == "gaussian_bump":
-        beta_probe = decay_required + 1.0
-        decay_ok = True
     else:
         beta_probe = decay_required + 1.0
         decay_ok = True

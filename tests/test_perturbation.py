@@ -1,12 +1,14 @@
 """Forced approximate-solution stability measurements."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nls4.analysis import ModalForcing
 from nls4.perturbation import perturbation_experiment
 from nls4.radial import RadialField
-from nls4.solver import SimulationConfig
+from nls4.solver import SimulationConfig, run_trajectory
 from nls4.spectral import h2_norm
 from nls4.states import random_low_mode_field, soft_lowpass
 
@@ -24,9 +26,9 @@ def setup(small_op_full, small_op_free):
 class TestPerturbation:
     def test_zero_forcing_identical_data_gives_zero(self, setup, small_op_full, small_op_free):
         u_tilde0, cfg = setup
-        rep = perturbation_experiment(
-            u_tilde0, None, u_tilde0.copy(), cfg, small_op_full, small_op_free
-        )
+        rec_tilde = run_trajectory(u_tilde0, small_op_full, cfg)
+        rec_exact = run_trajectory(u_tilde0.copy(), small_op_full, cfg)
+        rep = perturbation_experiment(rec_tilde, rec_exact, small_op_full, small_op_free)
         assert rep.w_distance == 0.0
         assert rep.eps_data == 0.0
 
@@ -35,12 +37,11 @@ class TestPerturbation:
         rng = np.random.default_rng(5)
         direction = random_low_mode_field(small_op_free, rng)
         direction = (1.0 / h2_norm(direction)) * direction
+        rec_tilde = run_trajectory(u_tilde0, small_op_full, cfg)
         w, eps = [], []
         for gap in (1e-3, 1e-4, 1e-5):
-            rep = perturbation_experiment(
-                u_tilde0, None, u_tilde0 + gap * direction, cfg,
-                small_op_full, small_op_free,
-            )
+            rec_exact = run_trajectory(u_tilde0 + gap * direction, small_op_full, cfg)
+            rep = perturbation_experiment(rec_tilde, rec_exact, small_op_full, small_op_free)
             w.append(rep.w_distance)
             eps.append(rep.eps_data)
         slope = np.polyfit(np.log(eps), np.log(w), 1)[0]
@@ -52,12 +53,18 @@ class TestPerturbation:
         direction = random_low_mode_field(small_op_free, rng)
         direction = (1e-4 / h2_norm(direction)) * direction
         base = random_low_mode_field(small_op_free, rng, norm=1e-3)
+        rec_exact = run_trajectory(u_tilde0 + direction, small_op_full, cfg)
         dists = []
         for scale in (1.0, 0.5):
             forcing = ModalForcing(np.array([1.7]), [scale * base])
-            rep = perturbation_experiment(
-                u_tilde0, forcing, u_tilde0 + direction, cfg,
-                small_op_full, small_op_free,
-            )
+            rec_tilde = run_trajectory(u_tilde0, small_op_full, cfg, forcing=forcing.values_at)
+            rep = perturbation_experiment(rec_tilde, rec_exact, small_op_full, small_op_free)
             dists.append(rep.w_distance)
         assert dists[1] <= dists[0] * 1.05
+
+    def test_record_without_snapshots_rejected(self, setup, small_op_full, small_op_free):
+        u_tilde0, cfg = setup
+        bare = dataclasses.replace(cfg, t_end=0.02, snapshot_stride=0)
+        rec = run_trajectory(u_tilde0, small_op_full, bare)
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            perturbation_experiment(rec, rec, small_op_full, small_op_free)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nls4 import analysis, experiments, radial, reporting, solver, spectral
+from nls4 import analysis, experiments, radial, reporting, scattering, solver, spectral
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -55,6 +55,13 @@ def test_names_the_benchmark_calls():
         assert callable(getattr(reporting, name))
     # the step counter reads cfg by keyword or as the third positional argument
     assert list(inspect.signature(solver.run_trajectory).parameters)[2] == "cfg"
+    # perfbench's alias test builds, aliases and applies operators in these forms
+    assert analysis.apply_function is spectral.apply_function
+    assert scattering.apply_function is spectral.apply_function
+    grid = radial.make_grid(5, 16.0, 64)
+    op = spectral.build_operator("free", grid)
+    u = radial.RadialField(grid, np.exp(-grid.nodes**2).astype(complex))
+    assert analysis.apply_function(op, "exp_it", 0.1, u).values.shape == (64,)
 
 
 def test_trajectory_record_has_times():

@@ -60,10 +60,6 @@ class TestMakeGrid:
         with pytest.raises(GridError):
             make_grid(4, 20.0, 256)
 
-    def test_low_dimension_override(self):
-        g = make_grid(3, 10.0, 64, allow_low_dimension=True)
-        assert g.dimension == 3
-
     @pytest.mark.parametrize("n,r_max,num", [(0, 20.0, 64), (5, -1.0, 64), (5, 0.0, 64)])
     def test_invalid_parameters(self, n, r_max, num):
         with pytest.raises(GridError):
@@ -151,6 +147,28 @@ class TestWeakNorm:
         idx = np.searchsorted(a[order], levels, side="right")
         brute = float(np.max(levels * tail[idx] ** 0.8))
         assert measured == pytest.approx(brute, rel=0.01)
+
+    @pytest.mark.parametrize("r", [1.25, 2.5])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_exact_sup_with_plateau(self, small_grid, r, seed):
+        # just below each node value a_k, {|u| > gamma} is {|u| >= a_k}
+        rng = np.random.default_rng(seed)
+        u = random_smooth_field(small_grid, rng)
+        start = int(rng.integers(0, 30))
+        u.values[start:start + 10] = u.values[start]
+        a = np.abs(u.values)
+        oracle = max(ak * np.sum(small_grid.metric[a >= ak]) ** (1.0 / r) for ak in a)
+        assert weak_lp_norm(u, r) == pytest.approx(oracle, rel=1e-12)
+
+    def test_indicator_closed_form(self, small_grid):
+        # c 1_B: every gamma < c sees all of B, so the sup is c |B|^{1/r}
+        block = slice(20, 40)
+        values = np.zeros(small_grid.num_points, dtype=complex)
+        values[block] = 0.3 - 0.4j
+        expected = 0.5 * np.sum(small_grid.metric[block]) ** 0.8
+        assert weak_lp_norm(RadialField(small_grid, values), 1.25) == pytest.approx(
+            expected, rel=1e-12
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
