@@ -29,7 +29,6 @@ from .radial import (
     RadialField,
     SpaceTimeSample,
     boundary_mass,
-    lp_norm,
     lp_norm_values,
     smooth_cutoff,
 )
@@ -124,30 +123,35 @@ def require_b_admissible(q: Fraction, r: Fraction, n: int, r_below_half_n: bool 
 def sobolev_equiv_ratio(
     op_full: SpectralOperator,
     op_free: SpectralOperator,
-    u: RadialField,
+    fields,
     s: float,
     ps,
 ) -> np.ndarray:
-    """||H^{s/4} u||_{L^p} / || |grad|^s u ||_{L^p} for each p in ps, as an array.
+    """||H^{s/4} u||_{L^p} / || |grad|^s u ||_{L^p} for each field u and each p; (F, P).
 
-    H^{s/4} u and |grad|^s u are computed once and shared by every p; each p
-    costs two L^p norms.  Every p is range-checked before any transform.
+    H^{s/4} u and |grad|^s u are computed once per field, one field at a
+    time (a batched transform would change their last bits), and shared by
+    every p; each p then costs two lp_norm_values calls over all fields,
+    whose rows equal one field's lp_norm bit for bit.  s and every p are
+    range-checked before any transform.
     """
-    n = u.grid.dimension
+    fields = list(fields)
+    n = op_full.grid.dimension
     if not 0.0 <= s <= 2.0:
         raise ValueError(f"s must lie in [0, 2], got {s}")
     for p in ps:
         if not 1.0 < p < n / 2.0:
             raise ValueError(f"p must lie in (1, n/2) = (1, {n/2}), got {p}")
-    h_s = apply_function(op_full, "power_s", s, u)
-    grad_s = free_fractional_gradient(op_free, s, u)
-    ratios = []
-    for p in ps:
-        den = lp_norm(grad_s, p)
-        if den == 0.0:
+    h_s = np.array([apply_function(op_full, "power_s", s, u).values for u in fields])
+    grad_s = np.array([free_fractional_gradient(op_free, s, u).values for u in fields])
+    grid = op_full.grid
+    ratios = np.empty((len(fields), len(ps)))
+    for j, p in enumerate(ps):
+        den = lp_norm_values(grid, grad_s, p)
+        if not den.all():
             raise ZeroDivisionError("|grad|^s u vanishes; ratio undefined")
-        ratios.append(lp_norm(h_s, p) / den)
-    return np.array(ratios)
+        ratios[:, j] = lp_norm_values(grid, h_s, p) / den
+    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +220,18 @@ class ModalForcing:
         return out
 
 
-def _phase_integral(delta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """int_0^t exp(i delta s) ds on the broadcast grid of delta and t, stable near delta = 0.
+def _phase_integral(omega: float, mu: np.ndarray, t: np.ndarray, conj_phases: np.ndarray):
+    """int_0^t exp(i delta s) ds with delta = omega - mu, on the grid of t (T, 1) and mu (N,).
 
-    The closed form is replaced by its series where |delta t| < 1e-8, and
-    the series is evaluated only at those entries.
+    e^{i delta t} is formed as e^{i omega t} conj(e^{i mu t}) from conj_phases,
+    the conjugate of the (T, N) table e^{i t mu}, so a forcing mode costs T
+    exponentials, not T N.  The closed form is replaced by its series where
+    |delta t| < 1e-8, and the series is evaluated only at those entries.
     """
+    delta = omega - mu
     delta_t = delta * t
     small = np.abs(delta_t) < 1e-8
-    out = 1j * delta * t
-    np.exp(out, out=out)
+    out = np.multiply(np.exp(1j * omega * t), conj_phases)
     out -= 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= 1j * delta
@@ -242,7 +248,8 @@ def duhamel_solution(
     """u(t_k) = e^{i t_k H} u0 + i int_0^{t_k} e^{i(t_k-s)H} h(s) ds, exact per mode; (T, N).
 
     e^{i t_k mu} is held in the operator's "duhamel_phases" slot, so solves
-    at the same times build it once.
+    at the same times build it once, and each forcing mode's phase integral
+    is formed from it.
     """
     mu = op.eigenvalues
     times = np.asarray(times, dtype=float)
@@ -251,8 +258,9 @@ def duhamel_solution(
     if forcing is not None:
         g_modal = op.to_modal(np.array([g.values for g in forcing.fields]))
         i_phases = 1j * phases
+        conj_phases = np.conjugate(phases)
         for w, g_m in zip(forcing.omegas, g_modal):
-            coeffs += i_phases * g_m * _phase_integral(w - mu, times[:, None])
+            coeffs += i_phases * g_m * _phase_integral(w, mu, times[:, None], conj_phases)
     return op.from_modal(coeffs)
 
 

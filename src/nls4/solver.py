@@ -17,7 +17,9 @@ Two independent integrators share the exact spectral propagator:
   closing half rotation of a step merges with the opening one of the next;
   the owed half is flushed before every monitor and every forced step.  With
   lambda = 0 and no forcing nothing is stepped: each monitor state is the
-  exact linear flow e^{itH} u0.  A run halts at the first monitor that
+  exact linear flow e^{itH} u0.  The steps between two monitors run as one
+  stretch (_advance) under one np.errstate(over="raise"), so an overflow
+  ends the stretch with SolverError.  A run halts at the first monitor that
   suspects blow-up or sees mass at the boundary, and says which.
 
 * A Picard iteration on the integral form
@@ -34,7 +36,14 @@ Two independent integrators share the exact spectral propagator:
   it once.  A sweep forms |u|^{p-1} u, the conj-phase product, the next
   iterate and its distance in place, each product in the operand order of
   the expression form (complex products are not bitwise commutative), so
-  the iterates keep their bits and fewer (K, 8, N) arrays live at once.
+  the iterates keep their bits.  It allocates nothing of the iterate's
+  size: it runs in the iterate and two scratch buffers of that size, which
+  take the modal transforms (SpectralOperator.to_modal / from_modal with
+  caller buffers), |u|^{p-1}, the conjugate node phases, G and the squares
+  of the distance in turn, and the old iterate's memory becomes the next
+  sweep's scratch.  The panel quadrature sums complex integrands through
+  their real views, the same bits as the complex einsum in a third of the
+  time.
 """
 
 from __future__ import annotations
@@ -150,19 +159,44 @@ def _nonlinear_phase(values: np.ndarray, lam: float, p: float, tau: float) -> np
     theta = (lam tau) |u|^{p-1} stays in one real buffer; cos theta and sin
     theta fill the parts of one complex array, which then takes the product.
     The product keeps the order values * rot, as complex products are not
-    bitwise commutative.
+    bitwise commutative.  An overflow in the power is caught by the caller:
+    _advance enters np.errstate(over="raise") once per stretch of steps.
     """
     theta = np.abs(values)
-    with np.errstate(over="raise"):
-        try:
-            theta **= p - 1.0
-            theta *= lam * tau
-        except FloatingPointError as exc:
-            raise SolverError("overflow in |u|^{p-1}: blow-up suspected") from exc
+    theta **= p - 1.0
+    theta *= lam * tau
     rot = np.empty(values.shape, dtype=complex)
     np.cos(theta, out=rot.real)
     np.sin(theta, out=rot.imag)
     return np.multiply(values, rot, out=rot)
+
+
+def _advance(values, first, last, cfg, prop, half_prop=None, forcing=None) -> np.ndarray:
+    """Strang steps first+1..last from values at step `first`, with P = prop.
+
+    The closing half rotation of one step merges with the opening one of
+    the next; it is owed until the end of the stretch (a monitor) or a
+    forced step, where it is flushed.  A forced step adds the source through
+    half_prop = P(dt/2).  An overflow raises SolverError: np.errstate is
+    entered once for the stretch, not once per rotation.
+    """
+    dt, half = cfg.dt, cfg.dt / 2.0
+    tau = half
+    with np.errstate(over="raise"):
+        try:
+            for step in range(first + 1, last + 1):
+                values = prop @ _nonlinear_phase(values, cfg.lam, cfg.p, tau)
+                if forcing is None:
+                    tau = dt
+                    continue
+                values = _nonlinear_phase(values, cfg.lam, cfg.p, half)
+                src = -1j * dt * np.asarray(forcing((step - 1) * dt + half))
+                values = values + half_prop @ src
+            if forcing is None:
+                values = _nonlinear_phase(values, cfg.lam, cfg.p, half)
+        except FloatingPointError as exc:
+            raise SolverError("overflow in |u|^{p-1}: blow-up suspected") from exc
+    return values
 
 
 def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
@@ -191,7 +225,8 @@ def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
 
 def phase_table(op: SpectralOperator, times: np.ndarray) -> np.ndarray:
     """e^{i t mu} for every time t in `times` and eigenvalue mu: shape times.shape + (N,)."""
-    return np.exp(1j * op.eigenvalues * times[..., None])
+    table = 1j * op.eigenvalues * times[..., None]
+    return np.exp(table, out=table)
 
 
 def run_trajectory(
@@ -269,23 +304,6 @@ def run_trajectory(
             return "boundary_contaminated"
         return None
 
-    def advance(values: np.ndarray, first: int, last: int) -> np.ndarray:
-        """Steps first+1..last.  The closing half rotation of one step merges
-        with the opening one of the next; it is owed until a monitor or a
-        forced step, where it is flushed."""
-        tau = half
-        for step in range(first + 1, last + 1):
-            values = prop @ _nonlinear_phase(values, cfg.lam, cfg.p, tau)
-            if forcing is None:
-                tau = dt
-                continue
-            values = _nonlinear_phase(values, cfg.lam, cfg.p, half)
-            src = -1j * dt * np.asarray(forcing((step - 1) * dt + half))
-            values = values + half_prop @ src
-        if forcing is None:
-            values = _nonlinear_phase(values, cfg.lam, cfg.p, half)
-        return values
-
     halt = record(0, 0.0)
     if halt is None:  # a run that halts at t = 0 builds no propagator
         if exact:
@@ -305,7 +323,7 @@ def run_trajectory(
             values = op_full.from_modal(np.exp(1j * t * mu) * coeffs0)
         else:
             try:
-                values = advance(values, done, step)
+                values = _advance(values, done, step, cfg, prop, half_prop, forcing)
             except SolverError:
                 halt = "blowup_suspected"
                 break
@@ -355,18 +373,35 @@ class GaussPanels:
             q[:, l] = (pvals[:, l + 1] - pvals[:, l - 1]) / (2 * l + 1)
         self.partial = q @ coeff                                # (m, m)
 
-    def cumulative(self, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """g has shape (K, m, ...); returns (G at nodes, G at t1)."""
-        panel_full = np.einsum("m,km...->k...", self.full_weights, g) * self.half.reshape(
-            (-1,) + (1,) * (g.ndim - 2)
-        )
+    def cumulative(self, g: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """g has shape (K, m, ...); returns (G at nodes, G at t1).
+
+        A complex g is summed through its real view (K, m, 2L), where numpy's
+        einsum runs its real loop: the same products and sums per part as the
+        complex loop, so the same bits, in about a third of the time.  G at
+        the nodes is written into `out` when given: a C-contiguous array of
+        g's shape and dtype that shares no memory with g.
+        """
+        k, m = g.shape[:2]
+        tail = (1,) * (g.ndim - 2)
+        if out is None:
+            out = np.empty(g.shape, g.dtype)
+        elif not out.flags.c_contiguous:
+            raise ValueError("cumulative needs a C-contiguous out")
+        g_flat = np.ascontiguousarray(g).reshape(k, m, -1)
+        out_flat = out.reshape(k, m, -1)
+        if np.iscomplexobj(g):
+            g_flat, out_flat = g_flat.view(float), out_flat.view(float)
+        panel_full = np.einsum("m,kmx->kx", self.full_weights, g_flat)
+        panel_full = panel_full.view(g.dtype).reshape((k, *g.shape[2:]))
+        panel_full *= self.half.reshape((-1, *tail))
         prefix = np.concatenate(
             [np.zeros_like(panel_full[:1]), np.cumsum(panel_full, axis=0)[:-1]], axis=0
         )
-        within = np.einsum("ms,ks...->km...", self.partial, g) * self.half.reshape(
-            (-1, 1) + (1,) * (g.ndim - 2)
-        )
-        return prefix[:, None] + within, prefix[-1] + panel_full[-1]
+        np.einsum("ms,ksx->kmx", self.partial, g_flat, out=out_flat)
+        out *= self.half.reshape((-1, 1, *tail))
+        np.add(prefix[:, None], out, out=out)
+        return out, prefix[-1] + panel_full[-1]
 
 
 @dataclass
@@ -404,22 +439,24 @@ def duhamel_window(
     node_phases = op.held("node_phases", phase_table, panels.nodes)
     h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
 
-    # the first iterate is the free flow of the anchor
+    # the first iterate is the free flow of the anchor; a sweep runs in it and
+    # two scratch buffers of its size, and the old iterate's memory becomes
+    # the next sweep's scratch
     coeffs = node_phases * anchor
+    spare = (np.empty_like(coeffs), np.empty_like(coeffs))
+    flat = (coeffs.size // mu.size, mu.size)
     diffs: list[float] = []
     growth_streak = 0
     for _ in range(cfg.picard_max_iter):
+        a, b = spare
         with np.errstate(over="ignore", invalid="ignore"):
-            u_nodes = op.from_modal(coeffs.reshape(-1, mu.size))
-            power = np.abs(u_nodes)
+            u_nodes = op.from_modal(coeffs.reshape(flat), out=a, work=b)
+            power = np.abs(u_nodes, out=np.ndarray(flat, buffer=b))
             power **= cfg.p - 1.0
             np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
-            del power
-            f_modal = op.to_modal(u_nodes).reshape(coeffs.shape)
-            del u_nodes
-            np.multiply(np.conj(node_phases), f_modal, out=f_modal)
-            g_cum, g_total = panels.cumulative(f_modal)
-            del f_modal
+            f_modal = op.to_modal(u_nodes, out=b, work=a).reshape(coeffs.shape)
+            np.multiply(np.conjugate(node_phases, out=a), f_modal, out=f_modal)
+            g_cum, g_total = panels.cumulative(f_modal, out=a)
             if backward:
                 g_cum -= g_total  # G measured from the anchored end, t1
             # (i lam G + anchor) * node_phases in g_cum: the operand order numpy
@@ -428,13 +465,17 @@ def duhamel_window(
             np.add(g_cum, anchor, out=g_cum)
             new_coeffs = np.multiply(g_cum, node_phases, out=g_cum)
 
-        # the old iterate's buffer takes the weighted distance
-        delta = np.subtract(new_coeffs, coeffs, out=coeffs).reshape(-1, mu.size)
+        # the old iterate's buffer takes the weighted distance, and b the
+        # squares np.linalg.norm(delta, axis=1) sums, formed as it forms them
+        delta = np.subtract(new_coeffs, coeffs, out=coeffs).reshape(flat)
         delta *= h2_weight
-        d = float(np.max(np.linalg.norm(delta, axis=1)))
+        squares = np.ndarray(flat, complex, buffer=b)
+        np.multiply(np.conjugate(delta, out=squares), delta, out=squares)
+        d = float(np.max(np.sqrt(np.add.reduce(squares.real, axis=1))))
         if not np.isfinite(d):
             raise PicardNonContraction(np.inf)
         diffs.append(d)
+        spare = (b, coeffs)
         coeffs = new_coeffs
         if d < cfg.picard_tol:
             break

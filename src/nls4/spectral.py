@@ -18,7 +18,9 @@ calculus.  The modal transform pair takes batches: it transforms each row of
 an array of shape (..., N) through one matmul.  A large batch of complex
 rows stacks its real and imaginary parts into one real operand, so that
 matmul is a single GEMM that reads the eigenvector matrix once; a single
-row or a small batch keeps two real products, to the same bits.
+row or a small batch keeps two real products, to the same bits.  The pair
+also works in caller buffers (the Picard sweep's), so a batch transform
+need allocate nothing of the batch's size.
 
 An operator holds tables built from its eigenpairs (the step propagators, the
 phase tables e^{i t mu} of a fixed set of times) through SpectralOperator.held:
@@ -85,7 +87,7 @@ def apply_tridiag(diag: np.ndarray, off: np.ndarray, y: np.ndarray) -> np.ndarra
     return out
 
 
-def _rows_times(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _rows_times(rows: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarray:
     """rows @ q for real q; complex rows are split so q is never promoted.
 
     The two-product form re @ q + 1j (im @ q) is the reference.  When each of
@@ -96,23 +98,41 @@ def _rows_times(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     stacked copy is freed before the result is allocated.  A single row
     keeps two products: numpy sends it through gemv, whose bits a GEMM does
     not reproduce.  (A strided view of the parts would miss the BLAS path.)
+
+    With caller buffers (complex rows, q square; out and work each
+    C-contiguous with room for a complex array of rows' shape) nothing of
+    the rows' size is allocated: the parts are stacked in out, the GEMM
+    writes its product into work, and the result is a complex array over
+    out's memory.  work may hold the rows themselves, which are read in full
+    before the GEMM writes.  The small forms compute as without buffers and
+    copy their result into out.
     """
     if not np.iscomplexobj(rows):
+        if out is not None:
+            raise SpectralError("caller buffers take complex rows")
         return rows @ q
     # numpy multiplies each (m, N) slice of a batch as one product
     m = rows.shape[-2] if rows.ndim > 1 else 1
     if m < 2 or m * q.size <= _SMALL_GEMM_WORK:
-        return np.ascontiguousarray(rows.real) @ q + 1j * (np.ascontiguousarray(rows.imag) @ q)
+        small = np.ascontiguousarray(rows.real) @ q + 1j * (np.ascontiguousarray(rows.imag) @ q)
+        if out is None:
+            return small
+        result = np.ndarray(small.shape, complex, buffer=out)
+        result[...] = small
+        return result
     num_rows = math.prod(rows.shape[:-1])
-    stacked = np.empty((2, *rows.shape))
+    shape = (*rows.shape[:-1], q.shape[1])
+    # np.ndarray over buffer=None is fresh memory: the allocating call
+    stacked = np.ndarray((2, *rows.shape), buffer=out)
     stacked[0] = rows.real
     stacked[1] = rows.imag
-    prod = stacked.reshape(2 * num_rows, -1) @ q
+    product = None if work is None else np.ndarray((2 * num_rows, q.shape[1]), buffer=work)
+    prod = np.matmul(stacked.reshape(2 * num_rows, -1), q, out=product)
     del stacked
-    out = np.empty((*rows.shape[:-1], q.shape[1]), dtype=complex)
-    out.real = prod[:num_rows].reshape(out.shape)
-    out.imag = prod[num_rows:].reshape(out.shape)
-    return out
+    result = np.ndarray(shape, complex, buffer=out)
+    result.real = prod[:num_rows].reshape(shape)
+    result.imag = prod[num_rows:].reshape(shape)
+    return result
 
 
 @functools.cache
@@ -223,13 +243,29 @@ class SpectralOperator:
     # slot -> (key, table): the tables this operator holds, see held()
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
-    def to_modal(self, values: np.ndarray) -> np.ndarray:
-        """Modal coefficients of each row of `values`, shape (..., N)."""
-        return _rows_times(self.grid.metric_sqrt * values, self.eigenvectors)
+    def to_modal(self, values: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Modal coefficients of each row of `values`, shape (..., N).
 
-    def from_modal(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values of each row of `coeffs`, shape (..., N)."""
-        values = _rows_times(coeffs, self.eigenvectors.T)
+        out and work are optional caller buffers for complex values, each a
+        C-contiguous array with room for a complex array of values' shape
+        (the iterate's own size, in a Picard sweep).  Then nothing of that
+        size is allocated: the scaled values go into work, which may hold
+        `values` itself, and the result is a complex array over out's
+        memory, bit for bit the allocating call's.
+        """
+        if out is None:
+            return _rows_times(self.grid.metric_sqrt * values, self.eigenvectors)
+        scaled = np.ndarray(values.shape, values.dtype, buffer=work)
+        np.multiply(self.grid.metric_sqrt, values, out=scaled)
+        return _rows_times(scaled, self.eigenvectors, out, work)
+
+    def from_modal(self, coeffs: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Grid values of each row of `coeffs`, shape (..., N).
+
+        out and work are optional caller buffers, as for to_modal; coeffs
+        must not share memory with either.
+        """
+        values = _rows_times(coeffs, self.eigenvectors.T, out, work)
         values /= self.grid.metric_sqrt
         return values
 

@@ -1,7 +1,11 @@
 """Space-time norms, equivalence ratios, decay fits, Strichartz quotients,
 localized-mass rates, and the Morawetz functional."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +31,12 @@ from nls4.analysis import (
 from nls4.experiments import _stock_pairs
 from nls4.radial import RadialField, localized_mass, lp_norm, zero_field
 from nls4.solver import SimulationConfig, mass, run_trajectory
-from nls4.spectral import apply_function, hdot2_norm, laplacian_values
+from nls4.spectral import (
+    apply_function,
+    free_fractional_gradient,
+    hdot2_norm,
+    laplacian_values,
+)
 from nls4.states import random_low_mode_field, soft_lowpass
 
 from conftest import random_smooth_field
@@ -120,11 +129,11 @@ class TestSobolevRatio:
         u = random_smooth_field(grid, rng)
         for s in (0.5, 1.0, 1.5, 2.0):
             for p in (1.5, 2.0, 2.2):
-                assert abs(sobolev_equiv_ratio(op_zero, op_free, u, s, [p])[0] - 1.0) <= 1e-9
+                assert abs(sobolev_equiv_ratio(op_zero, op_free, [u], s, [p])[0, 0] - 1.0) <= 1e-9
 
     def test_s_zero_exactly_one(self, op_full, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
-        assert sobolev_equiv_ratio(op_full, op_free, u, 0.0, [2.0])[0] == pytest.approx(
+        assert sobolev_equiv_ratio(op_full, op_free, [u], 0.0, [2.0])[0, 0] == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -134,33 +143,54 @@ class TestSobolevRatio:
             u = random_low_mode_field(op_free, rng)
             for s in (0.5, 2.0):
                 for p in (1.5, 2.2):
-                    assert 0.5 <= sobolev_equiv_ratio(op_full, op_free, u, s, [p])[0] <= 2.0
+                    assert 0.5 <= sobolev_equiv_ratio(op_full, op_free, [u], s, [p])[0, 0] <= 2.0
 
     def test_scaling_invariance(self, op_full, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
-        a = sobolev_equiv_ratio(op_full, op_free, u, 1.5, [2.0])[0]
-        b = sobolev_equiv_ratio(op_full, op_free, 5.0 * u, 1.5, [2.0])[0]
+        a = sobolev_equiv_ratio(op_full, op_free, [u], 1.5, [2.0])[0, 0]
+        b = sobolev_equiv_ratio(op_full, op_free, [5.0 * u], 1.5, [2.0])[0, 0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_parameter_validation(self, op_full, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
         with pytest.raises(ValueError):
-            sobolev_equiv_ratio(op_full, op_free, u, 2.5, [2.0])
+            sobolev_equiv_ratio(op_full, op_free, [u], 2.5, [2.0])
         with pytest.raises(ValueError):
-            sobolev_equiv_ratio(op_full, op_free, u, 1.0, [2.6])  # p >= n/2
+            sobolev_equiv_ratio(op_full, op_free, [u], 1.0, [2.6])  # p >= n/2
 
     def test_zero_field_rejected(self, op_full, op_free, grid):
         with pytest.raises(ZeroDivisionError):
-            sobolev_equiv_ratio(op_full, op_free, zero_field(grid), 1.0, [2.0])
+            sobolev_equiv_ratio(op_full, op_free, [zero_field(grid)], 1.0, [2.0])
 
     def test_many_p_equal_one_p_calls(self, op_full, op_free, rng):
         u = random_low_mode_field(op_free, rng)
         ps = [1.5, 2.0, 2.2]
         for s in (0.5, 1.0, 1.5, 2.0):
-            together = sobolev_equiv_ratio(op_full, op_free, u, s, ps)
-            apart = [sobolev_equiv_ratio(op_full, op_free, u, s, [p])[0] for p in ps]
-            assert together.shape == (3,)
-            assert list(together) == apart
+            together = sobolev_equiv_ratio(op_full, op_free, [u], s, ps)
+            apart = [sobolev_equiv_ratio(op_full, op_free, [u], s, [p])[0, 0] for p in ps]
+            assert together.shape == (1, 3)
+            assert list(together[0]) == apart
+
+    def test_batched_fields_equal_one_field_calls(self, op_full, op_free, grid, rng):
+        # every row of a batched call equals that field alone, and the
+        # per-field lp_norm form the ratios had before, bit for bit
+        fields = [random_low_mode_field(op_free, rng) for _ in range(5)]
+        fields.append(random_smooth_field(grid, rng))
+        ps = [1.5, 2.0, 2.2]
+        for s in (0.5, 1.0, 2.0):
+            together = sobolev_equiv_ratio(op_full, op_free, fields, s, ps)
+            assert together.shape == (len(fields), len(ps))
+            for row, u in zip(together, fields):
+                alone = sobolev_equiv_ratio(op_full, op_free, [u], s, ps)[0]
+                h_s = apply_function(op_full, "power_s", s, u)
+                grad_s = free_fractional_gradient(op_free, s, u)
+                frozen = [lp_norm(h_s, p) / lp_norm(grad_s, p) for p in ps]
+                assert row.tobytes() == alone.tobytes() == np.array(frozen).tobytes()
+
+    def test_zero_field_in_a_batch_rejected(self, op_full, op_free, grid, rng):
+        with pytest.raises(ZeroDivisionError):
+            sobolev_equiv_ratio(op_full, op_free,
+                                [random_smooth_field(grid, rng), zero_field(grid)], 1.0, [2.0])
 
     def test_bad_p_anywhere_raises_before_any_transform(self, op_full, op_free, grid, rng,
                                                         monkeypatch):
@@ -172,7 +202,7 @@ class TestSobolevRatio:
         u = random_smooth_field(grid, rng)
         for ps in ([2.6, 1.5], [1.5, 2.0, 2.6], [1.5, 1.0]):
             with pytest.raises(ValueError, match="p must lie"):
-                sobolev_equiv_ratio(op_full, op_free, u, 1.0, ps)
+                sobolev_equiv_ratio(op_full, op_free, [u], 1.0, ps)
 
 
 class TestDecayFit:
@@ -238,6 +268,11 @@ class TestStrichartzQuotient:
 
     @pytest.mark.parametrize("case", ["none_small", "some_small", "all_small", "zero_delta"])
     def test_phase_integral_matches_where_form(self, op_full, case):
+        # The series entries keep their bits.  The closed-form entries take
+        # e^{i delta t} as e^{i omega t} conj(e^{i mu t}): each exponential's
+        # argument carries eps (|omega| t or |mu| t) of rounding, so they
+        # agree with exp(i delta t) to a few eps (1 + |mu| t + |omega| t),
+        # and after the division by delta to that over |delta|.
         def where_form(delta, t):
             small = np.abs(delta * t) < 1e-8
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -245,25 +280,31 @@ class TestStrichartzQuotient:
             return np.where(small, t * (1.0 + 0.5j * delta * t - (delta * t) ** 2 / 6.0),
                             closed)
 
-        mu = op_full.eigenvalues
+        omega = 3.7
+        mu = op_full.eigenvalues.copy()
         times = np.linspace(0.0, 1.0, 129)[:, None]
-        delta = 3.7 - mu
         if case == "none_small":
             times = times[1:]
         elif case == "some_small":  # the t = 0 row and two whole columns
-            delta[7] = 0.0
-            delta[9] = 1e-9
+            mu[7] = omega
+            mu[9] = omega - 1e-9
         elif case == "all_small":
             times = times * 1e-15
         else:
-            delta = np.zeros_like(mu)
+            mu = np.full_like(mu, omega)
+        delta = omega - mu
         small = np.abs(delta * times) < 1e-8
         assert {"none_small": not small.any(), "some_small": 0 < small.mean() < 0.1}.get(
             case, small.all())
-        new = analysis._phase_integral(delta, times)
+        conj_phases = np.conjugate(np.exp(1j * mu * times))
+        new = analysis._phase_integral(omega, mu, times, conj_phases)
         old = where_form(delta, times)
         assert new.shape == old.shape
-        assert new.tobytes() == old.tobytes()
+        assert new[small].tobytes() == old[small].tobytes()
+        bound = 4 * np.finfo(float).eps * (1 + np.abs(mu) * times + abs(omega) * times)
+        with np.errstate(divide="ignore"):
+            bound = bound / np.abs(delta)
+        assert np.all(np.abs(new - old)[~small] <= np.broadcast_to(bound, small.shape)[~small])
 
     def test_inadmissible_pair_anywhere_raises_before_solve(self, op_full, op_free, rng,
                                                             monkeypatch):
@@ -310,6 +351,33 @@ class TestStrichartzQuotient:
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(out[0] - u0.values)) <= 1e-10 * np.max(np.abs(u0.values))
+
+    def test_forced_solve_same_bits_at_one_and_two_blas_threads(self):
+        # the strichartz solve at N = 256: operator build, phase table, forced
+        # Duhamel solve; a digest that moved with the thread count would make
+        # the quotients depend on the machine
+        script = (
+            "import hashlib, numpy as np\n"
+            "from nls4 import analysis, potentials, radial, spectral, states\n"
+            "grid = radial.make_grid(5, 20.0, 256)\n"
+            "op = spectral.build_operator('full', grid, potentials.example_potential(5))\n"
+            "op_free = spectral.build_operator('free', grid)\n"
+            "rng = np.random.default_rng(23)\n"
+            "u0 = states.random_low_mode_field(op_free, rng)\n"
+            "forcing = analysis.ModalForcing(rng.uniform(-8, 8, 2),\n"
+            "    [states.random_low_mode_field(op_free, rng, norm=0.5) for _ in range(2)])\n"
+            "out = analysis.duhamel_solution(op, u0, forcing, np.linspace(0.0, 1.0, 129))\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True)
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64 and digests[0] == digests[1]
 
     def test_forced_quotients_bounded(self, op_full, op_free):
         rng = np.random.default_rng(17)

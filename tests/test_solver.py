@@ -2,8 +2,10 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import os
+import warnings
 import weakref
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from nls4.experiments import run_experiment
 from nls4.potentials import example_potential
 from nls4.radial import RadialField, boundary_mass, make_grid, zero_field
 from nls4.solver import (
+    PICARD_ORDER,
     GaussPanels,
     PicardNonContraction,
     SimulationConfig,
@@ -141,9 +144,14 @@ class TestRotationKernel:
         assert np.array_equal(values, before)
 
     def test_overflow_raises_solver_error(self):
+        # through the stepping path, which checks for overflow once per stretch
         values = np.full(64, 1e200 + 0j)
-        with pytest.raises(solver.SolverError):
-            solver._nonlinear_phase(values, 1.0, 9.0, 1e-3)
+        cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-3, t_end=1.0)
+        prop = step_propagator(build_operator("free", make_grid(5, 20.0, 64)), cfg.dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(solver.SolverError, match="overflow"):
+                solver._advance(values, 0, 1, cfg, prop)
 
     def test_monitors_equal_the_reference_functions(self, small_op_full):
         op = small_op_full
@@ -230,16 +238,34 @@ class TestHeldPropagator:
         assert len(built) == 2
 
 
+def frozen_cumulative(panels, g):
+    """GaussPanels.cumulative as it was before it summed real views."""
+    panel_full = np.einsum("m,km...->k...", panels.full_weights, g) * panels.half.reshape(
+        (-1,) + (1,) * (g.ndim - 2)
+    )
+    prefix = np.concatenate(
+        [np.zeros_like(panel_full[:1]), np.cumsum(panel_full, axis=0)[:-1]], axis=0
+    )
+    within = np.einsum("ms,ks...->km...", panels.partial, g) * panels.half.reshape(
+        (-1, 1) + (1,) * (g.ndim - 2)
+    )
+    return prefix[:, None] + within, prefix[-1] + panel_full[-1]
+
+
 def final_state_window(op):
-    """final_state's window at N=256: [1.5, 2.0] at dt=2e-3, 250 Gauss panels."""
+    """final_state's window (at N=256 there): [1.5, 2.0] at dt=2e-3, 250 Gauss panels."""
     u = small_gaussian(op, amp=0.8)
     cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=2.0)
     return u, cfg, 1.5, 2.0
 
 
-# tracemalloc peak, in bytes, of one cold backward final_state_window on a fresh
-# N=256 operator with the code before sweeps ran in place (numpy 2.4.6)
-PARENT_WINDOW_PEAK = 84_137_644
+# bound on the tracemalloc peak of one cold backward final_state_window on a fresh
+# N=256 operator, node-table build included: the held node table, the iterate
+# and its two scratch buffers are four (250, 8, 256) complex arrays, and half of
+# one more covers the panel sums.  Peaks measured with numpy 2.4.6: 84.1 MB
+# before sweeps ran in place, 57.4 MB before they ran in reused buffers, 35.9 MB
+# now.
+WINDOW_PEAK_BOUND = 4.5 * 250 * 8 * 256 * 16
 
 
 class TestHeldTables:
@@ -328,37 +354,41 @@ class TestHeldTables:
         assert [tau for tau, _ in props] == [2e-3]
 
     @pytest.mark.parametrize("backward", [True, False])
-    def test_in_place_sweeps_equal_the_expression_form(self, op_full, backward):
-        # the fixed point written as expressions, as before sweeps ran in place
-        u, cfg, t0, t1 = final_state_window(op_full)
-        panels = GaussPanels(t0, t1, 250)
-        mu = op_full.eigenvalues
-        anchor = op_full.to_modal(u.values)
-        if not backward:
-            anchor = anchor * np.exp(-1j * mu * t0)
-        node_phases = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
-        coeffs = node_phases * anchor
-        diffs = []
-        for _ in range(cfg.picard_max_iter):
-            u_nodes = op_full.from_modal(coeffs.reshape(-1, mu.size))
-            g_nodes = np.abs(u_nodes) ** (cfg.p - 1.0) * u_nodes
-            f_modal = op_full.to_modal(g_nodes).reshape(coeffs.shape)
-            g_cum, g_total = panels.cumulative(np.conj(node_phases) * f_modal)
-            if backward:
-                g_cum -= g_total
-            new_coeffs = node_phases * (anchor + 1j * cfg.lam * g_cum)
-            delta = (new_coeffs - coeffs).reshape(-1, mu.size)
-            h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
-            diffs.append(float(np.max(np.linalg.norm(delta * h2_weight, axis=1))))
-            coeffs = new_coeffs
-            if diffs[-1] < cfg.picard_tol:
-                break
-        sol = duhamel_window(u, op_full, cfg, t0, t1, backward=backward)
-        assert sol.diffs == diffs
-        t_out, g_out = (t0, -g_total) if backward else (t1, g_total)
-        out_modal = np.exp(1j * mu * t_out) * (anchor + 1j * cfg.lam * g_out)
-        expected = op_full.from_modal(out_modal)
-        assert sol.final_field.values.tobytes() == expected.tobytes()
+    def test_in_place_sweeps_equal_the_expression_form(self, request, backward):
+        # the fixed point written as expressions, with the complex-einsum
+        # quadrature, as before sweeps ran in place and in reused buffers
+        for which, lam in itertools.product(("small_op_full", "op_full"), (1.0, 0.0)):
+            op = request.getfixturevalue(which)
+            u, cfg, t0, t1 = final_state_window(op)
+            cfg = dataclasses.replace(cfg, lam=lam)
+            panels = GaussPanels(t0, t1, 250)
+            mu = op.eigenvalues
+            anchor = op.to_modal(u.values)
+            if not backward:
+                anchor = anchor * np.exp(-1j * mu * t0)
+            node_phases = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
+            coeffs = node_phases * anchor
+            diffs = []
+            for _ in range(cfg.picard_max_iter):
+                u_nodes = op.from_modal(coeffs.reshape(-1, mu.size))
+                g_nodes = np.abs(u_nodes) ** (cfg.p - 1.0) * u_nodes
+                f_modal = op.to_modal(g_nodes).reshape(coeffs.shape)
+                g_cum, g_total = frozen_cumulative(panels, np.conj(node_phases) * f_modal)
+                if backward:
+                    g_cum -= g_total
+                new_coeffs = node_phases * (anchor + 1j * cfg.lam * g_cum)
+                delta = (new_coeffs - coeffs).reshape(-1, mu.size)
+                h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
+                diffs.append(float(np.max(np.linalg.norm(delta * h2_weight, axis=1))))
+                coeffs = new_coeffs
+                if diffs[-1] < cfg.picard_tol:
+                    break
+            sol = duhamel_window(u, op, cfg, t0, t1, backward=backward)
+            assert sol.diffs == diffs
+            t_out, g_out = (t0, -g_total) if backward else (t1, g_total)
+            out_modal = np.exp(1j * mu * t_out) * (anchor + 1j * cfg.lam * g_out)
+            expected = op.from_modal(out_modal)
+            assert sol.final_field.values.tobytes() == expected.tobytes()
 
     def test_window_peak_memory_not_above_parent(self, op_full):
         op = build_operator("full", op_full.grid, op_full.potential)
@@ -369,7 +399,47 @@ class TestHeldTables:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= PARENT_WINDOW_PEAK
+        assert peak <= WINDOW_PEAK_BOUND
+
+
+class TestBufferedSweeps:
+    """Real-view quadrature and sweeps in reused buffers keep every bit."""
+
+    @pytest.mark.parametrize("num_panels", [1, 3, 250])
+    @pytest.mark.parametrize("trailing", [(), (256,), (3, 5)])
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_cumulative_equals_the_complex_einsum(self, num_panels, trailing, dtype):
+        panels = GaussPanels(0.3, 1.1, num_panels)
+        rng = np.random.default_rng(num_panels + len(trailing))
+        shape = (num_panels, PICARD_ORDER, *trailing)
+        g = rng.standard_normal(shape)
+        if dtype is complex:
+            g = g + 1j * rng.standard_normal(shape)
+        ref_cum, ref_total = frozen_cumulative(panels, g)
+        for out in (None, np.empty_like(g)):
+            cum, total = panels.cumulative(g, out=out)
+            assert cum.dtype == ref_cum.dtype and total.dtype == ref_total.dtype
+            assert cum.tobytes() == ref_cum.tobytes()
+            assert total.tobytes() == ref_total.tobytes()
+            if out is not None:
+                assert cum is out
+
+    def test_sweep_transforms_run_in_caller_buffers(self, monkeypatch, op_full):
+        # every transform of a sweep runs in caller buffers
+        calls = []
+        for name in ("to_modal", "from_modal"):
+            original = getattr(type(op_full), name)
+
+            def spy(self, values, out=None, work=None, _original=original, _name=name):
+                if values.size > op_full.grid.num_points:
+                    calls.append((_name, out is not None and work is not None))
+                return _original(self, values, out=out, work=work)
+
+            monkeypatch.setattr(type(op_full), name, spy)
+        u, cfg, t0, t1 = final_state_window(op_full)
+        sol = duhamel_window(u, op_full, cfg, t0, t1, backward=True)
+        assert len(calls) == 2 * sol.iterations
+        assert all(buffered for _, buffered in calls)
 
 
 class TestStepPropagator:

@@ -261,6 +261,43 @@ class TestStackedTransform:
         assert bitwise_equal(op_full.from_modal(x), expected)
 
 
+class TestCallerBuffers:
+    """The transform pair in caller buffers equals the allocating call bit for bit."""
+
+    # one row, a small batch (two products) and batches past _SMALL_GEMM_WORK
+    @pytest.mark.parametrize("lead", [(), (3,), (3, 4), (16,), (2000,)])
+    @pytest.mark.parametrize("which", ["to_modal", "from_modal"])
+    def test_bitwise_equal_to_allocating_call(self, op_full, lead, which):
+        n = op_full.grid.num_points
+        assert (2000 * n * n > spectral._SMALL_GEMM_WORK) and (3 * n * n <= spectral._SMALL_GEMM_WORK)
+        rng = np.random.default_rng(len(lead) + sum(lead))
+        x = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
+        transform = getattr(op_full, which)
+        expected = transform(x)
+        out, work = np.empty_like(x), np.empty_like(x)
+        got = transform(x, out=out, work=work)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert np.shares_memory(got, out)
+        assert bitwise_equal(got, expected)
+
+    @pytest.mark.parametrize("lead", [(3,), (2000,)])
+    def test_work_may_hold_the_input(self, op_full, lead):
+        # the Picard sweep's to_modal reads its values from the work buffer
+        n = op_full.grid.num_points
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
+        expected = op_full.to_modal(x)
+        held = x.copy()
+        assert bitwise_equal(op_full.to_modal(held, out=np.empty_like(x), work=held), expected)
+
+    def test_buffers_take_complex_rows_only(self, op_full):
+        x = np.ones((3, op_full.grid.num_points))
+        buf = np.empty(x.shape, complex)
+        for transform in (op_full.to_modal, op_full.from_modal):
+            with pytest.raises(spectral.SpectralError):
+                transform(x, out=buf, work=buf.copy())
+
+
 def busy_numpy_blas():
     """A burst of threaded numpy products, which leaves numpy's OpenBLAS pool spinning."""
     a = np.random.default_rng(0).standard_normal((384, 384))
