@@ -15,6 +15,17 @@ integrals use the composite trapezoid over the sample times.
 Admissibility of a pair (q, r) for the fourth-order flow means
 4/q + n/r = n/2; it is validated in exact rational arithmetic because the
 identity is brittle in floats.
+
+A Duhamel solve, a Strichartz quotient and a space-time norm work on (T, N)
+arrays that, at T = 129 and N = 256, are past glibc's 128 KiB mmap
+threshold, so each temporary of that size would be fresh pages.  Their
+transforms over the T rows stay one to_modal / from_modal call each, into
+caller buffers: a transform split into row blocks could take OpenBLAS's
+small-matrix kernel and change the last bits.  Every row-local stage (the
+modal coefficients with their phase integrals, h(t), the Delta stencil and
+the L^r sums) runs over row blocks of at most 64 KiB of complex values,
+whose temporaries are reused heap memory and stay in cache; each acts on
+each row alone, so the bits are the whole-array forms'.
 """
 
 from __future__ import annotations
@@ -46,6 +57,11 @@ from .spectral import (
 
 SPACETIME_NORMS = ("M", "W", "Z", "N")
 MIN_TIME_SAMPLES = 4
+
+# complex bytes per row block of the row-local stages: at N = 256 a block is
+# 16 rows, so its temporaries stay below glibc's 128 KiB mmap threshold
+# (reused heap, not fresh pages) and in L2
+_BLOCK_BYTES = 64 * 1024
 
 
 class AdmissibilityError(ValueError):
@@ -80,10 +96,35 @@ def _time_lq(times: np.ndarray, values: np.ndarray, q: float) -> float:
     return float(peak * np.trapezoid((values / peak) ** q, times) ** (1.0 / q))
 
 
+def _row_blocks(num_rows: int, num_points: int):
+    """Slices of consecutive rows, each at most _BLOCK_BYTES of complex values."""
+    step = max(1, _BLOCK_BYTES // (16 * num_points))
+    return (slice(start, start + step) for start in range(0, num_rows, step))
+
+
+def _lr_norms(grid, values: np.ndarray, rs, stage=None) -> np.ndarray:
+    """lp_norm_values of stage(grid, rows) for each r in rs, shape (len(rs), T), by row blocks.
+
+    stage (the Delta stencil, or None for the rows themselves) and every
+    norm run on one block while it is in cache; each row's norms are the
+    whole-array call's, bit for bit, as both act on each row alone.
+    """
+    norms = np.empty((len(rs), len(values)))
+    for rows in _row_blocks(*values.shape):
+        block = values[rows] if stage is None else stage(grid, values[rows])
+        for norm, r in zip(norms, rs):
+            norm[rows] = lp_norm_values(grid, block, float(r))
+    return norms
+
+
 def spacetime_norm(
     sample: SpaceTimeSample, which: str, op_free: SpectralOperator | None = None
 ) -> float:
-    """L^q_t L^r_x norm over the sample; W and N need the free operator for |grad|."""
+    """L^q_t L^r_x norm over the sample; W and N need the free operator for |grad|.
+
+    |grad| u is one transform pair over all rows, into two buffers; Delta u
+    and the L^r norms run by row blocks.
+    """
     if sample.times.size < MIN_TIME_SAMPLES:
         raise ResolutionError(
             f"need at least {MIN_TIME_SAMPLES} time samples, got {sample.times.size}"
@@ -91,13 +132,14 @@ def spacetime_norm(
     grid = sample.grid
     q, r = spacetime_exponents(which, grid.dimension)
     values = sample.values
-    if which == "M":
-        values = laplacian_values(grid, values)
-    elif which in ("W", "N"):
+    stage = laplacian_values if which == "M" else None
+    if which in ("W", "N"):
         if op_free is None:
             raise ValueError(f"norm {which} needs the free operator for |grad|")
-        values = fractional_gradient_values(op_free, 1.0, values)
-    return _time_lq(sample.times, lp_norm_values(grid, values, float(r)), float(q))
+        values = fractional_gradient_values(
+            op_free, 1.0, values, out=np.empty_like(values), work=np.empty_like(values)
+        )
+    return _time_lq(sample.times, _lr_norms(grid, values, [r], stage)[0], float(q))
 
 
 def is_b_admissible(q: Fraction, r: Fraction, n: int) -> bool:
@@ -211,12 +253,21 @@ class ModalForcing:
     omegas: np.ndarray
     fields: list[RadialField]
 
-    def values_at(self, t) -> np.ndarray:
-        """h(t) as (N,) for a scalar time, or (T, N) for an array of T times."""
-        t = np.asarray(t, dtype=float)[..., None]
-        out = np.zeros_like(self.fields[0].values)
-        for w, g in zip(self.omegas, self.fields):
-            out = out + np.exp(1j * w * t) * g.values
+    def values_at(self, t, out=None) -> np.ndarray:
+        """h(t) as (N,) for a scalar time, or (T, N) for an array of T times.
+
+        out is an optional complex buffer of the result's shape; the rows
+        are summed by row blocks either way.
+        """
+        t = np.asarray(t, dtype=float)
+        num_points = self.fields[0].values.size
+        if out is None:
+            out = np.empty((*t.shape, num_points), complex)
+        rows, times = out.reshape(-1, num_points), t.reshape(-1, 1)
+        for block in _row_blocks(*rows.shape):
+            rows[block] = 0.0
+            for w, g in zip(self.omegas, self.fields):
+                rows[block] += np.exp(1j * w * times[block]) * g.values
         return out
 
 
@@ -249,19 +300,25 @@ def duhamel_solution(
 
     e^{i t_k mu} is held in the operator's "duhamel_phases" slot, so solves
     at the same times build it once, and each forcing mode's phase integral
-    is formed from it.
+    is formed from it.  The modal coefficients are assembled by row blocks
+    and then sent to the grid in one from_modal over all T rows, in the
+    coefficients' buffer and the result's.
     """
     mu = op.eigenvalues
     times = np.asarray(times, dtype=float)
     phases = op.held("duhamel_phases", solver.phase_table, times)
-    coeffs = op.to_modal(u0.values) * phases
+    u0_modal = op.to_modal(u0.values)
     if forcing is not None:
         g_modal = op.to_modal(np.array([g.values for g in forcing.fields]))
-        i_phases = 1j * phases
-        conj_phases = np.conjugate(phases)
-        for w, g_m in zip(forcing.omegas, g_modal):
-            coeffs += i_phases * g_m * _phase_integral(w, mu, times[:, None], conj_phases)
-    return op.from_modal(coeffs)
+    coeffs = np.empty(phases.shape, complex)
+    for rows in _row_blocks(*phases.shape):
+        block = np.multiply(u0_modal, phases[rows], out=coeffs[rows])
+        if forcing is not None:
+            i_phases = 1j * phases[rows]
+            conj_phases = np.conjugate(phases[rows])
+            for w, g_m in zip(forcing.omegas, g_modal):
+                block += i_phases * g_m * _phase_integral(w, mu, times[rows, None], conj_phases)
+    return op.from_modal(coeffs, out=np.empty_like(coeffs), work=coeffs)
 
 
 def strichartz_quotient(
@@ -275,29 +332,40 @@ def strichartz_quotient(
 ) -> np.ndarray:
     """||Delta u||_{L^q L^r} / (||Delta u0||_2 + ||grad h||_{L^2 L^{2n/(n+2)}}) per pair (q, r).
 
-    One Duhamel solve, one Delta u and one denominator are shared by every
-    pair; each pair costs one L^r norm per sample time and one L^q time
-    norm.  Every pair is checked for admissibility before the solve.
+    One Duhamel solve and one denominator are shared by every pair.  Delta u
+    and the L^r norms of every pair run by row blocks, one block in cache
+    at a time; each pair then costs one L^q time norm.  The solve's memory
+    then takes h(t), which |grad| h overwrites in one transform pair.  Every
+    pair is checked for admissibility, and the sampling for at least
+    MIN_TIME_SAMPLES times over an interval of positive length, before the
+    solve.
     """
     n = op_full.grid.dimension
     pairs = [(Fraction(q), Fraction(r)) for q, r in pairs]
     for q, r in pairs:
         require_b_admissible(q, r, n, r_below_half_n=True)
+    if num_samples < MIN_TIME_SAMPLES:
+        raise ResolutionError(
+            f"need at least {MIN_TIME_SAMPLES} time samples, got {num_samples}"
+        )
     t0, t1 = interval
+    if not t0 < t1:
+        raise ValueError(f"interval must satisfy t0 < t1, got ({t0}, {t1})")
     times = np.linspace(t0, t1, num_samples)
     grid = op_full.grid
-    lap_u = laplacian_values(grid, duhamel_solution(op_full, u0, forcing, times))
+    u = duhamel_solution(op_full, u0, forcing, times)
+    lap_norms = _lr_norms(grid, u, [r for _, r in pairs], laplacian_values)
     dual = 0.0
     if forcing is not None:
         _, r_dual = spacetime_exponents("N", n)
-        grad_h = fractional_gradient_values(op_free, 1.0, forcing.values_at(times))
-        dual = _time_lq(times, lp_norm_values(grid, grad_h, float(r_dual)), 2.0)
+        h = forcing.values_at(times, out=u)
+        grad_h = fractional_gradient_values(op_free, 1.0, h, out=h, work=np.empty_like(h))
+        dual = _time_lq(times, _lr_norms(grid, grad_h, [r_dual])[0], 2.0)
     denom = hdot2_norm(u0) + dual
     if denom == 0.0:
         raise ZeroDivisionError("trivial data and forcing")
     return np.array([
-        _time_lq(times, lp_norm_values(grid, lap_u, float(r)), float(q)) / denom
-        for q, r in pairs
+        _time_lq(times, norms, float(q)) / denom for (q, _), norms in zip(pairs, lap_norms)
     ])
 
 
@@ -391,10 +459,13 @@ def morawetz_check(
     sample: SpaceTimeSample,
     k_values,
     cfg: SimulationConfig,
+    h2dot: np.ndarray | None = None,
 ) -> list[MorawetzReport]:
     """Weighted space-time nonlinearity inside |x| <= K |I|^{1/4} vs its bound, per K.
 
-    sup_I (E + E^{2#/2}) does not depend on K, so it is computed once.
+    sup_I (E + E^{2#/2}) does not depend on K, so it is computed once, from
+    h2dot, ||Delta u||^2 of each row as run_trajectory's h2dot_series holds
+    it, or from the rows when h2dot is not given.
     """
     grid = sample.grid
     n = grid.dimension
@@ -405,9 +476,10 @@ def morawetz_check(
         )
     two_sharp = p_crit + 1.0
     length = sample.length
+    if h2dot is None:
+        h2dot = [hdot2_norm(RadialField(grid, row)) ** 2 for row in sample.values]
     sup_e_hat = 0.0
-    for row in sample.values:
-        e = hdot2_norm(RadialField(grid, row)) ** 2
+    for e in map(float, h2dot):
         sup_e_hat = max(sup_e_hat, e + e ** (two_sharp / 2.0))
     reports = []
     for k_parameter in k_values:

@@ -324,9 +324,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     knobs = {key: default for key, (_, default) in schema.items()}
     knobs.update(_typed_section(_section_dict(parser, kind), schema, kind))
 
-    if kind == "strichartz" and knobs["pairs"]:
-        from .analysis import AdmissibilityError, require_b_admissible
+    if kind == "strichartz":
+        from .analysis import MIN_TIME_SAMPLES, AdmissibilityError, require_b_admissible
 
+        if knobs["num_samples"] < MIN_TIME_SAMPLES:
+            raise ConfigError(
+                f"strichartz.num_samples must be at least {MIN_TIME_SAMPLES}, "
+                f"got {knobs['num_samples']}"
+            )
+        if not knobs["t_end"] > 0:
+            raise ConfigError(f"strichartz.t_end must be positive, got {knobs['t_end']}")
         for q, r in knobs["pairs"]:
             try:
                 require_b_admissible(q, r, grid.dimension, r_below_half_n=True)

@@ -330,7 +330,10 @@ def run_morawetz(ctx: RunContext):
     t0, k_values = knobs["interval_start"], knobs["k_values"]
     constants = {}
     for length in knobs["interval_lengths"]:
-        reports = analysis.morawetz_check(sample.restricted(t0, t0 + length), k_values, sim)
+        sub = sample.restricted(t0, t0 + length)
+        # snapshot times are monitor times, the same floats
+        h2dot = rec.h2dot_series[np.searchsorted(rec.times, sub.times)]
+        reports = analysis.morawetz_check(sub, k_values, sim, h2dot)
         for k, rep in zip(k_values, reports):
             constants[(k, length)] = rep.empirical_constant
     values = np.array(list(constants.values()))

@@ -204,7 +204,9 @@ def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
 
     P = diag(1/sqrt m) Q diag(e^{i tau mu}) Q^T diag(sqrt m), filled by blocks
     of _PROPAGATOR_ROWS rows from two real products, so no N x N temporary
-    exists beside P: its 16 N^2 bytes are the whole memory cost.
+    exists beside P: its 16 N^2 bytes are the whole memory cost.  Each
+    block's scaled rows and product go into two buffers allocated once per
+    build.
     """
     q = op.eigenvectors
     qt = q.T
@@ -213,10 +215,12 @@ def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
     sqrt_m = op.grid.metric_sqrt
     n = q.shape[0]
     out = np.empty((n, n), dtype=complex)
+    scaled, product = np.empty((2, min(n, _PROPAGATOR_ROWS), n))
     for start in range(0, n, _PROPAGATOR_ROWS):
         rows = slice(start, start + _PROPAGATOR_ROWS)
+        m = min(_PROPAGATOR_ROWS, n - start)
         for part, factor in ((out.real, cos), (out.imag, sin)):
-            block = (q[rows] * factor) @ qt
+            block = np.matmul(np.multiply(q[rows], factor, out=scaled[:m]), qt, out=product[:m])
             block *= sqrt_m
             block /= sqrt_m[rows, None]
             part[rows] = block

@@ -263,7 +263,8 @@ class SpectralOperator:
         """Grid values of each row of `coeffs`, shape (..., N).
 
         out and work are optional caller buffers, as for to_modal; coeffs
-        must not share memory with either.
+        must not share memory with out, but may be work itself, as it is
+        read in full before work is written.
         """
         values = _rows_times(coeffs, self.eigenvectors.T, out, work)
         values /= self.grid.metric_sqrt
@@ -419,11 +420,24 @@ def evolve(op: SpectralOperator, values: np.ndarray, times) -> np.ndarray:
     return op.from_modal(np.exp(1j * times[:, None] * op.eigenvalues) * op.to_modal(values))
 
 
-def fractional_gradient_values(op_free: SpectralOperator, s: float, values: np.ndarray) -> np.ndarray:
-    """|grad|^s = (Delta^2)^{s/4} of each row of values, shape (..., N), through the free calculus."""
+def fractional_gradient_values(
+    op_free: SpectralOperator, s: float, values: np.ndarray, out=None, work=None
+) -> np.ndarray:
+    """|grad|^s = (Delta^2)^{s/4} of each row of values, shape (..., N), through the free calculus.
+
+    out and work are optional caller buffers for complex values, as for
+    to_modal; values may be out itself.  Then the modal coefficients are
+    scaled in work and the result is over out's memory, bit for bit the
+    allocating call's, and nothing of values' size is allocated.
+    """
     if op_free.kind != "free":
         raise SpectralError("the fractional gradient needs the free operator")
-    return op_free.from_modal(op_free.to_modal(values) * _scalar_factors(op_free, "power_s", s))
+    factors = _scalar_factors(op_free, "power_s", s)
+    if out is None:
+        return op_free.from_modal(op_free.to_modal(values) * factors)
+    coeffs = op_free.to_modal(values, out=work, work=out)
+    coeffs *= factors
+    return op_free.from_modal(coeffs, out=out, work=work)
 
 
 def free_fractional_gradient(op_free: SpectralOperator, s: float, u: RadialField) -> RadialField:

@@ -6,18 +6,39 @@ Runtime caps from the criteria are enforced with wall clocks around the
 calls.  Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 """
 
+import ctypes
+import hashlib
+import importlib.util
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+from nls4 import spectral
 from nls4.config import load_config
 from nls4.experiments import run_experiment
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "scripts" / "configs"
 
 _reports = {}
+_output_dirs = {}
+
+# (body digest, file digest) of each pinned config, as scripts/run_all.py
+# prints them, keyed on what fixes their bits: the numpy and scipy versions
+# and the config strings of the OpenBLAS each wheel ships
+PINNED_DIGESTS = {
+    (
+        "2.4.6",
+        "1.17.1",
+        "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
+        "OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY SkylakeX MAX_THREADS=64",
+    ): {
+        "strichartz": ("d481f1dccab1f8eb", "b6fca0b93aa67ee3"),
+    },
+}
 
 
 def run_config(name, tmp_path, seed=None):
@@ -33,8 +54,21 @@ def run_config(name, tmp_path, seed=None):
 
 def cached_report(name, tmp_path_factory):
     if name not in _reports:
-        _reports[name] = run_config(name, tmp_path_factory.mktemp(name))
+        base = tmp_path_factory.mktemp(name)
+        _reports[name] = run_config(name, base)
+        _output_dirs[name] = base / name
     return _reports[name]
+
+
+def openblas_config(package):
+    """The config string of the OpenBLAS the package's wheel ships; None where not found."""
+    lib = spectral._blas_pools().get(package)
+    for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config"):
+        if lib is not None and hasattr(lib, name):
+            getter = getattr(lib, name)
+            getter.restype = ctypes.c_char_p
+            return getter().decode()
+    return None
 
 
 def emit(criterion, name, report, elapsed=None):
@@ -177,6 +211,21 @@ def test_criterion_11_wave_operator(tmp_path_factory):
     assert checks["gaps_decreasing"].verdict == "pass"
     assert checks["final_gap_fraction"].measured < 0.1
     assert report.worst_verdict == "pass"
+
+
+def test_criterion_12_pinned_strichartz_bytes(tmp_path_factory):
+    key = (np.__version__, scipy.__version__, openblas_config("numpy"), openblas_config("scipy"))
+    pins = PINNED_DIGESTS.get(key)
+    if pins is None:
+        pytest.skip(f"no pinned digests for numpy, scipy and their OpenBLAS builds {key}")
+    spec = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    for name, (body, files) in pins.items():
+        report, _ = cached_report(name, tmp_path_factory)
+        digest = hashlib.sha256(report.body_text().encode()).hexdigest()[:16]
+        assert (digest, run_all.files_digest(_output_dirs[name], f"report-{name}.txt")) == (
+            body, files), name
 
 
 def test_criterion_12_determinism(tmp_path):

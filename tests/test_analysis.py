@@ -2,6 +2,7 @@
 localized-mass rates, and the Morawetz functional."""
 
 import os
+import platform
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 
 from nls4 import analysis
 from nls4.analysis import (
+    SPACETIME_NORMS,
     AdmissibilityError,
     ModalForcing,
     ResolutionError,
@@ -29,10 +31,11 @@ from nls4.analysis import (
     strichartz_quotient,
 )
 from nls4.experiments import _stock_pairs
-from nls4.radial import RadialField, localized_mass, lp_norm, zero_field
-from nls4.solver import SimulationConfig, mass, run_trajectory
+from nls4.radial import RadialField, localized_mass, lp_norm, lp_norm_values, zero_field
+from nls4.solver import SimulationConfig, mass, phase_table, run_trajectory
 from nls4.spectral import (
     apply_function,
+    fractional_gradient_values,
     free_fractional_gradient,
     hdot2_norm,
     laplacian_values,
@@ -319,6 +322,23 @@ class TestStrichartzQuotient:
             with pytest.raises(AdmissibilityError):
                 strichartz_quotient(op_full, op_free, u0, None, pairs, (0.0, 1.0))
 
+    @pytest.mark.parametrize("num_samples, interval, error", [
+        (1, (0.0, 1.0), ResolutionError),
+        (3, (0.0, 1.0), ResolutionError),
+        (129, (0.5, 0.5), ValueError),
+        (129, (0.0, -1.0), ValueError),
+    ], ids=["one_sample", "three_samples", "empty_interval", "reversed_interval"])
+    def test_degenerate_sampling_raises_before_solve(self, op_full, op_free, rng, monkeypatch,
+                                                     num_samples, interval, error):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Duhamel solve reached before the sampling was checked")
+
+        monkeypatch.setattr(analysis, "duhamel_solution", unreachable)
+        u0 = random_low_mode_field(op_free, rng)
+        with pytest.raises(error, match="time samples|t0 < t1"):
+            strichartz_quotient(op_full, op_free, u0, None, _stock_pairs(5), interval,
+                                num_samples)
+
     def test_duhamel_solution_linear_part(self, op_full, op_free, rng):
         u0 = random_low_mode_field(op_free, rng)
         out = duhamel_solution(op_full, u0, None, [0.7])
@@ -393,6 +413,183 @@ class TestStrichartzQuotient:
                 strichartz_quotient(op_full, op_free, u0, forcing, [pair], (0.0, 1.0))[0]
             )
         assert max(values) / min(values) <= 10.0
+
+
+# the whole-array forms of ModalForcing.values_at, _phase_integral,
+# duhamel_solution, strichartz_quotient and spacetime_norm before their
+# row-local stages ran by row blocks: the references the blocked code must
+# equal byte for byte
+def frozen_values_at(forcing, t):
+    t = np.asarray(t, dtype=float)[..., None]
+    out = np.zeros_like(forcing.fields[0].values)
+    for w, g in zip(forcing.omegas, forcing.fields):
+        out = out + np.exp(1j * w * t) * g.values
+    return out
+
+
+def frozen_phase_integral(omega, mu, t, conj_phases):
+    delta = omega - mu
+    delta_t = delta * t
+    small = np.abs(delta_t) < 1e-8
+    out = np.multiply(np.exp(1j * omega * t), conj_phases)
+    out -= 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= 1j * delta
+    if small.any():
+        d_s = np.broadcast_to(delta, small.shape)[small]
+        t_s = np.broadcast_to(t, small.shape)[small]
+        out[small] = t_s * (1.0 + 0.5j * d_s * t_s - delta_t[small] ** 2 / 6.0)
+    return out
+
+
+def frozen_duhamel_solution(op, u0, forcing, times):
+    mu = op.eigenvalues
+    times = np.asarray(times, dtype=float)
+    phases = phase_table(op, times)
+    coeffs = op.to_modal(u0.values) * phases
+    if forcing is not None:
+        g_modal = op.to_modal(np.array([g.values for g in forcing.fields]))
+        i_phases = 1j * phases
+        conj_phases = np.conjugate(phases)
+        for w, g_m in zip(forcing.omegas, g_modal):
+            coeffs += i_phases * g_m * frozen_phase_integral(w, mu, times[:, None], conj_phases)
+    return op.from_modal(coeffs)
+
+
+def frozen_time_lq(times, values, q):
+    peak = values.max() if values.size else 0.0
+    if peak == 0.0:
+        return 0.0
+    return float(peak * np.trapezoid((values / peak) ** q, times) ** (1.0 / q))
+
+
+def frozen_strichartz_quotient(op_full, op_free, u0, forcing, pairs, interval, num_samples):
+    n = op_full.grid.dimension
+    pairs = [(Fraction(q), Fraction(r)) for q, r in pairs]
+    times = np.linspace(*interval, num_samples)
+    grid = op_full.grid
+    lap_u = laplacian_values(grid, frozen_duhamel_solution(op_full, u0, forcing, times))
+    dual = 0.0
+    if forcing is not None:
+        _, r_dual = spacetime_exponents("N", n)
+        grad_h = fractional_gradient_values(op_free, 1.0, frozen_values_at(forcing, times))
+        dual = frozen_time_lq(times, lp_norm_values(grid, grad_h, float(r_dual)), 2.0)
+    denom = hdot2_norm(u0) + dual
+    return np.array([
+        frozen_time_lq(times, lp_norm_values(grid, lap_u, float(r)), float(q)) / denom
+        for q, r in pairs
+    ])
+
+
+def frozen_spacetime_norm(sample, which, op_free):
+    grid = sample.grid
+    q, r = spacetime_exponents(which, grid.dimension)
+    values = sample.values
+    if which == "M":
+        values = laplacian_values(grid, values)
+    elif which in ("W", "N"):
+        values = fractional_gradient_values(op_free, 1.0, values)
+    return frozen_time_lq(sample.times, lp_norm_values(grid, values, float(r)), float(q))
+
+
+def forced_draw(op_free, seed, forced=True):
+    rng = np.random.default_rng(seed)
+    u0 = random_low_mode_field(op_free, rng)
+    if not forced:
+        return u0, None
+    return u0, ModalForcing(
+        rng.uniform(-8, 8, 2),
+        [random_low_mode_field(op_free, rng, norm=0.5) for _ in range(2)],
+    )
+
+
+OPS = {96: ("small_op_full", "small_op_free"), 256: ("op_full", "op_free")}
+
+# at most this many minor page faults per forced quotient at N = 256, T = 129
+# under a fixed 128 KiB mmap threshold: about 4,600 when each (T, N)
+# temporary was a fresh mapping, about 430 with the row-blocked stages
+QUOTIENT_FAULT_BOUND = 1500
+
+
+class TestRowBlockedStages:
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("num_times", [1, 4, 15, 16, 17, 129])
+    @pytest.mark.parametrize("n_points", sorted(OPS))
+    def test_duhamel_equals_whole_array_form(self, request, n_points, num_times, forced):
+        op, op_free = (request.getfixturevalue(name) for name in OPS[n_points])
+        u0, forcing = forced_draw(op_free, 31, forced)
+        times = np.linspace(0.0, 1.0, num_times)
+        out = duhamel_solution(op, u0, forcing, times)
+        ref = frozen_duhamel_solution(op, u0, forcing, times)
+        assert out.shape == ref.shape == (num_times, n_points)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    @pytest.mark.parametrize("num_samples", [4, 15, 16, 17, 129])
+    @pytest.mark.parametrize("n_points", sorted(OPS))
+    def test_quotient_equals_whole_array_form(self, request, n_points, num_samples, forced):
+        op, op_free = (request.getfixturevalue(name) for name in OPS[n_points])
+        u0, forcing = forced_draw(op_free, 37, forced)
+        pairs = _stock_pairs(5)
+        out = strichartz_quotient(op, op_free, u0, forcing, pairs, (0.0, 1.0), num_samples)
+        ref = frozen_strichartz_quotient(op, op_free, u0, forcing, pairs, (0.0, 1.0),
+                                         num_samples)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("which", SPACETIME_NORMS)
+    @pytest.mark.parametrize("num_times", [4, 17, 129])
+    @pytest.mark.parametrize("n_points", sorted(OPS))
+    def test_spacetime_norm_equals_whole_array_form(self, request, n_points, num_times, which):
+        op, op_free = (request.getfixturevalue(name) for name in OPS[n_points])
+        u0, forcing = forced_draw(op_free, 41)
+        times = np.linspace(0.0, 1.0, num_times)
+        sample = SpaceTimeSample(op.grid, times, duhamel_solution(op, u0, forcing, times),
+                                 (0.0, 1.0))
+        before = sample.values.tobytes()
+        norm = spacetime_norm(sample, which, op_free)
+        assert norm > 0 and norm == frozen_spacetime_norm(sample, which, op_free)
+        assert sample.values.tobytes() == before
+
+    @pytest.mark.parametrize("t", [0.3, np.linspace(0.0, 1.0, 129)], ids=["scalar", "times"])
+    def test_values_at_equals_whole_array_form(self, op_free, t):
+        _, forcing = forced_draw(op_free, 43)
+        ref = frozen_values_at(forcing, t)
+        assert forcing.values_at(t).tobytes() == ref.tobytes()
+        out = np.full(ref.shape, np.nan, complex)
+        assert forcing.values_at(t, out=out) is out
+        assert out.tobytes() == ref.tobytes()
+
+    def test_quotient_page_faults_bounded(self):
+        # a fresh mapping for every (T, N) temporary is what this bounds: a
+        # child with glibc's mmap threshold fixed at 128 KiB, as perfbench runs
+        if sys.platform != "linux" or platform.libc_ver()[0] != "glibc":
+            pytest.skip("page-fault bound needs glibc's malloc tunables")
+        pytest.importorskip("resource", reason="page-fault bound needs the resource module")
+        script = (
+            "import resource, numpy as np\n"
+            "from nls4 import analysis, experiments, potentials, radial, spectral, states\n"
+            "grid = radial.make_grid(5, 20.0, 256)\n"
+            "op = spectral.build_operator('full', grid, potentials.example_potential(5))\n"
+            "op_free = spectral.build_operator('free', grid)\n"
+            "rng = np.random.default_rng(5)\n"
+            "pairs = experiments._stock_pairs(5)\n"
+            "def quotient():\n"
+            "    u0 = states.random_low_mode_field(op_free, rng)\n"
+            "    forcing = analysis.ModalForcing(rng.uniform(-8, 8, 2),\n"
+            "        [states.random_low_mode_field(op_free, rng, norm=0.5) for _ in range(2)])\n"
+            "    analysis.strichartz_quotient(op, op_free, u0, forcing, pairs)\n"
+            "quotient()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(5):\n"
+            "    quotient()\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)\n"
+        )
+        src = str(Path(analysis.__file__).resolve().parents[1])
+        env = dict(os.environ, GLIBC_TUNABLES="glibc.malloc.mmap_threshold=131072")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        assert float(out.stdout) <= QUOTIENT_FAULT_BOUND
 
 
 class TestLocalizedMassRate:

@@ -110,6 +110,21 @@ pairs = 3:3
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("knob, value", [
+        ("num_samples", "3"), ("num_samples", "0"), ("t_end", "0.0"), ("t_end", "-1.0"),
+    ])
+    def test_degenerate_strichartz_sampling_rejected(self, tmp_path, knob, value):
+        text = f"""
+[experiment]
+kind = strichartz
+[grid]
+dimension = 5
+[strichartz]
+{knob} = {value}
+"""
+        with pytest.raises(ConfigError, match=f"strichartz.{knob}"):
+            load_config(write(tmp_path, text))
+
     def test_admissible_pairs_parse(self, tmp_path):
         text = """
 [experiment]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from nls4 import analysis
 from nls4.config import load_config
 from nls4.experiments import EXPERIMENTS, run_experiment
 
@@ -97,3 +98,26 @@ def test_smallness_contraction_measures_the_first_sweep(shrink, verdict, tmp_pat
     check = checks["smallness_contraction"]
     assert check.verdict == verdict
     assert check.measured > 0 and check.threshold > 0
+
+
+def test_morawetz_reads_the_monitored_h2dot(tmp_path, monkeypatch):
+    # the config's body and CSV keep their bytes when morawetz_check computes
+    # ||Delta u||^2 of every row itself, and with the monitors' values it
+    # computes none
+    cfg = load_config(CONFIG_DIR / "morawetz.cfg")
+    outputs = []
+    for computed in (True, False):
+        calls = []
+        hdot2_norm, check = analysis.hdot2_norm, analysis.morawetz_check
+        monkeypatch.setattr(analysis, "hdot2_norm", lambda u: calls.append(1) or hdot2_norm(u))
+        if computed:
+            monkeypatch.setattr(analysis, "morawetz_check",
+                                lambda sample, ks, sim, h2dot: check(sample, ks, sim))
+        run = copy.deepcopy(cfg)
+        run.output_dir = tmp_path / str(computed)
+        report = run_experiment(run)
+        monkeypatch.undo()
+        csv = (run.output_dir / "morawetz_constants.csv").read_bytes()
+        outputs.append((report.body_text(), csv))
+        assert (len(calls) > 0) if computed else not calls
+    assert outputs[0] == outputs[1]

@@ -503,6 +503,26 @@ class TestStepPropagator:
             digests.append(out.stdout.split())
         assert digests[0] == digests[1]
 
+    @pytest.mark.parametrize("n", [96, 192, 200, 512])
+    @pytest.mark.parametrize("tau", [2e-3, -0.37])
+    def test_buffered_blocks_equal_the_allocating_loop(self, n, tau):
+        # the loop before its blocks went into two buffers; 96 and 200 leave a
+        # short last block
+        op = build_operator("full", make_grid(5, 20.0, n), example_potential(5))
+        q, qt = op.eigenvectors, op.eigenvectors.T
+        phase = tau * op.eigenvalues
+        cos, sin = np.cos(phase), np.sin(phase)
+        sqrt_m = op.grid.metric_sqrt
+        frozen = np.empty((n, n), dtype=complex)
+        for start in range(0, n, 64):
+            rows = slice(start, start + 64)
+            for part, factor in ((frozen.real, cos), (frozen.imag, sin)):
+                block = (q[rows] * factor) @ qt
+                block *= sqrt_m
+                block /= sqrt_m[rows, None]
+                part[rows] = block
+        assert step_propagator(op, tau).tobytes() == frozen.tobytes()
+
     def test_build_memory_stays_near_the_matrix(self):
         grid = make_grid(5, 20.0, 512)
         op = build_operator("free", grid)

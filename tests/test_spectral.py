@@ -290,6 +290,29 @@ class TestCallerBuffers:
         held = x.copy()
         assert bitwise_equal(op_full.to_modal(held, out=np.empty_like(x), work=held), expected)
 
+    def test_from_modal_work_may_hold_the_coefficients(self, op_full):
+        n = op_full.grid.num_points
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((129, n)) + 1j * rng.standard_normal((129, n))
+        expected = op_full.from_modal(x)
+        held = x.copy()
+        assert bitwise_equal(op_full.from_modal(held, out=np.empty_like(x), work=held), expected)
+
+    @pytest.mark.parametrize("lead", [(), (3,), (16,), (129,)])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_fractional_gradient_in_buffers(self, op_free, lead, s):
+        # values may be out itself: the Strichartz dual norm overwrites h(t) with |grad| h
+        n = op_free.grid.num_points
+        rng = np.random.default_rng(len(lead) + sum(lead))
+        x = rng.standard_normal(lead + (n,)) + 1j * rng.standard_normal(lead + (n,))
+        expected = spectral.fractional_gradient_values(op_free, s, x)
+        out, work = np.empty_like(x), np.empty_like(x)
+        got = spectral.fractional_gradient_values(op_free, s, x, out=out, work=work)
+        assert np.shares_memory(got, out) and bitwise_equal(got, expected)
+        held = x.copy()
+        got = spectral.fractional_gradient_values(op_free, s, held, out=held, work=work)
+        assert np.shares_memory(got, held) and bitwise_equal(got, expected)
+
     def test_buffers_take_complex_rows_only(self, op_full):
         x = np.ones((3, op_full.grid.num_points))
         buf = np.empty(x.shape, complex)
