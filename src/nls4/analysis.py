@@ -16,16 +16,18 @@ Admissibility of a pair (q, r) for the fourth-order flow means
 4/q + n/r = n/2; it is validated in exact rational arithmetic because the
 identity is brittle in floats.
 
-A Duhamel solve, a Strichartz quotient and a space-time norm work on (T, N)
-arrays that, at T = 129 and N = 256, are past glibc's 128 KiB mmap
-threshold, so each temporary of that size would be fresh pages.  Their
-transforms over the T rows stay one to_modal / from_modal call each, into
-caller buffers: a transform split into row blocks could take OpenBLAS's
-small-matrix kernel and change the last bits.  Every row-local stage (the
+A Duhamel solve and a Strichartz quotient work on (T, N) arrays that, at
+T = 129 and N = 256, are past glibc's 128 KiB mmap threshold, so each
+temporary of that size would be fresh pages.  Their transforms over the T
+rows stay one to_modal / from_modal call each, into caller buffers: a
+transform split into row blocks could take OpenBLAS's small-matrix kernel
+and change the last bits.  Every row-local stage (the
 modal coefficients with their phase integrals, h(t), the Delta stencil and
 the L^r sums) runs over row blocks of at most 64 KiB of complex values,
 whose temporaries are reused heap memory and stay in cache; each acts on
-each row alone, so the bits are the whole-array forms'.
+each row alone, so the bits are the whole-array forms'.  The blocks call
+the stencil and the norm by their private names, so a profiler that wraps
+the public ones sees no call per block.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from .radial import (
     RadialField,
     SpaceTimeSample,
+    _lp_norm_values,
     boundary_mass,
     lp_norm_values,
     smooth_cutoff,
@@ -47,6 +50,7 @@ from . import solver
 from .solver import SimulationConfig, critical_exponent, mass
 from .spectral import (
     SpectralOperator,
+    _laplacian_values,
     apply_function,
     evolve,
     fractional_gradient_values,
@@ -113,18 +117,14 @@ def _lr_norms(grid, values: np.ndarray, rs, stage=None) -> np.ndarray:
     for rows in _row_blocks(*values.shape):
         block = values[rows] if stage is None else stage(grid, values[rows])
         for norm, r in zip(norms, rs):
-            norm[rows] = lp_norm_values(grid, block, float(r))
+            norm[rows] = _lp_norm_values(grid, block, float(r))
     return norms
 
 
 def spacetime_norm(
     sample: SpaceTimeSample, which: str, op_free: SpectralOperator | None = None
 ) -> float:
-    """L^q_t L^r_x norm over the sample; W and N need the free operator for |grad|.
-
-    |grad| u is one transform pair over all rows, into two buffers; Delta u
-    and the L^r norms run by row blocks.
-    """
+    """L^q_t L^r_x norm over the sample; W and N need the free operator for |grad|."""
     if sample.times.size < MIN_TIME_SAMPLES:
         raise ResolutionError(
             f"need at least {MIN_TIME_SAMPLES} time samples, got {sample.times.size}"
@@ -132,14 +132,13 @@ def spacetime_norm(
     grid = sample.grid
     q, r = spacetime_exponents(which, grid.dimension)
     values = sample.values
-    stage = laplacian_values if which == "M" else None
-    if which in ("W", "N"):
+    if which == "M":
+        values = laplacian_values(grid, values)
+    elif which in ("W", "N"):
         if op_free is None:
             raise ValueError(f"norm {which} needs the free operator for |grad|")
-        values = fractional_gradient_values(
-            op_free, 1.0, values, out=np.empty_like(values), work=np.empty_like(values)
-        )
-    return _time_lq(sample.times, _lr_norms(grid, values, [r], stage)[0], float(q))
+        values = fractional_gradient_values(op_free, 1.0, values)
+    return _time_lq(sample.times, lp_norm_values(grid, values, float(r)), float(q))
 
 
 def is_b_admissible(q: Fraction, r: Fraction, n: int) -> bool:
@@ -354,7 +353,7 @@ def strichartz_quotient(
     times = np.linspace(t0, t1, num_samples)
     grid = op_full.grid
     u = duhamel_solution(op_full, u0, forcing, times)
-    lap_norms = _lr_norms(grid, u, [r for _, r in pairs], laplacian_values)
+    lap_norms = _lr_norms(grid, u, [r for _, r in pairs], _laplacian_values)
     dual = 0.0
     if forcing is not None:
         _, r_dual = spacetime_exponents("N", n)

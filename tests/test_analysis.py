@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nls4 import analysis
+from nls4 import analysis, radial, spectral
 from nls4.analysis import (
     SPACETIME_NORMS,
     AdmissibilityError,
@@ -416,9 +416,9 @@ class TestStrichartzQuotient:
 
 
 # the whole-array forms of ModalForcing.values_at, _phase_integral,
-# duhamel_solution, strichartz_quotient and spacetime_norm before their
-# row-local stages ran by row blocks: the references the blocked code must
-# equal byte for byte
+# duhamel_solution and strichartz_quotient before their row-local stages ran
+# by row blocks, and of spacetime_norm: the references the code must equal
+# byte for byte
 def frozen_values_at(forcing, t):
     t = np.asarray(t, dtype=float)[..., None]
     out = np.zeros_like(forcing.fields[0].values)
@@ -558,6 +558,27 @@ class TestRowBlockedStages:
         out = np.full(ref.shape, np.nan, complex)
         assert forcing.values_at(t, out=out) is out
         assert out.tobytes() == ref.tobytes()
+
+    def test_blocks_call_no_public_stage(self, op_full, op_free, monkeypatch):
+        # a profiler wraps the public stencil and norm: one row block (T = 4)
+        # and nine (T = 129) must make the same public calls, and the quotient
+        # takes its Delta u and L^r norms through neither public name
+        calls = []
+        for module in (analysis, radial, spectral):
+            for name in ("lp_norm_values", "laplacian_values", "apply_tridiag"):
+                if hasattr(module, name):
+                    fn = getattr(module, name)
+                    monkeypatch.setattr(module, name,
+                                        lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        u0, forcing = forced_draw(op_free, 47)
+        seen = []
+        for num_samples in (4, 129):
+            calls.clear()
+            strichartz_quotient(op_full, op_free, u0, forcing, _stock_pairs(5), (0.0, 1.0),
+                                num_samples)
+            seen.append(sorted(calls))
+        assert seen[0] == seen[1]
+        assert "lp_norm_values" not in seen[1] and "laplacian_values" not in seen[1]
 
     def test_quotient_page_faults_bounded(self):
         # a fresh mapping for every (T, N) temporary is what this bounds: a
