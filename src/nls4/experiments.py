@@ -56,11 +56,41 @@ class RunContext:
         return self._ops["free"]
 
     def op_full(self, spec: potentials.PotentialSpec | None = None):
+        """H = Delta^2 + V for spec (the config's potential by default), built once.
+
+        A V that vanishes on the grid makes H = Delta^2, whose eigenpairs
+        build_operator would compute again, to the bit, by op_free's
+        tridiagonal solve.  So that operator holds op_free's own arrays,
+        read-only since two operators share them.
+        """
         spec = spec if spec is not None else self.cfg.potential
         key = ("full", spec)
         if key not in self._ops:
-            self._ops[key] = spectral.build_operator("full", self.grid, spec)
+            v_values = potentials.evaluate_potential(spec, self.grid).values.real
+            if np.any(v_values):
+                self._ops[key] = spectral.build_operator("full", self.grid, spec)
+            else:
+                free = self.op_free()
+                free.eigenvalues.flags.writeable = False
+                free.eigenvectors.flags.writeable = False
+                self._ops[key] = spectral.SpectralOperator(
+                    kind="full", grid=self.grid, eigenvalues=free.eigenvalues,
+                    eigenvectors=free.eigenvectors, potential=spec, potential_values=v_values,
+                )
         return self._ops[key]
+
+    def operators(self):
+        """(op_full(), op_free()), the full operator built first.
+
+        The dense solve of H holds H and syevd's workspace of 2N^2 doubles.
+        Built after the free operator, it would hold them beside the free
+        eigenbasis, 4N^2 doubles at once.  Built first, it peaks at 3N^2,
+        and so does the free stevd solve after it: both eigenbases and
+        stevd's N^2 workspace.  Every experiment that needs both operators
+        takes them from here.
+        """
+        op_full = self.op_full()
+        return op_full, self.op_free()
 
 
 def _smooth_data(ctx: RunContext, op, amplitude: float, width: float, xi_cut: float):
@@ -109,14 +139,14 @@ def run_conservation(ctx: RunContext):
 def run_decay(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
     n = ctx.grid.dimension
-    op_free = ctx.op_free()
+    op_full, op_free = ctx.operators()
     window = (knobs["t_lo"], knobs["t_hi"])
 
     cases: list[tuple[str, spectral.SpectralOperator]] = []
     if knobs["include_zero_potential"]:
         cases.append(("v0", op_free))
     if cfg.potential.family != "zero":
-        cases.append(("v", ctx.op_full()))
+        cases.append(("v", op_full))
 
     # the unnormalised datum is the same for every case and p
     base = _smooth_data(ctx, op_free, 1.0, knobs["data_width"], knobs["xi_cut"])
@@ -161,8 +191,7 @@ def run_decay(ctx: RunContext):
 
 def run_sobolev_equiv(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
-    op_free = ctx.op_free()
-    op_full = ctx.op_full()
+    op_full, op_free = ctx.operators()
     fields = [
         states.random_low_mode_field(op_free, ctx.rng) for _ in range(knobs["num_fields"])
     ]
@@ -199,8 +228,7 @@ def _stock_pairs(n: int) -> tuple[tuple[Fraction, Fraction], ...]:
 def run_strichartz(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
     n = ctx.grid.dimension
-    op_free = ctx.op_free()
-    op_full = ctx.op_full()
+    op_full, op_free = ctx.operators()
     pairs = knobs["pairs"] or _stock_pairs(n)
     interval = (0.0, knobs["t_end"])
     draws = []
@@ -426,8 +454,7 @@ def run_subcritical_global_cases(ctx: RunContext):
 
 def run_perturbation(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
-    op_full = ctx.op_full()
-    op_free = ctx.op_free()
+    op_full, op_free = ctx.operators()
     sim = dataclasses.replace(cfg.sim, snapshot_stride=max(cfg.sim.snapshot_stride, 1))
     u_tilde0 = _smooth_data(ctx, op_full, knobs["amplitude"], knobs["width"], knobs["xi_cut"])
     direction = states.random_low_mode_field(op_free, ctx.rng)
@@ -477,8 +504,7 @@ def run_perturbation(ctx: RunContext):
 
 def run_wave_operator(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
-    op_free = ctx.op_free()
-    op_full = ctx.op_full()
+    op_full, op_free = ctx.operators()
     test_state = states.fast_escape_state(
         op_free, knobs["data_width"], knobs["xi_cut"], knobs["mu_power"]
     )
@@ -500,8 +526,7 @@ def run_wave_operator(ctx: RunContext):
 
 def _scattering_run(ctx: RunContext, lam: float, t_end: float | None = None):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
-    op_full = ctx.op_full()
-    op_free = ctx.op_free()
+    op_full, op_free = ctx.operators()
     sim = cfg.sim
     run_sim = dataclasses.replace(
         sim, lam=lam, t_end=t_end or sim.t_end, snapshot_stride=max(sim.snapshot_stride, 1)

@@ -34,8 +34,11 @@ just before its LAPACK call and scipy's just after it, and the library with
 work never shares the cores with the other's spinning helpers.  OpenBLAS
 restarts a stopped pool, at the same thread count, on that library's next
 threaded call, so every product splits its work as before and keeps its
-bits.  Where the wheel libraries are not found (MKL, a system or conda
-BLAS) nothing is stopped.
+bits.  The eigensolves themselves run at a fixed count of EIG_THREADS:
+LAPACK's blocked reductions split their work by the thread count, so the
+eigenvectors would otherwise depend on OPENBLAS_NUM_THREADS.  Where the
+wheel libraries are not found (MKL, a system or conda BLAS) nothing is
+stopped and no count is fixed.
 
 Single fields are saved and loaded in a little-endian binary container
 (save_field / load_field).
@@ -62,6 +65,10 @@ from .reporting import atomic_write_bytes
 
 # largest grid a dense eigendecomposition is attempted on
 EIG_BUDGET = 4096
+
+# scipy's OpenBLAS thread count for every eigensolve, whatever the
+# environment asks for: the eigenvectors' bits depend on it
+EIG_THREADS = 2
 
 # m N^2 at or below which OpenBLAS may take a small-matrix GEMM kernel: its
 # bits differ from the regular kernel's, so a product of m rows and one of
@@ -172,12 +179,37 @@ def _stop_blas_pool(package: str) -> None:
         lib.blas_thread_shutdown_()
 
 
+def _eigensolve(solve, *args, **kwargs):
+    """solve(*args, **kwargs) with scipy's OpenBLAS at EIG_THREADS and one busy pool.
+
+    numpy's idle pool is stopped before the call.  scipy's thread count is
+    set to EIG_THREADS for the call and restored after it, and then its pool
+    is stopped.  Without scipy's wheel library the call runs as it is.
+    """
+    _stop_blas_pool("numpy")
+    lib = _blas_pools().get("scipy")
+    if lib is None:
+        result = solve(*args, **kwargs)
+    else:
+        threads = lib.scipy_openblas_get_num_threads()
+        lib.scipy_openblas_set_num_threads(EIG_THREADS)
+        try:
+            result = solve(*args, **kwargs)
+        finally:
+            lib.scipy_openblas_set_num_threads(threads)
+    _stop_blas_pool("scipy")
+    return result
+
+
 def _blas_pools_note() -> str:
-    """The [provenance] value: each wheel library found, and when its pool is stopped."""
+    """The [provenance] value: each wheel library found, when its pool stops, the solve's count."""
     pools = _blas_pools()
-    when = {"numpy": "before", "scipy": "after"}
+    when = {
+        "numpy": "before eigensolves",
+        "scipy": f"after eigensolves, which run at {EIG_THREADS} threads",
+    }
     return "; ".join(
-        f"{package} {Path(pools[package]._name).name} stopped {when[package]} eigensolves"
+        f"{package} {Path(pools[package]._name).name} stopped {when[package]}"
         if package in pools else f"{package} library not found, not stopped"
         for package in _WHEEL_BLAS
     )
@@ -317,10 +349,10 @@ def build_operator(
     Delta^2, and H when V == 0, come from the tridiagonal solve of B = -Delta
     with squared eigenvalues; H with V != 0 from a dense solve of its lower
     triangle with factored Rayleigh-quotient eigenvalues.  Eigenvectors are
-    Fortran-ordered columns with a positive first component.  numpy's idle
-    OpenBLAS pool is stopped before the LAPACK call and scipy's after it (see
-    the module docstring); nls4 is single-threaded, so no BLAS call is in
-    flight when a pool stops.
+    Fortran-ordered columns with a positive first component.  The LAPACK
+    call runs at EIG_THREADS; numpy's idle OpenBLAS pool is stopped before
+    it and scipy's after it (see the module docstring); nls4 is
+    single-threaded, so no BLAS call is in flight when a pool stops.
     """
     if kind not in ("free", "full"):
         raise SpectralError(f"kind must be 'free' or 'full', got {kind!r}")
@@ -340,11 +372,9 @@ def build_operator(
     else:
         v_values = np.zeros(n)
 
-    _stop_blas_pool("numpy")
     if not np.any(v_values):
         # Delta^2 = B^2 with B = -Delta positive definite: squaring keeps the order
-        b_values, eigenvectors = eigh_tridiagonal(d, e, lapack_driver="stevd")
-        _stop_blas_pool("scipy")
+        b_values, eigenvectors = _eigensolve(eigh_tridiagonal, d, e, lapack_driver="stevd")
         eigenvalues = b_values**2
     else:
         # only the lower triangle of the pentadiagonal H = B^2 + V, in one
@@ -358,8 +388,7 @@ def build_operator(
         h[i, i] = diag
         h[i[1:], i[:-1]] = e * (d[:-1] + d[1:])
         h[i[2:], i[:-2]] = e[:-1] * e[1:]
-        _, eigenvectors = eigh(h, lower=True, driver="evd", overwrite_a=True)
-        _stop_blas_pool("scipy")
+        _, eigenvectors = _eigensolve(eigh, h, lower=True, driver="evd", overwrite_a=True)
         # factored Rayleigh quotients ||B q||^2 + q^T V q: the dense solve's own
         # eigenvalues carry an eps * rho(H) absolute error that swamps the low modes
         bq = apply_tridiag(d, e, eigenvectors.T)

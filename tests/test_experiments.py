@@ -1,13 +1,16 @@
 """Registry-level smoke runs of the remaining experiment kinds."""
 
 import copy
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nls4 import analysis
+from nls4 import analysis, spectral
 from nls4.config import load_config
-from nls4.experiments import EXPERIMENTS, run_experiment
+from nls4.experiments import EXPERIMENTS, RunContext, run_experiment
+from nls4.potentials import zero_potential
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -121,3 +124,54 @@ def test_morawetz_reads_the_monitored_h2dot(tmp_path, monkeypatch):
         outputs.append((report.body_text(), csv))
         assert (len(calls) > 0) if computed else not calls
     assert outputs[0] == outputs[1]
+
+
+def context(name, tmp_path, num_points=None):
+    cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+    if num_points is not None:
+        cfg.grid.num_points = num_points
+    return RunContext(cfg=cfg, rng=np.random.default_rng(0), out_dir=tmp_path)
+
+
+def test_operator_pair_peaks_at_three_matrices(tmp_path):
+    # the full operator's dense solve (H and syevd's 2N^2 workspace) must not
+    # overlap a resident free eigenbasis: 4.02 N^2 doubles when free goes first
+    n = 1024
+    ctx = context("wave_operator", tmp_path, num_points=n)
+    ctx.grid
+    tracemalloc.start()
+    try:
+        op_full, op_free = ctx.operators()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (op_full.kind, op_free.kind) == ("full", "free")
+    assert peak <= 3.25 * 8 * n * n
+
+
+def test_zero_potential_operator_shares_the_free_arrays(tmp_path):
+    ctx = context("sobolev_equiv", tmp_path)
+    op_zero = ctx.op_full(zero_potential(ctx.grid.dimension))
+    op_free = ctx.op_free()
+    assert op_zero.kind == "full"
+    assert op_zero.eigenvalues is op_free.eigenvalues
+    assert op_zero.eigenvectors is op_free.eigenvectors
+    for array in (op_zero.eigenvalues, op_zero.eigenvectors):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    # the arrays build_operator's full route computes for V == 0, bit for bit
+    built = spectral.build_operator("full", ctx.grid, zero_potential(ctx.grid.dimension))
+    assert built.eigenvalues.tobytes() == op_zero.eigenvalues.tobytes()
+    assert built.eigenvectors.tobytes() == op_zero.eigenvectors.tobytes()
+
+
+def test_sobolev_zero_control_runs_no_second_solve(tmp_path, monkeypatch):
+    calls = []
+    build = spectral.build_operator
+    monkeypatch.setattr(spectral, "build_operator",
+                        lambda *args: calls.append(args[0]) or build(*args))
+    cfg = load_config(CONFIG_DIR / "sobolev_equiv.cfg")
+    cfg.output_dir = tmp_path
+    checks = {c.name: c for c in run_experiment(cfg).checks}
+    assert sorted(calls) == ["free", "full"]
+    assert checks["zero_potential_ratio_dev"].measured == 0.0

@@ -1,6 +1,8 @@
 """Spectral operators: eigenstructure, functional calculus, field snapshots."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +397,54 @@ class TestBlasPools:
         for package, lib in pools.items():
             assert f"{package} {Path(lib._name).name} stopped" in note
         assert note.count("not found") == 2 - len(pools)
+
+    def test_eigensolves_run_at_the_fixed_count(self, monkeypatch, grid):
+        lib = spectral._blas_pools().get("scipy")
+        if lib is None:
+            pytest.skip("scipy's OpenBLAS wheel library is not loaded")
+        counts = []
+
+        def counted(name):
+            solve = getattr(spectral, name)
+
+            def run(*args, **kwargs):
+                counts.append(blas_threads(lib))
+                return solve(*args, **kwargs)
+            return run
+
+        for name in ("eigh", "eigh_tridiagonal"):
+            monkeypatch.setattr(spectral, name, counted(name))
+        before = blas_threads(lib)
+        lib.scipy_openblas_set_num_threads(1)
+        try:
+            build_operator("free", grid)
+            build_operator("full", grid, example_potential(5))
+            assert blas_threads(lib) == 1
+        finally:
+            lib.scipy_openblas_set_num_threads(before)
+        assert counts == [spectral.EIG_THREADS] * 2
+        assert f"run at {spectral.EIG_THREADS} threads" in spectral._blas_pools_note()
+
+    def test_full_operator_same_bits_at_one_and_two_blas_threads(self):
+        # N = 512 is the size where dsytrd alone splits its work by the thread count
+        script = (
+            "import hashlib\n"
+            "from nls4 import radial, spectral\n"
+            "from nls4.potentials import example_potential\n"
+            "op = spectral.build_operator('full', radial.make_grid(5, 40.0, 512),\n"
+            "                             example_potential(5, beta=10))\n"
+            "print(hashlib.sha256(op.eigenvalues.tobytes()).hexdigest(),\n"
+            "      hashlib.sha256(op.eigenvectors.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(spectral.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                 capture_output=True, text=True)
+            digests.append(out.stdout.split())
+        assert digests[0] == digests[1]
 
 
 class TestFractionalGradient:
