@@ -384,12 +384,14 @@ def _central_rates(masses: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def localized_mass_rate_check(
-    sample: SpaceTimeSample, radii, chi=smooth_cutoff
+    sample: SpaceTimeSample, radii, chi=smooth_cutoff, h2dot: np.ndarray | None = None
 ) -> list[LocalizedMassRateReport]:
     """Central-difference d/dt of the localized mass against its dispersive bound, per radius.
 
-    ||Delta u||^2 of each row is computed once and chi(r/R)^4 once per radius;
-    each (row, R) then costs the one weighted sum radial.localized_mass takes.
+    ||Delta u||^2 of each row is read from h2dot, as run_trajectory's
+    h2dot_series holds it, or computed once per row when h2dot is not given;
+    chi(r/R)^4 is formed once per radius, and each (row, R) then costs the
+    one weighted sum radial.localized_mass takes.
     The stride-halving check reads every second mass.  Raises ResolutionError
     when halving the snapshot stride changes the measured peak rate by more
     than 50%, unless both peaks sit below the roundoff floor 1e-12 M / dt,
@@ -413,7 +415,10 @@ def localized_mass_rate_check(
         weighted = grid.metric * np.abs(row) ** 2
         for j, profile in enumerate(profiles):
             masses[j, k] = np.sum(weighted * profile)
-        energies[k] = hdot2_norm(RadialField(grid, row)) ** 2
+        if h2dot is None:
+            energies[k] = hdot2_norm(RadialField(grid, row)) ** 2
+    if h2dot is not None:
+        energies[:] = h2dot
 
     total = mass(RadialField(grid, sample.values[0]))
     dt = float(np.min(np.diff(times)))

@@ -281,6 +281,15 @@ def run_strichartz(ctx: RunContext):
     return checks, {"quotients": "strichartz_quotients.csv"}
 
 
+def _monitored_h2dot(rec: solver.TrajectoryRecord, times: np.ndarray) -> np.ndarray:
+    """||Delta u||^2 at snapshot `times` from rec's monitors.
+
+    Snapshot times are monitor times, the same floats, and each monitor's
+    ||Delta u||^2 has the bits hdot2_norm gives for its snapshot row.
+    """
+    return rec.h2dot_series[np.searchsorted(rec.times, times)]
+
+
 def run_localized_mass(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
     op = ctx.op_full()
@@ -293,14 +302,16 @@ def run_localized_mass(ctx: RunContext):
         carrier=knobs["packet_carrier"],
     )
     packet = states.soft_lowpass(op, packet, knobs["xi_cut"])
-    sample = solver.run_trajectory(packet, op, sim).snapshots
+    rec = solver.run_trajectory(packet, op, sim)
+    sample = rec.snapshots
     dt_snap = float(np.min(np.diff(sample.times)))
 
     radii = knobs["radii"]
     # the configured radii and the saturating one, where the localized mass
-    # equals the conserved total mass: one pass over the rows for all of them
+    # equals the conserved total mass: one pass over the rows for all of them;
+    # ||Delta u||^2 of every snapshot is the monitors'
     *reports, rep_sat = analysis.localized_mass_rate_check(
-        sample, [*radii, 1.05 * ctx.grid.r_max]
+        sample, [*radii, 1.05 * ctx.grid.r_max], h2dot=_monitored_h2dot(rec, sample.times)
     )
     checks = []
     constants = []
@@ -332,7 +343,9 @@ def run_localized_mass(ctx: RunContext):
     mode = op.eigenfield(knobs["eigenmode_index"])
     lin = dataclasses.replace(sim, lam=0.0, boundary_threshold=1.0)
     rec_mode = solver.run_trajectory(mode, op, lin)
-    (rep_mode,) = analysis.localized_mass_rate_check(rec_mode.snapshots, radii[:1])
+    (rep_mode,) = analysis.localized_mass_rate_check(
+        rec_mode.snapshots, radii[:1], h2dot=_monitored_h2dot(rec_mode, rec_mode.snapshots.times)
+    )
     checks.append(
         check_leq("eigenmode_rate", rep_mode.max_abs_rate,
                   knobs["zero_tol"] * solver.mass(mode) / dt_snap)
@@ -359,9 +372,7 @@ def run_morawetz(ctx: RunContext):
     constants = {}
     for length in knobs["interval_lengths"]:
         sub = sample.restricted(t0, t0 + length)
-        # snapshot times are monitor times, the same floats
-        h2dot = rec.h2dot_series[np.searchsorted(rec.times, sub.times)]
-        reports = analysis.morawetz_check(sub, k_values, sim, h2dot)
+        reports = analysis.morawetz_check(sub, k_values, sim, _monitored_h2dot(rec, sub.times))
         for k, rep in zip(k_values, reports):
             constants[(k, length)] = rep.empirical_constant
     values = np.array(list(constants.values()))

@@ -37,13 +37,17 @@ Two independent integrators share the exact spectral propagator:
   iterate and its distance in place, each product in the operand order of
   the expression form (complex products are not bitwise commutative), so
   the iterates keep their bits.  It allocates nothing of the iterate's
-  size: it runs in the iterate and two scratch buffers of that size, which
-  take the modal transforms (SpectralOperator.to_modal / from_modal with
-  caller buffers), |u|^{p-1}, the conjugate node phases, G and the squares
-  of the distance in turn, and the old iterate's memory becomes the next
-  sweep's scratch.  The panel quadrature sums complex integrands through
-  their real views, the same bits as the complex einsum in a third of the
-  time.
+  size: beside the held node table, three arrays of that size stay, the
+  iterate, one integrand array that GaussPanels.cumulative turns into G in
+  place, and the old iterate's memory, which takes the distance and then
+  becomes the next sweep's integrand array.  The modal transforms
+  (SpectralOperator.to_modal / from_modal with caller buffers), |u|^{p-1},
+  the conjugate node phases and the squares of the distance run over
+  blocks of whole panels, in two buffers of one block.  Each block's
+  transform is a GEMM past the small-matrix bound, whose rows have the bits
+  of one whole-window GEMM, and no GEMM packs all of the iterate's rows.
+  The panel quadrature sums complex integrands through their real views,
+  the same bits as the complex einsum in a third of the time.
 """
 
 from __future__ import annotations
@@ -53,11 +57,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial import RadialField, SpaceTimeSample
-from .spectral import SpectralOperator, hdot2_norm
+from .spectral import _SMALL_GEMM_WORK, SpectralOperator, hdot2_norm
 
 PICARD_ORDER = 8
 # rows of the step propagator filled per pair of real products
 _PROPAGATOR_ROWS = 64
+# complex bytes of one block of whole Gauss panels in a Picard sweep and in
+# GaussPanels.cumulative: 32 panels at N = 256, 8 blocks of final_state's
+# 250-panel window.  Measured on final_state's windows (2 threads): 512 KiB
+# blocks peak about 2 MB lower, but run 3-6% slower.
+_PANEL_BLOCK_BYTES = 1 << 20
 
 
 class SolverError(RuntimeError):
@@ -384,7 +393,10 @@ class GaussPanels:
         einsum runs its real loop: the same products and sums per part as the
         complex loop, so the same bits, in about a third of the time.  G at
         the nodes is written into `out` when given: a C-contiguous array of
-        g's shape and dtype that shares no memory with g.
+        g's shape and dtype, which may be g itself.  The panel sums and their
+        prefix are taken over all K panels first; then each block of whole
+        panels (_PANEL_BLOCK_BYTES) takes its within-panel integrals into one
+        block temporary before its rows of `out` are written.
         """
         k, m = g.shape[:2]
         tail = (1,) * (g.ndim - 2)
@@ -393,19 +405,44 @@ class GaussPanels:
         elif not out.flags.c_contiguous:
             raise ValueError("cumulative needs a C-contiguous out")
         g_flat = np.ascontiguousarray(g).reshape(k, m, -1)
-        out_flat = out.reshape(k, m, -1)
-        if np.iscomplexobj(g):
-            g_flat, out_flat = g_flat.view(float), out_flat.view(float)
-        panel_full = np.einsum("m,kmx->kx", self.full_weights, g_flat)
+        is_complex = np.iscomplexobj(g)
+        real = g_flat.view(float) if is_complex else g_flat
+        panel_full = np.einsum("m,kmx->kx", self.full_weights, real)
         panel_full = panel_full.view(g.dtype).reshape((k, *g.shape[2:]))
         panel_full *= self.half.reshape((-1, *tail))
-        prefix = np.concatenate(
-            [np.zeros_like(panel_full[:1]), np.cumsum(panel_full, axis=0)[:-1]], axis=0
-        )
-        np.einsum("ms,ksx->kmx", self.partial, g_flat, out=out_flat)
-        out *= self.half.reshape((-1, 1, *tail))
-        np.add(prefix[:, None], out, out=out)
-        return out, prefix[-1] + panel_full[-1]
+        prefix = np.empty_like(panel_full)
+        prefix[0] = 0.0
+        np.cumsum(panel_full[:-1], axis=0, out=prefix[1:])
+        total = prefix[-1] + panel_full[-1]
+        per_block = max(1, _PANEL_BLOCK_BYTES // max(1, g[0].nbytes))
+        within = np.empty((min(k, per_block), *g.shape[1:]), g.dtype)
+        for start in range(0, k, per_block):
+            block = slice(start, start + per_block)
+            part = within[: min(per_block, k - start)]
+            part_real = part.reshape(part.shape[0], m, -1)
+            if is_complex:
+                part_real = part_real.view(float)
+            np.einsum("ms,ksx->kmx", self.partial, real[block], out=part_real)
+            part *= self.half[block].reshape((-1, 1, *tail))
+            np.add(prefix[block, None], part, out=out[block])
+        return out, total
+
+
+def _panel_blocks(num_panels: int, order: int, n: int) -> list[slice]:
+    """The blocks of whole panels a Picard sweep runs over, as panel slices.
+
+    Each block holds about _PANEL_BLOCK_BYTES of complex rows and more rows
+    than _SMALL_GEMM_WORK / N^2, so its transforms take the regular GEMM
+    kernel, whose rows have the same bits in any such call.  A short tail
+    joins the block before it, and a window with no more rows than that
+    stays one block, whose transforms take the small path as a whole window.
+    """
+    min_rows = max(2, int(_SMALL_GEMM_WORK // (n * n)) + 1)
+    per_block = max(_PANEL_BLOCK_BYTES // (16 * n * order), -(-min_rows // order))
+    starts = list(range(0, num_panels, per_block))
+    if (num_panels - starts[-1]) * order < min_rows:
+        starts = starts[:-1] or [0]
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], num_panels])]
 
 
 @dataclass
@@ -443,44 +480,56 @@ def duhamel_window(
     node_phases = op.held("node_phases", phase_table, panels.nodes)
     h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
 
-    # the first iterate is the free flow of the anchor; a sweep runs in it and
-    # two scratch buffers of its size, and the old iterate's memory becomes
-    # the next sweep's scratch
+    # the first iterate is the free flow of the anchor.  Beside it a sweep holds
+    # the integrand array, which cumulative turns into G and the update into
+    # the next iterate, and two buffers of one panel block; the old iterate's
+    # memory takes the distance, then becomes the next sweep's integrand array
     coeffs = node_phases * anchor
-    spare = (np.empty_like(coeffs), np.empty_like(coeffs))
-    flat = (coeffs.size // mu.size, mu.size)
+    integrand = np.empty_like(coeffs)
+    blocks = _panel_blocks(panels.num_panels, panels.order, mu.size)
+    block_size = max(b.stop - b.start for b in blocks) * panels.order * mu.size
+    buffers = np.empty((2, block_size), complex)
+    row_norms = np.empty(coeffs.shape[:2])
     diffs: list[float] = []
     growth_streak = 0
     for _ in range(cfg.picard_max_iter):
-        a, b = spare
         with np.errstate(over="ignore", invalid="ignore"):
-            u_nodes = op.from_modal(coeffs.reshape(flat), out=a, work=b)
-            power = np.abs(u_nodes, out=np.ndarray(flat, buffer=b))
-            power **= cfg.p - 1.0
-            np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
-            f_modal = op.to_modal(u_nodes, out=b, work=a).reshape(coeffs.shape)
-            np.multiply(np.conjugate(node_phases, out=a), f_modal, out=f_modal)
-            g_cum, g_total = panels.cumulative(f_modal, out=a)
-            if backward:
-                g_cum -= g_total  # G measured from the anchored end, t1
-            # (i lam G + anchor) * node_phases in g_cum: the operand order numpy
-            # took when it reused the temporaries of node_phases * (anchor + i lam G)
-            np.multiply(1j * cfg.lam, g_cum, out=g_cum)
-            np.add(g_cum, anchor, out=g_cum)
-            new_coeffs = np.multiply(g_cum, node_phases, out=g_cum)
-
-        # the old iterate's buffer takes the weighted distance, and b the
-        # squares np.linalg.norm(delta, axis=1) sums, formed as it forms them
-        delta = np.subtract(new_coeffs, coeffs, out=coeffs).reshape(flat)
-        delta *= h2_weight
-        squares = np.ndarray(flat, complex, buffer=b)
-        np.multiply(np.conjugate(delta, out=squares), delta, out=squares)
-        d = float(np.max(np.sqrt(np.add.reduce(squares.real, axis=1))))
+            for block in blocks:
+                rows = coeffs[block]
+                flat = (rows.size // mu.size, mu.size)
+                a, b = buffers[:, :rows.size]
+                u_nodes = op.from_modal(rows.reshape(flat), out=a, work=b)
+                power = np.abs(u_nodes, out=np.ndarray(flat, buffer=b))
+                power **= cfg.p - 1.0
+                np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
+                f_modal = op.to_modal(u_nodes, out=b, work=a).reshape(rows.shape)
+                conj_phases = np.conjugate(node_phases[block], out=a.reshape(rows.shape))
+                np.multiply(conj_phases, f_modal, out=integrand[block])
+            g_cum, g_total = panels.cumulative(integrand, out=integrand)
+        for block in blocks:
+            g_block = g_cum[block]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if backward:
+                    g_block -= g_total  # G measured from the anchored end, t1
+                # (i lam G + anchor) * node_phases in g_block: the operand order
+                # numpy took when it reused the temporaries of
+                # node_phases * (anchor + i lam G)
+                np.multiply(1j * cfg.lam, g_block, out=g_block)
+                np.add(g_block, anchor, out=g_block)
+                np.multiply(g_block, node_phases[block], out=g_block)
+            # the old rows take the weighted distance, and a buffer the squares
+            # np.linalg.norm(delta, axis=1) sums, formed as it forms them
+            flat = (g_block.size // mu.size, mu.size)
+            delta = np.subtract(g_block, coeffs[block], out=coeffs[block]).reshape(flat)
+            delta *= h2_weight
+            squares = np.ndarray(flat, complex, buffer=buffers[1])
+            np.multiply(np.conjugate(delta, out=squares), delta, out=squares)
+            np.sqrt(np.add.reduce(squares.real, axis=1), out=row_norms[block].reshape(-1))
+        d = float(np.max(row_norms))
         if not np.isfinite(d):
             raise PicardNonContraction(np.inf)
         diffs.append(d)
-        spare = (b, coeffs)
-        coeffs = new_coeffs
+        coeffs, integrand = g_cum, coeffs
         if d < cfg.picard_tol:
             break
         if len(diffs) > 1:

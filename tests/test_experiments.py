@@ -126,6 +126,29 @@ def test_morawetz_reads_the_monitored_h2dot(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+
+def test_localized_mass_reads_the_monitored_h2dot(tmp_path, monkeypatch):
+    # the config's body and CSV keep their bytes when the rate check computes
+    # ||Delta u||^2 of every row itself, and with the monitors' values it
+    # computes none
+    cfg = load_config(CONFIG_DIR / "localized_mass.cfg")
+    outputs = []
+    for computed in (True, False):
+        calls = []
+        hdot2_norm, check = analysis.hdot2_norm, analysis.localized_mass_rate_check
+        monkeypatch.setattr(analysis, "hdot2_norm", lambda u: calls.append(1) or hdot2_norm(u))
+        if computed:
+            monkeypatch.setattr(analysis, "localized_mass_rate_check",
+                                lambda sample, radii, h2dot: check(sample, radii))
+        run = copy.deepcopy(cfg)
+        run.output_dir = tmp_path / str(computed)
+        report = run_experiment(run)
+        monkeypatch.undo()
+        csv = (run.output_dir / "localized_mass.csv").read_bytes()
+        outputs.append((report.body_text(), csv))
+        assert (len(calls) > 0) if computed else not calls
+    assert outputs[0] == outputs[1]
+
 def context(name, tmp_path, num_points=None):
     cfg = load_config(CONFIG_DIR / f"{name}.cfg")
     if num_points is not None:

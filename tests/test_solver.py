@@ -1,10 +1,11 @@
 """Time evolution: splitting, conservation monitors, and the Picard oracle."""
 
 import dataclasses
+import functools
 import gc
-import itertools
 import math
 import os
+import platform
 import warnings
 import weakref
 import subprocess
@@ -260,12 +261,58 @@ def final_state_window(op):
 
 
 # bound on the tracemalloc peak of one cold backward final_state_window on a fresh
-# N=256 operator, node-table build included: the held node table, the iterate
-# and its two scratch buffers are four (250, 8, 256) complex arrays, and half of
-# one more covers the panel sums.  Peaks measured with numpy 2.4.6: 84.1 MB
-# before sweeps ran in place, 57.4 MB before they ran in reused buffers, 35.9 MB
-# now.
+# N=256 operator, node-table build included: set when the held node table, the
+# iterate and two scratch buffers were four (250, 8, 256) complex arrays, with
+# half of one more for the panel sums.  Peaks measured with numpy 2.4.6:
+# 84.1 MB before sweeps ran in place, 57.4 MB before they ran in reused
+# buffers, 35.9 MB before they ran by panel blocks, 30.0 MB now.
 WINDOW_PEAK_BOUND = 4.5 * 250 * 8 * 256 * 16
+
+# bytes of final_state_window's iterate, a (250, 8, 256) complex array
+ITERATE_BYTES = 250 * 8 * 256 * 16
+# a warm window (node table held) beside its iterate holds the integrand array
+# and panel-block buffers: tracemalloc peak 2.66 iterates (3.38 when the sweep
+# ran whole-array in two iterate-sized scratch buffers)
+WARM_WINDOW_PEAK_ITERATES = 3.0
+# VmHWM growth of a cold window with glibc's mmap threshold at 128 KiB: the
+# node table, three iterate-sized arrays and OpenBLAS's pack buffer of the
+# largest GEMM's rows: 3.8 iterates (5.4 when one GEMM took every row)
+COLD_WINDOW_HWM_ITERATES = 4.5
+
+
+# final_state_window's backward window on a fresh N=256 operator, in a child
+# process, where window() runs it
+WINDOW_SCRIPT = (
+    "import hashlib, numpy as np\n"
+    "from nls4.potentials import example_potential\n"
+    "from nls4.radial import RadialField, make_grid\n"
+    "from nls4.solver import SimulationConfig, duhamel_window\n"
+    "from nls4.spectral import build_operator\n"
+    "from nls4.states import soft_lowpass\n"
+    "grid = make_grid(5, 20.0, 256)\n"
+    "op = build_operator('full', grid, example_potential(5))\n"
+    "raw = RadialField(grid, 0.8 * np.exp(-((grid.nodes / 3.0) ** 2)).astype(complex))\n"
+    "u = soft_lowpass(op, raw, 1.4)\n"
+    "cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=2.0)\n"
+    "def window():\n"
+    "    return duhamel_window(u, op, cfg, 1.5, 2.0, backward=True)\n"
+)
+
+
+def run_window_script(tail, **env_vars):
+    """stdout of WINDOW_SCRIPT + tail in a child process with env_vars set."""
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", WINDOW_SCRIPT + tail], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.strip()
+
+
+@functools.cache
+def window_op(n):
+    """A full operator at N = n for the Picard bit tests, built once per N."""
+    return build_operator("full", make_grid(5, 20.0, n), example_potential(5))
 
 
 class TestHeldTables:
@@ -354,41 +401,75 @@ class TestHeldTables:
         assert [tau for tau, _ in props] == [2e-3]
 
     @pytest.mark.parametrize("backward", [True, False])
-    def test_in_place_sweeps_equal_the_expression_form(self, request, backward):
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    @pytest.mark.parametrize("num_panels", [1, 3, 17, 250])
+    @pytest.mark.parametrize("n", [96, 192, 256, 512])
+    def test_in_place_sweeps_equal_the_expression_form(self, n, num_panels, lam, backward):
         # the fixed point written as expressions, with the complex-einsum
-        # quadrature, as before sweeps ran in place and in reused buffers
-        for which, lam in itertools.product(("small_op_full", "op_full"), (1.0, 0.0)):
-            op = request.getfixturevalue(which)
-            u, cfg, t0, t1 = final_state_window(op)
-            cfg = dataclasses.replace(cfg, lam=lam)
-            panels = GaussPanels(t0, t1, 250)
-            mu = op.eigenvalues
-            anchor = op.to_modal(u.values)
-            if not backward:
-                anchor = anchor * np.exp(-1j * mu * t0)
-            node_phases = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
-            coeffs = node_phases * anchor
-            diffs = []
-            for _ in range(cfg.picard_max_iter):
-                u_nodes = op.from_modal(coeffs.reshape(-1, mu.size))
-                g_nodes = np.abs(u_nodes) ** (cfg.p - 1.0) * u_nodes
-                f_modal = op.to_modal(g_nodes).reshape(coeffs.shape)
-                g_cum, g_total = frozen_cumulative(panels, np.conj(node_phases) * f_modal)
-                if backward:
-                    g_cum -= g_total
-                new_coeffs = node_phases * (anchor + 1j * cfg.lam * g_cum)
-                delta = (new_coeffs - coeffs).reshape(-1, mu.size)
-                h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
-                diffs.append(float(np.max(np.linalg.norm(delta * h2_weight, axis=1))))
-                coeffs = new_coeffs
-                if diffs[-1] < cfg.picard_tol:
-                    break
-            sol = duhamel_window(u, op, cfg, t0, t1, backward=backward)
-            assert sol.diffs == diffs
-            t_out, g_out = (t0, -g_total) if backward else (t1, g_total)
-            out_modal = np.exp(1j * mu * t_out) * (anchor + 1j * cfg.lam * g_out)
-            expected = op.from_modal(out_modal)
-            assert sol.final_field.values.tobytes() == expected.tobytes()
+        # quadrature, as before sweeps ran in place, in reused buffers and by
+        # panel blocks.  K = 1 and 3 at N <= 192 stay below the small-GEMM
+        # bound; K = 17 at N = 512 leaves a one-panel last block
+        op = window_op(n)
+        u, cfg, t0, _ = final_state_window(op)
+        cfg = dataclasses.replace(cfg, lam=lam)
+        t1 = t0 + num_panels * cfg.dt
+        panels = GaussPanels(t0, t1, num_panels)
+        mu = op.eigenvalues
+        anchor = op.to_modal(u.values)
+        if not backward:
+            anchor = anchor * np.exp(-1j * mu * t0)
+        node_phases = np.exp(1j * mu[None, None, :] * panels.nodes[:, :, None])
+        coeffs = node_phases * anchor
+        diffs = []
+        for _ in range(cfg.picard_max_iter):
+            u_nodes = op.from_modal(coeffs.reshape(-1, mu.size))
+            g_nodes = np.abs(u_nodes) ** (cfg.p - 1.0) * u_nodes
+            f_modal = op.to_modal(g_nodes).reshape(coeffs.shape)
+            g_cum, g_total = frozen_cumulative(panels, np.conj(node_phases) * f_modal)
+            if backward:
+                g_cum -= g_total
+            # node_phases * (anchor + i lam G) takes this operand order only
+            # where numpy reuses temporaries (arrays of 256 KiB or more)
+            new_coeffs = (1j * cfg.lam * g_cum + anchor) * node_phases
+            delta = (new_coeffs - coeffs).reshape(-1, mu.size)
+            h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
+            diffs.append(float(np.max(np.linalg.norm(delta * h2_weight, axis=1))))
+            coeffs = new_coeffs
+            if diffs[-1] < cfg.picard_tol:
+                break
+        sol = duhamel_window(u, op, cfg, t0, t1, backward=backward)
+        assert sol.diffs == diffs
+        t_out, g_out = (t0, -g_total) if backward else (t1, g_total)
+        out_modal = np.exp(1j * mu * t_out) * (anchor + 1j * cfg.lam * g_out)
+        expected = op.from_modal(out_modal)
+        assert sol.final_field.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [96, 192, 256, 512, 1000, 2560])
+    @pytest.mark.parametrize("num_panels", [1, 2, 3, 17, 33, 250, 257, 1000])
+    def test_blocks_are_whole_panels_past_the_small_gemm_bound(self, n, num_panels):
+        blocks = solver._panel_blocks(num_panels, PICARD_ORDER, n)
+        assert blocks[0].start == 0 and blocks[-1].stop == num_panels
+        for before, after in zip(blocks, blocks[1:]):
+            assert before.stop == after.start
+        rows = [(b.stop - b.start) * PICARD_ORDER for b in blocks]
+        assert all(r > 0 for r in rows)
+        if len(blocks) > 1:
+            # each block's transform is one GEMM past the small-matrix kernel
+            assert all(r >= 2 and r * n * n > solver._SMALL_GEMM_WORK for r in rows)
+
+    def test_final_state_window_runs_in_eight_blocks(self):
+        blocks = solver._panel_blocks(250, PICARD_ORDER, 256)
+        assert [b.stop - b.start for b in blocks] == [32] * 7 + [26]
+
+    def test_same_window_bits_at_one_and_two_blas_threads(self):
+        tail = (
+            "sol = window()\n"
+            "digest = hashlib.sha256(sol.final_field.values.tobytes())\n"
+            "digest.update(repr(sol.diffs).encode())\n"
+            "print(digest.hexdigest())\n"
+        )
+        digests = [run_window_script(tail, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
+        assert digests[0] == digests[1]
 
     def test_window_peak_memory_not_above_parent(self, op_full):
         op = build_operator("full", op_full.grid, op_full.potential)
@@ -401,14 +482,48 @@ class TestHeldTables:
             tracemalloc.stop()
         assert peak <= WINDOW_PEAK_BOUND
 
+    def test_warm_window_peak_memory(self, op_full):
+        op = build_operator("full", op_full.grid, op_full.potential)
+        u, cfg, t0, t1 = final_state_window(op)
+        duhamel_window(u, op, cfg, t0, t1, backward=True)  # holds the node table
+        tracemalloc.start()
+        try:
+            duhamel_window(u, op, cfg, t0, t1, backward=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= WARM_WINDOW_PEAK_ITERATES * ITERATE_BYTES
+
+    def test_cold_window_resident_growth(self):
+        # VmHWM sees what tracemalloc cannot: OpenBLAS's buffer that packs the
+        # rows of a GEMM stays resident.  A child with glibc's mmap threshold
+        # fixed at 128 KiB, as perfbench runs
+        if sys.platform != "linux" or platform.libc_ver()[0] != "glibc":
+            pytest.skip("resident-growth bound needs glibc's malloc tunables")
+        if not Path("/proc/self/status").exists():
+            pytest.skip("resident-growth bound needs /proc/self/status")
+        tail = (
+            "def hwm():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        line = next(l for l in status if l.startswith('VmHWM:'))\n"
+            "    return int(line.split()[1]) * 1024\n"
+            "before = hwm()\n"
+            "window()\n"
+            "print(hwm() - before)\n"
+        )
+        growth = run_window_script(tail, GLIBC_TUNABLES="glibc.malloc.mmap_threshold=131072")
+        assert int(growth) <= COLD_WINDOW_HWM_ITERATES * ITERATE_BYTES
+
 
 class TestBufferedSweeps:
     """Real-view quadrature and sweeps in reused buffers keep every bit."""
 
-    @pytest.mark.parametrize("num_panels", [1, 3, 250])
+    @pytest.mark.parametrize("num_panels", [1, 3, 33, 250])
     @pytest.mark.parametrize("trailing", [(), (256,), (3, 5)])
     @pytest.mark.parametrize("dtype", [complex, float])
     def test_cumulative_equals_the_complex_einsum(self, num_panels, trailing, dtype):
+        # 33 and 250 panels of (8, 256) complex rows leave a one- and a
+        # 26-panel last block
         panels = GaussPanels(0.3, 1.1, num_panels)
         rng = np.random.default_rng(num_panels + len(trailing))
         shape = (num_panels, PICARD_ORDER, *trailing)
@@ -416,8 +531,9 @@ class TestBufferedSweeps:
         if dtype is complex:
             g = g + 1j * rng.standard_normal(shape)
         ref_cum, ref_total = frozen_cumulative(panels, g)
-        for out in (None, np.empty_like(g)):
-            cum, total = panels.cumulative(g, out=out)
+        in_place = g.copy()
+        for src, out in ((g, None), (g, np.empty_like(g)), (in_place, in_place)):
+            cum, total = panels.cumulative(src, out=out)
             assert cum.dtype == ref_cum.dtype and total.dtype == ref_total.dtype
             assert cum.tobytes() == ref_cum.tobytes()
             assert total.tobytes() == ref_total.tobytes()
@@ -438,7 +554,8 @@ class TestBufferedSweeps:
             monkeypatch.setattr(type(op_full), name, spy)
         u, cfg, t0, t1 = final_state_window(op_full)
         sol = duhamel_window(u, op_full, cfg, t0, t1, backward=True)
-        assert len(calls) == 2 * sol.iterations
+        blocks = solver._panel_blocks(250, PICARD_ORDER, op_full.grid.num_points)
+        assert len(calls) == 2 * sol.iterations * len(blocks)
         assert all(buffered for _, buffered in calls)
 
 
