@@ -6,10 +6,13 @@ Usage: python scripts/run_all.py [output_dir] [--only kind1,kind2]
 Each line gives the verdict, the first 16 hex digits of the sha256 of the
 report body (everything above [provenance]), the same for the config's
 written files (every file in its output directory but the report: CSVs and
-u_plus.fld, by name and content) and the config's time, so the digest
-columns of two runs show whether any report body or output file changed.
-The line before the last names the BLAS pools nls4 stops around its
-eigensolves (the reports' blas_pools provenance).  The last line digests all
+u_plus.fld, by name and content), the config's wall time and its CPU
+seconds (user and system, of this process and its children, from
+resource.getrusage), so the digest columns of two runs show whether any
+report body or output file changed, and CPU seconds well above the wall time
+show BLAS helper threads at work or spinning.  The line before the last
+names the BLAS libraries and where each runs at what thread count (the
+reports' blas_pools provenance).  The last line digests all
 body digests and all file digests in run order, so two runs of the same
 configs compare on one line.  Give each run its own
 output directory, as stale files count.  The heaviest configs are
@@ -18,6 +21,7 @@ scattering, decay and wave_operator, in that order.
 
 import argparse
 import hashlib
+import resource
 import sys
 import time
 from pathlib import Path
@@ -44,6 +48,15 @@ def files_digest(out_dir: Path, report_name: str) -> str:
     return sha.hexdigest()[:16]
 
 
+def cpu_seconds() -> float:
+    """User plus system CPU seconds of this process and its waited-for children."""
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("output_dir", nargs="?", default="nls4-out")
@@ -56,15 +69,16 @@ def main() -> int:
     for kind in kinds:
         cfg = load_config(CONFIG_DIR / f"{kind}.cfg")
         cfg.output_dir = Path(args.output_dir) / kind
-        started = time.perf_counter()
+        started, cpu_started = time.perf_counter(), cpu_seconds()
         report = run_experiment(cfg)
-        elapsed = time.perf_counter() - started
+        elapsed, cpu = time.perf_counter() - started, cpu_seconds() - cpu_started
         verdict = report.worst_verdict
         digest = hashlib.sha256(report.body_text().encode()).hexdigest()[:16]
         files = files_digest(cfg.output_dir, f"report-{kind}.txt")
         bodies.update(digest.encode())
         outputs.update(files.encode())
-        print(f"{kind:28s} {verdict.upper():4s}  {digest}  {files}  ({elapsed:6.1f}s)")
+        print(f"{kind:28s} {verdict.upper():4s}  {digest}  {files}  "
+              f"({elapsed:6.1f}s, cpu {cpu:6.1f}s)")
         if verdict != "pass":
             worst = 1
             for check in report.checks:

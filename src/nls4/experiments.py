@@ -648,17 +648,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(cfg=cfg, rng=np.random.default_rng(cfg.seed), out_dir=out_dir)
     provenance = {"code_version": __version__, "blas_pools": spectral._blas_pools_note()}
-    try:
-        checks, series = EXPERIMENTS[cfg.experiment](ctx)
-    except Exception as exc:  # noqa: BLE001 - captured into the report by contract
-        # note and traceback stay one line each, so read_report parses them;
-        # codecs.decode(..., "unicode_escape") restores them
-        note = f"{type(exc).__name__}: {exc}".encode("unicode_escape").decode("ascii")
-        checks = [CheckResult("experiment_error", "fail", None, None, "-", note=note)]
-        series = {}
-        provenance["experiment_traceback"] = (
-            traceback.format_exc().rstrip().encode("unicode_escape").decode("ascii")
-        )
+    # numpy's BLAS at one thread but in the solver's time loops; its count comes back after
+    with spectral._run_scope():
+        try:
+            checks, series = EXPERIMENTS[cfg.experiment](ctx)
+        except Exception as exc:  # noqa: BLE001 - captured into the report by contract
+            # note and traceback stay one line each, so read_report parses them;
+            # codecs.decode(..., "unicode_escape") restores them
+            note = f"{type(exc).__name__}: {exc}".encode("unicode_escape").decode("ascii")
+            checks = [CheckResult("experiment_error", "fail", None, None, "-", note=note)]
+            series = {}
+            provenance["experiment_traceback"] = (
+                traceback.format_exc().rstrip().encode("unicode_escape").decode("ascii")
+            )
     provenance["runtime_seconds"] = f"{time.perf_counter() - t_start:.3f}"
     report = ExperimentReport(
         experiment=cfg.experiment,

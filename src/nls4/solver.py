@@ -20,7 +20,12 @@ Two independent integrators share the exact spectral propagator:
   exact linear flow e^{itH} u0.  The steps between two monitors run as one
   stretch (_advance) under one np.errstate(over="raise"), so an overflow
   ends the stretch with SolverError.  A run halts at the first monitor that
-  suspects blow-up or sees mass at the boundary, and says which.
+  suspects blow-up or sees mass at the boundary, and says which.  The
+  propagator builds, the stretches and the monitors between them run in
+  spectral._time_loop: inside run_experiment, numpy's BLAS threads there
+  and in the Picard sweeps only, as the step's zgemv needs both cores.  The
+  exact linear path stays at one thread: its single-row transforms go
+  through gemv, which gains nothing from a second thread up to N = 512.
 
 * A Picard iteration on the integral form
   u(t) = e^{itH} u0 + i lambda int_0^t e^{i(t-s)H} |u|^{p-1} u(s) ds,
@@ -47,7 +52,8 @@ Two independent integrators share the exact spectral propagator:
   transform is a GEMM past the small-matrix bound, whose rows have the bits
   of one whole-window GEMM, and no GEMM packs all of the iterate's rows.
   The panel quadrature sums complex integrands through their real views,
-  the same bits as the complex einsum in a third of the time.
+  the same bits as the complex einsum in a third of the time.  The sweeps
+  run in spectral._time_loop, like the Strang stretches.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial import RadialField, SpaceTimeSample
-from .spectral import _SMALL_GEMM_WORK, SpectralOperator, hdot2_norm
+from .spectral import _SMALL_GEMM_WORK, SpectralOperator, _time_loop, hdot2_norm
 
 PICARD_ORDER = 8
 # rows of the step propagator filled per pair of real products
@@ -318,30 +324,33 @@ def run_trajectory(
         return None
 
     halt = record(0, 0.0)
-    if halt is None:  # a run that halts at t = 0 builds no propagator
-        if exact:
-            coeffs0 = op_full.to_modal(u0.values)
-        else:
+    if halt is None and exact:
+        coeffs0 = op_full.to_modal(u0.values)
+        for step in monitor_steps:
+            t = step * dt
+            values = op_full.from_modal(np.exp(1j * t * mu) * coeffs0)
+            halt = record(step, t)
+            if halt is not None:
+                break
+    elif halt is None:  # a run that halts at t = 0 builds no propagator
+        # the one stretch of the run where numpy's BLAS threads (spectral._time_loop)
+        with _time_loop():
             prop = op_full.held("propagator", step_propagator, dt)
             half_prop = (
                 op_full.held("half_propagator", step_propagator, half)
                 if forcing is not None else None
             )
-    done = 0
-    for step in monitor_steps:
-        if halt is not None:
-            break
-        t = step * dt
-        if exact:
-            values = op_full.from_modal(np.exp(1j * t * mu) * coeffs0)
-        else:
-            try:
-                values = _advance(values, done, step, cfg, prop, half_prop, forcing)
-            except SolverError:
-                halt = "blowup_suspected"
-                break
-        done = step
-        halt = record(step, t)
+            done = 0
+            for step in monitor_steps:
+                try:
+                    values = _advance(values, done, step, cfg, prop, half_prop, forcing)
+                except SolverError:
+                    halt = "blowup_suspected"
+                    break
+                done = step
+                halt = record(step, step * dt)
+                if halt is not None:
+                    break
 
     return TrajectoryRecord(
         times=np.array(times),
@@ -492,55 +501,56 @@ def duhamel_window(
     row_norms = np.empty(coeffs.shape[:2])
     diffs: list[float] = []
     growth_streak = 0
-    for _ in range(cfg.picard_max_iter):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for block in blocks:
-                rows = coeffs[block]
-                flat = (rows.size // mu.size, mu.size)
-                a, b = buffers[:, :rows.size]
-                u_nodes = op.from_modal(rows.reshape(flat), out=a, work=b)
-                power = np.abs(u_nodes, out=np.ndarray(flat, buffer=b))
-                power **= cfg.p - 1.0
-                np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
-                f_modal = op.to_modal(u_nodes, out=b, work=a).reshape(rows.shape)
-                conj_phases = np.conjugate(node_phases[block], out=a.reshape(rows.shape))
-                np.multiply(conj_phases, f_modal, out=integrand[block])
-            g_cum, g_total = panels.cumulative(integrand, out=integrand)
-        for block in blocks:
-            g_block = g_cum[block]
+    with _time_loop():  # numpy's BLAS threads only in the sweeps
+        for _ in range(cfg.picard_max_iter):
             with np.errstate(over="ignore", invalid="ignore"):
-                if backward:
-                    g_block -= g_total  # G measured from the anchored end, t1
-                # (i lam G + anchor) * node_phases in g_block: the operand order
-                # numpy took when it reused the temporaries of
-                # node_phases * (anchor + i lam G)
-                np.multiply(1j * cfg.lam, g_block, out=g_block)
-                np.add(g_block, anchor, out=g_block)
-                np.multiply(g_block, node_phases[block], out=g_block)
-            # the old rows take the weighted distance, and a buffer the squares
-            # np.linalg.norm(delta, axis=1) sums, formed as it forms them
-            flat = (g_block.size // mu.size, mu.size)
-            delta = np.subtract(g_block, coeffs[block], out=coeffs[block]).reshape(flat)
-            delta *= h2_weight
-            squares = np.ndarray(flat, complex, buffer=buffers[1])
-            np.multiply(np.conjugate(delta, out=squares), delta, out=squares)
-            np.sqrt(np.add.reduce(squares.real, axis=1), out=row_norms[block].reshape(-1))
-        d = float(np.max(row_norms))
-        if not np.isfinite(d):
-            raise PicardNonContraction(np.inf)
-        diffs.append(d)
-        coeffs, integrand = g_cum, coeffs
-        if d < cfg.picard_tol:
-            break
-        if len(diffs) > 1:
-            growth_streak = growth_streak + 1 if d > diffs[-2] else 0
-            if growth_streak >= 3:
-                raise PicardNonContraction(d / diffs[-2])
-    else:
-        raise SolverError(
-            f"fixed-point iteration did not reach tol={cfg.picard_tol} in "
-            f"{cfg.picard_max_iter} sweeps (last diff {diffs[-1]:.3g})"
-        )
+                for block in blocks:
+                    rows = coeffs[block]
+                    flat = (rows.size // mu.size, mu.size)
+                    a, b = buffers[:, :rows.size]
+                    u_nodes = op.from_modal(rows.reshape(flat), out=a, work=b)
+                    power = np.abs(u_nodes, out=np.ndarray(flat, buffer=b))
+                    power **= cfg.p - 1.0
+                    np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
+                    f_modal = op.to_modal(u_nodes, out=b, work=a).reshape(rows.shape)
+                    conj_phases = np.conjugate(node_phases[block], out=a.reshape(rows.shape))
+                    np.multiply(conj_phases, f_modal, out=integrand[block])
+                g_cum, g_total = panels.cumulative(integrand, out=integrand)
+            for block in blocks:
+                g_block = g_cum[block]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if backward:
+                        g_block -= g_total  # G measured from the anchored end, t1
+                    # (i lam G + anchor) * node_phases in g_block: the operand order
+                    # numpy took when it reused the temporaries of
+                    # node_phases * (anchor + i lam G)
+                    np.multiply(1j * cfg.lam, g_block, out=g_block)
+                    np.add(g_block, anchor, out=g_block)
+                    np.multiply(g_block, node_phases[block], out=g_block)
+                # the old rows take the weighted distance, and a buffer the squares
+                # np.linalg.norm(delta, axis=1) sums, formed as it forms them
+                flat = (g_block.size // mu.size, mu.size)
+                delta = np.subtract(g_block, coeffs[block], out=coeffs[block]).reshape(flat)
+                delta *= h2_weight
+                squares = np.ndarray(flat, complex, buffer=buffers[1])
+                np.multiply(np.conjugate(delta, out=squares), delta, out=squares)
+                np.sqrt(np.add.reduce(squares.real, axis=1), out=row_norms[block].reshape(-1))
+            d = float(np.max(row_norms))
+            if not np.isfinite(d):
+                raise PicardNonContraction(np.inf)
+            diffs.append(d)
+            coeffs, integrand = g_cum, coeffs
+            if d < cfg.picard_tol:
+                break
+            if len(diffs) > 1:
+                growth_streak = growth_streak + 1 if d > diffs[-2] else 0
+                if growth_streak >= 3:
+                    raise PicardNonContraction(d / diffs[-2])
+        else:
+            raise SolverError(
+                f"fixed-point iteration did not reach tol={cfg.picard_tol} in "
+                f"{cfg.picard_max_iter} sweeps (last diff {diffs[-1]:.3g})"
+            )
 
     # read at the other end: G(t1) - 0 forward, 0 - G(t1) backward
     t_out, g_out = (t0, -g_total) if backward else (t1, g_total)

@@ -27,18 +27,25 @@ phase tables e^{i t mu} of a fixed set of times) through SpectralOperator.held:
 one table per slot, kept while callers keep asking for the same argument,
 and dropped with the operator.
 
-The eigensolves are the only scipy calls nls4 makes, and numpy and scipy
-wheels each ship their own OpenBLAS, whose helper threads busy-wait for a
-while after every threaded call.  So build_operator stops numpy's idle pool
-just before its LAPACK call and scipy's just after it, and the library with
-work never shares the cores with the other's spinning helpers.  OpenBLAS
-restarts a stopped pool, at the same thread count, on that library's next
-threaded call, so every product splits its work as before and keeps its
-bits.  The eigensolves themselves run at a fixed count of EIG_THREADS:
-LAPACK's blocked reductions split their work by the thread count, so the
-eigenvectors would otherwise depend on OPENBLAS_NUM_THREADS.  Where the
-wheel libraries are not found (MKL, a system or conda BLAS) nothing is
-stopped and no count is fixed.
+numpy and scipy wheels each ship their own OpenBLAS, whose helper threads
+busy-wait for about 0.1 s after every threaded call.  So a pool runs at more
+than one thread only where it has work, and is stopped when that work ends:
+ * scipy's, in the eigensolves, the only scipy calls nls4 makes.
+   build_operator stops numpy's idle pool just before its LAPACK call, runs
+   it with scipy's count at EIG_THREADS (LAPACK's blocked reductions split
+   their work by the thread count, so the eigenvectors would otherwise
+   depend on OPENBLAS_NUM_THREADS), then puts the count back and stops
+   scipy's pool.
+ * numpy's, in the solver's two time loops (_time_loop): the Strang
+   stretches, with their propagator builds and monitors, and the Picard
+   sweeps.  Inside run_experiment (_run_scope) numpy runs at one thread and
+   the loops at the count the run found; outside a run no count changes.
+Both go through one context manager, _blas_threads.  Every numpy product
+nls4 makes gives the same bits at one and at two threads, so no body moves.
+OpenBLAS restarts a stopped pool on that library's next threaded call or
+count change.  A stop is safe because nls4 runs in one thread, so no BLAS
+call is in flight.  Where the wheel libraries are not found (MKL, a system
+or conda BLAS) no count is set and nothing is stopped.
 
 Single fields are saved and loaded in a little-endian binary container
 (save_field / load_field).
@@ -46,6 +53,7 @@ Single fields are saved and loaded in a little-endian binary container
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -179,40 +187,95 @@ def _stop_blas_pool(package: str) -> None:
         lib.blas_thread_shutdown_()
 
 
-def _eigensolve(solve, *args, **kwargs):
-    """solve(*args, **kwargs) with scipy's OpenBLAS at EIG_THREADS and one busy pool.
+def _thread_count_calls(lib: ctypes.CDLL):
+    """lib's (get, set) OpenBLAS thread-count functions; numpy's ILP64 build ends them in 64_."""
+    suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
+    get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+    set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
 
-    numpy's idle pool is stopped before the call.  scipy's thread count is
-    set to EIG_THREADS for the call and restored after it, and then its pool
-    is stopped.  Without scipy's wheel library the call runs as it is.
+
+@contextlib.contextmanager
+def _blas_threads(package: str, threads: int | None):
+    """The body with the package's OpenBLAS at `threads`; then the count back, the pool stopped.
+
+    Yields the count found, or None (and does nothing) where the package's
+    wheel library is not found.  threads None keeps the count.  Setting a
+    count, even the same one, restarts a stopped pool before the body's
+    first threaded call: wave_operator (N = 2560) then peaks 4.4 MB lower
+    than when LAPACK's first threaded call restarts scipy's pool.  A body at
+    one thread starts with the pool stopped again: its helper would spin
+    through the body with no work.
     """
-    _stop_blas_pool("numpy")
-    lib = _blas_pools().get("scipy")
+    lib = _blas_pools().get(package)
     if lib is None:
-        result = solve(*args, **kwargs)
-    else:
-        threads = lib.scipy_openblas_get_num_threads()
-        lib.scipy_openblas_set_num_threads(EIG_THREADS)
+        yield None
+        return
+    get_threads, set_threads = _thread_count_calls(lib)
+    before = get_threads()
+    if threads is not None:
+        set_threads(threads)
+        if threads == 1:
+            _stop_blas_pool(package)
+    try:
+        yield before
+    finally:
+        if threads is not None:
+            set_threads(before)
+        _stop_blas_pool(package)
+
+
+# numpy's OpenBLAS count in the solver's time loops: the count run_experiment
+# found, or None outside a run, where the loops keep the count as it is.  A
+# module variable, as the OpenBLAS count it stands for is one per process
+_loop_threads: int | None = None
+
+
+@contextlib.contextmanager
+def _run_scope():
+    """numpy's OpenBLAS at one thread for a run, at the count it found in the run's time loops."""
+    global _loop_threads
+    with _blas_threads("numpy", 1) as found:
+        _loop_threads = found
         try:
-            result = solve(*args, **kwargs)
+            yield
         finally:
-            lib.scipy_openblas_set_num_threads(threads)
-    _stop_blas_pool("scipy")
-    return result
+            _loop_threads = None
+
+
+def _time_loop():
+    """numpy's OpenBLAS for one of the solver's time loops: at the run's count, stopped after."""
+    return _blas_threads("numpy", _loop_threads)
+
+
+def _eigensolve(solve, *args, **kwargs):
+    """solve(*args, **kwargs), numpy's idle pool stopped and scipy's OpenBLAS at EIG_THREADS."""
+    _stop_blas_pool("numpy")
+    with _blas_threads("scipy", EIG_THREADS):
+        return solve(*args, **kwargs)
 
 
 def _blas_pools_note() -> str:
-    """The [provenance] value: each wheel library found, when its pool stops, the solve's count."""
-    pools = _blas_pools()
-    when = {
-        "numpy": "before eigensolves",
-        "scipy": f"after eigensolves, which run at {EIG_THREADS} threads",
-    }
-    return "; ".join(
-        f"{package} {Path(pools[package]._name).name} stopped {when[package]}"
-        if package in pools else f"{package} library not found, not stopped"
-        for package in _WHEEL_BLAS
-    )
+    """The [provenance] value: each wheel library found and where it runs at what count.
+
+    numpy's count is read as it is when the note is made; run_experiment
+    makes it before its run scope sets one thread.
+    """
+    notes = []
+    for package in _WHEEL_BLAS:
+        lib = _blas_pools().get(package)
+        if lib is None:
+            notes.append(f"{package} library not found, no count set, not stopped")
+            continue
+        if package == "numpy":
+            where = (f"at {_thread_count_calls(lib)[0]()} threads in Strang stretches and "
+                     "Picard sweeps and at 1 elsewhere")
+        else:
+            where = f"at {EIG_THREADS} threads in eigensolves"
+        notes.append(f"{package} {Path(lib._name).name} {where}, stopped after each")
+    return "; ".join(notes)
 
 
 # ---------------------------------------------------------------------------

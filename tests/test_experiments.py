@@ -1,16 +1,18 @@
 """Registry-level smoke runs of the remaining experiment kinds."""
 
 import copy
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nls4 import analysis, spectral
+from nls4 import analysis, solver, spectral
 from nls4.config import load_config
 from nls4.experiments import EXPERIMENTS, RunContext, run_experiment
-from nls4.potentials import zero_potential
+from nls4.potentials import example_potential, zero_potential
+from nls4.radial import RadialField
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -198,3 +200,103 @@ def test_sobolev_zero_control_runs_no_second_solve(tmp_path, monkeypatch):
     checks = {c.name: c for c in run_experiment(cfg).checks}
     assert sorted(calls) == ["free", "full"]
     assert checks["zero_potential_ratio_dev"].measured == 0.0
+
+
+@pytest.fixture()
+def numpy_blas_at_two():
+    """numpy's OpenBLAS count set to 2 for the test, whatever the environment asks; its getter."""
+    lib = spectral._blas_pools().get("numpy")
+    if lib is None:
+        pytest.skip("numpy's OpenBLAS wheel library is not loaded")
+    get_threads, set_threads = spectral._thread_count_calls(lib)
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+def spy_threads(monkeypatch, get_threads):
+    """The sets of numpy's counts seen in _advance, strichartz_quotient and to_modal.
+
+    to_modal counts only under duhamel_window: "sweep" for the sweeps' buffered
+    transforms, "anchor" for the window's first transform, before its loop.
+    """
+    seen = {"advance": set(), "sweep": set(), "anchor": set(), "strichartz": set()}
+
+    def wrap(owner, name, key=None):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            where = key
+            if where is None and sys._getframe(1).f_code.co_name == "duhamel_window":
+                where = "sweep" if kwargs.get("out") is not None else "anchor"
+            if where is not None:
+                seen[where].add(get_threads())
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+
+    wrap(solver, "_advance", "advance")
+    wrap(spectral.SpectralOperator, "to_modal")
+    wrap(analysis, "strichartz_quotient", "strichartz")
+    return seen
+
+
+def run_config(kind, out_dir):
+    cfg = load_config(CONFIG_DIR / f"{kind}.cfg")
+    cfg.output_dir = out_dir / kind
+    return run_experiment(cfg)
+
+
+class TestBlasThreadScopes:
+    """numpy's OpenBLAS threads in a run's time loops only, and its count comes back."""
+
+    def test_threads_only_in_the_time_loops(self, numpy_blas_at_two, monkeypatch, tmp_path):
+        seen = spy_threads(monkeypatch, numpy_blas_at_two)
+        for kind in ("final_state", "strichartz"):
+            assert run_config(kind, tmp_path).worst_verdict == "pass"
+            assert numpy_blas_at_two() == 2
+        assert seen == {"advance": {2}, "sweep": {2}, "anchor": {1}, "strichartz": {1}}
+        assert spectral._loop_threads is None
+
+    @pytest.mark.parametrize("where", ["experiment", "time loop"])
+    def test_count_comes_back_when_the_run_raises(self, numpy_blas_at_two, monkeypatch,
+                                                  tmp_path, where):
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"raised at {numpy_blas_at_two()} threads")
+
+        if where == "experiment":
+            monkeypatch.setitem(EXPERIMENTS, "final_state", fail)
+        else:
+            monkeypatch.setattr(solver, "_advance", fail)
+            monkeypatch.setattr(solver.GaussPanels, "cumulative", fail)
+        report = run_config("final_state", tmp_path)
+        assert [c.name for c in report.checks] == ["experiment_error"]
+        threads = 1 if where == "experiment" else 2
+        assert f"raised at {threads} threads" in report.checks[0].note
+        assert numpy_blas_at_two() == 2
+        assert spectral._loop_threads is None
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_loops_outside_a_run_keep_the_count(self, numpy_blas_at_two, monkeypatch,
+                                                grid, threads):
+        spectral._thread_count_calls(spectral._blas_pools()["numpy"])[1](threads)
+        seen = spy_threads(monkeypatch, numpy_blas_at_two)
+        op = spectral.build_operator("full", grid, example_potential(5))
+        u = RadialField(grid, 0.3 * np.exp(-((grid.nodes / 3.0) ** 2)).astype(complex))
+        cfg = solver.SimulationConfig(lam=1.0, p=9.0, dt=1e-2, t_end=0.1, monitor_stride=5)
+        assert solver.run_trajectory(u, op, cfg).status == "ok"
+        solver.duhamel_window(u, op, cfg, 0.0, 0.1)
+        assert seen["advance"] == seen["sweep"] == seen["anchor"] == {threads}
+        assert numpy_blas_at_two() == threads
+
+    def test_no_wheel_library_touches_nothing(self, numpy_blas_at_two, monkeypatch, tmp_path):
+        kept = run_config("final_state", tmp_path / "kept")
+        monkeypatch.setattr(spectral, "_blas_pools", lambda: {})
+        seen = spy_threads(monkeypatch, numpy_blas_at_two)
+        report = run_config("final_state", tmp_path / "none")
+        assert report.body_text() == kept.body_text()
+        assert seen == {"advance": {2}, "sweep": {2}, "anchor": {2}, "strichartz": set()}
+        assert report.provenance["blas_pools"] == (
+            "numpy library not found, no count set, not stopped; "
+            "scipy library not found, no count set, not stopped"
+        )

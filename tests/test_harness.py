@@ -92,6 +92,9 @@ class TestReports:
         _, provenance = read_report(path)
         assert provenance["blas_pools"] == spectral._blas_pools_note()
         assert "numpy" in provenance["blas_pools"] and "scipy" in provenance["blas_pools"]
+        if spectral._blas_pools().get("numpy") is not None:
+            policy = "in Strang stretches and Picard sweeps and at 1 elsewhere"
+            assert policy in provenance["blas_pools"]
         assert "blas" not in report.body_text().lower()
         assert "blas" not in report_body_from_file(path).lower()
 

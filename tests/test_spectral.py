@@ -388,14 +388,18 @@ class TestBlasPools:
         op = build_operator("full", grid, example_potential(5))
         assert bitwise_equal(op.eigenvectors, op_full.eigenvectors)
         assert spectral._blas_pools_note() == (
-            "numpy library not found, not stopped; scipy library not found, not stopped"
+            "numpy library not found, no count set, not stopped; "
+            "scipy library not found, no count set, not stopped"
         )
 
     def test_note_names_each_library_found(self):
         pools = spectral._blas_pools()
         note = spectral._blas_pools_note()
         for package, lib in pools.items():
-            assert f"{package} {Path(lib._name).name} stopped" in note
+            # numpy's count is the one its time loops take in a run
+            threads = blas_threads(lib) if package == "numpy" else spectral.EIG_THREADS
+            assert f"{package} {Path(lib._name).name} at {threads} threads" in note
+        assert note.count("stopped after each") == len(pools)
         assert note.count("not found") == 2 - len(pools)
 
     def test_eigensolves_run_at_the_fixed_count(self, monkeypatch, grid):
@@ -423,27 +427,47 @@ class TestBlasPools:
         finally:
             lib.scipy_openblas_set_num_threads(before)
         assert counts == [spectral.EIG_THREADS] * 2
-        assert f"run at {spectral.EIG_THREADS} threads" in spectral._blas_pools_note()
+        assert f"at {spectral.EIG_THREADS} threads in eigensolves" in spectral._blas_pools_note()
 
-    def test_full_operator_same_bits_at_one_and_two_blas_threads(self):
-        # N = 512 is the size where dsytrd alone splits its work by the thread count
+    def test_full_operator_same_bits_at_one_and_two_blas_threads(self, tmp_path):
+        # N = 512 is the size where dsytrd alone splits its work by the thread
+        # count; then modal_small's configs, whose time loops run at the count
+        # the environment asks for and all else at one thread
         script = (
-            "import hashlib\n"
+            "import hashlib, sys\n"
+            "from pathlib import Path\n"
             "from nls4 import radial, spectral\n"
+            "from nls4.config import load_config\n"
+            "from nls4.experiments import run_experiment\n"
             "from nls4.potentials import example_potential\n"
             "op = spectral.build_operator('full', radial.make_grid(5, 40.0, 512),\n"
             "                             example_potential(5, beta=10))\n"
             "print(hashlib.sha256(op.eigenvalues.tobytes()).hexdigest(),\n"
             "      hashlib.sha256(op.eigenvectors.tobytes()).hexdigest())\n"
+            "configs, out = Path(sys.argv[1]), Path(sys.argv[2])\n"
+            "for kind in ('strichartz', 'sobolev_equiv', 'final_state'):\n"
+            "    cfg = load_config(configs / f'{kind}.cfg')\n"
+            "    cfg.output_dir = out / kind\n"
+            "    report = run_experiment(cfg)\n"
+            "    files = hashlib.sha256()\n"
+            "    for path in sorted(cfg.output_dir.iterdir()):\n"
+            "        if path.name != f'report-{kind}.txt':\n"
+            "            files.update(path.name.encode() + b'\\0' + path.read_bytes())\n"
+            "    body = hashlib.sha256(report.body_text().encode()).hexdigest()\n"
+            "    print(kind, report.worst_verdict, body, files.hexdigest())\n"
         )
         src = str(Path(spectral.__file__).resolve().parents[1])
+        configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                                 capture_output=True, text=True)
-            digests.append(out.stdout.split())
+            out = subprocess.run([sys.executable, "-c", script, str(configs),
+                                  str(tmp_path / threads)],
+                                 env=env, check=True, capture_output=True, text=True)
+            digests.append(out.stdout.splitlines())
+        assert [line.split()[:2] for line in digests[0][1:]] == [
+            ["strichartz", "pass"], ["sobolev_equiv", "pass"], ["final_state", "pass"]]
         assert digests[0] == digests[1]
 
 
