@@ -19,9 +19,8 @@ identity is brittle in floats.
 A Duhamel solve and a Strichartz quotient work on (T, N) arrays that, at
 T = 129 and N = 256, are past glibc's 128 KiB mmap threshold, so each
 temporary of that size would be fresh pages.  Their transforms over the T
-rows stay one to_modal / from_modal call each, into caller buffers: a
-transform split into row blocks could take OpenBLAS's small-matrix kernel
-and change the last bits.  Every row-local stage (the
+rows stay one to_modal / from_modal call each, into caller buffers, so the
+eigenvector matrix is read once.  Every row-local stage (the
 modal coefficients with their phase integrals, h(t), the Delta stencil and
 the L^r sums) runs over row blocks of at most 64 KiB of complex values,
 whose temporaries are reused heap memory and stay in cache; each acts on
@@ -50,13 +49,14 @@ from . import solver
 from .solver import SimulationConfig, critical_exponent, mass
 from .spectral import (
     SpectralOperator,
+    _check_field,
     _laplacian_values,
-    apply_function,
+    apply_function,  # analysis.apply_function is public: perfbench calls it
     evolve,
     fractional_gradient_values,
-    free_fractional_gradient,
     hdot2_norm,
     laplacian_values,
+    power_values,
 )
 
 SPACETIME_NORMS = ("M", "W", "Z", "N")
@@ -170,21 +170,24 @@ def sobolev_equiv_ratio(
 ) -> np.ndarray:
     """||H^{s/4} u||_{L^p} / || |grad|^s u ||_{L^p} for each field u and each p; (F, P).
 
-    H^{s/4} u and |grad|^s u are computed once per field, one field at a
-    time (a batched transform would change their last bits), and shared by
-    every p; each p then costs two lp_norm_values calls over all fields,
-    whose rows equal one field's lp_norm bit for bit.  s and every p are
-    range-checked before any transform.
+    H^{s/4} u and |grad|^s u of all fields are one transform pair each,
+    shared by every p; each p then costs two lp_norm_values calls over all
+    fields, whose rows equal one field's lp_norm bit for bit.  s and every p
+    are range-checked before any transform.
     """
     fields = list(fields)
+    for u in fields:
+        _check_field(op_full, u)
+        _check_field(op_free, u)
     n = op_full.grid.dimension
     if not 0.0 <= s <= 2.0:
         raise ValueError(f"s must lie in [0, 2], got {s}")
     for p in ps:
         if not 1.0 < p < n / 2.0:
             raise ValueError(f"p must lie in (1, n/2) = (1, {n/2}), got {p}")
-    h_s = np.array([apply_function(op_full, "power_s", s, u).values for u in fields])
-    grad_s = np.array([free_fractional_gradient(op_free, s, u).values for u in fields])
+    values = np.array([u.values for u in fields])
+    h_s = power_values(op_full, s, values)
+    grad_s = fractional_gradient_values(op_free, s, values)
     grid = op_full.grid
     ratios = np.empty((len(fields), len(ps)))
     for j, p in enumerate(ps):

@@ -16,16 +16,16 @@ Two independent integrators share the exact spectral propagator:
   multiplies u into it in place.  As rotations commute with each other, the
   closing half rotation of a step merges with the opening one of the next;
   the owed half is flushed before every monitor and every forced step.  With
-  lambda = 0 and no forcing nothing is stepped: each monitor state is the
-  exact linear flow e^{itH} u0.  The steps between two monitors run as one
-  stretch (_advance) under one np.errstate(over="raise"), so an overflow
-  ends the stretch with SolverError.  A run halts at the first monitor that
-  suspects blow-up or sees mass at the boundary, and says which.  The
-  propagator builds, the stretches and the monitors between them run in
-  spectral._time_loop: inside run_experiment, numpy's BLAS threads there
-  and in the Picard sweeps only, as the step's zgemv needs both cores.  The
-  exact linear path stays at one thread: its single-row transforms go
-  through gemv, which gains nothing from a second thread up to N = 512.
+  lambda = 0 and no forcing nothing is stepped: the monitor states are the
+  exact linear flow e^{itH} u0, from evolve, _PANEL_BLOCK_BYTES / 8 of rows
+  at a time.  The steps between two monitors run as one stretch (_advance)
+  under one np.errstate(over="raise"), so an overflow ends the stretch with
+  SolverError.  A run halts at the first monitor that suspects blow-up
+  (non-finite values included) or sees mass at the boundary, and says
+  which.  The propagator builds, the stretches and the monitors between
+  them run in spectral._time_loop: inside run_experiment, numpy's BLAS
+  threads there and in the Picard sweeps only, as the step's zgemv needs
+  both cores.  The exact linear path runs at one thread.
 
 * A Picard iteration on the integral form
   u(t) = e^{itH} u0 + i lambda int_0^t e^{i(t-s)H} |u|^{p-1} u(s) ds,
@@ -48,9 +48,9 @@ Two independent integrators share the exact spectral propagator:
   becomes the next sweep's integrand array.  The modal transforms
   (SpectralOperator.to_modal / from_modal with caller buffers), |u|^{p-1},
   the conjugate node phases and the squares of the distance run over
-  blocks of whole panels, in two buffers of one block.  Each block's
-  transform is a GEMM past the small-matrix bound, whose rows have the bits
-  of one whole-window GEMM, and no GEMM packs all of the iterate's rows.
+  blocks of whole panels, in two buffers of one block.  A transform row has
+  the same bits in any batch, so the blocks give the whole window's bits,
+  and no GEMM packs all of the iterate's rows.
   The panel quadrature sums complex integrands through their real views,
   the same bits as the complex einsum in a third of the time.  The sweeps
   run in spectral._time_loop, like the Strang stretches.
@@ -58,12 +58,13 @@ Two independent integrators share the exact spectral propagator:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .radial import RadialField, SpaceTimeSample
-from .spectral import _SMALL_GEMM_WORK, SpectralOperator, _time_loop, hdot2_norm
+from .spectral import SpectralOperator, _apply_tridiag, _gemm_rows, _time_loop, evolve, hdot2_norm
 
 PICARD_ORDER = 8
 # rows of the step propagator filled per pair of real products
@@ -263,12 +264,10 @@ def run_trajectory(
     callable t -> values adding the inhomogeneous term of the perturbed
     equation; it enters through a midpoint-propagated source, preserving
     second order.  With lam == 0 and no forcing the flow is linear, and each
-    monitor state is e^{itH} u0 itself, taken from u0's modal coefficients
-    without stepping.
+    monitor state is e^{itH} u0 itself, taken from evolve without stepping.
     """
     grid = u0.grid
     v_pot = op_full.potential_values
-    mu = op_full.eigenvalues
     dt, half = cfg.dt, cfg.dt / 2.0
     exact = cfg.lam == 0.0 and forcing is None
     num_steps = int(round(cfg.t_end / dt))
@@ -295,16 +294,17 @@ def run_trajectory(
     nl_power = (cfg.p + 1) / 2.0
     nl_coeff = 2.0 * cfg.lam / (cfg.p + 1.0)
 
-    def record(step: int, t: float) -> str | None:
+    def record(step: int, t: float, values: np.ndarray) -> str | None:
         """Append monitors of `values`; returns why the run must halt, or None.
 
-        One |u|^2 and one ||Delta u||^2 serve every monitor; each sum is the
-        one mass(), energy() or boundary_mass() takes, so the bits agree.
+        One |u|^2 and one ||Delta u||^2 serve every monitor; each is formed as
+        mass(), energy(), hdot2_norm() or boundary_mass() forms it, so the bits
+        agree.  Non-finite values are recorded, and halt the run as blow-up.
         """
         nonlocal num_snaps
-        u = RadialField(grid, values)
         absu2 = np.abs(values) ** 2
-        h2 = hdot2_norm(u) ** 2
+        h2 = float(np.linalg.norm(_apply_tridiag(grid.lap_diag, grid.lap_off,
+                                                 grid.metric_sqrt * values))) ** 2
         pot = float(np.sum(metric_v * absu2))
         nl = float(np.sum(metric * absu2 ** nl_power))
         times.append(t)
@@ -323,13 +323,17 @@ def run_trajectory(
             return "boundary_contaminated"
         return None
 
-    halt = record(0, 0.0)
+    halt = record(0, 0.0, values)
     if halt is None and exact:
-        coeffs0 = op_full.to_modal(u0.values)
-        for step in monitor_steps:
-            t = step * dt
-            values = op_full.from_modal(np.exp(1j * t * mu) * coeffs0)
-            halt = record(step, t)
+        # e^{itH} u0 from evolve, in chunks of _PANEL_BLOCK_BYTES / 8 of rows: a
+        # chunk's transforms hold about four arrays of its size (1 MiB chunks
+        # raised localized_mass's peak by 4.4 MB); no chunk past a halt is formed
+        per_chunk = max(1, _PANEL_BLOCK_BYTES // (8 * 16 * grid.num_points))
+        chunks = [monitor_steps[a:a + per_chunk] for a in range(0, len(monitor_steps), per_chunk)]
+        states = itertools.chain.from_iterable(
+            zip(steps, evolve(op_full, u0.values, np.multiply(steps, dt))) for steps in chunks)
+        for step, state in states:
+            halt = record(step, step * dt, state)
             if halt is not None:
                 break
     elif halt is None:  # a run that halts at t = 0 builds no propagator
@@ -348,7 +352,7 @@ def run_trajectory(
                     halt = "blowup_suspected"
                     break
                 done = step
-                halt = record(step, step * dt)
+                halt = record(step, step * dt, values)
                 if halt is not None:
                     break
 
@@ -438,20 +442,9 @@ class GaussPanels:
 
 
 def _panel_blocks(num_panels: int, order: int, n: int) -> list[slice]:
-    """The blocks of whole panels a Picard sweep runs over, as panel slices.
-
-    Each block holds about _PANEL_BLOCK_BYTES of complex rows and more rows
-    than _SMALL_GEMM_WORK / N^2, so its transforms take the regular GEMM
-    kernel, whose rows have the same bits in any such call.  A short tail
-    joins the block before it, and a window with no more rows than that
-    stays one block, whose transforms take the small path as a whole window.
-    """
-    min_rows = max(2, int(_SMALL_GEMM_WORK // (n * n)) + 1)
-    per_block = max(_PANEL_BLOCK_BYTES // (16 * n * order), -(-min_rows // order))
-    starts = list(range(0, num_panels, per_block))
-    if (num_panels - starts[-1]) * order < min_rows:
-        starts = starts[:-1] or [0]
-    return [slice(a, b) for a, b in zip(starts, [*starts[1:], num_panels])]
+    """A Picard sweep's blocks of whole panels: _PANEL_BLOCK_BYTES of rows each, or one panel."""
+    per_block = max(1, _PANEL_BLOCK_BYTES // (16 * n * order))
+    return [slice(a, min(a + per_block, num_panels)) for a in range(0, num_panels, per_block)]
 
 
 @dataclass
@@ -491,13 +484,14 @@ def duhamel_window(
 
     # the first iterate is the free flow of the anchor.  Beside it a sweep holds
     # the integrand array, which cumulative turns into G and the update into
-    # the next iterate, and two buffers of one panel block; the old iterate's
-    # memory takes the distance, then becomes the next sweep's integrand array
+    # the next iterate, and two buffers of one panel block's stacked parts, as
+    # padded for its transforms; the old iterate's memory takes the distance,
+    # then becomes the next sweep's integrand array
     coeffs = node_phases * anchor
     integrand = np.empty_like(coeffs)
     blocks = _panel_blocks(panels.num_panels, panels.order, mu.size)
-    block_size = max(b.stop - b.start for b in blocks) * panels.order * mu.size
-    buffers = np.empty((2, block_size), complex)
+    block_rows = max(b.stop - b.start for b in blocks) * panels.order
+    buffers = np.empty((2, -(-_gemm_rows(2 * block_rows, mu.size) // 2), mu.size), complex)
     row_norms = np.empty(coeffs.shape[:2])
     diffs: list[float] = []
     growth_streak = 0
@@ -507,13 +501,14 @@ def duhamel_window(
                 for block in blocks:
                     rows = coeffs[block]
                     flat = (rows.size // mu.size, mu.size)
-                    a, b = buffers[:, :rows.size]
+                    a, b = buffers
                     u_nodes = op.from_modal(rows.reshape(flat), out=a, work=b)
                     power = np.abs(u_nodes, out=np.ndarray(flat, buffer=b))
                     power **= cfg.p - 1.0
                     np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
                     f_modal = op.to_modal(u_nodes, out=b, work=a).reshape(rows.shape)
-                    conj_phases = np.conjugate(node_phases[block], out=a.reshape(rows.shape))
+                    conj_phases = np.conjugate(node_phases[block],
+                                               out=a[:flat[0]].reshape(rows.shape))
                     np.multiply(conj_phases, f_modal, out=integrand[block])
                 g_cum, g_total = panels.cumulative(integrand, out=integrand)
             for block in blocks:

@@ -14,13 +14,13 @@ of every eigenvector (the node nearest the origin) is positive.
 Two functions f(H) -- propagators exp(itH) and fractional powers H^{s/4} --
 are evaluated exactly in the discretization by scaling modal coefficients.
 |grad|^s is realized as (Delta^2)^{s/4} through the free operator's
-calculus.  The modal transform pair takes batches: it transforms each row of
-an array of shape (..., N) through one matmul.  A large batch of complex
-rows stacks its real and imaginary parts into one real operand, so that
-matmul is a single GEMM that reads the eigenvector matrix once; a single
-row or a small batch keeps two real products, to the same bits.  The pair
-also works in caller buffers (the Picard sweep's), so a batch transform
-need allocate nothing of the batch's size.
+calculus.  The modal transform pair takes batches: every row of an array of
+shape (..., N) goes through one real GEMM, complex rows as their real parts
+stacked above their imaginary parts, so the eigenvector matrix is read once.
+The batch is padded with zero rows past OpenBLAS's small-matrix bound, so a
+row's bits do not depend on how many rows share the call.  The pair also
+works in caller buffers (the Picard sweep's), so a batch transform need
+allocate nothing of the batch's size.
 
 An operator holds tables built from its eigenpairs (the step propagators, the
 phase tables e^{i t mu} of a fixed set of times) through SpectralOperator.held:
@@ -78,9 +78,7 @@ EIG_BUDGET = 4096
 # environment asks for: the eigenvectors' bits depend on it
 EIG_THREADS = 2
 
-# m N^2 at or below which OpenBLAS may take a small-matrix GEMM kernel: its
-# bits differ from the regular kernel's, so a product of m rows and one of
-# 2m rows agree only when both are past this bound
+# m N^2 at or below which OpenBLAS may take its small-matrix GEMM kernel (other bits)
 _SMALL_GEMM_WORK = 1e6
 
 _FIELD_MAGIC = b"NLS4FLD\x00"
@@ -107,51 +105,47 @@ def _apply_tridiag(diag: np.ndarray, off: np.ndarray, y: np.ndarray) -> np.ndarr
 
 
 def _rows_times(rows: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarray:
-    """rows @ q for real q; complex rows are split so q is never promoted.
+    """rows @ q for real q through one real GEMM, each row's bits whatever the batch.
 
-    The two-product form re @ q + 1j (im @ q) is the reference.  When each of
-    its products is a GEMM past _SMALL_GEMM_WORK, the parts are copied into
-    one contiguous (2m, N) real array, real parts above imaginary ones, and
-    multiplied by q in one GEMM that reads q once; the halves of the product
-    become the parts of the result, bit for bit the reference's.  The
-    stacked copy is freed before the result is allocated.  A single row
-    keeps two products: numpy sends it through gemv, whose bits a GEMM does
-    not reproduce.  (A strided view of the parts would miss the BLAS path.)
+    The rows (complex ones as their real parts above their imaginary parts)
+    are copied into one contiguous real array, padded with zero rows past
+    _SMALL_GEMM_WORK and past one row, so the product always takes the
+    regular GEMM kernel, which sums each element in the same order for any
+    row count.  The copy is freed before the result is allocated.
 
     With caller buffers (complex rows, q square; out and work each
     C-contiguous with room for a complex array of rows' shape) nothing of
     the rows' size is allocated: the parts are stacked in out, the GEMM
     writes its product into work, and the result is a complex array over
     out's memory.  work may hold the rows themselves, which are read in full
-    before the GEMM writes.  The small forms compute as without buffers and
-    copy their result into out.
+    before the GEMM writes.  Buffers too small for the padding are passed
+    over for fresh memory of at most _SMALL_GEMM_WORK / N doubles each.
     """
-    if not np.iscomplexobj(rows):
-        if out is not None:
-            raise SpectralError("caller buffers take complex rows")
-        return rows @ q
-    # numpy multiplies each (m, N) slice of a batch as one product
-    m = rows.shape[-2] if rows.ndim > 1 else 1
-    if m < 2 or m * q.size <= _SMALL_GEMM_WORK:
-        small = np.ascontiguousarray(rows.real) @ q + 1j * (np.ascontiguousarray(rows.imag) @ q)
-        if out is None:
-            return small
-        result = np.ndarray(small.shape, complex, buffer=out)
-        result[...] = small
-        return result
-    num_rows = math.prod(rows.shape[:-1])
-    shape = (*rows.shape[:-1], q.shape[1])
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    if out is not None and len(parts) == 1:
+        raise SpectralError("caller buffers take complex rows")
+    m, n = math.prod(rows.shape[:-1]), q.shape[0]
+    gemm_rows = _gemm_rows(len(parts) * m, n)
+    fits = out is not None and min(out.nbytes, work.nbytes) >= 8 * gemm_rows * n
     # np.ndarray over buffer=None is fresh memory: the allocating call
-    stacked = np.ndarray((2, *rows.shape), buffer=out)
-    stacked[0] = rows.real
-    stacked[1] = rows.imag
-    product = None if work is None else np.ndarray((2 * num_rows, q.shape[1]), buffer=work)
-    prod = np.matmul(stacked.reshape(2 * num_rows, -1), q, out=product)
+    stacked = np.ndarray((gemm_rows, n), buffer=out if fits else None)
+    for k, part in enumerate(parts):
+        stacked[k * m:(k + 1) * m].reshape(rows.shape)[...] = part
+    stacked[len(parts) * m:] = 0.0
+    prod = np.matmul(stacked, q, out=np.ndarray((gemm_rows, n), buffer=work) if fits else None)
     del stacked
+    shape = (*rows.shape[:-1], q.shape[1])
+    if len(parts) == 1:
+        return prod[:m].reshape(shape)
     result = np.ndarray(shape, complex, buffer=out)
-    result.real = prod[:num_rows].reshape(shape)
-    result.imag = prod[num_rows:].reshape(shape)
+    result.real = prod[:m].reshape(shape)
+    result.imag = prod[m:2 * m].reshape(shape)
     return result
+
+
+def _gemm_rows(num_rows: int, n: int) -> int:
+    """The rows of the real GEMM that num_rows real rows of length n take, padding included."""
+    return max(num_rows, 2, int(_SMALL_GEMM_WORK // (n * n)) + 1)
 
 
 @functools.cache
@@ -525,24 +519,31 @@ def evolve(op: SpectralOperator, values: np.ndarray, times) -> np.ndarray:
     return op.from_modal(np.exp(1j * times[:, None] * op.eigenvalues) * op.to_modal(values))
 
 
-def fractional_gradient_values(
-    op_free: SpectralOperator, s: float, values: np.ndarray, out=None, work=None
+def power_values(
+    op: SpectralOperator, s: float, values: np.ndarray, out=None, work=None
 ) -> np.ndarray:
-    """|grad|^s = (Delta^2)^{s/4} of each row of values, shape (..., N), through the free calculus.
+    """op^{s/4} of each row of values, shape (..., N): H^{s/4}, or |grad|^s for the free operator.
 
     out and work are optional caller buffers for complex values, as for
     to_modal; values may be out itself.  Then the modal coefficients are
     scaled in work and the result is over out's memory, bit for bit the
     allocating call's, and nothing of values' size is allocated.
     """
+    factors = _scalar_factors(op, "power_s", s)
+    if out is None:
+        return op.from_modal(op.to_modal(values) * factors)
+    coeffs = op.to_modal(values, out=work, work=out)
+    coeffs *= factors
+    return op.from_modal(coeffs, out=out, work=work)
+
+
+def fractional_gradient_values(
+    op_free: SpectralOperator, s: float, values: np.ndarray, out=None, work=None
+) -> np.ndarray:
+    """|grad|^s = (Delta^2)^{s/4} of each row of values: power_values of the free operator."""
     if op_free.kind != "free":
         raise SpectralError("the fractional gradient needs the free operator")
-    factors = _scalar_factors(op_free, "power_s", s)
-    if out is None:
-        return op_free.from_modal(op_free.to_modal(values) * factors)
-    coeffs = op_free.to_modal(values, out=work, work=out)
-    coeffs *= factors
-    return op_free.from_modal(coeffs, out=out, work=work)
+    return power_values(op_free, s, values, out, work)
 
 
 def free_fractional_gradient(op_free: SpectralOperator, s: float, u: RadialField) -> RadialField:

@@ -200,8 +200,8 @@ class TestSobolevRatio:
         def unreachable(*args, **kwargs):
             raise AssertionError("transform reached before p was checked")
 
-        monkeypatch.setattr(analysis, "apply_function", unreachable)
-        monkeypatch.setattr(analysis, "free_fractional_gradient", unreachable)
+        monkeypatch.setattr(analysis, "power_values", unreachable)
+        monkeypatch.setattr(analysis, "fractional_gradient_values", unreachable)
         u = random_smooth_field(grid, rng)
         for ps in ([2.6, 1.5], [1.5, 2.0, 2.6], [1.5, 1.0]):
             with pytest.raises(ValueError, match="p must lie"):

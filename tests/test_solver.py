@@ -451,11 +451,15 @@ class TestHeldTables:
         assert blocks[0].start == 0 and blocks[-1].stop == num_panels
         for before, after in zip(blocks, blocks[1:]):
             assert before.stop == after.start
-        rows = [(b.stop - b.start) * PICARD_ORDER for b in blocks]
-        assert all(r > 0 for r in rows)
-        if len(blocks) > 1:
-            # each block's transform is one GEMM past the small-matrix kernel
-            assert all(r >= 2 and r * n * n > solver._SMALL_GEMM_WORK for r in rows)
+        # whole panels at the byte target: every block but the last holds as
+        # many panels as fit in _PANEL_BLOCK_BYTES of complex rows (at least one)
+        panel_bytes = 16 * n * PICARD_ORDER
+        per_block = max(1, solver._PANEL_BLOCK_BYTES // panel_bytes)
+        sizes = [b.stop - b.start for b in blocks]
+        assert sizes[:-1] == [per_block] * (len(blocks) - 1)
+        assert 0 < sizes[-1] <= per_block
+        assert per_block == 1 or per_block * panel_bytes <= solver._PANEL_BLOCK_BYTES
+        assert (per_block + 1) * panel_bytes > solver._PANEL_BLOCK_BYTES
 
     def test_final_state_window_runs_in_eight_blocks(self):
         blocks = solver._panel_blocks(250, PICARD_ORDER, 256)
@@ -729,6 +733,48 @@ class TestRunTrajectory:
         final = run_trajectory(u0, op, dataclasses.replace(cfg, monitor_stride=100))
         last = final.snapshots.values[-1]
         assert np.linalg.norm(snaps.values[-1] - last) <= 1e-12 * np.linalg.norm(last)
+
+    def test_non_finite_state_halts_as_blowup(self):
+        # the perturbation config's operator and steps, with a forcing that
+        # turns infinite after t = 0.1: the run keeps its record and says why
+        grid = make_grid(5, 16.0, 192)
+        op = build_operator("full", grid, example_potential(5))
+        u0 = small_gaussian(op, amp=0.5)
+        cfg = SimulationConfig(lam=1.0, p=critical_exponent(5), dt=2e-3, t_end=0.5,
+                               monitor_stride=5, snapshot_stride=5, boundary_threshold=1.0)
+
+        def forcing(t):
+            return np.full(grid.num_points, np.inf if t > 0.1 else 0.0)
+
+        with np.errstate(invalid="ignore"):
+            rec = run_trajectory(u0, op, cfg, forcing=forcing)
+        assert rec.status == "blowup_suspected"
+        assert 0.1 < rec.times[-1] < 0.5
+        assert np.array_equal(rec.times, np.arange(rec.times.size) * 5 * cfg.dt)
+        assert np.isfinite(rec.h2dot_series[:-1]).all() and np.isfinite(rec.mass_series[:-1]).all()
+        assert not np.isfinite(rec.h2dot_series[-1])
+        assert np.array_equal(rec.snapshots.times, rec.times[::5])
+
+    def test_exact_path_states_are_evolve_rows(self, monkeypatch, op_full):
+        # 1000 monitors at N = 256 take 32 chunks of evolve; every state has
+        # the bits of one evolve call over all monitor times
+        u0 = small_gaussian(op_full, amp=0.5)
+        cfg = SimulationConfig(lam=0.0, p=9.0, dt=1e-3, t_end=1.0, monitor_stride=1,
+                               snapshot_stride=1, boundary_threshold=1.0)
+        calls = []
+        monkeypatch.setattr(solver, "evolve", lambda *a: calls.append(a) or evolve(*a))
+        rec = run_trajectory(u0, op_full, cfg)
+        per_chunk = solver._PANEL_BLOCK_BYTES // (8 * 16 * op_full.grid.num_points)
+        assert rec.status == "ok" and len(calls) == -(-1000 // per_chunk) == 32
+        states = evolve(op_full, u0.values, rec.times[1:])
+        assert states.tobytes() == rec.snapshots.values[1:].tobytes()
+        h2 = [hdot2_norm(RadialField(op_full.grid, row)) ** 2 for row in states]
+        assert rec.h2dot_series[1:].tolist() == h2
+        # a run halted in the first chunk forms no other
+        calls.clear()
+        wall = RadialField(op_full.grid, np.exp(-op_full.grid.nodes**2).astype(complex))
+        rec = run_trajectory(wall, op_full, dataclasses.replace(cfg, boundary_threshold=1e-6))
+        assert rec.status == "boundary_contaminated" and len(calls) == 1
 
     def test_halt_at_t0_builds_no_propagator(self, monkeypatch):
         grid = make_grid(5, 20.0, 64)

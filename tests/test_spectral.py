@@ -171,13 +171,26 @@ class TestBatchedTransforms:
         assert not np.iscomplexobj(op_full.to_modal(x))
         assert not np.iscomplexobj(op_full.from_modal(x))
 
-    @pytest.mark.parametrize("shape", [(256,), (8, 256)])
-    def test_complex_rows_match_strided_product(self, op_full, shape):
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for q in (op_full.eigenvectors, op_full.eigenvectors.T):
-            strided = x.real @ q + 1j * (x.imag @ q)
-            assert np.array_equal(spectral._rows_times(x, q), strided)
+    @pytest.mark.parametrize("n", [192, 256, 384, 512])
+    def test_rows_have_the_bits_of_a_200_row_call(self, operators_by_size, n):
+        # one row (numpy's gemv), batches inside and past OpenBLAS's small-matrix
+        # bound, one-dimensional rows and caller buffers all give the rows' bits
+        # in one 200-row GEMM
+        op = operators_by_size[n]
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+        for transform in (op.to_modal, op.from_modal):
+            for rows in (x, np.ascontiguousarray(x.real)):
+                whole = transform(rows)
+                assert bitwise_equal(transform(rows[0]), whole[0])
+                for m in [*range(1, 41), 64]:
+                    assert bitwise_equal(transform(rows[:m]), whole[:m]), (rows.dtype, m)
+            whole = transform(x)
+            for m in [*range(1, 41), 64]:
+                out, work = np.empty((2, m, n), complex)
+                got = transform(x[:m], out=out, work=work)
+                assert np.shares_memory(got, out)
+                assert bitwise_equal(got, whole[:m]), m
 
     def test_batch_roundtrip(self, op_full):
         rng = np.random.default_rng(13)
@@ -213,20 +226,35 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def two_products(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The reference complex transform: real and imaginary parts through q apart."""
-    return np.ascontiguousarray(x.real) @ q + 1j * (np.ascontiguousarray(x.imag) @ q)
+    """The reference transform: real rows, or the real and imaginary parts apart,
+    through q inside one GEMM of at least 200 rows, past the small-matrix bound."""
+    def through(part):
+        rows = np.zeros((max(200, part.size // q.shape[0]), q.shape[0]))
+        rows[:part.size // q.shape[0]] = part.reshape(-1, q.shape[0])
+        return (rows @ q)[:part.size // q.shape[0]].reshape(part.shape)
+
+    if not np.iscomplexobj(x):
+        return through(x)
+    out = np.empty(x.shape, complex)
+    out.real, out.imag = through(x.real), through(x.imag)
+    return out
 
 
 @pytest.fixture(scope="module")
-def eigenvectors_by_size():
+def operators_by_size():
     return {
-        n: build_operator("full", make_grid(5, 20.0, n), example_potential(5)).eigenvectors
-        for n in (192, 256, 512)
+        n: build_operator("full", make_grid(5, 20.0, n), example_potential(5))
+        for n in (192, 256, 384, 512)
     }
 
 
+@pytest.fixture(scope="module")
+def eigenvectors_by_size(operators_by_size):
+    return {n: op.eigenvectors for n, op in operators_by_size.items()}
+
+
 class TestStackedTransform:
-    """One GEMM over stacked parts equals the two-product form bit for bit."""
+    """One GEMM over stacked parts equals the parts through q apart, bit for bit."""
 
     # every leading shape at each size, and final_state's Picard batch (2000, 256)
     @pytest.mark.parametrize("n, lead", [
@@ -254,7 +282,7 @@ class TestStackedTransform:
         x = np.random.default_rng(3).standard_normal(lead + (256,))
         out = spectral._rows_times(x, q)
         assert out.dtype == np.float64
-        assert bitwise_equal(out, x @ q)
+        assert bitwise_equal(out, two_products(x, q))
 
     def test_from_modal_divides_in_place_to_the_same_bits(self, op_full):
         rng = np.random.default_rng(5)
@@ -432,7 +460,8 @@ class TestBlasPools:
     def test_full_operator_same_bits_at_one_and_two_blas_threads(self, tmp_path):
         # N = 512 is the size where dsytrd alone splits its work by the thread
         # count; then modal_small's configs, whose time loops run at the count
-        # the environment asks for and all else at one thread
+        # the environment asks for and all else at one thread, and
+        # localized_mass, whose exact linear path batches its monitor states
         script = (
             "import hashlib, sys\n"
             "from pathlib import Path\n"
@@ -445,7 +474,7 @@ class TestBlasPools:
             "print(hashlib.sha256(op.eigenvalues.tobytes()).hexdigest(),\n"
             "      hashlib.sha256(op.eigenvectors.tobytes()).hexdigest())\n"
             "configs, out = Path(sys.argv[1]), Path(sys.argv[2])\n"
-            "for kind in ('strichartz', 'sobolev_equiv', 'final_state'):\n"
+            "for kind in ('strichartz', 'sobolev_equiv', 'final_state', 'localized_mass'):\n"
             "    cfg = load_config(configs / f'{kind}.cfg')\n"
             "    cfg.output_dir = out / kind\n"
             "    report = run_experiment(cfg)\n"
@@ -467,7 +496,8 @@ class TestBlasPools:
                                  env=env, check=True, capture_output=True, text=True)
             digests.append(out.stdout.splitlines())
         assert [line.split()[:2] for line in digests[0][1:]] == [
-            ["strichartz", "pass"], ["sobolev_equiv", "pass"], ["final_state", "pass"]]
+            ["strichartz", "pass"], ["sobolev_equiv", "pass"], ["final_state", "pass"],
+            ["localized_mass", "pass"]]
         assert digests[0] == digests[1]
 
 
