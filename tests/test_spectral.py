@@ -171,6 +171,22 @@ class TestBatchedTransforms:
         assert not np.iscomplexobj(op_full.to_modal(x))
         assert not np.iscomplexobj(op_full.from_modal(x))
 
+    @pytest.mark.parametrize("shape", [(256,), (8, 256)])
+    def test_complex_rows_match_strided_product(self, op_full, shape):
+        # the strided parts x.real and x.imag, each through q as the leading
+        # rows of one zero-padded GEMM past OpenBLAS's small-matrix bound
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = x.size // 256
+        for q in (op_full.eigenvectors, op_full.eigenvectors.T):
+            padded = np.zeros((2, 200, 256))
+            padded[0, :m] = x.real.reshape(m, 256)
+            padded[1, :m] = x.imag.reshape(m, 256)
+            strided = np.empty(shape, complex)
+            strided.real = (padded[0] @ q)[:m].reshape(shape)
+            strided.imag = (padded[1] @ q)[:m].reshape(shape)
+            assert bitwise_equal(spectral._rows_times(x, q), strided)
+
     @pytest.mark.parametrize("n", [192, 256, 384, 512])
     def test_rows_have_the_bits_of_a_200_row_call(self, operators_by_size, n):
         # one row (numpy's gemv), batches inside and past OpenBLAS's small-matrix
