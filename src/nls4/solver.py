@@ -17,9 +17,10 @@ Two independent integrators share the exact spectral propagator:
   closing half rotation of a step merges with the opening one of the next;
   the owed half is flushed before every monitor and every forced step.  With
   lambda = 0 and no forcing nothing is stepped: the monitor states are the
-  exact linear flow e^{itH} u0, from evolve, _PANEL_BLOCK_BYTES / 8 of rows
-  at a time.  The steps between two monitors run as one stretch (_advance)
-  under one np.errstate(over="raise"), so an overflow ends the stretch with
+  exact linear flow e^{itH} u0, from u0's modal coefficients, taken once,
+  through evolve_modal, _EXACT_CHUNK_BYTES of rows at a time.  The steps
+  between two monitors run as one stretch (_advance) under one
+  np.errstate(over="raise"), so an overflow ends the stretch with
   SolverError.  A run halts at the first monitor that suspects blow-up
   (non-finite values included) or sees mass at the boundary, and says
   which.  The propagator builds, the stretches and the monitors between
@@ -52,28 +53,44 @@ Two independent integrators share the exact spectral propagator:
   the same bits in any batch, so the blocks give the whole window's bits,
   and no GEMM packs all of the iterate's rows.
   The panel quadrature sums complex integrands through their real views,
-  the same bits as the complex einsum in a third of the time.  The sweeps
-  run in spectral._time_loop, like the Strang stretches.
+  the same bits as the complex einsum in a third of the time.  It keeps
+  the panel sums, their prefix and the total in one array of K + 1 rows
+  (an eighth of the iterate at 8 nodes a panel), summed in place, and takes
+  its within-panel block in one of the sweep's two buffers, idle while it
+  runs.  So a window's peak is the node table, the iterate, the integrand
+  array, the two block buffers and those K + 1 rows: 27.9 MB traced for
+  final_state's window at N = 256, where each of the three large arrays is
+  8.2 MB.  The sweeps run in spectral._time_loop, like the Strang
+  stretches.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .radial import RadialField, SpaceTimeSample
-from .spectral import SpectralOperator, _apply_tridiag, _gemm_rows, _time_loop, evolve, hdot2_norm
+from .spectral import (
+    SpectralOperator, _apply_tridiag, _gemm_rows, _time_loop, evolve_modal, hdot2_norm,
+)
 
 PICARD_ORDER = 8
 # rows of the step propagator filled per pair of real products
 _PROPAGATOR_ROWS = 64
 # complex bytes of one block of whole Gauss panels in a Picard sweep and in
 # GaussPanels.cumulative: 32 panels at N = 256, 8 blocks of final_state's
-# 250-panel window.  Measured on final_state's windows (2 threads): 512 KiB
-# blocks peak about 2 MB lower, but run 3-6% slower.
+# 250-panel window.  512 KiB blocks peak about 1.4 MB lower on perfbench's
+# modal_small, but its wall_s read worse in 7 of 10 alternating pairs
+# (median 0.654 -> 0.666 s, 2 cores)
 _PANEL_BLOCK_BYTES = 1 << 20
+# complex bytes of one chunk of the exact linear path's states: a chunk's
+# transforms hold about four arrays of its size (1 MiB chunks raised
+# localized_mass's peak by 4.4 MB); 64 KiB chunks made the N = 2560 path 2.4
+# times slower
+_EXACT_CHUNK_BYTES = 1 << 17
 
 
 class SolverError(RuntimeError):
@@ -264,7 +281,7 @@ def run_trajectory(
     callable t -> values adding the inhomogeneous term of the perturbed
     equation; it enters through a midpoint-propagated source, preserving
     second order.  With lam == 0 and no forcing the flow is linear, and each
-    monitor state is e^{itH} u0 itself, taken from evolve without stepping.
+    monitor state is e^{itH} u0 itself, taken from evolve_modal without stepping.
     """
     grid = u0.grid
     v_pot = op_full.potential_values
@@ -325,13 +342,13 @@ def run_trajectory(
 
     halt = record(0, 0.0, values)
     if halt is None and exact:
-        # e^{itH} u0 from evolve, in chunks of _PANEL_BLOCK_BYTES / 8 of rows: a
-        # chunk's transforms hold about four arrays of its size (1 MiB chunks
-        # raised localized_mass's peak by 4.4 MB); no chunk past a halt is formed
-        per_chunk = max(1, _PANEL_BLOCK_BYTES // (8 * 16 * grid.num_points))
+        # e^{itH} u0 from u0's modal coefficients, taken once, in chunks of
+        # _EXACT_CHUNK_BYTES of rows; no chunk past a halt is formed
+        coeffs = op_full.to_modal(u0.values)
+        per_chunk = max(1, _EXACT_CHUNK_BYTES // (16 * grid.num_points))
         chunks = [monitor_steps[a:a + per_chunk] for a in range(0, len(monitor_steps), per_chunk)]
         states = itertools.chain.from_iterable(
-            zip(steps, evolve(op_full, u0.values, np.multiply(steps, dt))) for steps in chunks)
+            zip(steps, evolve_modal(op_full, coeffs, np.multiply(steps, dt))) for steps in chunks)
         for step, state in states:
             halt = record(step, step * dt, state)
             if halt is not None:
@@ -399,17 +416,22 @@ class GaussPanels:
             q[:, l] = (pvals[:, l + 1] - pvals[:, l - 1]) / (2 * l + 1)
         self.partial = q @ coeff                                # (m, m)
 
-    def cumulative(self, g: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    def cumulative(self, g: np.ndarray, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
         """g has shape (K, m, ...); returns (G at nodes, G at t1).
 
         A complex g is summed through its real view (K, m, 2L), where numpy's
         einsum runs its real loop: the same products and sums per part as the
         complex loop, so the same bits, in about a third of the time.  G at
         the nodes is written into `out` when given: a C-contiguous array of
-        g's shape and dtype, which may be g itself.  The panel sums and their
-        prefix are taken over all K panels first; then each block of whole
-        panels (_PANEL_BLOCK_BYTES) takes its within-panel integrals into one
-        block temporary before its rows of `out` are written.
+        g's shape and dtype, which may be g itself.  The panel sums fill rows
+        1..K of one array of K + 1 rows, whose row 0 is zero, and np.cumsum
+        turns rows 1..K in place into their running sums: row j is then the
+        prefix of panel j and row K the total.  Each block of whole panels
+        (_PANEL_BLOCK_BYTES) takes its within-panel integrals in `work`, a
+        C-contiguous caller buffer (fresh memory when it is too small),
+        before its rows of `out` are written; work shares no memory with g
+        or out.  So beside g and out the call allocates the K + 1 rows (and
+        copies out the last), and a block only when work does not hold one.
         """
         k, m = g.shape[:2]
         tail = (1,) * (g.ndim - 2)
@@ -420,25 +442,29 @@ class GaussPanels:
         g_flat = np.ascontiguousarray(g).reshape(k, m, -1)
         is_complex = np.iscomplexobj(g)
         real = g_flat.view(float) if is_complex else g_flat
-        panel_full = np.einsum("m,kmx->kx", self.full_weights, real)
-        panel_full = panel_full.view(g.dtype).reshape((k, *g.shape[2:]))
+        sums = np.empty((k + 1, *g.shape[2:]), g.dtype)
+        sums[0] = 0.0
+        panel_full = sums[1:]
+        panel_real = panel_full.reshape(k, -1)
+        np.einsum("m,kmx->kx", self.full_weights, real,
+                  out=panel_real.view(float) if is_complex else panel_real)
         panel_full *= self.half.reshape((-1, *tail))
-        prefix = np.empty_like(panel_full)
-        prefix[0] = 0.0
-        np.cumsum(panel_full[:-1], axis=0, out=prefix[1:])
-        total = prefix[-1] + panel_full[-1]
+        np.cumsum(panel_full, axis=0, out=panel_full)
         per_block = max(1, _PANEL_BLOCK_BYTES // max(1, g[0].nbytes))
-        within = np.empty((min(k, per_block), *g.shape[1:]), g.dtype)
+        within_shape = (min(k, per_block), *g.shape[1:])
+        fits = work is not None and work.nbytes >= math.prod(within_shape) * g.itemsize
+        # np.ndarray over buffer=None is fresh memory
+        within = np.ndarray(within_shape, g.dtype, buffer=work if fits else None)
         for start in range(0, k, per_block):
-            block = slice(start, start + per_block)
-            part = within[: min(per_block, k - start)]
+            block = slice(start, min(start + per_block, k))  # sums has one row more
+            part = within[: block.stop - start]
             part_real = part.reshape(part.shape[0], m, -1)
             if is_complex:
                 part_real = part_real.view(float)
             np.einsum("ms,ksx->kmx", self.partial, real[block], out=part_real)
             part *= self.half[block].reshape((-1, 1, *tail))
-            np.add(prefix[block, None], part, out=out[block])
-        return out, total
+            np.add(sums[block, None], part, out=out[block])
+        return out, sums[-1].copy()
 
 
 def _panel_blocks(num_panels: int, order: int, n: int) -> list[slice]:
@@ -485,8 +511,9 @@ def duhamel_window(
     # the first iterate is the free flow of the anchor.  Beside it a sweep holds
     # the integrand array, which cumulative turns into G and the update into
     # the next iterate, and two buffers of one panel block's stacked parts, as
-    # padded for its transforms; the old iterate's memory takes the distance,
-    # then becomes the next sweep's integrand array
+    # padded for its transforms, which also hold cumulative's block; the old
+    # iterate's memory takes the distance, then becomes the next sweep's
+    # integrand array
     coeffs = node_phases * anchor
     integrand = np.empty_like(coeffs)
     blocks = _panel_blocks(panels.num_panels, panels.order, mu.size)
@@ -510,7 +537,8 @@ def duhamel_window(
                     conj_phases = np.conjugate(node_phases[block],
                                                out=a[:flat[0]].reshape(rows.shape))
                     np.multiply(conj_phases, f_modal, out=integrand[block])
-                g_cum, g_total = panels.cumulative(integrand, out=integrand)
+                # the buffers are idle here, and one holds cumulative's block
+                g_cum, g_total = panels.cumulative(integrand, out=integrand, work=buffers)
             for block in blocks:
                 g_block = g_cum[block]
                 with np.errstate(over="ignore", invalid="ignore"):

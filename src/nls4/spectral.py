@@ -18,9 +18,13 @@ calculus.  The modal transform pair takes batches: every row of an array of
 shape (..., N) goes through one real GEMM, complex rows as their real parts
 stacked above their imaginary parts, so the eigenvector matrix is read once.
 The batch is padded with zero rows past OpenBLAS's small-matrix bound, so a
-row's bits do not depend on how many rows share the call.  The pair also
-works in caller buffers (the Picard sweep's), so a batch transform need
-allocate nothing of the batch's size.
+row's bits do not depend on how many rows share the call.  The pair applies
+the metric weight in its copies: to_modal scales the parts as it stacks
+them, and from_modal scales complex products by the reciprocal weight as it
+unstacks them, the bits of a complex product with, or quotient by, a real
+array, with no full-size pass of its own.  The pair also works in caller
+buffers (the Picard sweep's), so a batch transform need allocate nothing of
+the batch's size.
 
 An operator holds tables built from its eigenpairs (the step propagators, the
 phase tables e^{i t mu} of a fixed set of times) through SpectralOperator.held:
@@ -104,7 +108,9 @@ def _apply_tridiag(diag: np.ndarray, off: np.ndarray, y: np.ndarray) -> np.ndarr
     return out
 
 
-def _rows_times(rows: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndarray:
+def _rows_times(
+    rows: np.ndarray, q: np.ndarray, out=None, work=None, *, scale_in=None, scale_out=None
+) -> np.ndarray:
     """rows @ q for real q through one real GEMM, each row's bits whatever the batch.
 
     The rows (complex ones as their real parts above their imaginary parts)
@@ -112,6 +118,12 @@ def _rows_times(rows: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndar
     _SMALL_GEMM_WORK and past one row, so the product always takes the
     regular GEMM kernel, which sums each element in the same order for any
     row count.  The copy is freed before the result is allocated.
+
+    scale_in, a real (N,) weight, multiplies each part in the stacking copy;
+    scale_out (complex rows only) multiplies each part of the product in the
+    unstacking copy.  For finite values both are bit for bit numpy's complex
+    product with, and quotient by, a real array (numpy divides a complex by
+    a real as its product with the reciprocal), without their full-size pass.
 
     With caller buffers (complex rows, q square; out and work each
     C-contiguous with room for a complex array of rows' shape) nothing of
@@ -130,7 +142,11 @@ def _rows_times(rows: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndar
     # np.ndarray over buffer=None is fresh memory: the allocating call
     stacked = np.ndarray((gemm_rows, n), buffer=out if fits else None)
     for k, part in enumerate(parts):
-        stacked[k * m:(k + 1) * m].reshape(rows.shape)[...] = part
+        dest = stacked[k * m:(k + 1) * m].reshape(rows.shape)
+        if scale_in is None:
+            dest[...] = part
+        else:
+            np.multiply(part, scale_in, out=dest)
     stacked[len(parts) * m:] = 0.0
     prod = np.matmul(stacked, q, out=np.ndarray((gemm_rows, n), buffer=work) if fits else None)
     del stacked
@@ -138,8 +154,12 @@ def _rows_times(rows: np.ndarray, q: np.ndarray, out=None, work=None) -> np.ndar
     if len(parts) == 1:
         return prod[:m].reshape(shape)
     result = np.ndarray(shape, complex, buffer=out)
-    result.real = prod[:m].reshape(shape)
-    result.imag = prod[m:2 * m].reshape(shape)
+    for k, part in enumerate((result.real, result.imag)):
+        block = prod[k * m:(k + 1) * m].reshape(shape)
+        if scale_out is None:
+            part[...] = block
+        else:
+            np.multiply(block, scale_out, out=part)
     return result
 
 
@@ -348,27 +368,28 @@ class SpectralOperator:
     def to_modal(self, values: np.ndarray, out=None, work=None) -> np.ndarray:
         """Modal coefficients of each row of `values`, shape (..., N).
 
-        out and work are optional caller buffers for complex values, each a
+        The metric weight is applied in _rows_times' stacking copy.  out and
+        work are optional caller buffers for complex values, each a
         C-contiguous array with room for a complex array of values' shape
         (the iterate's own size, in a Picard sweep).  Then nothing of that
-        size is allocated: the scaled values go into work, which may hold
-        `values` itself, and the result is a complex array over out's
-        memory, bit for bit the allocating call's.
+        size is allocated: work may hold `values` itself, and the result is
+        a complex array over out's memory, bit for bit the allocating call's.
         """
-        if out is None:
-            return _rows_times(self.grid.metric_sqrt * values, self.eigenvectors)
-        scaled = np.ndarray(values.shape, values.dtype, buffer=work)
-        np.multiply(self.grid.metric_sqrt, values, out=scaled)
-        return _rows_times(scaled, self.eigenvectors, out, work)
+        return _rows_times(values, self.eigenvectors, out, work, scale_in=self.grid.metric_sqrt)
 
     def from_modal(self, coeffs: np.ndarray, out=None, work=None) -> np.ndarray:
         """Grid values of each row of `coeffs`, shape (..., N).
 
-        out and work are optional caller buffers, as for to_modal; coeffs
-        must not share memory with out, but may be work itself, as it is
-        read in full before work is written.
+        Complex rows take the inverse metric weight in _rows_times'
+        unstacking copy; real rows are divided by it in place.  out and work
+        are optional caller buffers, as for to_modal; coeffs must not share
+        memory with out, but may be work itself, as it is read in full
+        before work is written.
         """
-        values = _rows_times(coeffs, self.eigenvectors.T, out, work)
+        q = self.eigenvectors.T
+        if np.iscomplexobj(coeffs):
+            return _rows_times(coeffs, q, out, work, scale_out=1.0 / self.grid.metric_sqrt)
+        values = _rows_times(coeffs, q, out, work)
         values /= self.grid.metric_sqrt
         return values
 
@@ -515,8 +536,17 @@ def evolve(op: SpectralOperator, values: np.ndarray, times) -> np.ndarray:
     values is one field (N,), sent to every time, or one row per time (T, N),
     where row k is sent through e^{i t_k H}.
     """
+    return evolve_modal(op, op.to_modal(values), times)
+
+
+def evolve_modal(op: SpectralOperator, coeffs: np.ndarray, times) -> np.ndarray:
+    """evolve from modal coefficients (N,) or (T, N): grid values (T, N), one transform out.
+
+    A caller that sends one field through several batches of times takes
+    its coefficients once.
+    """
     times = np.asarray(times, dtype=float)
-    return op.from_modal(np.exp(1j * times[:, None] * op.eigenvalues) * op.to_modal(values))
+    return op.from_modal(np.exp(1j * times[:, None] * op.eigenvalues) * coeffs)
 
 
 def power_values(

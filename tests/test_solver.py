@@ -33,7 +33,9 @@ from nls4.solver import (
     run_trajectory,
     step_propagator,
 )
-from nls4.spectral import apply_function, build_operator, evolve, hdot2_norm, l2_norm
+from nls4.spectral import (
+    apply_function, build_operator, evolve, evolve_modal, hdot2_norm, l2_norm,
+)
 from nls4.states import soft_lowpass
 
 from conftest import random_smooth_field
@@ -265,18 +267,22 @@ def final_state_window(op):
 # iterate and two scratch buffers were four (250, 8, 256) complex arrays, with
 # half of one more for the panel sums.  Peaks measured with numpy 2.4.6:
 # 84.1 MB before sweeps ran in place, 57.4 MB before they ran in reused
-# buffers, 35.9 MB before they ran by panel blocks, 30.0 MB now.
+# buffers, 35.9 MB before they ran by panel blocks, 30.0 MB before
+# GaussPanels.cumulative kept its sums in one array of K + 1 rows and its
+# block in the sweep's buffers, 27.9 MB now.
 WINDOW_PEAK_BOUND = 4.5 * 250 * 8 * 256 * 16
 
 # bytes of final_state_window's iterate, a (250, 8, 256) complex array
 ITERATE_BYTES = 250 * 8 * 256 * 16
 # a warm window (node table held) beside its iterate holds the integrand array
-# and panel-block buffers: tracemalloc peak 2.66 iterates (3.38 when the sweep
-# ran whole-array in two iterate-sized scratch buffers)
+# and panel-block buffers: tracemalloc peak 2.40 iterates (2.66 before
+# cumulative worked in those buffers, 3.38 when the sweep ran whole-array in
+# two iterate-sized scratch buffers)
 WARM_WINDOW_PEAK_ITERATES = 3.0
 # VmHWM growth of a cold window with glibc's mmap threshold at 128 KiB: the
 # node table, three iterate-sized arrays and OpenBLAS's pack buffer of the
-# largest GEMM's rows: 3.8 iterates (5.4 when one GEMM took every row)
+# largest GEMM's rows: 3.6 iterates (3.8 before cumulative worked in the
+# sweep's buffers, 5.4 when one GEMM took every row)
 COLD_WINDOW_HWM_ITERATES = 4.5
 
 
@@ -527,7 +533,8 @@ class TestBufferedSweeps:
     @pytest.mark.parametrize("dtype", [complex, float])
     def test_cumulative_equals_the_complex_einsum(self, num_panels, trailing, dtype):
         # 33 and 250 panels of (8, 256) complex rows leave a one- and a
-        # 26-panel last block
+        # 26-panel last block.  The within-panel block goes into work when it
+        # fits, else into fresh memory
         panels = GaussPanels(0.3, 1.1, num_panels)
         rng = np.random.default_rng(num_panels + len(trailing))
         shape = (num_panels, PICARD_ORDER, *trailing)
@@ -535,14 +542,38 @@ class TestBufferedSweeps:
         if dtype is complex:
             g = g + 1j * rng.standard_normal(shape)
         ref_cum, ref_total = frozen_cumulative(panels, g)
-        in_place = g.copy()
-        for src, out in ((g, None), (g, np.empty_like(g)), (in_place, in_place)):
-            cum, total = panels.cumulative(src, out=out)
-            assert cum.dtype == ref_cum.dtype and total.dtype == ref_total.dtype
-            assert cum.tobytes() == ref_cum.tobytes()
-            assert total.tobytes() == ref_total.tobytes()
-            if out is not None:
-                assert cum is out
+        per_block = max(1, solver._PANEL_BLOCK_BYTES // g[0].nbytes)
+        block_size = min(num_panels, per_block) * g[0].size
+        fits, too_small = np.empty(block_size, g.dtype), np.empty(block_size - 1, g.dtype)
+        for out_kind in ("new", "given", "g itself"):
+            for work in (None, fits, too_small):
+                src = g.copy() if out_kind == "g itself" else g
+                out = {"new": None, "given": np.empty_like(g), "g itself": src}[out_kind]
+                cum, total = panels.cumulative(src, out=out, work=work)
+                assert cum.dtype == ref_cum.dtype and total.dtype == ref_total.dtype
+                assert cum.tobytes() == ref_cum.tobytes()
+                assert total.tobytes() == ref_total.tobytes()
+                if out is not None:
+                    assert cum is out
+        # beside out, a call allocates the K + 1 rows of panel sums, and a
+        # block only when work is too small; numpy's broadcasting ufuncs add
+        # an iterator buffer of up to getbufsize() elements
+        slack = 16 * np.getbufsize() + (1 << 14)
+        if fits.nbytes <= slack:
+            return  # a block too small to tell from that buffer
+        sums_bytes = (num_panels + 1) * g[0, 0].nbytes
+        out = np.empty_like(g)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for work in (fits, too_small):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                panels.cumulative(g, out=out, work=work)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] < sums_bytes + slack < sums_bytes + fits.nbytes <= peaks[1]
 
     def test_sweep_transforms_run_in_caller_buffers(self, monkeypatch, op_full):
         # every transform of a sweep runs in caller buffers
@@ -756,16 +787,25 @@ class TestRunTrajectory:
         assert np.array_equal(rec.snapshots.times, rec.times[::5])
 
     def test_exact_path_states_are_evolve_rows(self, monkeypatch, op_full):
-        # 1000 monitors at N = 256 take 32 chunks of evolve; every state has
-        # the bits of one evolve call over all monitor times
+        # 1000 monitors at N = 256 take 32 chunks of evolve_modal, all from u0's
+        # coefficients taken once; every state has the bits of one evolve call
+        # over all monitor times
         u0 = small_gaussian(op_full, amp=0.5)
         cfg = SimulationConfig(lam=0.0, p=9.0, dt=1e-3, t_end=1.0, monitor_stride=1,
                                snapshot_stride=1, boundary_threshold=1.0)
-        calls = []
-        monkeypatch.setattr(solver, "evolve", lambda *a: calls.append(a) or evolve(*a))
+        calls, transformed = [], []
+        monkeypatch.setattr(solver, "evolve_modal",
+                            lambda *a: calls.append(a) or evolve_modal(*a))
+        to_modal = type(op_full).to_modal
+        monkeypatch.setattr(type(op_full), "to_modal",
+                            lambda op, v, **kw: transformed.append(v.shape)
+                            or to_modal(op, v, **kw))
         rec = run_trajectory(u0, op_full, cfg)
-        per_chunk = solver._PANEL_BLOCK_BYTES // (8 * 16 * op_full.grid.num_points)
+        per_chunk = solver._EXACT_CHUNK_BYTES // (16 * op_full.grid.num_points)
         assert rec.status == "ok" and len(calls) == -(-1000 // per_chunk) == 32
+        assert transformed == [u0.values.shape]
+        assert all(coeffs is calls[0][1] for _, coeffs, _ in calls)
+        assert calls[0][1].tobytes() == op_full.to_modal(u0.values).tobytes()
         states = evolve(op_full, u0.values, rec.times[1:])
         assert states.tobytes() == rec.snapshots.values[1:].tobytes()
         h2 = [hdot2_norm(RadialField(op_full.grid, row)) ** 2 for row in states]

@@ -265,6 +265,14 @@ def operators_by_size():
 
 
 @pytest.fixture(scope="module")
+def operators_96_256():
+    return {
+        n: build_operator("full", make_grid(5, 20.0, n), example_potential(5))
+        for n in (96, 256)
+    }
+
+
+@pytest.fixture(scope="module")
 def eigenvectors_by_size(operators_by_size):
     return {n: op.eigenvectors for n, op in operators_by_size.items()}
 
@@ -365,6 +373,55 @@ class TestCallerBuffers:
         for transform in (op_full.to_modal, op_full.from_modal):
             with pytest.raises(spectral.SpectralError):
                 transform(x, out=buf, work=buf.copy())
+
+
+class TestFoldedScaling:
+    """The metric weight applied in the transforms' copies keeps the bits of its own pass."""
+
+    @staticmethod
+    def rows(n: int) -> np.ndarray:
+        # random rows, exact zeros (a whole row, and the real parts of one),
+        # magnitudes near 1e+300 and 1e-300, and both mixed in one row
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((7, n)) + 1j * rng.standard_normal((7, n))
+        x[1] = 0.0
+        x[2].real = 0.0
+        x[3] *= 1e300
+        x[4] *= 1e-300
+        x[5, ::2] *= 1e300
+        x[5, 1::2] *= 1e-300
+        return x
+
+    @pytest.mark.parametrize("n", [96, 256])
+    def test_bitwise_equal_to_the_separate_pass(self, operators_96_256, n):
+        # to_modal was _rows_times(metric_sqrt * v, Q), from_modal
+        # _rows_times(c, Q.T) / metric_sqrt: a complex product with, and a
+        # quotient by, a real array
+        op = operators_96_256[n]
+        q, weight = op.eigenvectors, op.grid.metric_sqrt
+        x = self.rows(n)
+        for rows in (x, x[0], np.ascontiguousarray(x.real)):
+            cases = ((op.to_modal, spectral._rows_times(weight * rows, q)),
+                     (op.from_modal, spectral._rows_times(rows, q.T) / weight))
+            for transform, expected in cases:
+                assert np.isfinite(expected).all()
+                assert bitwise_equal(transform(rows), expected)
+                if np.iscomplexobj(rows):
+                    out, work = np.empty((2, *rows.shape), complex)
+                    assert bitwise_equal(transform(rows, out=out, work=work), expected)
+
+    @pytest.mark.parametrize("n", [96, 256])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rows_stay_non_finite(self, operators_96_256, n, bad):
+        op = operators_96_256[n]
+        x = self.rows(n)
+        x[6, n // 3] = bad
+        for transform in (op.to_modal, op.from_modal):
+            expected = transform(x[:6])
+            out, work = np.empty((2, *x.shape), complex)
+            for got in (transform(x), transform(x, out=out, work=work)):
+                assert not np.isfinite(got[6]).all()
+                assert bitwise_equal(got[:6], expected)
 
 
 def busy_numpy_blas():
