@@ -14,7 +14,7 @@ into a fresh directory of its own, and every pair runs
 once in each copy, for every workload in turn.  The parent goes first in
 even pairs and the change in odd ones, so a drift of the host over time
 weighs on both sides alike.  The last line a run prints is perfbench's JSON
-object; a run that is not `correct` stops the driver.
+object; a run that is not `correct` stops the script.
 
 The file holds both commits, the machine (nproc, the OpenBLAS config string
 of numpy's and of scipy's library, and the Python, numpy and scipy
@@ -60,10 +60,6 @@ print(json.dumps({
     "scipy": scipy.__version__,
 }))
 """
-
-
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout
 
 
 def export(commit: str, dest: Path) -> Path:
@@ -122,8 +118,11 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
 
-    commits = {side: git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
-               for side, rev in (("parent", args.parent), ("change", args.change))}
+    commits = {
+        side: subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], check=True,
+                             capture_output=True, text=True).stdout.strip()
+        for side, rev in (("parent", args.parent), ("change", args.change))
+    }
     workloads = args.workloads.split(",")
     started = datetime.datetime.now(datetime.timezone.utc)
     out = args.out or Path(f"BENCH_{started.date().isoformat()}.json")
