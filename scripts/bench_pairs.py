@@ -3,15 +3,18 @@
 
 Usage, from the root of a git checkout:
 
-    python3 scripts/bench_pairs.py PARENT CHANGE [--pairs 10] [--seconds 25]
+    python3 scripts/bench_pairs.py PARENT CHANGE [--pairs 10] [--seconds 25] [--seed N]
         [--workloads modal_small,strang_small,eig_large] [--out FILE] [--workdir DIR]
 
 PARENT and CHANGE are git revisions.  Each is exported with `git archive`
 into a fresh directory of its own, and every pair runs
 
-    python3 perfbench/run.py --workload W --seconds S --trace 0
+    python3 perfbench/run.py --workload W --seconds S --trace 0 [--seed N]
 
-once in each copy, for every workload in turn.  The parent goes first in
+once in each copy, for every workload in turn.  --seed replaces every
+config's seed in every run (default: the canonical seeds), so a claim made
+on the canonical seeds can be checked on one not used while writing it; the
+file's `command` records it.  The parent goes first in
 even pairs and the change in odd ones, so a drift of the host over time
 weighs on both sides alike.  The last line a run prints is perfbench's JSON
 object; a run that is not `correct` stops the script.
@@ -73,10 +76,16 @@ def export(commit: str, dest: Path) -> Path:
     return dest
 
 
-def run_bench(tree: Path, workload: str, seconds: float) -> dict:
+def perf_args(workload: str, seconds: float, seed: int | None) -> list[str]:
+    """The perfbench/run.py command line of one end-to-end run."""
+    args = ["perfbench/run.py", "--workload", workload, "--seconds", f"{seconds:g}",
+            "--trace", "0"]
+    return args if seed is None else [*args, "--seed", str(seed)]
+
+
+def run_bench(tree: Path, workload: str, seconds: float, seed: int | None = None) -> dict:
     """perfbench's JSON object for one end-to-end run of `workload` in `tree`."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, *perf_args(workload, seconds, seed)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -109,6 +118,8 @@ def main(argv=None) -> int:
     ap.add_argument("change")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seed", type=int, default=None,
+                    help="passed to every perfbench run (default: the canonical seeds)")
     ap.add_argument("--workloads", default="modal_small,strang_small,eig_large")
     ap.add_argument("--out", type=Path, default=None,
                     help="default: BENCH_<UTC date>.json in the current directory")
@@ -140,7 +151,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
-                    result = run_bench(trees[side], workload, args.seconds)
+                    result = run_bench(trees[side], workload, args.seconds, args.seed)
                     for name in metrics:
                         values[workload][side][name].append(result["metrics"][name]["value"])
                 print(f"pair {pair + 1}/{args.pairs} {workload}: " + ", ".join(
@@ -150,7 +161,7 @@ def main(argv=None) -> int:
     record = {
         "commits": commits,
         "started_utc": started.isoformat(timespec="seconds"),
-        "command": f"perfbench/run.py --workload W --seconds {args.seconds:g} --trace 0",
+        "command": " ".join(perf_args("W", args.seconds, args.seed)),
         "order": "parent first in even pairs (0, 2, ...), change first in odd ones",
         "machine": machine,
         "workloads": {

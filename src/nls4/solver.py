@@ -49,19 +49,19 @@ Two independent integrators share the exact spectral propagator:
   becomes the next sweep's integrand array.  The modal transforms
   (SpectralOperator.to_modal / from_modal with caller buffers), |u|^{p-1},
   the conjugate node phases and the squares of the distance run over
-  blocks of whole panels, in two buffers of one block.  A transform row has
-  the same bits in any batch, so the blocks give the whole window's bits,
-  and no GEMM packs all of the iterate's rows.
+  blocks of whole panels, in one buffer of one block and in the block's
+  own rows of the integrand array, free until its integrand lands there.
+  A transform row has the same bits in any batch, so the blocks give the
+  whole window's bits, and no GEMM packs all of the iterate's rows.
   The panel quadrature sums complex integrands through their real views,
-  the same bits as the complex einsum in a third of the time.  It keeps
-  the panel sums, their prefix and the total in one array of K + 1 rows
-  (an eighth of the iterate at 8 nodes a panel), summed in place, and takes
-  its within-panel block in one of the sweep's two buffers, idle while it
-  runs.  So a window's peak is the node table, the iterate, the integrand
-  array, the two block buffers and those K + 1 rows: 27.9 MB traced for
-  final_state's window at N = 256, where each of the three large arrays is
-  8.2 MB.  The sweeps run in spectral._time_loop, like the Strang
-  stretches.
+  the same bits as the complex einsum in a third of the time.  It runs by
+  the same blocks, keeps one block's panel sums and a total carried from
+  block to block, summed in place, and takes its within-panel block in the
+  sweep's buffer, idle while it runs.  So a window's peak is the node
+  table, the iterate, the integrand array, one block buffer and one
+  block's panel sums: 25.8 MB traced for final_state's window at N = 256,
+  where each of the three large arrays is 8.2 MB.  The sweeps run in
+  spectral._time_loop, like the Strang stretches.
 """
 
 from __future__ import annotations
@@ -423,18 +423,24 @@ class GaussPanels:
         einsum runs its real loop: the same products and sums per part as the
         complex loop, so the same bits, in about a third of the time.  G at
         the nodes is written into `out` when given: a C-contiguous array of
-        g's shape and dtype, which may be g itself.  The panel sums fill rows
-        1..K of one array of K + 1 rows, whose row 0 is zero, and np.cumsum
-        turns rows 1..K in place into their running sums: row j is then the
-        prefix of panel j and row K the total.  Each block of whole panels
-        (_PANEL_BLOCK_BYTES) takes its within-panel integrals in `work`, a
-        C-contiguous caller buffer (fresh memory when it is too small),
-        before its rows of `out` are written; work shares no memory with g
-        or out.  So beside g and out the call allocates the K + 1 rows (and
-        copies out the last), and a block only when work does not hold one.
+        g's shape and dtype, which may be g itself.  The panels go by blocks
+        of whole panels (_PANEL_BLOCK_BYTES).  A block's panel sums fill rows
+        1..n of one array of a block's rows plus one, whose row 0 holds the
+        total carried from the blocks before (0 in the first block, where
+        it is left out of the sum), and np.cumsum turns those rows in place
+        into their running sums: row j is then the prefix of the block's
+        panel j and row n the carry into the next block, the same sequential
+        adds as one running sum over all K panels.  The block's within-panel
+        integrals go into `work`, a C-contiguous caller buffer (fresh memory
+        when it is too small), before its rows of `out` are written; work
+        shares no memory with g or out.  Each half-width scales its panel's
+        rows as a scalar, and the prefixes are copied into `out` before the
+        within-panel integrals are added in place, so no call broadcasts and
+        numpy's iterator allocates no buffer.  So beside g and out the call
+        allocates the block's rows plus one (and copies out the total), and
+        a block only when work does not hold one.
         """
         k, m = g.shape[:2]
-        tail = (1,) * (g.ndim - 2)
         if out is None:
             out = np.empty(g.shape, g.dtype)
         elif not out.flags.c_contiguous:
@@ -442,29 +448,34 @@ class GaussPanels:
         g_flat = np.ascontiguousarray(g).reshape(k, m, -1)
         is_complex = np.iscomplexobj(g)
         real = g_flat.view(float) if is_complex else g_flat
-        sums = np.empty((k + 1, *g.shape[2:]), g.dtype)
-        sums[0] = 0.0
-        panel_full = sums[1:]
-        panel_real = panel_full.reshape(k, -1)
-        np.einsum("m,kmx->kx", self.full_weights, real,
-                  out=panel_real.view(float) if is_complex else panel_real)
-        panel_full *= self.half.reshape((-1, *tail))
-        np.cumsum(panel_full, axis=0, out=panel_full)
         per_block = max(1, _PANEL_BLOCK_BYTES // max(1, g[0].nbytes))
-        within_shape = (min(k, per_block), *g.shape[1:])
+        rows = min(k, per_block)
+        within_shape = (rows, *g.shape[1:])
         fits = work is not None and work.nbytes >= math.prod(within_shape) * g.itemsize
         # np.ndarray over buffer=None is fresh memory
         within = np.ndarray(within_shape, g.dtype, buffer=work if fits else None)
+        sums = np.zeros((rows + 1, *g.shape[2:]), g.dtype)
         for start in range(0, k, per_block):
-            block = slice(start, min(start + per_block, k))  # sums has one row more
-            part = within[: block.stop - start]
-            part_real = part.reshape(part.shape[0], m, -1)
+            n = min(per_block, k - start)
+            panel_full = sums[1:n + 1]
+            panel_real = panel_full.reshape(n, -1)
+            part = within[:n]
+            part_real = part.reshape(n, m, -1)
             if is_complex:
-                part_real = part_real.view(float)
-            np.einsum("ms,ksx->kmx", self.partial, real[block], out=part_real)
-            part *= self.half[block].reshape((-1, 1, *tail))
-            np.add(sums[block, None], part, out=out[block])
-        return out, sums[-1].copy()
+                panel_real, part_real = panel_real.view(float), part_real.view(float)
+            np.einsum("m,kmx->kx", self.full_weights, real[start:start + n], out=panel_real)
+            np.einsum("ms,ksx->kmx", self.partial, real[start:start + n], out=part_real)
+            for j, half in enumerate(self.half[start:start + n]):
+                panel_full[j:j + 1] *= half
+                part[j:j + 1] *= half
+            # the first block's prefix is 0, not 0 plus the first panel sum
+            running = sums[: n + 1] if start else panel_full
+            np.cumsum(running, axis=0, out=running)
+            dest = out[start:start + n]
+            np.copyto(dest, sums[:n, None])
+            dest += part
+            sums[0] = sums[n]
+        return out, sums[0].copy()
 
 
 def _panel_blocks(num_panels: int, order: int, n: int) -> list[slice]:
@@ -510,15 +521,17 @@ def duhamel_window(
 
     # the first iterate is the free flow of the anchor.  Beside it a sweep holds
     # the integrand array, which cumulative turns into G and the update into
-    # the next iterate, and two buffers of one panel block's stacked parts, as
-    # padded for its transforms, which also hold cumulative's block; the old
-    # iterate's memory takes the distance, then becomes the next sweep's
+    # the next iterate, and one buffer of one panel block's stacked parts, as
+    # padded for its transforms, which also holds cumulative's block.  A
+    # block's transforms run in that buffer and in the block's own rows of
+    # the integrand array, free until the block's integrand lands there; the
+    # old iterate's memory takes the distance, then becomes the next sweep's
     # integrand array
     coeffs = node_phases * anchor
     integrand = np.empty_like(coeffs)
     blocks = _panel_blocks(panels.num_panels, panels.order, mu.size)
     block_rows = max(b.stop - b.start for b in blocks) * panels.order
-    buffers = np.empty((2, -(-_gemm_rows(2 * block_rows, mu.size) // 2), mu.size), complex)
+    buffer = np.empty((-(-_gemm_rows(2 * block_rows, mu.size) // 2), mu.size), complex)
     row_norms = np.empty(coeffs.shape[:2])
     diffs: list[float] = []
     growth_streak = 0
@@ -528,17 +541,19 @@ def duhamel_window(
                 for block in blocks:
                     rows = coeffs[block]
                     flat = (rows.size // mu.size, mu.size)
-                    a, b = buffers
-                    u_nodes = op.from_modal(rows.reshape(flat), out=a, work=b)
-                    power = np.abs(u_nodes, out=np.ndarray(flat, buffer=b))
+                    # the block's integrand rows, unpadded: a block below the
+                    # small-GEMM bound transforms in fresh memory instead
+                    own = integrand[block].reshape(flat)
+                    u_nodes = op.from_modal(rows.reshape(flat), out=buffer, work=own)
+                    power = np.abs(u_nodes, out=np.ndarray(flat, buffer=own))
                     power **= cfg.p - 1.0
                     np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
-                    f_modal = op.to_modal(u_nodes, out=b, work=a).reshape(rows.shape)
+                    f_modal = op.to_modal(u_nodes, out=own, work=buffer).reshape(rows.shape)
                     conj_phases = np.conjugate(node_phases[block],
-                                               out=a[:flat[0]].reshape(rows.shape))
+                                               out=buffer[:flat[0]].reshape(rows.shape))
                     np.multiply(conj_phases, f_modal, out=integrand[block])
-                # the buffers are idle here, and one holds cumulative's block
-                g_cum, g_total = panels.cumulative(integrand, out=integrand, work=buffers)
+                # the buffer is idle here, and holds cumulative's block
+                g_cum, g_total = panels.cumulative(integrand, out=integrand, work=buffer)
             for block in blocks:
                 g_block = g_cum[block]
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -555,7 +570,7 @@ def duhamel_window(
                 flat = (g_block.size // mu.size, mu.size)
                 delta = np.subtract(g_block, coeffs[block], out=coeffs[block]).reshape(flat)
                 delta *= h2_weight
-                squares = np.ndarray(flat, complex, buffer=buffers[1])
+                squares = np.ndarray(flat, complex, buffer=buffer)
                 np.multiply(np.conjugate(delta, out=squares), delta, out=squares)
                 np.sqrt(np.add.reduce(squares.real, axis=1), out=row_norms[block].reshape(-1))
             d = float(np.max(row_norms))

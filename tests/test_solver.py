@@ -269,20 +269,23 @@ def final_state_window(op):
 # 84.1 MB before sweeps ran in place, 57.4 MB before they ran in reused
 # buffers, 35.9 MB before they ran by panel blocks, 30.0 MB before
 # GaussPanels.cumulative kept its sums in one array of K + 1 rows and its
-# block in the sweep's buffers, 27.9 MB now.
+# block in the sweep's buffers, 27.9 MB before it kept one block's sums and
+# the sweep one block buffer, 25.8 MB now.
 WINDOW_PEAK_BOUND = 4.5 * 250 * 8 * 256 * 16
 
 # bytes of final_state_window's iterate, a (250, 8, 256) complex array
 ITERATE_BYTES = 250 * 8 * 256 * 16
 # a warm window (node table held) beside its iterate holds the integrand array
-# and panel-block buffers: tracemalloc peak 2.40 iterates (2.66 before
-# cumulative worked in those buffers, 3.38 when the sweep ran whole-array in
-# two iterate-sized scratch buffers)
+# and a panel-block buffer: tracemalloc peak 2.15 iterates (2.40 with two
+# block buffers and K + 1 rows of panel sums, 2.66 before cumulative worked
+# in those buffers, 3.38 when the sweep ran whole-array in two iterate-sized
+# scratch buffers)
 WARM_WINDOW_PEAK_ITERATES = 3.0
 # VmHWM growth of a cold window with glibc's mmap threshold at 128 KiB: the
 # node table, three iterate-sized arrays and OpenBLAS's pack buffer of the
-# largest GEMM's rows: 3.6 iterates (3.8 before cumulative worked in the
-# sweep's buffers, 5.4 when one GEMM took every row)
+# largest GEMM's rows: 3.3 iterates (3.6 with two block buffers and K + 1
+# rows of panel sums, 3.8 before cumulative worked in the sweep's buffers,
+# 5.4 when one GEMM took every row)
 COLD_WINDOW_HWM_ITERATES = 4.5
 
 
@@ -408,13 +411,15 @@ class TestHeldTables:
 
     @pytest.mark.parametrize("backward", [True, False])
     @pytest.mark.parametrize("lam", [1.0, 0.0])
-    @pytest.mark.parametrize("num_panels", [1, 3, 17, 250])
+    @pytest.mark.parametrize("num_panels", [1, 3, 17, 33, 250, 257])
     @pytest.mark.parametrize("n", [96, 192, 256, 512])
     def test_in_place_sweeps_equal_the_expression_form(self, n, num_panels, lam, backward):
         # the fixed point written as expressions, with the complex-einsum
         # quadrature, as before sweeps ran in place, in reused buffers and by
         # panel blocks.  K = 1 and 3 at N <= 192 stay below the small-GEMM
-        # bound; K = 17 at N = 512 leaves a one-panel last block
+        # bound; K = 17 at N = 512 and K = 33 and 257 at N = 256 leave a
+        # one-panel last block, and K = 257 at N = 256 carries its panel sums
+        # across nine blocks
         op = window_op(n)
         u, cfg, t0, _ = final_state_window(op)
         cfg = dataclasses.replace(cfg, lam=lam)
@@ -555,13 +560,13 @@ class TestBufferedSweeps:
                 assert total.tobytes() == ref_total.tobytes()
                 if out is not None:
                     assert cum is out
-        # beside out, a call allocates the K + 1 rows of panel sums, and a
-        # block only when work is too small; numpy's broadcasting ufuncs add
-        # an iterator buffer of up to getbufsize() elements
+        # beside out, a call allocates one block's rows of panel sums plus
+        # the carried total, and a block only when work is too small; the
+        # slack is numpy's ufunc iterator buffer of getbufsize() elements
         slack = 16 * np.getbufsize() + (1 << 14)
         if fits.nbytes <= slack:
             return  # a block too small to tell from that buffer
-        sums_bytes = (num_panels + 1) * g[0, 0].nbytes
+        sums_bytes = (min(num_panels, per_block) + 1) * g[0, 0].nbytes
         out = np.empty_like(g)
         peaks = []
         tracemalloc.start()
@@ -574,6 +579,37 @@ class TestBufferedSweeps:
         finally:
             tracemalloc.stop()
         assert peaks[0] < sums_bytes + slack < sums_bytes + fits.nbytes <= peaks[1]
+
+    @staticmethod
+    def summed_in_place_peak(num_panels):
+        """Traced bytes one cumulative(g, out=g) allocates on (K, 8, 256) complex
+        panels, with a work buffer that holds a block."""
+        panels = GaussPanels(0.3, 1.1, num_panels)
+        rng = np.random.default_rng(num_panels)
+        shape = (num_panels, PICARD_ORDER, 256)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        work = np.empty((32, PICARD_ORDER, 256), complex)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            panels.cumulative(g, out=g, work=work)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_block_allocates_its_sums_and_no_iterator_buffer(self):
+        # one (32, 8, 256) block: its 32 rows of panel sums, the carried
+        # total and the returned copy, 4 KiB each.  A broadcasting ufunc
+        # would add numpy's iterator buffer, 128 KiB for complex
+        row_bytes = 256 * 16
+        assert self.summed_in_place_peak(32) < 34 * row_bytes + (1 << 13)
+
+    def test_allocation_does_not_grow_with_the_panel_count(self):
+        # one block's panel sums whatever K: at K = 1000 the K + 1 rows of all
+        # panel sums would be 4 MB; the tolerance, under two rows, is Python's
+        # own allocations
+        peaks = [self.summed_in_place_peak(k) for k in (250, 1000)]
+        assert abs(peaks[0] - peaks[1]) < 1 << 13
 
     def test_sweep_transforms_run_in_caller_buffers(self, monkeypatch, op_full):
         # every transform of a sweep runs in caller buffers
