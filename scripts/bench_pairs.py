@@ -17,7 +17,9 @@ on the canonical seeds can be checked on one not used while writing it; the
 file's `command` records it.  The parent goes first in
 even pairs and the change in odd ones, so a drift of the host over time
 weighs on both sides alike.  The last line a run prints is perfbench's JSON
-object; a run that is not `correct` stops the script.
+object; a run that is not `correct` stops the script.  The script never
+overwrites a record: if the output file exists, it stops before the first
+run.
 
 The file holds both commits, the machine (nproc, the OpenBLAS config string
 of numpy's and of scipy's library, and the Python, numpy and scipy
@@ -122,12 +124,17 @@ def main(argv=None) -> int:
                     help="passed to every perfbench run (default: the canonical seeds)")
     ap.add_argument("--workloads", default="modal_small,strang_small,eig_large")
     ap.add_argument("--out", type=Path, default=None,
-                    help="default: BENCH_<UTC date>.json in the current directory")
+                    help="a file that does not exist yet "
+                         "(default: BENCH_<UTC date>.json in the current directory)")
     ap.add_argument("--workdir", default=None,
                     help="where the two exported trees go (default: the system temp dir)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
+    started = datetime.datetime.now(datetime.timezone.utc)
+    out = args.out or Path(f"BENCH_{started.date().isoformat()}.json")
+    if out.exists():
+        raise SystemExit(f"{out} exists; give --out a new file name")
 
     commits = {
         side: subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], check=True,
@@ -135,8 +142,6 @@ def main(argv=None) -> int:
         for side, rev in (("parent", args.parent), ("change", args.change))
     }
     workloads = args.workloads.split(",")
-    started = datetime.datetime.now(datetime.timezone.utc)
-    out = args.out or Path(f"BENCH_{started.date().isoformat()}.json")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as tmp:
         trees = {side: export(commit, Path(tmp) / side) for side, commit in commits.items()}

@@ -8,15 +8,19 @@ report body (everything above [provenance]), the same for the config's
 written files (every file in its output directory but the report: CSVs and
 u_plus.fld, by name and content), the config's wall time and its CPU
 seconds (user and system, of this process and its children, from
-resource.getrusage), so the digest columns of two runs show whether any
-report body or output file changed, and CPU seconds well above the wall time
-show BLAS helper threads at work or spinning.  The line before the last
-names the BLAS libraries and where each runs at what thread count (the
-reports' blas_pools provenance).  The last line digests all
-body digests and all file digests in run order, so two runs of the same
-configs compare on one line.  Give each run its own
-output directory, as stale files count.  The heaviest configs are
-scattering, decay and wave_operator, in that order.
+resource.getrusage) and the process's peak resident memory after it
+(ru_maxrss, in MB of 2^20 bytes, as perfbench reports it), so the digest
+columns of two runs show whether any report body or output file changed,
+and CPU seconds well above the wall time show BLAS helper threads at work
+or spinning.  The peak is the process's high-water mark, not the config's
+own: a config raises it only where it peaks above every config before it,
+and a config that peaks lower reads the same value as the one before.
+The line before the last names the BLAS libraries and where each runs at
+what thread count (the reports' blas_pools provenance).  The last line
+digests all body digests and all file digests in run order, so two runs of
+the same configs compare on one line.  Give each run its own output
+directory, as stale files count.  The heaviest configs are scattering,
+decay and wave_operator, in that order.
 """
 
 import argparse
@@ -57,6 +61,11 @@ def cpu_seconds() -> float:
     return total
 
 
+def peak_mb() -> float:
+    """This process's peak resident memory so far, in MB of 2^20 bytes (Linux ru_maxrss is KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("output_dir", nargs="?", default="nls4-out")
@@ -78,7 +87,7 @@ def main() -> int:
         bodies.update(digest.encode())
         outputs.update(files.encode())
         print(f"{kind:28s} {verdict.upper():4s}  {digest}  {files}  "
-              f"({elapsed:6.1f}s, cpu {cpu:6.1f}s)")
+              f"({elapsed:6.1f}s, cpu {cpu:6.1f}s, peak {peak_mb():6.1f} MB)")
         if verdict != "pass":
             worst = 1
             for check in report.checks:

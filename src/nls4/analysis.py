@@ -300,15 +300,15 @@ def duhamel_solution(
 ) -> np.ndarray:
     """u(t_k) = e^{i t_k H} u0 + i int_0^{t_k} e^{i(t_k-s)H} h(s) ds, exact per mode; (T, N).
 
-    e^{i t_k mu} is held in the operator's "duhamel_phases" slot, so solves
-    at the same times build it once, and each forcing mode's phase integral
-    is formed from it.  The modal coefficients are assembled by row blocks
+    e^{i t_k mu} is the operator's held table, so solves at the same times
+    build it once, and each forcing mode's phase integral is formed from
+    it.  The modal coefficients are assembled by row blocks
     and then sent to the grid in one from_modal over all T rows, in the
     coefficients' buffer and the result's.
     """
     mu = op.eigenvalues
     times = np.asarray(times, dtype=float)
-    phases = op.held("duhamel_phases", solver.phase_table, times)
+    phases = op.held(solver.phase_table, times)
     u0_modal = op.to_modal(u0.values)
     if forcing is not None:
         g_modal = op.to_modal(np.array([g.values for g in forcing.fields]))

@@ -304,15 +304,18 @@ def run_localized_mass(ctx: RunContext):
     packet = states.soft_lowpass(op, packet, knobs["xi_cut"])
     rec = solver.run_trajectory(packet, op, sim)
     sample = rec.snapshots
-    dt_snap = float(np.min(np.diff(sample.times)))
+    times = sample.times
+    dt_snap = float(np.min(np.diff(times)))
 
     radii = knobs["radii"]
     # the configured radii and the saturating one, where the localized mass
     # equals the conserved total mass: one pass over the rows for all of them;
     # ||Delta u||^2 of every snapshot is the monitors'
     *reports, rep_sat = analysis.localized_mass_rate_check(
-        sample, [*radii, 1.05 * ctx.grid.r_max], h2dot=_monitored_h2dot(rec, sample.times)
+        sample, [*radii, 1.05 * ctx.grid.r_max], h2dot=_monitored_h2dot(rec, times)
     )
+    # the packet run's snapshots are freed before the eigenmode run; the CSV keeps its times
+    del rec, sample
     checks = []
     constants = []
     for rep in reports:
@@ -354,7 +357,7 @@ def run_localized_mass(ctx: RunContext):
     write_csv(
         ctx.out_dir / "localized_mass.csv",
         ["t"] + [f"M_R{r:g}" for r in radii],
-        zip(sample.times, *[rep.masses for rep in reports]),
+        zip(times, *[rep.masses for rep in reports]),
     )
     return checks, {"localized_mass": "localized_mass.csv"}
 

@@ -8,10 +8,10 @@ Two independent integrators share the exact spectral propagator:
   rotation / full linear propagator / half rotation.  Both substeps conserve
   the quadrature mass exactly; energy drifts at O(dt^2).  The linear substep
   is one dense complex matrix P = e^{i dt H} in grid space (16 N^2 bytes), so
-  a step is one matrix-vector product.  The operator holds the last P it was
-  asked for in its "propagator" slot (SpectralOperator.held), keyed on dt,
-  so runs that share (operator, dt) build it once; a forced run's half-step
-  P(dt/2) has its own "half_propagator" slot, so it never evicts P(dt).
+  a step is one matrix-vector product.  The operator holds P as its one
+  table (SpectralOperator.held), keyed on dt, so runs that share
+  (operator, dt) build it once; a forced run builds its half-step P(dt/2)
+  for that run only and holds nothing of it afterwards.
   A rotation writes cos and sin of its phase into one complex array and
   multiplies u into it in place.  As rotations commute with each other, the
   closing half rotation of a step merges with the opening one of the next;
@@ -37,16 +37,18 @@ Two independent integrators share the exact spectral propagator:
   iterate distance raises an error carrying the measured factor (the window
   was too long for the data size).  Run backward from a scattering datum u+,
   the same fixed point gives the final state, the solution scattering to u+.
-  The table e^{i t mu} at the collocation nodes is held in the operator's
-  "node_phases" slot, so windows that share (operator, [t0, t1], dt) build
-  it once.  A sweep forms |u|^{p-1} u, the conj-phase product, the next
-  iterate and its distance in place, each product in the operand order of
-  the expression form (complex products are not bitwise commutative), so
-  the iterates keep their bits.  It allocates nothing of the iterate's
-  size: beside the held node table, three arrays of that size stay, the
-  iterate, one integrand array that GaussPanels.cumulative turns into G in
-  place, and the old iterate's memory, which takes the distance and then
-  becomes the next sweep's integrand array.  The modal transforms
+  The table e^{i t mu} at the collocation nodes is the operator's held
+  table, so windows that share (operator, [t0, t1], dt) build it once, and
+  a window on an operator a Strang run stepped with drops that run's P
+  before it builds the nodes' table.  A sweep forms |u|^{p-1} u, the
+  conj-phase product, the next iterate and its distance in place, each
+  product in the operand order of the expression form (complex products
+  are not bitwise commutative), so the iterates keep their bits.  It
+  allocates nothing of the iterate's size: beside the held node table,
+  three arrays of that size stay, the iterate, one integrand array that
+  GaussPanels.cumulative turns into G in place, and the old iterate's
+  memory, which takes the distance and then becomes the next sweep's
+  integrand array.  The modal transforms
   (SpectralOperator.to_modal / from_modal with caller buffers), |u|^{p-1},
   the conjugate node phases and the squares of the distance run over
   blocks of whole panels, in one buffer of one block and in the block's
@@ -356,11 +358,9 @@ def run_trajectory(
     elif halt is None:  # a run that halts at t = 0 builds no propagator
         # the one stretch of the run where numpy's BLAS threads (spectral._time_loop)
         with _time_loop():
-            prop = op_full.held("propagator", step_propagator, dt)
-            half_prop = (
-                op_full.held("half_propagator", step_propagator, half)
-                if forcing is not None else None
-            )
+            prop = op_full.held(step_propagator, dt)
+            # held by this run only: the operator keeps its one table, P(dt)
+            half_prop = step_propagator(op_full, half) if forcing is not None else None
             done = 0
             for step in monitor_steps:
                 try:
@@ -516,7 +516,7 @@ def duhamel_window(
     anchor = op.to_modal(u.values)
     if not backward:
         anchor = anchor * np.exp(-1j * mu * t0)
-    node_phases = op.held("node_phases", phase_table, panels.nodes)
+    node_phases = op.held(phase_table, panels.nodes)
     h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
 
     # the first iterate is the free flow of the anchor.  Beside it a sweep holds

@@ -26,10 +26,12 @@ array, with no full-size pass of its own.  The pair also works in caller
 buffers (the Picard sweep's), so a batch transform need allocate nothing of
 the batch's size.
 
-An operator holds tables built from its eigenpairs (the step propagators, the
-phase tables e^{i t mu} of a fixed set of times) through SpectralOperator.held:
-one table per slot, kept while callers keep asking for the same argument,
-and dropped with the operator.
+An operator holds at most one table built from its eigenpairs (a step
+propagator, or the phase table e^{i t mu} of a fixed set of times) through
+SpectralOperator.held: kept while callers keep asking for the same builder
+and argument, dropped before any other table is built, and dropped with the
+operator.  So a Picard window on an operator a Strang run stepped with
+frees the run's propagator before it builds its node table.
 
 numpy and scipy wheels each ship their own OpenBLAS, whose helper threads
 busy-wait for about 0.1 s after every threaded call.  So a pool runs at more
@@ -362,8 +364,8 @@ class SpectralOperator:
     eigenvectors: np.ndarray  # (N, N), columns
     potential: PotentialSpec | None
     potential_values: np.ndarray = field(repr=False, default=None)
-    # slot -> (key, table): the tables this operator holds, see held()
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
+    # (key, table) of the one table this operator holds, see held()
+    _held: tuple | None = field(default=None, init=False, repr=False)
 
     def to_modal(self, values: np.ndarray, out=None, work=None) -> np.ndarray:
         """Modal coefficients of each row of `values`, shape (..., N).
@@ -393,24 +395,23 @@ class SpectralOperator:
         values /= self.grid.metric_sqrt
         return values
 
-    def held(self, slot: str, build, arg):
-        """build(self, arg), built once while callers keep asking for this arg.
+    def held(self, build, arg):
+        """build(self, arg), built once while callers keep asking for this builder and arg.
 
-        Each slot holds at most one table, and its old table is dropped before
-        the next is built; a slot never evicts another.  The key holds the
-        builder, looked up by the caller on every call, so a replaced builder
-        is never bypassed, and an array arg by its exact shape and bytes.
-        Every caller shares the table, so it is made read-only.
+        The operator holds one table: a request for any other drops the old
+        table before the new one is built, so two tables are never held at
+        once.  The key holds the builder, looked up by the caller on every
+        call, so a replaced builder is never bypassed, and an array arg by
+        its exact shape and bytes.  Every caller shares the table, so it is
+        made read-only.
         """
         key = (build, (arg.shape, arg.tobytes()) if isinstance(arg, np.ndarray) else arg)
-        held = self._tables.get(slot)
-        if held is not None and held[0] == key:
-            return held[1]
-        held = None  # a local reference would keep the old table alive during the build
-        self._tables.pop(slot, None)
+        if self._held is not None and self._held[0] == key:
+            return self._held[1]
+        self._held = None
         table = build(self, arg)
         table.flags.writeable = False
-        self._tables[slot] = (key, table)
+        self._held = (key, table)
         return table
 
     def eigenfield(self, k: int) -> RadialField:

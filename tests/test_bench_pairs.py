@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py: the paired summary and the perfbench command line."""
 
+import datetime
 import importlib.util
 import json
 import subprocess
@@ -54,3 +55,38 @@ class TestSeed:
         assert calls[0][1:] == bench_pairs.perf_args("eig_large", 2.5, 7)
         assert calls[1][1:] == bench_pairs.perf_args("eig_large", 2.5, None)
         assert "--seed" not in calls[1]
+
+
+class TestExistingRecord:
+    @pytest.mark.parametrize("explicit", [True, False])
+    def test_existing_file_stops_before_any_run(self, monkeypatch, tmp_path, explicit):
+        # a record already on disk is never overwritten: the script stops
+        # before it resolves a commit, exports a tree or runs a pair
+        monkeypatch.chdir(tmp_path)
+        if explicit:
+            existing = [tmp_path / "BENCH_kept.json"]
+            argv = ["HEAD~1", "HEAD", "--out", str(existing[0])]
+        else:
+            # today's default name, and tomorrow's in case the date turns during the test
+            today = datetime.datetime.now(datetime.timezone.utc).date()
+            existing = [tmp_path / f"BENCH_{day.isoformat()}.json"
+                        for day in (today, today + datetime.timedelta(days=1))]
+            argv = ["HEAD~1", "HEAD"]
+        for path in existing:
+            path.write_text("{}\n")
+        calls = []
+
+        def helper(name):
+            def called(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called although the record exists")
+            return called
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", helper("subprocess.run"))
+        monkeypatch.setattr(bench_pairs, "export", helper("export"))
+        monkeypatch.setattr(bench_pairs, "run_bench", helper("run_bench"))
+        with pytest.raises(SystemExit, match="BENCH_") as stop:
+            bench_pairs.main(argv)
+        assert calls == []
+        assert "exists" in str(stop.value)
+        assert all(path.read_text() == "{}\n" for path in existing)

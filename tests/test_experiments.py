@@ -3,6 +3,7 @@
 import copy
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,27 @@ def test_localized_mass_reads_the_monitored_h2dot(tmp_path, monkeypatch):
         outputs.append((report.body_text(), csv))
         assert (len(calls) > 0) if computed else not calls
     assert outputs[0] == outputs[1]
+
+
+def test_localized_mass_frees_the_packet_run_before_the_eigenmode_run(tmp_path, monkeypatch):
+    # no reference to the packet run's snapshots (the view the record holds,
+    # or the array under it) survives into the eigenmode run
+    cfg = load_config(CONFIG_DIR / "localized_mass.cfg")
+    cfg.output_dir = tmp_path
+    original = solver.run_trajectory
+    refs, alive_at_start = [], []
+
+    def run(*args, **kwargs):
+        alive_at_start.append([ref() is not None for ref in refs])
+        rec = original(*args, **kwargs)
+        refs.extend((weakref.ref(rec.snapshots.values), weakref.ref(rec.snapshots.values.base)))
+        return rec
+
+    monkeypatch.setattr(solver, "run_trajectory", run)
+    report = run_experiment(cfg)
+    assert report.worst_verdict == "pass"
+    assert alive_at_start == [[], [False, False]]
+
 
 def context(name, tmp_path, num_points=None):
     cfg = load_config(CONFIG_DIR / f"{name}.cfg")

@@ -213,7 +213,8 @@ class TestHeldPropagator:
         assert [tau for tau, _ in built] == [1e-2, 5e-3, 1e-2]
 
     def test_forced_runs_keep_both_propagators(self, monkeypatch):
-        # P(dt) and the half step's P(dt/2) hold separate slots: neither evicts the other
+        # each forced run keeps P(dt), the operator's one held table, and its
+        # own P(dt/2), which it builds for itself and holds nothing of after
         grid = make_grid(5, 20.0, 64)
         u0 = small_gaussian(build_operator("free", grid), amp=0.5)
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-2, t_end=0.1, boundary_threshold=1.0,
@@ -227,18 +228,23 @@ class TestHeldPropagator:
         op = build_operator("free", grid)
         first = run_trajectory(u0, op, cfg, forcing=forcing)
         second = run_trajectory(u0, op, cfg, forcing=forcing)
-        assert [tau for tau, _ in built] == [1e-2, 5e-3]
+        gc.collect()
+        assert [tau for tau, _ in built] == [1e-2, 5e-3, 5e-3]
+        assert built[0][1]() is not None
+        assert built[1][1]() is None and built[2][1]() is None
         for rec in (first, second):
             assert rec.snapshots.values.tobytes() == cold.snapshots.values.tobytes()
             assert rec.energy_series.tobytes() == cold.energy_series.tobytes()
 
-    def test_perturbation_builds_two_propagators(self, monkeypatch, tmp_path):
+    def test_perturbation_builds_three_propagators(self, monkeypatch, tmp_path):
+        # P(dt) once for every run, and one P(dt/2) for each of the two forced runs
         built = self.counting(monkeypatch)
         cfg = load_config(CONFIG_DIR / "perturbation.cfg")
         cfg.output_dir = tmp_path
         report = run_experiment(cfg)
         assert report.worst_verdict == "pass"
-        assert len(built) == 2
+        dt = cfg.sim.dt
+        assert [tau for tau, _ in built] == [dt, dt / 2.0, dt / 2.0]
 
 
 def frozen_cumulative(panels, g):
@@ -382,10 +388,13 @@ class TestHeldTables:
         assert solver.phase_table(op_full, times).tobytes() == inline.tobytes()
 
     def test_held_tables_are_read_only(self, op_full):
+        # one request after the other: each replaces the operator's table
         op = build_operator("full", op_full.grid, op_full.potential)
-        table = op.held("node_phases", solver.phase_table, GaussPanels(0.0, 0.1, 5).nodes)
-        prop = op.held("propagator", solver.step_propagator, 1e-2)
-        for held in (table, prop):
+        nodes = GaussPanels(0.0, 0.1, 5).nodes
+        for build, arg in ((solver.phase_table, nodes), (solver.step_propagator, 1e-2),
+                           (solver.phase_table, nodes)):
+            held = op.held(build, arg)
+            assert op.held(build, arg) is held
             with pytest.raises(ValueError):
                 held[0, 0] = 0.0
 
@@ -399,15 +408,27 @@ class TestHeldTables:
         gc.collect()
         assert built[0][1]() is None
 
-    def test_window_keeps_the_held_propagator(self, monkeypatch, op_full):
+    def test_window_drops_the_held_propagator(self, monkeypatch, op_full):
+        # one table per operator: a window after a stepped run frees the run's
+        # P before it builds its node table, and the next run builds P again
         props = TestHeldPropagator.counting(monkeypatch)
+        original = solver.phase_table
+        prop_alive = []
+
+        def build(op, times):
+            prop_alive.append(props[0][1]() is not None)
+            return original(op, times)
+
+        monkeypatch.setattr(solver, "phase_table", build)
         op = build_operator("full", op_full.grid, op_full.potential)
         u, cfg, t0, t1 = final_state_window(op)
         run = dataclasses.replace(cfg, t_end=0.02, boundary_threshold=1.0)
         run_trajectory(u, op, run)
+        assert props[0][1]() is not None
         duhamel_window(u, op, cfg, t0, t1, backward=True)
+        assert prop_alive == [False]
         run_trajectory(u, op, run)
-        assert [tau for tau, _ in props] == [2e-3]
+        assert [tau for tau, _ in props] == [2e-3, 2e-3]
 
     @pytest.mark.parametrize("backward", [True, False])
     @pytest.mark.parametrize("lam", [1.0, 0.0])
