@@ -4,7 +4,8 @@
 Usage, from the root of a git checkout:
 
     python3 scripts/bench_pairs.py PARENT CHANGE [--pairs 10] [--seconds 25] [--seed N]
-        [--workloads modal_small,strang_small,eig_large] [--out FILE] [--workdir DIR]
+        [--workloads modal_small,strang_small,eig_large] [--claim WORKLOAD:METRIC]
+        [--out FILE] [--workdir DIR]
 
 PARENT and CHANGE are git revisions.  Each is exported with `git archive`
 into a fresh directory of its own, and every pair runs
@@ -28,6 +29,14 @@ every run's value, both medians, the parent's interquartile range
 (quartiles as numpy.percentile takes them) and the pairs the change won: a
 pair counts where the change's value is better than the parent's in the
 direction BENCHMARK.json gives, and a tie wins nothing.
+
+--claim WORKLOAD:METRIC names the gain a change claims.  The script then
+prints a verdict and stores it in the file under "claim".  The claim is met
+when the change wins at least 9 in 10 of the pairs and its median is better
+than the parent's by more than the parent's interquartile range.  Every
+other (workload, metric) whose change median is worse than the parent's by
+more than BENCHMARK.json's `bound`, read as a fraction of the parent's
+median, is listed as a regression.
 """
 
 import argparse
@@ -114,6 +123,37 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def verdict(workloads: dict, bounds: dict, claim: tuple[str, str]) -> dict:
+    """Whether the claimed (workload, metric) gain holds, and the other pairs past their bound.
+
+    workloads maps a workload to its metrics' summarize() tables, and bounds
+    maps a metric to BENCHMARK.json's bound, a fraction of the parent's median.
+    """
+    workload, metric = claim
+    s = workloads[workload][metric]
+    sign = 1.0 if s["better"] == "lower" else -1.0
+    gain = sign * (s["parent_median"] - s["change_median"])
+    wins_needed = -(-9 * s["pairs"] // 10)
+    regressions = [
+        {"workload": w, "metric": m, "parent_median": t["parent_median"],
+         "change_median": t["change_median"], "bound": bounds[m]}
+        for w, table in workloads.items() for m, t in table.items()
+        if (w, m) != claim and (1.0 if t["better"] == "lower" else -1.0)
+        * (t["change_median"] - t["parent_median"]) > bounds[m] * abs(t["parent_median"])
+    ]
+    return {
+        "workload": workload,
+        "metric": metric,
+        "pairs_won": s["pairs_won"],
+        "pairs": s["pairs"],
+        "wins_needed": wins_needed,
+        "median_gain": gain,
+        "parent_iqr": s["parent_iqr"],
+        "claim_met": s["pairs_won"] >= wins_needed and gain > s["parent_iqr"],
+        "regressions": regressions,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
@@ -123,6 +163,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=None,
                     help="passed to every perfbench run (default: the canonical seeds)")
     ap.add_argument("--workloads", default="modal_small,strang_small,eig_large")
+    ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
+                    help="the gain the change claims; a verdict is printed and stored")
     ap.add_argument("--out", type=Path, default=None,
                     help="a file that does not exist yet "
                          "(default: BENCH_<UTC date>.json in the current directory)")
@@ -135,18 +177,26 @@ def main(argv=None) -> int:
     out = args.out or Path(f"BENCH_{started.date().isoformat()}.json")
     if out.exists():
         raise SystemExit(f"{out} exists; give --out a new file name")
+    workloads = args.workloads.split(",")
+    claim = tuple(args.claim.split(":")) if args.claim else None
+    if claim is not None and (len(claim) != 2 or claim[0] not in workloads):
+        ap.error(f"--claim must be WORKLOAD:METRIC with a workload of --workloads, "
+                 f"got {args.claim}")
 
     commits = {
         side: subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], check=True,
                              capture_output=True, text=True).stdout.strip()
         for side, rev in (("parent", args.parent), ("change", args.change))
     }
-    workloads = args.workloads.split(",")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as tmp:
         trees = {side: export(commit, Path(tmp) / side) for side, commit in commits.items()}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+        if claim is not None and claim[1] not in metrics:
+            raise SystemExit(f"--claim names {claim[1]}, not an end-to-end metric of "
+                             f"BENCHMARK.json ({', '.join(metrics)})")
         machine = json.loads(subprocess.run(
             [sys.executable, "-c", PROBE], check=True, capture_output=True, text=True,
             env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
@@ -175,11 +225,23 @@ def main(argv=None) -> int:
             for w in workloads
         },
     }
+    if claim is not None:
+        record["claim"] = verdict(record["workloads"], bounds, claim)
     out.write_text(json.dumps(record, indent=1) + "\n")
     for w, table in record["workloads"].items():
         for m, s in table.items():
             print(f"{w:14s} {m:12s} {s['parent_median']:.4g} -> {s['change_median']:.4g} "
                   f"[parent IQR {s['parent_iqr']:.3g}] {s['pairs_won']}/{s['pairs']} won")
+    if claim is not None:
+        c = record["claim"]
+        print(f"claim {args.claim}: {'met' if c['claim_met'] else 'not met'} "
+              f"({c['pairs_won']}/{c['pairs']} won, {c['wins_needed']} needed; median gain "
+              f"{c['median_gain']:.4g} against parent IQR {c['parent_iqr']:.3g})")
+        for r in c["regressions"]:
+            print(f"regression {r['workload']} {r['metric']}: {r['parent_median']:.4g} -> "
+                  f"{r['change_median']:.4g}, beyond the bound {r['bound']:g}")
+        if not c["regressions"]:
+            print("no other metric is worse than its bound")
     print(f"wrote {out}")
     return 0
 

@@ -79,6 +79,10 @@ class RunContext:
                 )
         return self._ops[key]
 
+    def forget_free(self) -> None:
+        """Drop the held free operator: its eigenbasis goes once no caller holds it."""
+        self._ops.pop("free", None)
+
     def operators(self):
         """(op_full(), op_free()), the full operator built first.
 
@@ -596,11 +600,15 @@ def run_scattering(ctx: RunContext):
 def run_final_state(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
     op_full = ctx.op_full()
-    u0, rec, report = _scattering_run(ctx, cfg.sim.lam)
+    _, rec, report = _scattering_run(ctx, cfg.sim.lam)
     sim = cfg.sim
     t_max = float(rec.snapshots.times[-1])
     t_start = t_max * (1.0 - knobs["window_fraction"])
     u_plus = report.u_plus
+    # nothing below reads the scattering run or the free operator, so its
+    # N x N eigenbasis is not held through the Picard windows
+    del rec, report
+    ctx.forget_free()
 
     sol = solver.duhamel_window(u_plus, op_full, sim, t_start, t_max, backward=True)
     u_end = solver.duhamel_window(sol.final_field, op_full, sim, t_start, t_max).final_field

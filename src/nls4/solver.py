@@ -61,9 +61,12 @@ Two independent integrators share the exact spectral propagator:
   block to block, summed in place, and takes its within-panel block in the
   sweep's buffer, idle while it runs.  So a window's peak is the node
   table, the iterate, the integrand array, one block buffer and one
-  block's panel sums: 25.8 MB traced for final_state's window at N = 256,
-  where each of the three large arrays is 8.2 MB.  The sweeps run in
-  spectral._time_loop, like the Strang stretches.
+  block's panel sums: 25.3 MB traced for final_state's window at N = 256,
+  where each of the three large arrays is 8.2 MB and a block 16 panels.
+  That is the floor of this scheme: a backward sweep needs G(t1) before any
+  block's next iterate exists, so the node table and two iterate
+  generations coexist.  The sweeps run in spectral._time_loop, like the
+  Strang stretches.
 """
 
 from __future__ import annotations
@@ -83,11 +86,16 @@ PICARD_ORDER = 8
 # rows of the step propagator filled per pair of real products
 _PROPAGATOR_ROWS = 64
 # complex bytes of one block of whole Gauss panels in a Picard sweep and in
-# GaussPanels.cumulative: 32 panels at N = 256, 8 blocks of final_state's
-# 250-panel window.  512 KiB blocks peak about 1.4 MB lower on perfbench's
-# modal_small, but its wall_s read worse in 7 of 10 alternating pairs
-# (median 0.654 -> 0.666 s, 2 cores)
-_PANEL_BLOCK_BYTES = 1 << 20
+# GaussPanels.cumulative: 16 panels at N = 256, 16 blocks of final_state's
+# 250-panel window, each of 256 real GEMM rows.  The block buffer and
+# OpenBLAS's pack buffer shrink with the block.  final_state's backward
+# window at N = 256, 12 alternating repetitions at 2 threads, median sweep:
+# 59.5 ms at 1 MiB, 59.8 ms at 512 KiB, 61.1 ms at 256 KiB, whose blocks
+# peak only 0.3 MB lower (warm, traced), so 256 KiB is not taken.  Against
+# 1 MiB, 512 KiB once read wall_s 0.654 -> 0.666 s on perfbench's
+# modal_small (7 of 10 alternating pairs worse, 2 cores), inside that
+# metric's IQR of 0.076 s
+_PANEL_BLOCK_BYTES = 1 << 19
 # complex bytes of one chunk of the exact linear path's states: a chunk's
 # transforms hold about four arrays of its size (1 MiB chunks raised
 # localized_mass's peak by 4.4 MB); 64 KiB chunks made the N = 2560 path 2.4

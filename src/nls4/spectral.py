@@ -577,12 +577,6 @@ def fractional_gradient_values(
     return power_values(op_free, s, values, out, work)
 
 
-def free_fractional_gradient(op_free: SpectralOperator, s: float, u: RadialField) -> RadialField:
-    """|grad|^s u = (Delta^2)^{s/4} u through the free calculus."""
-    _check_field(op_free, u)
-    return RadialField(op_free.grid, fractional_gradient_values(op_free, s, u.values))
-
-
 # ---------------------------------------------------------------------------
 # field snapshots (.fld)
 

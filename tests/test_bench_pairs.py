@@ -90,3 +90,131 @@ class TestExistingRecord:
         assert calls == []
         assert "exists" in str(stop.value)
         assert all(path.read_text() == "{}\n" for path in existing)
+
+
+def summarized(parent, change, better="lower"):
+    return bench_pairs.summarize([float(v) for v in parent], [float(v) for v in change], better)
+
+
+# ten parent runs 90.0 .. 90.9 MB: median 90.45, inclusive IQR 0.45
+PARENT_PEAKS = [90.0 + 0.1 * i for i in range(10)]
+BOUNDS = {"wall_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.05}
+
+
+class TestClaimVerdict:
+    def claim(self, change, others=None):
+        workloads = {"modal_small": {"peak_rss_mb": summarized(PARENT_PEAKS, change)}}
+        workloads.update(others or {})
+        return bench_pairs.verdict(workloads, BOUNDS, ("modal_small", "peak_rss_mb"))
+
+    def test_nine_of_ten_wins_past_the_iqr_meet_the_claim(self):
+        change = [p - 1.3 for p in PARENT_PEAKS[:9]] + [PARENT_PEAKS[9] + 0.1]
+        c = self.claim(change)
+        assert (c["pairs_won"], c["pairs"], c["wins_needed"]) == (9, 10, 9)
+        assert c["median_gain"] > c["parent_iqr"] == pytest.approx(0.45)
+        assert c["claim_met"] and c["regressions"] == []
+
+    def test_eight_of_ten_wins_do_not(self):
+        change = [p - 1.3 for p in PARENT_PEAKS[:8]] + [p + 0.1 for p in PARENT_PEAKS[8:]]
+        c = self.claim(change)
+        assert c["pairs_won"] == 8
+        assert c["median_gain"] > c["parent_iqr"]
+        assert not c["claim_met"]
+
+    def test_a_gap_inside_the_iqr_does_not(self):
+        c = self.claim([p - 0.2 for p in PARENT_PEAKS])
+        assert c["pairs_won"] == 10
+        assert c["median_gain"] == pytest.approx(0.2)
+        assert not c["claim_met"]
+
+    def test_ties_and_four_pairs(self):
+        # a tie wins nothing, and four pairs need all four
+        c = bench_pairs.verdict(
+            {"w": {"wall_s": summarized([1, 2, 3, 4], [0, 1, 2, 4])}}, BOUNDS, ("w", "wall_s"))
+        assert (c["pairs_won"], c["wins_needed"]) == (3, 4)
+        assert not c["claim_met"]
+
+    def test_regressions_beyond_the_bound_are_listed(self):
+        # wall_s +30% and a 6% higher peak exceed their bounds of 25% and 5%;
+        # cpu_s +20% does not, nor does the claimed metric itself
+        others = {
+            "strang_small": {
+                "wall_s": summarized([1.0] * 10, [1.3] * 10),
+                "cpu_s": summarized([2.0] * 10, [2.4] * 10),
+                "peak_rss_mb": summarized([70.0] * 10, [74.2] * 10),
+            },
+        }
+        c = self.claim([p - 1.3 for p in PARENT_PEAKS], others)
+        assert c["claim_met"]
+        assert [(r["workload"], r["metric"], r["bound"]) for r in c["regressions"]] == [
+            ("strang_small", "wall_s", 0.25), ("strang_small", "peak_rss_mb", 0.05)]
+
+    def test_higher_is_better_flips_both_directions(self):
+        better = summarized([1.0] * 10, [0.5] * 10, "higher")
+        c = bench_pairs.verdict({"w": {"ratio": summarized([1.0] * 10, [2.0] * 10, "higher"),
+                                       "cpu_s": better}},
+                                {"ratio": 0.25, "cpu_s": 0.25}, ("w", "ratio"))
+        assert c["claim_met"] and c["median_gain"] == 1.0
+        assert [r["metric"] for r in c["regressions"]] == ["cpu_s"]
+
+
+class TestClaimInRecord:
+    def fake_main(self, monkeypatch, tmp_path, argv):
+        """main(argv) on fake trees whose runs give fixed metrics; self.runs lists the runs."""
+        bench = (ROOT / "BENCHMARK.json").read_text()
+        self.runs = []
+
+        def fake_export(commit, dest):
+            dest.mkdir()
+            (dest / "BENCHMARK.json").write_text(bench)
+            return dest
+
+        def fake_subprocess_run(cmd, **kwargs):
+            out = "0" * 40 if cmd[0] == "git" else json.dumps({"nproc": 2})
+            return subprocess.CompletedProcess(cmd, 0, stdout=out + "\n", stderr="")
+
+        def fake_run_bench(tree, workload, seconds, seed=None):
+            self.runs.append((tree.name, workload))
+            peak = 91.0 if tree.name == "parent" else 89.5
+            metrics = {"wall_s": 0.7, "cpu_s": 1.0, "setup_s": 0.4, "peak_rss_mb": peak}
+            if workload == "strang_small" and tree.name == "change":
+                metrics["wall_s"] = 1.0
+            return {"correct": True, "metrics": {m: {"value": v} for m, v in metrics.items()}}
+
+        monkeypatch.setattr(bench_pairs.subprocess, "run", fake_subprocess_run)
+        monkeypatch.setattr(bench_pairs, "export", fake_export)
+        monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+        bench_pairs.main(argv + ["--workdir", str(tmp_path)])
+
+    def test_verdict_is_printed_and_stored(self, monkeypatch, tmp_path, capsys):
+        plain = tmp_path / "BENCH_plain.json"
+        self.fake_main(monkeypatch, tmp_path, ["A", "B", "--pairs", "2",
+                                               "--workloads", "modal_small", "--out", str(plain)])
+        assert "claim" not in json.loads(plain.read_text())
+        assert "claim" not in capsys.readouterr().out
+        out = tmp_path / "BENCH_claim.json"
+        self.fake_main(monkeypatch, tmp_path, [
+            "A", "B", "--pairs", "4", "--workloads", "modal_small,strang_small",
+            "--claim", "modal_small:peak_rss_mb", "--out", str(out)])
+        assert len(self.runs) == 4 * 2 * 2
+        claim = json.loads(out.read_text())["claim"]
+        assert (claim["workload"], claim["metric"]) == ("modal_small", "peak_rss_mb")
+        assert claim["claim_met"] and claim["pairs_won"] == 4
+        assert claim["median_gain"] == pytest.approx(1.5)
+        assert [(r["workload"], r["metric"]) for r in claim["regressions"]] == [
+            ("strang_small", "wall_s")]
+        printed = capsys.readouterr().out
+        assert "claim modal_small:peak_rss_mb: met (4/4 won" in printed
+        assert "regression strang_small wall_s" in printed
+
+    @pytest.mark.parametrize("claim, message", [
+        ("eig_large:peak_rss_mb", "WORKLOAD:METRIC"), ("modal_small", "WORKLOAD:METRIC"),
+        ("modal_small:rss", "not an end-to-end metric")])
+    def test_bad_claim_stops_before_any_run(self, monkeypatch, tmp_path, capsys, claim, message):
+        out = tmp_path / "BENCH_bad.json"
+        with pytest.raises(SystemExit) as stop:
+            self.fake_main(monkeypatch, tmp_path, [
+                "A", "B", "--workloads", "modal_small", "--claim", claim, "--out", str(out)])
+        assert message in str(stop.value) + capsys.readouterr().err
+        assert self.runs == []
+        assert not out.exists()

@@ -173,6 +173,32 @@ def test_localized_mass_frees_the_packet_run_before_the_eigenmode_run(tmp_path, 
     assert alive_at_start == [[], [False, False]]
 
 
+
+def test_final_state_frees_the_free_operator_before_its_windows(tmp_path, monkeypatch):
+    # final_state builds its two operators once each, and the free one's
+    # eigenbasis is gone when the first Picard window starts, while the full
+    # one's, which the windows read, is alive
+    cfg = load_config(CONFIG_DIR / "final_state.cfg")
+    cfg.output_dir = tmp_path
+    build, window = spectral.build_operator, solver.duhamel_window
+    built, alive_at_start = [], []
+
+    def counted_build(*args, **kwargs):
+        op = build(*args, **kwargs)
+        built.append((op.kind, weakref.ref(op.eigenvectors)))
+        return op
+
+    def checked_window(*args, **kwargs):
+        alive_at_start.append([(kind, ref() is not None) for kind, ref in built])
+        return window(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "build_operator", counted_build)
+    monkeypatch.setattr(solver, "duhamel_window", checked_window)
+    report = run_experiment(cfg)
+    assert report.worst_verdict == "pass"
+    assert [kind for kind, _ in built] == ["full", "free"]
+    assert alive_at_start[0] == [("full", True), ("free", False)]
+
 def context(name, tmp_path, num_points=None):
     cfg = load_config(CONFIG_DIR / f"{name}.cfg")
     if num_points is not None:

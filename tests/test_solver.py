@@ -276,22 +276,23 @@ def final_state_window(op):
 # buffers, 35.9 MB before they ran by panel blocks, 30.0 MB before
 # GaussPanels.cumulative kept its sums in one array of K + 1 rows and its
 # block in the sweep's buffers, 27.9 MB before it kept one block's sums and
-# the sweep one block buffer, 25.8 MB now.
+# the sweep one block buffer, 25.8 MB before the blocks went from 1 MiB to
+# 512 KiB, 25.3 MB now.
 WINDOW_PEAK_BOUND = 4.5 * 250 * 8 * 256 * 16
 
 # bytes of final_state_window's iterate, a (250, 8, 256) complex array
 ITERATE_BYTES = 250 * 8 * 256 * 16
 # a warm window (node table held) beside its iterate holds the integrand array
-# and a panel-block buffer: tracemalloc peak 2.15 iterates (2.40 with two
-# block buffers and K + 1 rows of panel sums, 2.66 before cumulative worked
-# in those buffers, 3.38 when the sweep ran whole-array in two iterate-sized
-# scratch buffers)
+# and a panel-block buffer: tracemalloc peak 2.09 iterates (2.15 with 1 MiB
+# blocks, 2.40 with two block buffers and K + 1 rows of panel sums, 2.66
+# before cumulative worked in those buffers, 3.38 when the sweep ran
+# whole-array in two iterate-sized scratch buffers)
 WARM_WINDOW_PEAK_ITERATES = 3.0
 # VmHWM growth of a cold window with glibc's mmap threshold at 128 KiB: the
 # node table, three iterate-sized arrays and OpenBLAS's pack buffer of the
-# largest GEMM's rows: 3.3 iterates (3.6 with two block buffers and K + 1
-# rows of panel sums, 3.8 before cumulative worked in the sweep's buffers,
-# 5.4 when one GEMM took every row)
+# largest GEMM's rows: 3.2 iterates (3.3 with 1 MiB blocks, 3.6 with two
+# block buffers and K + 1 rows of panel sums, 3.8 before cumulative worked
+# in the sweep's buffers, 5.4 when one GEMM took every row)
 COLD_WINDOW_HWM_ITERATES = 4.5
 
 
@@ -493,9 +494,9 @@ class TestHeldTables:
         assert per_block == 1 or per_block * panel_bytes <= solver._PANEL_BLOCK_BYTES
         assert (per_block + 1) * panel_bytes > solver._PANEL_BLOCK_BYTES
 
-    def test_final_state_window_runs_in_eight_blocks(self):
+    def test_final_state_window_runs_in_sixteen_blocks(self):
         blocks = solver._panel_blocks(250, PICARD_ORDER, 256)
-        assert [b.stop - b.start for b in blocks] == [32] * 7 + [26]
+        assert [b.stop - b.start for b in blocks] == [16] * 15 + [10]
 
     def test_same_window_bits_at_one_and_two_blas_threads(self):
         tail = (
