@@ -107,10 +107,15 @@ def run_bench(tree: Path, workload: str, seconds: float, seed: int | None = None
     return result
 
 
+def _sign(better: str) -> float:
+    """1 where BENCHMARK.json's `better` is "lower", -1 where it is "higher"."""
+    return 1.0 if better == "lower" else -1.0
+
+
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     """Medians, the parent's interquartile range and the pairs the change won."""
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
-    sign = 1.0 if better == "lower" else -1.0
+    sign = _sign(better)
     return {
         "better": better,
         "parent": parent,
@@ -131,15 +136,14 @@ def verdict(workloads: dict, bounds: dict, claim: tuple[str, str]) -> dict:
     """
     workload, metric = claim
     s = workloads[workload][metric]
-    sign = 1.0 if s["better"] == "lower" else -1.0
-    gain = sign * (s["parent_median"] - s["change_median"])
+    gain = _sign(s["better"]) * (s["parent_median"] - s["change_median"])
     wins_needed = -(-9 * s["pairs"] // 10)
     regressions = [
         {"workload": w, "metric": m, "parent_median": t["parent_median"],
          "change_median": t["change_median"], "bound": bounds[m]}
         for w, table in workloads.items() for m, t in table.items()
-        if (w, m) != claim and (1.0 if t["better"] == "lower" else -1.0)
-        * (t["change_median"] - t["parent_median"]) > bounds[m] * abs(t["parent_median"])
+        if (w, m) != claim and _sign(t["better"]) * (t["change_median"] - t["parent_median"])
+        > bounds[m] * abs(t["parent_median"])
     ]
     return {
         "workload": workload,

@@ -605,8 +605,8 @@ def run_final_state(ctx: RunContext):
     t_max = float(rec.snapshots.times[-1])
     t_start = t_max * (1.0 - knobs["window_fraction"])
     u_plus = report.u_plus
-    # nothing below reads the scattering run or the free operator, so its
-    # N x N eigenbasis is not held through the Picard windows
+    # nothing below reads the scattering run or the free operator, so the
+    # free N x N eigenbasis is not held through the Picard windows
     del rec, report
     ctx.forget_free()
 

@@ -88,13 +88,13 @@ _PROPAGATOR_ROWS = 64
 # complex bytes of one block of whole Gauss panels in a Picard sweep and in
 # GaussPanels.cumulative: 16 panels at N = 256, 16 blocks of final_state's
 # 250-panel window, each of 256 real GEMM rows.  The block buffer and
-# OpenBLAS's pack buffer shrink with the block.  final_state's backward
-# window at N = 256, 12 alternating repetitions at 2 threads, median sweep:
-# 59.5 ms at 1 MiB, 59.8 ms at 512 KiB, 61.1 ms at 256 KiB, whose blocks
-# peak only 0.3 MB lower (warm, traced), so 256 KiB is not taken.  Against
-# 1 MiB, 512 KiB once read wall_s 0.654 -> 0.666 s on perfbench's
-# modal_small (7 of 10 alternating pairs worse, 2 cores), inside that
-# metric's IQR of 0.076 s
+# OpenBLAS's pack buffer shrink with the block: from 1 MiB, perfbench's
+# modal_small read peak_rss_mb 91.08 -> 89.68 MB and wall_s 0.880 -> 0.885 s
+# (with final_state's free operator freed as well; medians of 10
+# alternating pairs, 2 cores).  Median sweep of final_state's backward
+# window at N = 256 (12 alternating repetitions, 2 threads): 59.5 ms at
+# 1 MiB, 59.8 ms at 512 KiB, 61.1 ms at 256 KiB, whose blocks peak only
+# 0.3 MB lower (warm, traced), so 256 KiB is not taken
 _PANEL_BLOCK_BYTES = 1 << 19
 # complex bytes of one chunk of the exact linear path's states: a chunk's
 # transforms hold about four arrays of its size (1 MiB chunks raised
