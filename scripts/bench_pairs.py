@@ -30,13 +30,17 @@ every run's value, both medians, the parent's interquartile range
 pair counts where the change's value is better than the parent's in the
 direction BENCHMARK.json gives, and a tie wins nothing.
 
+Every (workload, metric) whose change median is worse than the parent's by
+more than BENCHMARK.json's `bound`, read as a fraction of the parent's
+median, is a regression.  The script always prints them and stores them in
+the file under "regressions", an empty list when there are none, so a
+change that claims no gain still gets a verdict.
+
 --claim WORKLOAD:METRIC names the gain a change claims.  The script then
 prints a verdict and stores it in the file under "claim".  The claim is met
 when the change wins at least 9 in 10 of the pairs and its median is better
-than the parent's by more than the parent's interquartile range.  Every
-other (workload, metric) whose change median is worse than the parent's by
-more than BENCHMARK.json's `bound`, read as a fraction of the parent's
-median, is listed as a regression.
+than the parent's by more than the parent's interquartile range; the
+claim's own "regressions" leave the claimed metric out.
 """
 
 import argparse
@@ -128,23 +132,28 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def verdict(workloads: dict, bounds: dict, claim: tuple[str, str]) -> dict:
-    """Whether the claimed (workload, metric) gain holds, and the other pairs past their bound.
+def regressions(workloads: dict, bounds: dict, skip: tuple[str, str] | None = None) -> list:
+    """Every (workload, metric) but `skip` whose change median is worse than the
+    parent's by more than its bound.
 
     workloads maps a workload to its metrics' summarize() tables, and bounds
     maps a metric to BENCHMARK.json's bound, a fraction of the parent's median.
     """
+    return [
+        {"workload": w, "metric": m, "parent_median": t["parent_median"],
+         "change_median": t["change_median"], "bound": bounds[m]}
+        for w, table in workloads.items() for m, t in table.items()
+        if (w, m) != skip and _sign(t["better"]) * (t["change_median"] - t["parent_median"])
+        > bounds[m] * abs(t["parent_median"])
+    ]
+
+
+def verdict(workloads: dict, bounds: dict, claim: tuple[str, str]) -> dict:
+    """Whether the claimed (workload, metric) gain holds, and the other pairs past their bound."""
     workload, metric = claim
     s = workloads[workload][metric]
     gain = _sign(s["better"]) * (s["parent_median"] - s["change_median"])
     wins_needed = -(-9 * s["pairs"] // 10)
-    regressions = [
-        {"workload": w, "metric": m, "parent_median": t["parent_median"],
-         "change_median": t["change_median"], "bound": bounds[m]}
-        for w, table in workloads.items() for m, t in table.items()
-        if (w, m) != claim and _sign(t["better"]) * (t["change_median"] - t["parent_median"])
-        > bounds[m] * abs(t["parent_median"])
-    ]
     return {
         "workload": workload,
         "metric": metric,
@@ -154,7 +163,7 @@ def verdict(workloads: dict, bounds: dict, claim: tuple[str, str]) -> dict:
         "median_gain": gain,
         "parent_iqr": s["parent_iqr"],
         "claim_met": s["pairs_won"] >= wins_needed and gain > s["parent_iqr"],
-        "regressions": regressions,
+        "regressions": regressions(workloads, bounds, skip=claim),
     }
 
 
@@ -229,6 +238,7 @@ def main(argv=None) -> int:
             for w in workloads
         },
     }
+    record["regressions"] = regressions(record["workloads"], bounds)
     if claim is not None:
         record["claim"] = verdict(record["workloads"], bounds, claim)
     out.write_text(json.dumps(record, indent=1) + "\n")
@@ -241,11 +251,11 @@ def main(argv=None) -> int:
         print(f"claim {args.claim}: {'met' if c['claim_met'] else 'not met'} "
               f"({c['pairs_won']}/{c['pairs']} won, {c['wins_needed']} needed; median gain "
               f"{c['median_gain']:.4g} against parent IQR {c['parent_iqr']:.3g})")
-        for r in c["regressions"]:
-            print(f"regression {r['workload']} {r['metric']}: {r['parent_median']:.4g} -> "
-                  f"{r['change_median']:.4g}, beyond the bound {r['bound']:g}")
-        if not c["regressions"]:
-            print("no other metric is worse than its bound")
+    for r in record["regressions"]:
+        print(f"regression {r['workload']} {r['metric']}: {r['parent_median']:.4g} -> "
+              f"{r['change_median']:.4g}, beyond the bound {r['bound']:g}")
+    if not record["regressions"]:
+        print("no metric is worse than its bound")
     print(f"wrote {out}")
     return 0
 

@@ -20,10 +20,11 @@ A Duhamel solve and a Strichartz quotient work on (T, N) arrays that, at
 T = 129 and N = 256, are past glibc's 128 KiB mmap threshold, so each
 temporary of that size would be fresh pages.  Their transforms over the T
 rows stay one to_modal / from_modal call each, into caller buffers, so the
-eigenvector matrix is read once.  Every row-local stage (the
-modal coefficients with their phase integrals, h(t), the Delta stencil and
-the L^r sums) runs over row blocks of at most 64 KiB of complex values,
-whose temporaries are reused heap memory and stay in cache; each acts on
+eigenvector matrix is read once.  Every row-local stage (the modal
+coefficients with their phase integrals, h(t), the Delta stencil and the
+L^r sums) runs over row blocks of at most _BLOCK_BYTES of complex values,
+cut by radial._blocks like every blocked stage of the package.  Their
+temporaries are reused heap memory and stay in cache; each stage acts on
 each row alone, so the bits are the whole-array forms'.  The blocks call
 the stencil and the norm by their private names, so a profiler that wraps
 the public ones sees no call per block.
@@ -40,6 +41,7 @@ import numpy as np
 from .radial import (
     RadialField,
     SpaceTimeSample,
+    _blocks,
     _lp_norm_values,
     boundary_mass,
     lp_norm_values,
@@ -62,9 +64,9 @@ from .spectral import (
 SPACETIME_NORMS = ("M", "W", "Z", "N")
 MIN_TIME_SAMPLES = 4
 
-# complex bytes per row block of the row-local stages: at N = 256 a block is
-# 16 rows, so its temporaries stay below glibc's 128 KiB mmap threshold
-# (reused heap, not fresh pages) and in L2
+# complex bytes per row block of the row-local stages (radial._blocks): at
+# N = 256 a block is 16 rows, so its temporaries stay below glibc's 128 KiB
+# mmap threshold (reused heap, not fresh pages) and in L2
 _BLOCK_BYTES = 64 * 1024
 
 
@@ -100,12 +102,6 @@ def _time_lq(times: np.ndarray, values: np.ndarray, q: float) -> float:
     return float(peak * np.trapezoid((values / peak) ** q, times) ** (1.0 / q))
 
 
-def _row_blocks(num_rows: int, num_points: int):
-    """Slices of consecutive rows, each at most _BLOCK_BYTES of complex values."""
-    step = max(1, _BLOCK_BYTES // (16 * num_points))
-    return (slice(start, start + step) for start in range(0, num_rows, step))
-
-
 def _lr_norms(grid, values: np.ndarray, rs, stage=None) -> np.ndarray:
     """lp_norm_values of stage(grid, rows) for each r in rs, shape (len(rs), T), by row blocks.
 
@@ -114,7 +110,7 @@ def _lr_norms(grid, values: np.ndarray, rs, stage=None) -> np.ndarray:
     whole-array call's, bit for bit, as both act on each row alone.
     """
     norms = np.empty((len(rs), len(values)))
-    for rows in _row_blocks(*values.shape):
+    for rows in _blocks(len(values), 16 * values.shape[-1], _BLOCK_BYTES):
         block = values[rows] if stage is None else stage(grid, values[rows])
         for norm, r in zip(norms, rs):
             norm[rows] = _lp_norm_values(grid, block, float(r))
@@ -266,7 +262,7 @@ class ModalForcing:
         if out is None:
             out = np.empty((*t.shape, num_points), complex)
         rows, times = out.reshape(-1, num_points), t.reshape(-1, 1)
-        for block in _row_blocks(*rows.shape):
+        for block in _blocks(len(rows), 16 * num_points, _BLOCK_BYTES):
             rows[block] = 0.0
             for w, g in zip(self.omegas, self.fields):
                 rows[block] += np.exp(1j * w * times[block]) * g.values
@@ -313,7 +309,7 @@ def duhamel_solution(
     if forcing is not None:
         g_modal = op.to_modal(np.array([g.values for g in forcing.fields]))
     coeffs = np.empty(phases.shape, complex)
-    for rows in _row_blocks(*phases.shape):
+    for rows in _blocks(len(phases), 16 * mu.size, _BLOCK_BYTES):
         block = np.multiply(u0_modal, phases[rows], out=coeffs[rows])
         if forcing is not None:
             i_phases = 1j * phases[rows]

@@ -245,6 +245,20 @@ def _check_same_grid(u: RadialField, v: RadialField) -> None:
         raise ValueError("fields live on different grids")
 
 
+def _blocks(count: int, item_size: int, budget: int) -> list[slice]:
+    """Consecutive slices over `count` items, as many of `item_size` a slice as
+    fit in `budget` (one unit for both) and at least one; the first is the longest.
+
+    Every blocked stage cuts its rows here, with a budget named beside its
+    measured reason: analysis's row blocks, the Picard sweep's and
+    GaussPanels.cumulative's panel blocks, the exact linear path's chunks and
+    the step propagator's rows.  Private, so a profiler that wraps the
+    public names sees no call of it.
+    """
+    step = max(1, budget // max(1, item_size))
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def lp_norm_values(grid: RadialGrid, values: np.ndarray, p: float) -> np.ndarray:
     """L^p norm of each row of values, shape (..., N) -> (...); p = inf means the max."""
     return _lp_norm_values(grid, values, p)

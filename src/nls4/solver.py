@@ -18,7 +18,8 @@ Two independent integrators share the exact spectral propagator:
   the owed half is flushed before every monitor and every forced step.  With
   lambda = 0 and no forcing nothing is stepped: the monitor states are the
   exact linear flow e^{itH} u0, from u0's modal coefficients, taken once,
-  through evolve_modal, _EXACT_CHUNK_BYTES of rows at a time.  The steps
+  through evolve_modal, in chunks of _EXACT_CHUNK_BYTES of rows cut by
+  radial._blocks, the one row-block walker of every blocked stage.  The steps
   between two monitors run as one stretch (_advance) under one
   np.errstate(over="raise"), so an overflow ends the stretch with
   SolverError.  A run halts at the first monitor that suspects blow-up
@@ -51,8 +52,10 @@ Two independent integrators share the exact spectral propagator:
   integrand array.  The modal transforms
   (SpectralOperator.to_modal / from_modal with caller buffers), |u|^{p-1},
   the conjugate node phases and the squares of the distance run over
-  blocks of whole panels, in one buffer of one block and in the block's
-  own rows of the integrand array, free until its integrand lands there.
+  blocks of whole panels, cut once a window by radial._blocks; the one
+  buffer of one block and GaussPanels.cumulative's blocks both come from
+  that call.  A block runs in the buffer and in its own rows of the
+  integrand array, free until its integrand lands there.
   A transform row has the same bits in any batch, so the blocks give the
   whole window's bits, and no GEMM packs all of the iterate's rows.
   The panel quadrature sums complex integrands through their real views,
@@ -72,34 +75,34 @@ Two independent integrators share the exact spectral propagator:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .radial import RadialField, SpaceTimeSample
+from .radial import RadialField, SpaceTimeSample, _blocks
 from .spectral import (
     SpectralOperator, _apply_tridiag, _gemm_rows, _time_loop, evolve_modal, hdot2_norm,
 )
 
 PICARD_ORDER = 8
-# rows of the step propagator filled per pair of real products
+# rows of the step propagator filled per pair of real products (radial._blocks
+# of one row each)
 _PROPAGATOR_ROWS = 64
-# complex bytes of one block of whole Gauss panels in a Picard sweep and in
-# GaussPanels.cumulative: 16 panels at N = 256, 16 blocks of final_state's
-# 250-panel window, each of 256 real GEMM rows.  The block buffer and
-# OpenBLAS's pack buffer shrink with the block: from 1 MiB, perfbench's
-# modal_small read peak_rss_mb 91.08 -> 89.68 MB and wall_s 0.880 -> 0.885 s
-# (with final_state's free operator freed as well; medians of 10
-# alternating pairs, 2 cores).  Median sweep of final_state's backward
+# complex bytes of one block of whole Gauss panels (radial._blocks) in a
+# Picard sweep and in GaussPanels.cumulative: 16 panels at N = 256, 16
+# blocks of final_state's 250-panel window, each of 256 real GEMM rows.  The
+# block buffer and OpenBLAS's pack buffer shrink with the block: from 1 MiB,
+# perfbench's modal_small read peak_rss_mb 91.08 -> 89.68 MB and wall_s
+# 0.880 -> 0.885 s (with final_state's free operator freed as well; medians
+# of 10 alternating pairs, 2 cores).  Median sweep of final_state's backward
 # window at N = 256 (12 alternating repetitions, 2 threads): 59.5 ms at
 # 1 MiB, 59.8 ms at 512 KiB, 61.1 ms at 256 KiB, whose blocks peak only
 # 0.3 MB lower (warm, traced), so 256 KiB is not taken
 _PANEL_BLOCK_BYTES = 1 << 19
-# complex bytes of one chunk of the exact linear path's states: a chunk's
-# transforms hold about four arrays of its size (1 MiB chunks raised
-# localized_mass's peak by 4.4 MB); 64 KiB chunks made the N = 2560 path 2.4
-# times slower
+# complex bytes of one chunk (radial._blocks) of the exact linear path's
+# states: 16 monitor steps at N = 512.  A chunk's transforms hold about four
+# arrays of its size (1 MiB chunks raised localized_mass's peak by 4.4 MB);
+# 64 KiB chunks made the N = 2560 path 2.4 times slower
 _EXACT_CHUNK_BYTES = 1 << 17
 
 
@@ -258,10 +261,10 @@ def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
     sqrt_m = op.grid.metric_sqrt
     n = q.shape[0]
     out = np.empty((n, n), dtype=complex)
-    scaled, product = np.empty((2, min(n, _PROPAGATOR_ROWS), n))
-    for start in range(0, n, _PROPAGATOR_ROWS):
-        rows = slice(start, start + _PROPAGATOR_ROWS)
-        m = min(_PROPAGATOR_ROWS, n - start)
+    blocks = _blocks(n, 1, _PROPAGATOR_ROWS)
+    scaled, product = np.empty((2, blocks[0].stop, n))
+    for rows in blocks:
+        m = rows.stop - rows.start
         for part, factor in ((out.real, cos), (out.imag, sin)):
             block = np.matmul(np.multiply(q[rows], factor, out=scaled[:m]), qt, out=product[:m])
             block *= sqrt_m
@@ -355,8 +358,8 @@ def run_trajectory(
         # e^{itH} u0 from u0's modal coefficients, taken once, in chunks of
         # _EXACT_CHUNK_BYTES of rows; no chunk past a halt is formed
         coeffs = op_full.to_modal(u0.values)
-        per_chunk = max(1, _EXACT_CHUNK_BYTES // (16 * grid.num_points))
-        chunks = [monitor_steps[a:a + per_chunk] for a in range(0, len(monitor_steps), per_chunk)]
+        blocks = _blocks(len(monitor_steps), 16 * grid.num_points, _EXACT_CHUNK_BYTES)
+        chunks = [monitor_steps[chunk] for chunk in blocks]
         states = itertools.chain.from_iterable(
             zip(steps, evolve_modal(op_full, coeffs, np.multiply(steps, dt))) for steps in chunks)
         for step, state in states:
@@ -424,29 +427,32 @@ class GaussPanels:
             q[:, l] = (pvals[:, l + 1] - pvals[:, l - 1]) / (2 * l + 1)
         self.partial = q @ coeff                                # (m, m)
 
-    def cumulative(self, g: np.ndarray, out=None, work=None) -> tuple[np.ndarray, np.ndarray]:
+    def cumulative(self, g: np.ndarray, out=None, work=None, blocks=None) -> tuple:
         """g has shape (K, m, ...); returns (G at nodes, G at t1).
 
         A complex g is summed through its real view (K, m, 2L), where numpy's
         einsum runs its real loop: the same products and sums per part as the
         complex loop, so the same bits, in about a third of the time.  G at
         the nodes is written into `out` when given: a C-contiguous array of
-        g's shape and dtype, which may be g itself.  The panels go by blocks
-        of whole panels (_PANEL_BLOCK_BYTES).  A block's panel sums fill rows
+        g's shape and dtype, which may be g itself.  The panels go by
+        `blocks`, slices of whole panels from radial._blocks: a sweep passes
+        the ones it sized its buffer from, and by default they hold
+        _PANEL_BLOCK_BYTES of g each.  A block's panel sums fill rows
         1..n of one array of a block's rows plus one, whose row 0 holds the
         total carried from the blocks before (0 in the first block, where
         it is left out of the sum), and np.cumsum turns those rows in place
         into their running sums: row j is then the prefix of the block's
         panel j and row n the carry into the next block, the same sequential
         adds as one running sum over all K panels.  The block's within-panel
-        integrals go into `work`, a C-contiguous caller buffer (fresh memory
-        when it is too small), before its rows of `out` are written; work
-        shares no memory with g or out.  Each half-width scales its panel's
-        rows as a scalar, and the prefixes are copied into `out` before the
-        within-panel integrals are added in place, so no call broadcasts and
-        numpy's iterator allocates no buffer.  So beside g and out the call
+        integrals go into `work`, a C-contiguous caller buffer that holds the
+        longest block (TypeError when it is too small; fresh memory when work
+        is None), before its rows of `out` are written; work shares no memory
+        with g or out.  Each half-width scales its panel's rows as a scalar,
+        and the prefixes are copied into `out` before the within-panel
+        integrals are added in place, so no call broadcasts and numpy's
+        iterator allocates no buffer.  So beside g and out the call
         allocates the block's rows plus one (and copies out the total), and
-        a block only when work does not hold one.
+        a block only when work is None.
         """
         k, m = g.shape[:2]
         if out is None:
@@ -456,15 +462,14 @@ class GaussPanels:
         g_flat = np.ascontiguousarray(g).reshape(k, m, -1)
         is_complex = np.iscomplexobj(g)
         real = g_flat.view(float) if is_complex else g_flat
-        per_block = max(1, _PANEL_BLOCK_BYTES // max(1, g[0].nbytes))
-        rows = min(k, per_block)
-        within_shape = (rows, *g.shape[1:])
-        fits = work is not None and work.nbytes >= math.prod(within_shape) * g.itemsize
-        # np.ndarray over buffer=None is fresh memory
-        within = np.ndarray(within_shape, g.dtype, buffer=work if fits else None)
+        if blocks is None:
+            blocks = _blocks(k, g[0].nbytes, _PANEL_BLOCK_BYTES)
+        rows = blocks[0].stop  # the longest block
+        # np.ndarray over buffer=None is fresh memory; a work too small raises
+        within = np.ndarray((rows, *g.shape[1:]), g.dtype, buffer=work)
         sums = np.zeros((rows + 1, *g.shape[2:]), g.dtype)
-        for start in range(0, k, per_block):
-            n = min(per_block, k - start)
+        for block in blocks:
+            start, n = block.start, block.stop - block.start
             panel_full = sums[1:n + 1]
             panel_real = panel_full.reshape(n, -1)
             part = within[:n]
@@ -486,17 +491,10 @@ class GaussPanels:
         return out, sums[0].copy()
 
 
-def _panel_blocks(num_panels: int, order: int, n: int) -> list[slice]:
-    """A Picard sweep's blocks of whole panels: _PANEL_BLOCK_BYTES of rows each, or one panel."""
-    per_block = max(1, _PANEL_BLOCK_BYTES // (16 * n * order))
-    return [slice(a, min(a + per_block, num_panels)) for a in range(0, num_panels, per_block)]
-
-
 @dataclass
 class PicardSolution:
     final_field: RadialField
     iterations: int
-    contraction_factor: float
     diffs: list[float]             # iterate distance of every sweep
 
 
@@ -537,8 +535,8 @@ def duhamel_window(
     # integrand array
     coeffs = node_phases * anchor
     integrand = np.empty_like(coeffs)
-    blocks = _panel_blocks(panels.num_panels, panels.order, mu.size)
-    block_rows = max(b.stop - b.start for b in blocks) * panels.order
+    blocks = _blocks(panels.num_panels, 16 * panels.order * mu.size, _PANEL_BLOCK_BYTES)
+    block_rows = blocks[0].stop * panels.order
     buffer = np.empty((-(-_gemm_rows(2 * block_rows, mu.size) // 2), mu.size), complex)
     row_norms = np.empty(coeffs.shape[:2])
     diffs: list[float] = []
@@ -561,7 +559,8 @@ def duhamel_window(
                                                out=buffer[:flat[0]].reshape(rows.shape))
                     np.multiply(conj_phases, f_modal, out=integrand[block])
                 # the buffer is idle here, and holds cumulative's block
-                g_cum, g_total = panels.cumulative(integrand, out=integrand, work=buffer)
+                g_cum, g_total = panels.cumulative(integrand, out=integrand, work=buffer,
+                                                   blocks=blocks)
             for block in blocks:
                 g_block = g_cum[block]
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -601,5 +600,4 @@ def duhamel_window(
     # read at the other end: G(t1) - 0 forward, 0 - G(t1) backward
     t_out, g_out = (t0, -g_total) if backward else (t1, g_total)
     out_modal = np.exp(1j * mu * t_out) * (anchor + 1j * cfg.lam * g_out)
-    factor = diffs[-1] / diffs[-2] if len(diffs) > 1 and diffs[-2] > 0 else 0.0
-    return PicardSolution(RadialField(u.grid, op.from_modal(out_modal)), len(diffs), factor, diffs)
+    return PicardSolution(RadialField(u.grid, op.from_modal(out_modal)), len(diffs), diffs)

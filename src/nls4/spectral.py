@@ -312,12 +312,6 @@ def _laplacian_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     return -_apply_tridiag(grid.lap_diag, grid.lap_off, y) / grid.metric_sqrt
 
 
-def bilaplacian_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    y = grid.metric_sqrt * values
-    by = apply_tridiag(grid.lap_diag, grid.lap_off, y)
-    return apply_tridiag(grid.lap_diag, grid.lap_off, by) / grid.metric_sqrt
-
-
 def l2_norm(u: RadialField) -> float:
     return float(np.linalg.norm(u.grid.metric_sqrt * u.values))
 
@@ -332,13 +326,6 @@ def h2_norm(u: RadialField) -> float:
     """||(1 - Delta) u||_{L^2}, the inhomogeneous H^2 norm."""
     y = u.grid.metric_sqrt * u.values
     return float(np.linalg.norm(y + apply_tridiag(u.grid.lap_diag, u.grid.lap_off, y)))
-
-
-def grad_l2_norm(u: RadialField) -> float:
-    """||grad u||_{L^2} = <-Delta u, u>^{1/2}."""
-    y = u.grid.metric_sqrt * u.values
-    by = apply_tridiag(u.grid.lap_diag, u.grid.lap_off, y)
-    return float(np.sqrt(max(np.vdot(y, by).real, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nls4 import radial, spectral
+from nls4.config import load_config
 from nls4.potentials import example_potential, zero_potential
+
+# every distinct (dimension, r_max, N) of the canonical configs, read at
+# collection, so a new config's grid is covered without an edit
+CONFIG_GRIDS = sorted({
+    (cfg.grid.dimension, cfg.grid.r_max, cfg.grid.num_points)
+    for cfg in map(load_config, sorted(
+        (Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.cfg")))
+})
 
 
 @pytest.fixture(scope="session")

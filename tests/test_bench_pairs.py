@@ -207,6 +207,27 @@ class TestClaimInRecord:
         assert "claim modal_small:peak_rss_mb: met (4/4 won" in printed
         assert "regression strang_small wall_s" in printed
 
+    def test_regressions_are_stored_and_printed_without_a_claim(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        # the change's strang_small wall_s is 0.7 -> 1.0 s, past its 25% bound;
+        # its lower peak is a gain, and the other metrics are equal
+        out = tmp_path / "BENCH_plain.json"
+        self.fake_main(monkeypatch, tmp_path, [
+            "A", "B", "--pairs", "2", "--workloads", "modal_small,strang_small",
+            "--out", str(out)])
+        record = json.loads(out.read_text())
+        assert "claim" not in record
+        assert record["regressions"] == [{
+            "workload": "strang_small", "metric": "wall_s", "parent_median": 0.7,
+            "change_median": 1.0, "bound": 0.25}]
+        printed = capsys.readouterr().out
+        assert "regression strang_small wall_s: 0.7 -> 1, beyond the bound 0.25" in printed
+        out = tmp_path / "BENCH_clean.json"
+        self.fake_main(monkeypatch, tmp_path, [
+            "A", "B", "--pairs", "2", "--workloads", "modal_small", "--out", str(out)])
+        assert json.loads(out.read_text())["regressions"] == []
+        assert "no metric is worse than its bound" in capsys.readouterr().out
+
     @pytest.mark.parametrize("claim, message", [
         ("eig_large:peak_rss_mb", "WORKLOAD:METRIC"), ("modal_small", "WORKLOAD:METRIC"),
         ("modal_small:rss", "not an end-to-end metric")])

@@ -1,16 +1,20 @@
 """Grid construction, quadrature exactness, and the Lebesgue-type norms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nls4 import analysis, solver
+from nls4.experiments import _stock_pairs
 from nls4.radial import (
     GridError,
     RadialField,
     SpaceTimeSample,
+    _blocks,
     localized_mass,
     lp_norm,
     lp_norm_values,
@@ -20,7 +24,7 @@ from nls4.radial import (
     zero_field,
 )
 
-from conftest import random_smooth_field
+from conftest import CONFIG_GRIDS, random_smooth_field
 
 OMEGA_4 = 8.0 * math.pi**2 / 3.0  # area of S^4
 
@@ -279,3 +283,123 @@ class TestRadialField:
         v = random_smooth_field(grid, rng)
         w = u + v - 0.5 * u
         assert np.allclose(w.values, 0.5 * u.values + v.values)
+
+
+# How each blocked stage cut its rows before radial._blocks, one copy per
+# stage, with the stage's own budget.  _blocks must give the same row ranges.
+
+def parent_row_blocks(num_rows, num_points):
+    """analysis._row_blocks: _lr_norms, ModalForcing.values_at, duhamel_solution."""
+    step = max(1, analysis._BLOCK_BYTES // (16 * num_points))
+    return (slice(start, start + step) for start in range(0, num_rows, step))
+
+
+def parent_panel_blocks(num_panels, order, n):
+    """solver._panel_blocks: duhamel_window's sweep."""
+    per_block = max(1, solver._PANEL_BLOCK_BYTES // (16 * n * order))
+    return [slice(a, min(a + per_block, num_panels)) for a in range(0, num_panels, per_block)]
+
+
+def parent_cumulative_blocks(g):
+    """GaussPanels.cumulative's own loop over g's panels."""
+    k = g.shape[0]
+    per_block = max(1, solver._PANEL_BLOCK_BYTES // max(1, g[0].nbytes))
+    return [slice(start, start + min(per_block, k - start)) for start in range(0, k, per_block)]
+
+
+def parent_exact_chunks(num_monitors, num_points):
+    """run_trajectory's exact path: chunks of the monitor steps."""
+    per_chunk = max(1, solver._EXACT_CHUNK_BYTES // (16 * num_points))
+    return [slice(a, a + per_chunk) for a in range(0, num_monitors, per_chunk)]
+
+
+def parent_propagator_rows(n):
+    """step_propagator's row blocks."""
+    rows = solver._PROPAGATOR_ROWS
+    return [slice(start, start + min(rows, n - start)) for start in range(0, n, rows)]
+
+
+def as_ranges(count, slices):
+    return [range(count)[s] for s in slices]
+
+
+CONFIG_POINTS = sorted({num_points for _, _, num_points in CONFIG_GRIDS})
+# Strichartz's 129 samples, final_state's 250 panels, scattering's 3125 steps
+BLOCKED_COUNTS = (1, 4, 16, 17, 129, 250, 1000, 3125)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("count", [0, 1, 5, 16, 17, 100])
+    @pytest.mark.parametrize("item_size, budget", [(1, 1), (3, 16), (16, 64), (100, 7), (0, 8)])
+    def test_consecutive_slices_of_at_least_one_item(self, count, item_size, budget):
+        blocks = _blocks(count, item_size, budget)
+        assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+        assert all(b.stop > b.start for b in blocks)
+        step = max(1, budget // max(1, item_size))
+        assert all(b.stop - b.start == step for b in blocks[:-1])
+        assert all(b.stop - b.start <= blocks[0].stop for b in blocks)
+
+    @pytest.mark.parametrize("num_points", CONFIG_POINTS)
+    def test_every_stage_keeps_the_parents_slices_at_config_grids(self, num_points):
+        n, order = num_points, solver.PICARD_ORDER
+        for count in BLOCKED_COUNTS:
+            assert (as_ranges(count, _blocks(count, 16 * n, analysis._BLOCK_BYTES))
+                    == as_ranges(count, parent_row_blocks(count, n)))
+            panels = _blocks(count, 16 * order * n, solver._PANEL_BLOCK_BYTES)
+            assert as_ranges(count, panels) == as_ranges(count, parent_panel_blocks(count, order, n))
+            for g in (np.empty((count, order, n), complex), np.empty((count, order))):
+                assert (as_ranges(count, _blocks(count, g[0].nbytes, solver._PANEL_BLOCK_BYTES))
+                        == as_ranges(count, parent_cumulative_blocks(g)))
+            assert (as_ranges(count, _blocks(count, 16 * n, solver._EXACT_CHUNK_BYTES))
+                    == as_ranges(count, parent_exact_chunks(count, n)))
+        assert (as_ranges(n, _blocks(n, 1, solver._PROPAGATOR_ROWS))
+                == as_ranges(n, parent_propagator_rows(n)))
+
+    def test_the_partitions_the_stages_run_today(self):
+        def sizes(blocks):
+            return [b.stop - b.start for b in blocks]
+
+        # Strichartz's 129 x 256 stages, final_state's 250-panel window at
+        # N = 256, the exact path at N = 512 and the propagator at N = 192
+        assert sizes(_blocks(129, 16 * 256, analysis._BLOCK_BYTES)) == [16] * 8 + [1]
+        assert sizes(_blocks(250, 16 * 8 * 256, solver._PANEL_BLOCK_BYTES)) == [16] * 15 + [10]
+        assert sizes(_blocks(100, 16 * 512, solver._EXACT_CHUNK_BYTES)) == [16] * 6 + [4]
+        assert sizes(_blocks(192, 1, solver._PROPAGATOR_ROWS)) == [64] * 3
+
+    def test_every_blocked_stage_cuts_its_rows_here(self, monkeypatch, small_op_full,
+                                                    small_op_free):
+        # each stage calls _blocks with the item size and budget the test
+        # above checks, and no stage cuts rows another way
+        n = small_op_full.grid.num_points
+        calls = []
+
+        def spy(count, item_size, budget):
+            calls.append((sys._getframe(1).f_code.co_name, item_size, budget))
+            return _blocks(count, item_size, budget)
+
+        for module in (analysis, solver):
+            monkeypatch.setattr(module, "_blocks", spy)
+        rng = np.random.default_rng(3)
+        u0 = random_smooth_field(small_op_full.grid, rng)
+        forcing = analysis.ModalForcing(
+            np.array([1.5]), [random_smooth_field(small_op_full.grid, rng, width=2.0)])
+        analysis.strichartz_quotient(small_op_full, small_op_free, u0, forcing, _stock_pairs(5))
+        cfg = solver.SimulationConfig(lam=0.0, p=9.0, dt=1e-2, t_end=0.5, monitor_stride=1,
+                                      boundary_threshold=1.0)
+        solver.run_trajectory(u0, small_op_full, cfg)
+        solver.step_propagator(small_op_full, 1e-2)
+        solver.duhamel_window(0.1 * u0, small_op_full, cfg, 0.0, 0.1)
+        panels = solver.GaussPanels(0.0, 1.0, 40)
+        panels.cumulative(np.ones((40, solver.PICARD_ORDER, n), complex))
+        panel_bytes = 16 * solver.PICARD_ORDER * n
+        assert sorted(set(calls)) == sorted({
+            ("_lr_norms", 16 * n, analysis._BLOCK_BYTES),
+            ("values_at", 16 * n, analysis._BLOCK_BYTES),
+            ("duhamel_solution", 16 * n, analysis._BLOCK_BYTES),
+            ("run_trajectory", 16 * n, solver._EXACT_CHUNK_BYTES),
+            ("step_propagator", 1, solver._PROPAGATOR_ROWS),
+            ("duhamel_window", panel_bytes, solver._PANEL_BLOCK_BYTES),
+            ("cumulative", panel_bytes, solver._PANEL_BLOCK_BYTES),
+        })
+        # the sweep hands cumulative its blocks: one cut per window
+        assert [name for name, *_ in calls].count("cumulative") == 1

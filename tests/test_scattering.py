@@ -185,7 +185,7 @@ class TestFinalState:
                                picard_max_iter=60)
         full = duhamel_window(u_plus, op_full, cfg, 1.5, 2.0, backward=True)
         small = duhamel_window(0.1 * u_plus, op_full, cfg, 1.5, 2.0, backward=True)
-        assert small.contraction_factor <= full.contraction_factor
+        assert small.diffs[-1] / small.diffs[-2] <= full.diffs[-1] / full.diffs[-2]
 
     def test_window_validation(self, op_full, grid, rng):
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=2.0)

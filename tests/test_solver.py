@@ -20,7 +20,7 @@ from nls4 import solver
 from nls4.config import load_config
 from nls4.experiments import run_experiment
 from nls4.potentials import example_potential
-from nls4.radial import RadialField, boundary_mass, make_grid, zero_field
+from nls4.radial import RadialField, _blocks, boundary_mass, make_grid, zero_field
 from nls4.solver import (
     PICARD_ORDER,
     GaussPanels,
@@ -45,6 +45,11 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 OMEGA_4 = 8.0 * math.pi**2 / 3.0
 # (1/2) omega_4 int (4r^2 - 10)^2 exp(-2 r^2) r^4 dr = 35 sqrt(2) pi^{5/2} / 16
 GAUSSIAN_HDOT2_ENERGY = 54.11750192448501
+
+
+def panel_blocks(num_panels, n):
+    """A Picard sweep's blocks of whole panels, as duhamel_window cuts them."""
+    return _blocks(num_panels, 16 * n * PICARD_ORDER, solver._PANEL_BLOCK_BYTES)
 
 
 def small_gaussian(op, amp=0.8, width=3.0, xi_cut=1.4):
@@ -480,7 +485,7 @@ class TestHeldTables:
     @pytest.mark.parametrize("n", [96, 192, 256, 512, 1000, 2560])
     @pytest.mark.parametrize("num_panels", [1, 2, 3, 17, 33, 250, 257, 1000])
     def test_blocks_are_whole_panels_past_the_small_gemm_bound(self, n, num_panels):
-        blocks = solver._panel_blocks(num_panels, PICARD_ORDER, n)
+        blocks = panel_blocks(num_panels, n)
         assert blocks[0].start == 0 and blocks[-1].stop == num_panels
         for before, after in zip(blocks, blocks[1:]):
             assert before.stop == after.start
@@ -495,7 +500,7 @@ class TestHeldTables:
         assert (per_block + 1) * panel_bytes > solver._PANEL_BLOCK_BYTES
 
     def test_final_state_window_runs_in_sixteen_blocks(self):
-        blocks = solver._panel_blocks(250, PICARD_ORDER, 256)
+        blocks = panel_blocks(250, 256)
         assert [b.stop - b.start for b in blocks] == [16] * 15 + [10]
 
     def test_same_window_bits_at_one_and_two_blas_threads(self):
@@ -560,8 +565,8 @@ class TestBufferedSweeps:
     @pytest.mark.parametrize("dtype", [complex, float])
     def test_cumulative_equals_the_complex_einsum(self, num_panels, trailing, dtype):
         # 33 and 250 panels of (8, 256) complex rows leave a one- and a
-        # 26-panel last block.  The within-panel block goes into work when it
-        # fits, else into fresh memory
+        # 26-panel last block.  The within-panel block goes into work, or
+        # into fresh memory when no work is given; a work too small raises
         panels = GaussPanels(0.3, 1.1, num_panels)
         rng = np.random.default_rng(num_panels + len(trailing))
         shape = (num_panels, PICARD_ORDER, *trailing)
@@ -573,7 +578,7 @@ class TestBufferedSweeps:
         block_size = min(num_panels, per_block) * g[0].size
         fits, too_small = np.empty(block_size, g.dtype), np.empty(block_size - 1, g.dtype)
         for out_kind in ("new", "given", "g itself"):
-            for work in (None, fits, too_small):
+            for work in (None, fits):
                 src = g.copy() if out_kind == "g itself" else g
                 out = {"new": None, "given": np.empty_like(g), "g itself": src}[out_kind]
                 cum, total = panels.cumulative(src, out=out, work=work)
@@ -582,8 +587,10 @@ class TestBufferedSweeps:
                 assert total.tobytes() == ref_total.tobytes()
                 if out is not None:
                     assert cum is out
+        with pytest.raises(TypeError, match="too small"):
+            panels.cumulative(g, work=too_small)
         # beside out, a call allocates one block's rows of panel sums plus
-        # the carried total, and a block only when work is too small; the
+        # the carried total, and a block only when no work is given; the
         # slack is numpy's ufunc iterator buffer of getbufsize() elements
         slack = 16 * np.getbufsize() + (1 << 14)
         if fits.nbytes <= slack:
@@ -593,7 +600,7 @@ class TestBufferedSweeps:
         peaks = []
         tracemalloc.start()
         try:
-            for work in (fits, too_small):
+            for work in (fits, None):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
                 panels.cumulative(g, out=out, work=work)
@@ -633,6 +640,31 @@ class TestBufferedSweeps:
         peaks = [self.summed_in_place_peak(k) for k in (250, 1000)]
         assert abs(peaks[0] - peaks[1]) < 1 << 13
 
+    def test_cumulative_in_a_sweep_allocates_no_block(self, monkeypatch, op_full):
+        # in final_state's window the sweep hands cumulative its buffer and
+        # the blocks it sized that buffer from, so beside out a call traces
+        # one block's 17 rows of panel sums and the total (4 KiB each), not
+        # the 512 KiB within-panel block; the slack is numpy's iterator buffer
+        original, peaks = GaussPanels.cumulative, []
+
+        def traced(self, g, out=None, work=None, blocks=None):
+            assert work is not None and blocks is not None
+            tracemalloc.start()
+            try:
+                result = original(self, g, out=out, work=work, blocks=blocks)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return result
+
+        monkeypatch.setattr(GaussPanels, "cumulative", traced)
+        u, cfg, t0, t1 = final_state_window(op_full)
+        sol = duhamel_window(u, op_full, cfg, t0, t1, backward=True)
+        block_bytes = 16 * PICARD_ORDER * 256 * 16
+        sums_bytes = 18 * 256 * 16
+        assert len(peaks) == sol.iterations
+        assert max(peaks) < sums_bytes + 16 * np.getbufsize() + (1 << 14) < block_bytes
+
     def test_sweep_transforms_run_in_caller_buffers(self, monkeypatch, op_full):
         # every transform of a sweep runs in caller buffers
         calls = []
@@ -647,7 +679,7 @@ class TestBufferedSweeps:
             monkeypatch.setattr(type(op_full), name, spy)
         u, cfg, t0, t1 = final_state_window(op_full)
         sol = duhamel_window(u, op_full, cfg, t0, t1, backward=True)
-        blocks = solver._panel_blocks(250, PICARD_ORDER, op_full.grid.num_points)
+        blocks = panel_blocks(250, op_full.grid.num_points)
         assert len(calls) == 2 * sol.iterations * len(blocks)
         assert all(buffered for _, buffered in calls)
 
@@ -917,7 +949,7 @@ class TestPicard:
         factors = []
         for t_final in (0.1, 0.4, 1.0):
             sol = duhamel_window(u0, op_full, cfg, 0.0, t_final)
-            factors.append(sol.contraction_factor)
+            factors.append(sol.diffs[-1] / sol.diffs[-2])
         assert factors[0] < factors[-1]
 
     def test_non_contraction_raises_with_factor(self, op_full):

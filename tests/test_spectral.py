@@ -25,10 +25,31 @@ from nls4.spectral import (
     laplacian_values,
 )
 
-from conftest import random_smooth_field
+from conftest import CONFIG_GRIDS, random_smooth_field
 
 # a wide grid whose lowest eigenvalues sit far below eps * rho(Delta^2)
 WIDE_GRID = (5, 2000.0, 512)
+
+# C_k of the low-mode law, k = 1..8: the largest relative error of -Delta's
+# k-th eigenvalue over (j_k / (N + 1))^2 on the config grids (3.021, 1.030,
+# 0.531, 0.335, 0.240, 0.188, 0.156, 0.136, all at N = 192), rounded up
+LOW_MODE_CONSTANTS = (3.1, 1.1, 0.54, 0.34, 0.25, 0.19, 0.16, 0.14)
+
+
+# stencil references that the modal calculus is checked against
+
+def bilaplacian_values(grid, values: np.ndarray) -> np.ndarray:
+    """Delta^2 u on the grid: the -Delta stencil applied twice, in metric coordinates."""
+    y = grid.metric_sqrt * values
+    by = apply_tridiag(grid.lap_diag, grid.lap_off, y)
+    return apply_tridiag(grid.lap_diag, grid.lap_off, by) / grid.metric_sqrt
+
+
+def grad_l2_norm(u: RadialField) -> float:
+    """||grad u||_{L^2} = <-Delta u, u>^{1/2}."""
+    y = u.grid.metric_sqrt * u.values
+    by = apply_tridiag(u.grid.lap_diag, u.grid.lap_off, y)
+    return float(np.sqrt(max(np.vdot(y, by).real, 0.0)))
 
 
 class TestBuildOperator:
@@ -100,8 +121,26 @@ class TestBuildOperator:
     def test_reconstruction_matches_stencil(self, grid, op_free, rng):
         u = random_smooth_field(grid, rng)
         via_modes = apply_function(op_free, "power_s", 4.0, u)
-        direct = spectral.bilaplacian_values(grid, u.values)
+        direct = bilaplacian_values(grid, u.values)
         assert np.linalg.norm(via_modes.values - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
+@pytest.mark.parametrize("dimension, r_max, num_points", CONFIG_GRIDS)
+def test_low_mode_law_at_config_grid(dimension, r_max, num_points):
+    # B = -Delta's lowest eigenvalues against the Dirichlet values (j_k / r_max)^2,
+    # j_k the zeros of J_{3/2} (the transformed index at n = 5), the roots of
+    # tan x = x, taken as sin x - x cos x = 0 in (k pi, (k + 1/2) pi)
+    assert dimension == 5, "j_k below are the zeros of J_{3/2}, the index at n = 5"
+    grid = make_grid(dimension, r_max, num_points)
+    count = len(LOW_MODE_CONSTANTS)
+    lam = eigh_tridiagonal(grid.lap_diag, grid.lap_off, eigvals_only=True)[:count]
+    zeros = np.array([brentq(lambda x: np.sin(x) - x * np.cos(x), k * np.pi, (k + 0.5) * np.pi)
+                      for k in range(1, count + 1)])
+    dirichlet = (zeros / r_max) ** 2
+    assert np.all(lam < dirichlet)
+    # O(h^2) per mode, with h j_k / r_max = j_k / (N + 1)
+    bound = np.array(LOW_MODE_CONSTANTS) * (zeros / (num_points + 1)) ** 2
+    assert np.all((dirichlet - lam) / dirichlet <= bound)
 
 
 class TestFunctionalCalculus:
@@ -583,7 +622,7 @@ class TestFractionalGradient:
     def test_s_four_matches_stencil(self, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
         out = fractional_gradient_values(op_free, 4.0, u.values)
-        direct = spectral.bilaplacian_values(grid, u.values)
+        direct = bilaplacian_values(grid, u.values)
         assert np.linalg.norm(out - direct) <= 1e-8 * np.linalg.norm(direct)
 
     def test_eigenvector_scaling(self, op_free):
@@ -604,7 +643,7 @@ class TestFractionalGradient:
         # || |grad| u ||_2 via calculus equals <-Delta u, u>^{1/2} via stencil
         u = random_smooth_field(grid, rng)
         via_calc = l2_norm(RadialField(grid, fractional_gradient_values(op_free, 1.0, u.values)))
-        assert spectral.grad_l2_norm(u) == pytest.approx(via_calc, rel=1e-8)
+        assert grad_l2_norm(u) == pytest.approx(via_calc, rel=1e-8)
 
 
 class TestNorms:
