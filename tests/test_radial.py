@@ -359,10 +359,9 @@ class TestBlocks:
         def sizes(blocks):
             return [b.stop - b.start for b in blocks]
 
-        # Strichartz's 129 x 256 stages, final_state's 250-panel window at
-        # N = 256, the exact path at N = 512 and the propagator at N = 192
+        # Strichartz's 129 x 256 stages, the exact path at N = 512 and the
+        # propagator at N = 192 (test_solver pins final_state's panel blocks)
         assert sizes(_blocks(129, 16 * 256, analysis._BLOCK_BYTES)) == [16] * 8 + [1]
-        assert sizes(_blocks(250, 16 * 8 * 256, solver._PANEL_BLOCK_BYTES)) == [16] * 15 + [10]
         assert sizes(_blocks(100, 16 * 512, solver._EXACT_CHUNK_BYTES)) == [16] * 6 + [4]
         assert sizes(_blocks(192, 1, solver._PROPAGATOR_ROWS)) == [64] * 3
 
