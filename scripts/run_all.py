@@ -18,9 +18,10 @@ and a config that peaks lower reads the same value as the one before.
 The line before the last names the BLAS libraries and where each runs at
 what thread count (the reports' blas_pools provenance).  The last line
 digests all body digests and all file digests in run order, so two runs of
-the same configs compare on one line.  Give each run its own output
-directory, as stale files count.  The heaviest configs are scattering,
-decay and wave_operator, in that order.
+the same configs compare on one line.  Stale files would count, so the
+script refuses, before the first config runs, an output directory where
+any config's directory already holds files.  The heaviest configs are
+scattering, decay and wave_operator, in that order.
 """
 
 import argparse
@@ -73,6 +74,12 @@ def main() -> int:
     args = parser.parse_args()
 
     kinds = args.only.split(",") if args.only else ORDER
+    for kind in kinds:
+        out_dir = Path(args.output_dir) / kind
+        if out_dir.is_dir() and any(path.is_file() for path in out_dir.iterdir()):
+            print(f"error: {out_dir} already holds files; give the run a new output directory",
+                  file=sys.stderr)
+            return 2
     worst = 0
     bodies, outputs = hashlib.sha256(), hashlib.sha256()
     for kind in kinds:

@@ -383,14 +383,13 @@ def _central_rates(masses: np.ndarray, times: np.ndarray) -> np.ndarray:
 
 
 def localized_mass_rate_check(
-    sample: SpaceTimeSample, radii, chi=smooth_cutoff, h2dot: np.ndarray | None = None
+    sample: SpaceTimeSample, radii, h2dot: np.ndarray
 ) -> list[LocalizedMassRateReport]:
     """Central-difference d/dt of the localized mass against its dispersive bound, per radius.
 
-    ||Delta u||^2 of each row is read from h2dot, as run_trajectory's
-    h2dot_series holds it, or computed once per row when h2dot is not given;
-    chi(r/R)^4 is formed once per radius, and each (row, R) then costs the
-    one weighted sum radial.localized_mass takes.
+    h2dot holds ||Delta u||^2 of each row, as run_trajectory's h2dot_series
+    holds it.  chi(r/R)^4 is formed once per radius, and each (row, R) then
+    costs the one weighted sum radial.localized_mass takes.
     The stride-halving check reads every second mass.  Raises ResolutionError
     when halving the snapshot stride changes the measured peak rate by more
     than 50%, unless both peaks sit below the roundoff floor 1e-12 M / dt,
@@ -405,19 +404,14 @@ def localized_mass_rate_check(
 
     grid = sample.grid
     times = sample.times
-    profiles = [chi(grid.nodes / radius) ** 4 for radius in radii]
-    # one pass over the rows: no (S, N) temporaries, and a row-wise
-    # np.linalg.norm would differ from hdot2_norm in the last bits
+    energies = np.asarray(h2dot, dtype=float)
+    profiles = [smooth_cutoff(grid.nodes / radius) ** 4 for radius in radii]
+    # one pass over the rows: no (S, N) temporaries
     masses = np.empty((len(radii), times.size))
-    energies = np.empty(times.size)
     for k, row in enumerate(sample.values):
         weighted = grid.metric * np.abs(row) ** 2
         for j, profile in enumerate(profiles):
             masses[j, k] = np.sum(weighted * profile)
-        if h2dot is None:
-            energies[k] = hdot2_norm(RadialField(grid, row)) ** 2
-    if h2dot is not None:
-        energies[:] = h2dot
 
     total = mass(RadialField(grid, sample.values[0]))
     dt = float(np.min(np.diff(times)))
@@ -462,13 +456,13 @@ def morawetz_check(
     sample: SpaceTimeSample,
     k_values,
     cfg: SimulationConfig,
-    h2dot: np.ndarray | None = None,
+    h2dot: np.ndarray,
 ) -> list[MorawetzReport]:
     """Weighted space-time nonlinearity inside |x| <= K |I|^{1/4} vs its bound, per K.
 
     sup_I (E + E^{2#/2}) does not depend on K, so it is computed once, from
     h2dot, ||Delta u||^2 of each row as run_trajectory's h2dot_series holds
-    it, or from the rows when h2dot is not given.
+    it.
     """
     grid = sample.grid
     n = grid.dimension
@@ -479,8 +473,6 @@ def morawetz_check(
         )
     two_sharp = p_crit + 1.0
     length = sample.length
-    if h2dot is None:
-        h2dot = [hdot2_norm(RadialField(grid, row)) ** 2 for row in sample.values]
     sup_e_hat = 0.0
     for e in map(float, h2dot):
         sup_e_hat = max(sup_e_hat, e + e ** (two_sharp / 2.0))

@@ -25,6 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .potentials import DEFAULT_DELTA_N, PotentialSpec
+from .radial import GridError, _check_grid
 from .solver import SimulationConfig, critical_exponent
 
 
@@ -42,18 +43,28 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+    """A non-empty list of floats separated by commas or semicolons."""
+    values = tuple(float(tok) for tok in text.replace(";", ",").split(",") if tok.strip())
+    if not values:
+        raise ValueError("needs at least one value")
+    return values
 
 
 def _parse_pairs(text: str) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Exponent pairs like '18:90/41; 12:30/13' as exact fractions."""
+    """Exponent pairs like '18:90/41; 12:30/13' as exact positive fractions."""
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         left, _, right = chunk.partition(":")
-        pairs.append((Fraction(left.strip()), Fraction(right.strip())))
+        try:
+            pair = (Fraction(left.strip()), Fraction(right.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {chunk!r}") from None
+        if min(pair) <= 0:
+            raise ValueError(f"exponents must be positive, got {chunk!r}")
+        pairs.append(pair)
     return tuple(pairs)
 
 
@@ -292,6 +303,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     grid_raw = _typed_section(_section_dict(parser, "grid"), _GRID_KEYS, "grid")
     grid = GridParams(**grid_raw)
+    try:
+        _check_grid(grid.dimension, grid.r_max, grid.num_points)
+    except GridError as exc:
+        raise ConfigError(str(exc)) from exc
 
     pot_raw = _typed_section(_section_dict(parser, "potential"), _POTENTIAL_KEYS, "potential")
     family = pot_raw.get("family", "zero")

@@ -75,7 +75,7 @@ class RunContext:
                 free.eigenvectors.flags.writeable = False
                 self._ops[key] = spectral.SpectralOperator(
                     kind="full", grid=self.grid, eigenvalues=free.eigenvalues,
-                    eigenvectors=free.eigenvectors, potential=spec, potential_values=v_values,
+                    eigenvectors=free.eigenvectors, potential_values=v_values,
                 )
         return self._ops[key]
 

@@ -121,14 +121,19 @@ class RadialGrid:
         )
 
 
+def _check_grid(n: int, r_max: float, num_points: int) -> None:
+    """GridError naming the [grid] key unless n, r_max and N meet the standing hypotheses."""
+    if n < MIN_DIMENSION:
+        raise GridError(f"grid.dimension must be >= {MIN_DIMENSION}, got {n}")
+    if not r_max > 0:
+        raise GridError(f"grid.r_max must be positive, got {r_max}")
+    if num_points < MIN_POINTS:
+        raise GridError(f"grid.num_points must be >= {MIN_POINTS}, got {num_points}")
+
+
 def make_grid(n: int, r_max: float, num_points: int) -> RadialGrid:
     """Build a RadialGrid, enforcing the standing hypotheses on n, N, r_max."""
-    if n < MIN_DIMENSION:
-        raise GridError(f"dimension n={n} is below the supported minimum {MIN_DIMENSION}")
-    if r_max <= 0:
-        raise GridError(f"r_max must be positive, got {r_max}")
-    if num_points < MIN_POINTS:
-        raise GridError(f"num_points must be >= {MIN_POINTS}, got {num_points}")
+    _check_grid(n, r_max, num_points)
 
     h = r_max / (num_points + 1)
     nodes = h * np.arange(1, num_points + 1, dtype=float)
@@ -250,9 +255,9 @@ def _blocks(count: int, item_size: int, budget: int) -> list[slice]:
     fit in `budget` (one unit for both) and at least one; the first is the longest.
 
     Every blocked stage cuts its rows here, with a budget named beside its
-    measured reason: analysis's row blocks, the Picard sweep's and
-    GaussPanels.cumulative's panel blocks, the exact linear path's chunks and
-    the step propagator's rows.  Private, so a profiler that wraps the
+    measured reason: analysis's row blocks, the Picard sweep's panel blocks
+    (which GaussPanels.cumulative takes from it), the exact linear path's
+    chunks and the step propagator's rows.  Private, so a profiler that wraps the
     public names sees no call of it.
     """
     step = max(1, budget // max(1, item_size))

@@ -93,8 +93,9 @@ class ExperimentReport:
 
     @property
     def worst_verdict(self) -> str:
+        """fail if any check failed or none was attempted (all skipped, or none), else pass."""
         verdicts = {c.verdict for c in self.checks}
-        if "fail" in verdicts:
+        if "fail" in verdicts or verdicts <= {"skipped"}:
             return "fail"
         return "pass"
 

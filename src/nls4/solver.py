@@ -410,7 +410,6 @@ class GaussPanels:
     """
 
     def __init__(self, t0: float, t1: float, num_panels: int, order: int = PICARD_ORDER):
-        self.t0, self.t1 = float(t0), float(t1)
         self.num_panels = num_panels
         self.order = order
         x, w = np.polynomial.legendre.leggauss(order)
@@ -427,17 +426,16 @@ class GaussPanels:
             q[:, l] = (pvals[:, l + 1] - pvals[:, l - 1]) / (2 * l + 1)
         self.partial = q @ coeff                                # (m, m)
 
-    def cumulative(self, g: np.ndarray, out=None, work=None, blocks=None) -> tuple:
+    def cumulative(self, g: np.ndarray, out: np.ndarray, work: np.ndarray, blocks) -> tuple:
         """g has shape (K, m, ...); returns (G at nodes, G at t1).
 
         A complex g is summed through its real view (K, m, 2L), where numpy's
         einsum runs its real loop: the same products and sums per part as the
         complex loop, so the same bits, in about a third of the time.  G at
-        the nodes is written into `out` when given: a C-contiguous array of
-        g's shape and dtype, which may be g itself.  The panels go by
-        `blocks`, slices of whole panels from radial._blocks: a sweep passes
-        the ones it sized its buffer from, and by default they hold
-        _PANEL_BLOCK_BYTES of g each.  A block's panel sums fill rows
+        the nodes is written into `out`: a C-contiguous array of g's shape
+        and dtype, which may be g itself.  The panels go by `blocks`, the
+        slices of whole panels from radial._blocks that duhamel_window sized
+        its sweep's buffer from.  A block's panel sums fill rows
         1..n of one array of a block's rows plus one, whose row 0 holds the
         total carried from the blocks before (0 in the first block, where
         it is left out of the sum), and np.cumsum turns those rows in place
@@ -445,27 +443,22 @@ class GaussPanels:
         panel j and row n the carry into the next block, the same sequential
         adds as one running sum over all K panels.  The block's within-panel
         integrals go into `work`, a C-contiguous caller buffer that holds the
-        longest block (TypeError when it is too small; fresh memory when work
-        is None), before its rows of `out` are written; work shares no memory
-        with g or out.  Each half-width scales its panel's rows as a scalar,
-        and the prefixes are copied into `out` before the within-panel
-        integrals are added in place, so no call broadcasts and numpy's
-        iterator allocates no buffer.  So beside g and out the call
-        allocates the block's rows plus one (and copies out the total), and
-        a block only when work is None.
+        longest block (TypeError when it is too small), before its rows of
+        `out` are written; work shares no memory with g or out.  Each
+        half-width scales its panel's rows as a scalar, and the prefixes are
+        copied into `out` before the within-panel integrals are added in
+        place, so no call broadcasts and numpy's iterator allocates no
+        buffer.  So beside g, out and work the call allocates the block's
+        rows plus one (and copies out the total).
         """
         k, m = g.shape[:2]
-        if out is None:
-            out = np.empty(g.shape, g.dtype)
-        elif not out.flags.c_contiguous:
+        if not out.flags.c_contiguous:
             raise ValueError("cumulative needs a C-contiguous out")
         g_flat = np.ascontiguousarray(g).reshape(k, m, -1)
         is_complex = np.iscomplexobj(g)
         real = g_flat.view(float) if is_complex else g_flat
-        if blocks is None:
-            blocks = _blocks(k, g[0].nbytes, _PANEL_BLOCK_BYTES)
         rows = blocks[0].stop  # the longest block
-        # np.ndarray over buffer=None is fresh memory; a work too small raises
+        # a work too small raises
         within = np.ndarray((rows, *g.shape[1:]), g.dtype, buffer=work)
         sums = np.zeros((rows + 1, *g.shape[2:]), g.dtype)
         for block in blocks:
@@ -559,8 +552,7 @@ def duhamel_window(
                                                out=buffer[:flat[0]].reshape(rows.shape))
                     np.multiply(conj_phases, f_modal, out=integrand[block])
                 # the buffer is idle here, and holds cumulative's block
-                g_cum, g_total = panels.cumulative(integrand, out=integrand, work=buffer,
-                                                   blocks=blocks)
+                g_cum, g_total = panels.cumulative(integrand, integrand, buffer, blocks)
             for block in blocks:
                 g_block = g_cum[block]
                 with np.errstate(over="ignore", invalid="ignore"):

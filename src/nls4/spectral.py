@@ -14,13 +14,14 @@ of every eigenvector (the node nearest the origin) is positive.
 Two functions f(H) -- propagators exp(itH) and fractional powers H^{s/4} --
 are evaluated exactly in the discretization by scaling modal coefficients.
 |grad|^s is realized as (Delta^2)^{s/4} through the free operator's
-calculus.  The modal transform pair takes batches: every row of an array of
-shape (..., N) goes through one real GEMM, complex rows as their real parts
-stacked above their imaginary parts, so the eigenvector matrix is read once.
+calculus.  The modal transform pair takes batches and works on complex
+rows only: every row of an array of shape (..., N) goes through one real
+GEMM as its real part stacked above its imaginary part (zeros for a real
+row, which comes back complex), so the eigenvector matrix is read once.
 The batch is padded with zero rows past OpenBLAS's small-matrix bound, so a
 row's bits do not depend on how many rows share the call.  The pair applies
 the metric weight in its copies: to_modal scales the parts as it stacks
-them, and from_modal scales complex products by the reciprocal weight as it
+them, and from_modal scales the products by the reciprocal weight as it
 unstacks them, the bits of a complex product with, or quotient by, a real
 array, with no full-size pass of its own.  The pair also works in caller
 buffers (the Picard sweep's), so a batch transform need allocate nothing of
@@ -115,46 +116,42 @@ def _rows_times(
 ) -> np.ndarray:
     """rows @ q for real q through one real GEMM, each row's bits whatever the batch.
 
-    The rows (complex ones as their real parts above their imaginary parts)
-    are copied into one contiguous real array, padded with zero rows past
+    The rows' real parts above their imaginary parts (zeros for real rows,
+    which so give the complex result of the same rows as complex) are
+    copied into one contiguous real array, padded with zero rows past
     _SMALL_GEMM_WORK and past one row, so the product always takes the
     regular GEMM kernel, which sums each element in the same order for any
-    row count.  The copy is freed before the result is allocated.
+    row count.  The copy is freed before the complex result is allocated.
 
     scale_in, a real (N,) weight, multiplies each part in the stacking copy;
-    scale_out (complex rows only) multiplies each part of the product in the
-    unstacking copy.  For finite values both are bit for bit numpy's complex
-    product with, and quotient by, a real array (numpy divides a complex by
-    a real as its product with the reciprocal), without their full-size pass.
+    scale_out multiplies each part of the product in the unstacking copy.
+    For finite values both are bit for bit numpy's complex product with,
+    and quotient by, a real array (numpy divides a complex by a real as its
+    product with the reciprocal), without their full-size pass.
 
-    With caller buffers (complex rows, q square; out and work each
-    C-contiguous with room for a complex array of rows' shape) nothing of
-    the rows' size is allocated: the parts are stacked in out, the GEMM
-    writes its product into work, and the result is a complex array over
-    out's memory.  work may hold the rows themselves, which are read in full
-    before the GEMM writes.  Buffers too small for the padding are passed
-    over for fresh memory of at most _SMALL_GEMM_WORK / N doubles each.
+    With caller buffers (q square; out and work each C-contiguous with room
+    for a complex array of rows' shape) nothing of the rows' size is
+    allocated: the parts are stacked in out, the GEMM writes its product
+    into work, and the result is a complex array over out's memory.  work
+    may hold the rows themselves, which are read in full before the GEMM
+    writes.  Buffers too small for the padding are passed over for fresh
+    memory of at most _SMALL_GEMM_WORK / N doubles each.
     """
-    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
-    if out is not None and len(parts) == 1:
-        raise SpectralError("caller buffers take complex rows")
     m, n = math.prod(rows.shape[:-1]), q.shape[0]
-    gemm_rows = _gemm_rows(len(parts) * m, n)
+    gemm_rows = _gemm_rows(2 * m, n)
     fits = out is not None and min(out.nbytes, work.nbytes) >= 8 * gemm_rows * n
     # np.ndarray over buffer=None is fresh memory: the allocating call
     stacked = np.ndarray((gemm_rows, n), buffer=out if fits else None)
-    for k, part in enumerate(parts):
+    for k, part in enumerate((rows.real, rows.imag)):
         dest = stacked[k * m:(k + 1) * m].reshape(rows.shape)
         if scale_in is None:
             dest[...] = part
         else:
             np.multiply(part, scale_in, out=dest)
-    stacked[len(parts) * m:] = 0.0
+    stacked[2 * m:] = 0.0
     prod = np.matmul(stacked, q, out=np.ndarray((gemm_rows, n), buffer=work) if fits else None)
     del stacked
     shape = (*rows.shape[:-1], q.shape[1])
-    if len(parts) == 1:
-        return prod[:m].reshape(shape)
     result = np.ndarray(shape, complex, buffer=out)
     for k, part in enumerate((result.real, result.imag)):
         block = prod[k * m:(k + 1) * m].reshape(shape)
@@ -349,7 +346,6 @@ class SpectralOperator:
     grid: RadialGrid
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # (N, N), columns
-    potential: PotentialSpec | None
     potential_values: np.ndarray = field(repr=False, default=None)
     # (key, table) of the one table this operator holds, see held()
     _held: tuple | None = field(default=None, init=False, repr=False)
@@ -369,18 +365,13 @@ class SpectralOperator:
     def from_modal(self, coeffs: np.ndarray, out=None, work=None) -> np.ndarray:
         """Grid values of each row of `coeffs`, shape (..., N).
 
-        Complex rows take the inverse metric weight in _rows_times'
-        unstacking copy; real rows are divided by it in place.  out and work
-        are optional caller buffers, as for to_modal; coeffs must not share
-        memory with out, but may be work itself, as it is read in full
-        before work is written.
+        The inverse metric weight is applied in _rows_times' unstacking
+        copy.  out and work are optional caller buffers, as for to_modal;
+        coeffs must not share memory with out, but may be work itself, as it
+        is read in full before work is written.
         """
-        q = self.eigenvectors.T
-        if np.iscomplexobj(coeffs):
-            return _rows_times(coeffs, q, out, work, scale_out=1.0 / self.grid.metric_sqrt)
-        values = _rows_times(coeffs, q, out, work)
-        values /= self.grid.metric_sqrt
-        return values
+        return _rows_times(coeffs, self.eigenvectors.T, out, work,
+                           scale_out=1.0 / self.grid.metric_sqrt)
 
     def held(self, build, arg):
         """build(self, arg), built once while callers keep asking for this builder and arg.
@@ -477,7 +468,6 @@ def build_operator(
         grid=grid,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
-        potential=spec,
         potential_values=v_values,
     )
 
@@ -486,7 +476,7 @@ def load_operator(*args, **kwargs):
     """Always raises: the eigendecomposition cache was removed; operators are built.
 
     The name exists only because perfbench's LoadGuard wraps it, and it goes
-    together with LoadGuard in the benchmark change of ROADMAP item 5.
+    together with LoadGuard in the benchmark change of ROADMAP item 2.
     """
     raise SpectralError(
         "the eigendecomposition cache was removed; build operators with build_operator"
@@ -570,14 +560,18 @@ def fractional_gradient_values(
 _HEADER = struct.Struct("<8sII d I 16s")  # magic, version, payload kind, r_max, N, grid digest
 
 
+def _grid_digest(grid: RadialGrid) -> bytes:
+    """The header's 16-byte digest of the grid's (dimension, N, r_max)."""
+    return hashlib.sha256(
+        f"field|n={grid.dimension}|N={grid.num_points}|rmax={grid.r_max!r}".encode()
+    ).digest()[:16]
+
+
 def save_field(path: str | Path, u: RadialField) -> None:
     """Snapshot container: header + real block + imaginary block, little-endian float64."""
     grid = u.grid
-    key = hashlib.sha256(
-        f"field|n={grid.dimension}|N={grid.num_points}|rmax={grid.r_max!r}".encode()
-    ).digest()[:16]
     header = _HEADER.pack(
-        _FIELD_MAGIC, _FORMAT_VERSION, 2, grid.r_max, grid.num_points, key
+        _FIELD_MAGIC, _FORMAT_VERSION, 2, grid.r_max, grid.num_points, _grid_digest(grid)
     )
     atomic_write_bytes(path, [
         header,
@@ -594,10 +588,10 @@ def load_field(path: str | Path, grid: RadialGrid) -> RadialField:
             raise SpectralError(
                 f"{path} is truncated: expected a {_HEADER.size}-byte header, got {len(raw)} bytes"
             )
-        magic, version, _, r_max, n, _ = _HEADER.unpack(raw)
+        magic, version, _, _, n, digest = _HEADER.unpack(raw)
         if magic != _FIELD_MAGIC or version != _FORMAT_VERSION:
             raise SpectralError(f"{path} is not a valid field snapshot")
-        if n != grid.num_points or r_max != grid.r_max:
+        if digest != _grid_digest(grid):
             raise SpectralError(f"snapshot {path} was saved on a different grid")
         expected = _HEADER.size + 8 * 2 * n
         actual = os.fstat(fh.fileno()).st_size

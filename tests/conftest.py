@@ -62,3 +62,9 @@ def random_smooth_field(grid, rng, width=3.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def row_h2dot(sample):
+    """||Delta u||^2 of each row of a SpaceTimeSample, one hdot2_norm per row."""
+    return np.array([spectral.hdot2_norm(radial.RadialField(sample.grid, row)) ** 2
+                     for row in sample.values])

@@ -41,7 +41,7 @@ from nls4.spectral import (
 )
 from nls4.states import random_low_mode_field, soft_lowpass
 
-from conftest import random_smooth_field
+from conftest import random_smooth_field, row_h2dot
 
 
 def sample_of(times, fields, interval):
@@ -628,12 +628,12 @@ class TestLocalizedMassRate:
                                snapshot_stride=1, boundary_threshold=1.0)
         rec = run_trajectory(mode, op_full, cfg)
         sample = rec.snapshots
-        rep = localized_mass_rate_check(sample, [2.0])[0]
+        rep = localized_mass_rate_check(sample, [2.0], row_h2dot(sample))[0]
         assert rep.max_abs_rate <= 1e-8 * mass(mode) / 0.05
 
     def test_saturating_radius_rate_vanishes(self, op_full):
         sample = self._moving_packet_sample(op_full)
-        rep = localized_mass_rate_check(sample, [1.2 * op_full.grid.r_max])[0]
+        rep = localized_mass_rate_check(sample, [1.2 * op_full.grid.r_max], row_h2dot(sample))[0]
         dt_snap = float(np.min(np.diff(sample.times)))
         total = mass(RadialField(sample.grid, sample.values[0]))
         assert rep.max_abs_rate <= 1e-8 * total / dt_snap
@@ -641,7 +641,7 @@ class TestLocalizedMassRate:
     def test_constant_stable_across_radius_doubling(self, op_full):
         sample = self._moving_packet_sample(op_full)
         constants = [
-            localized_mass_rate_check(sample, [radius])[0].empirical_constant
+            localized_mass_rate_check(sample, [radius], row_h2dot(sample))[0].empirical_constant
             for radius in (2.0, 4.0, 8.0)
         ]
         assert all(np.isfinite(constants))
@@ -651,10 +651,10 @@ class TestLocalizedMassRate:
     def test_many_radii_equal_one_radius_calls(self, op_full):
         sample = self._moving_packet_sample(op_full)
         radii = (2.0, 4.0, 8.0, 1.2 * op_full.grid.r_max)
-        reports = localized_mass_rate_check(sample, radii)
+        reports = localized_mass_rate_check(sample, radii, row_h2dot(sample))
         assert [rep.radius for rep in reports] == list(radii)
         for radius, rep in zip(radii, reports):
-            (single,) = localized_mass_rate_check(sample, [radius])
+            (single,) = localized_mass_rate_check(sample, [radius], row_h2dot(sample))
             assert rep.empirical_constant == single.empirical_constant
             assert rep.max_abs_rate == single.max_abs_rate
             assert np.array_equal(rep.masses, single.masses)
@@ -664,7 +664,7 @@ class TestLocalizedMassRate:
     def test_nonpositive_radius_rejected(self, op_full):
         sample = self._moving_packet_sample(op_full)
         with pytest.raises(ValueError):
-            localized_mass_rate_check(sample, [2.0, 0.0])
+            localized_mass_rate_check(sample, [2.0, 0.0], row_h2dot(sample))
 
     def test_under_resolved_beat_rejected(self, op_full):
         # two-mode beat sampled at a quarter period aliases the rate estimate
@@ -674,7 +674,7 @@ class TestLocalizedMassRate:
         fields = [apply_function(op_full, "exp_it", t, u) for t in times]
         sample = sample_of(times, fields, (times[0], times[-1]))
         with pytest.raises(ResolutionError):
-            localized_mass_rate_check(sample, [2.0])
+            localized_mass_rate_check(sample, [2.0], row_h2dot(sample))
 
     def test_roundoff_noise_on_stationary_sample_not_rejected(self, op_full):
         # the stride-halving guard must not compare two rates made of roundoff
@@ -686,7 +686,7 @@ class TestLocalizedMassRate:
             for _ in times
         ]
         sample = sample_of(times, fields, (times[0], times[-1]))
-        rep = localized_mass_rate_check(sample, [2.0])[0]
+        rep = localized_mass_rate_check(sample, [2.0], row_h2dot(sample))[0]
         assert rep.empirical_constant == 0.0
 
     def test_under_resolved_rate_above_floor_rejected(self, op_full):
@@ -699,16 +699,16 @@ class TestLocalizedMassRate:
         floor = 1e-12 * mass(u) / (times[1] - times[0])
         assert np.ptp(masses) / (times[2] - times[0]) > 1e6 * floor
         with pytest.raises(ResolutionError):
-            localized_mass_rate_check(sample, [2.0])
+            localized_mass_rate_check(sample, [2.0], row_h2dot(sample))
 
     def test_time_reversal_does_not_increase_constant(self, op_full):
         # linear flow from real data: |u| of the reversed run mirrors forward
         sample = self._moving_packet_sample(op_full)
-        fwd = localized_mass_rate_check(sample, [4.0])[0].empirical_constant
+        fwd = localized_mass_rate_check(sample, [4.0], row_h2dot(sample))[0].empirical_constant
         rev = SpaceTimeSample(
             sample.grid, sample.times, np.conj(sample.values[::-1]), sample.interval
         )
-        bwd = localized_mass_rate_check(rev, [4.0])[0].empirical_constant
+        bwd = localized_mass_rate_check(rev, [4.0], row_h2dot(rev))[0].empirical_constant
         assert bwd <= fwd * 1.001
 
 
@@ -725,7 +725,7 @@ class TestMorawetz:
         ts = np.linspace(0, 1, 8)
         sample = sample_of(ts, [zero_field(grid) for _ in ts], (0.0, 1.0))
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-3, t_end=1.0)
-        (rep,) = morawetz_check(sample, [1.0], cfg)
+        (rep,) = morawetz_check(sample, [1.0], cfg, row_h2dot(sample))
         assert rep.lhs == 0.0
 
     def test_non_critical_power_rejected(self, grid, rng):
@@ -733,35 +733,36 @@ class TestMorawetz:
         sample = sample_of(ts, [random_smooth_field(grid, rng) for _ in ts], (0, 1))
         cfg = SimulationConfig(lam=1.0, p=3.0, dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
-            morawetz_check(sample, [1.0], cfg)
+            morawetz_check(sample, [1.0], cfg, row_h2dot(sample))
 
     def test_lhs_monotone_in_k(self, op_full):
         sample = self._critical_sample(op_full)
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=1.0)
-        reports = morawetz_check(sample, [1.0, 2.0, 4.0], cfg)
+        reports = morawetz_check(sample, [1.0, 2.0, 4.0], cfg, row_h2dot(sample))
         lhs = [rep.lhs for rep in reports]
         assert np.all(np.diff(lhs) >= -1e-15)
 
     def test_linear_run_stable_under_interval_doubling(self, op_full):
         sample = self._critical_sample(op_full, lam=0.0)
         cfg = SimulationConfig(lam=0.0, p=9.0, dt=2e-3, t_end=1.0)
-        (short,) = morawetz_check(sample.restricted(0.0, 0.5), [2.0], cfg)
-        (long,) = morawetz_check(sample, [2.0], cfg)
+        short_sample = sample.restricted(0.0, 0.5)
+        (short,) = morawetz_check(short_sample, [2.0], cfg, row_h2dot(short_sample))
+        (long,) = morawetz_check(sample, [2.0], cfg, row_h2dot(sample))
         c_short, c_long = short.empirical_constant, long.empirical_constant
         assert 0.5 <= c_long / c_short <= 2.0
 
     def test_defocusing_constants_bounded_across_k(self, op_full):
         sample = self._critical_sample(op_full)
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=1.0)
-        values = [
-            rep.empirical_constant for rep in morawetz_check(sample, [1.0, 2.0, 4.0], cfg)
-        ]
+        reports = morawetz_check(sample, [1.0, 2.0, 4.0], cfg, row_h2dot(sample))
+        values = [rep.empirical_constant for rep in reports]
         assert max(values) / min(values) <= 10.0
 
     def test_k_list_equals_one_k_calls(self, op_full):
         sample = self._critical_sample(op_full)
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=2e-3, t_end=1.0)
         ks = [0.5, 1.0, 2.0, 4.0]
-        together = morawetz_check(sample, ks, cfg)
-        alone = [morawetz_check(sample, [k], cfg)[0] for k in ks]
+        h2dot = row_h2dot(sample)
+        together = morawetz_check(sample, ks, cfg, h2dot)
+        alone = [morawetz_check(sample, [k], cfg, h2dot)[0] for k in ks]
         assert together == alone

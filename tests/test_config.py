@@ -2,7 +2,7 @@
 
 import pytest
 
-from nls4.config import ConfigError, load_config
+from nls4.config import KNOB_SCHEMAS, ConfigError, _parse_floats, load_config
 
 MINIMAL = """
 [experiment]
@@ -144,3 +144,34 @@ pairs = 18:90/41; 12:30/13
     def test_parse_error_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="parse"):
             load_config(write(tmp_path, "not an ini file at all\n"))
+
+    @pytest.mark.parametrize("grid, p, key", [
+        ("dimension = 4", "critical", "grid.dimension"),
+        ("dimension = 4", "3.0", "grid.dimension"),
+        ("num_points = 8", "critical", "grid.num_points"),
+        ("r_max = 0.0", "critical", "grid.r_max"),
+        ("r_max = -1.0", "critical", "grid.r_max"),
+        ("r_max = nan", "critical", "grid.r_max"),
+    ])
+    def test_bad_grid_named_before_the_power_resolves(self, tmp_path, grid, p, key):
+        # the bounds are make_grid's, checked before p = critical divides by n - 4
+        text = f"[experiment]\nkind = conservation\n[grid]\n{grid}\n[simulation]\np = {p}\n"
+        with pytest.raises(ConfigError, match=key):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("pairs", ["18:90/0", "18/0:90/41", "18:0", "0:90/41; 18:90/41"])
+    def test_zero_exponent_pair_named(self, tmp_path, pairs):
+        text = f"[experiment]\nkind = strichartz\n[grid]\ndimension = 5\n[strichartz]\npairs = {pairs}\n"
+        with pytest.raises(ConfigError, match="strichartz.pairs"):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("kind, knob", [
+        (kind, knob) for kind, schema in KNOB_SCHEMAS.items()
+        for knob, (parse, _) in schema.items() if parse is _parse_floats
+    ])
+    @pytest.mark.parametrize("value", ["", " , ;"])
+    def test_empty_list_knob_named(self, tmp_path, kind, knob, value):
+        # an empty list would leave its checks unattempted
+        text = f"[experiment]\nkind = {kind}\n[grid]\ndimension = 5\n[{kind}]\n{knob} = {value}\n"
+        with pytest.raises(ConfigError, match=f"{kind}.{knob}"):
+            load_config(write(tmp_path, text))

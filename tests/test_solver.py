@@ -362,7 +362,7 @@ class TestHeldTables:
 
     def test_other_interval_rebuilds_and_drops_the_old(self, monkeypatch, op_full):
         built = self.counting(monkeypatch)
-        op = build_operator("full", op_full.grid, op_full.potential)
+        op = build_operator("full", op_full.grid, example_potential(5))
         u, cfg, t0, t1 = final_state_window(op)
         linear = dataclasses.replace(cfg, lam=0.0)
         duhamel_window(u, op, linear, t0, t1)
@@ -375,8 +375,8 @@ class TestHeldTables:
 
     def test_warm_table_equals_cold(self, op_full):
         u, cfg, t0, t1 = final_state_window(op_full)
-        cold_op = build_operator("full", op_full.grid, op_full.potential)
-        warm_op = build_operator("full", op_full.grid, op_full.potential)
+        cold_op = build_operator("full", op_full.grid, example_potential(5))
+        warm_op = build_operator("full", op_full.grid, example_potential(5))
         duhamel_window(u, warm_op, cfg, t0, t1, backward=True)
         for backward in (True, False):
             cold = duhamel_window(u, cold_op, cfg, t0, t1, backward=backward)
@@ -395,7 +395,7 @@ class TestHeldTables:
 
     def test_held_tables_are_read_only(self, op_full):
         # one request after the other: each replaces the operator's table
-        op = build_operator("full", op_full.grid, op_full.potential)
+        op = build_operator("full", op_full.grid, example_potential(5))
         nodes = GaussPanels(0.0, 0.1, 5).nodes
         for build, arg in ((solver.phase_table, nodes), (solver.step_propagator, 1e-2),
                            (solver.phase_table, nodes)):
@@ -406,7 +406,7 @@ class TestHeldTables:
 
     def test_table_dies_with_its_operator(self, monkeypatch, op_full):
         built = self.counting(monkeypatch)
-        op = build_operator("full", op_full.grid, op_full.potential)
+        op = build_operator("full", op_full.grid, example_potential(5))
         u, cfg, t0, t1 = final_state_window(op)
         duhamel_window(u, op, dataclasses.replace(cfg, lam=0.0), t0, t1)
         assert built[0][1]() is not None
@@ -426,7 +426,7 @@ class TestHeldTables:
             return original(op, times)
 
         monkeypatch.setattr(solver, "phase_table", build)
-        op = build_operator("full", op_full.grid, op_full.potential)
+        op = build_operator("full", op_full.grid, example_potential(5))
         u, cfg, t0, t1 = final_state_window(op)
         run = dataclasses.replace(cfg, t_end=0.02, boundary_threshold=1.0)
         run_trajectory(u, op, run)
@@ -514,7 +514,7 @@ class TestHeldTables:
         assert digests[0] == digests[1]
 
     def test_window_peak_memory_not_above_parent(self, op_full):
-        op = build_operator("full", op_full.grid, op_full.potential)
+        op = build_operator("full", op_full.grid, example_potential(5))
         u, cfg, t0, t1 = final_state_window(op)
         tracemalloc.start()
         try:
@@ -525,7 +525,7 @@ class TestHeldTables:
         assert peak <= WINDOW_PEAK_BOUND
 
     def test_warm_window_peak_memory(self, op_full):
-        op = build_operator("full", op_full.grid, op_full.potential)
+        op = build_operator("full", op_full.grid, example_potential(5))
         u, cfg, t0, t1 = final_state_window(op)
         duhamel_window(u, op, cfg, t0, t1, backward=True)  # holds the node table
         tracemalloc.start()
@@ -564,9 +564,9 @@ class TestBufferedSweeps:
     @pytest.mark.parametrize("trailing", [(), (256,), (3, 5)])
     @pytest.mark.parametrize("dtype", [complex, float])
     def test_cumulative_equals_the_complex_einsum(self, num_panels, trailing, dtype):
-        # 33 and 250 panels of (8, 256) complex rows leave a one- and a
-        # 26-panel last block.  The within-panel block goes into work, or
-        # into fresh memory when no work is given; a work too small raises
+        # the sweep's blocks at N = 256: 33 and 250 panels leave a one- and a
+        # 10-panel last block.  The within-panel block goes into work; a work
+        # too small raises
         panels = GaussPanels(0.3, 1.1, num_panels)
         rng = np.random.default_rng(num_panels + len(trailing))
         shape = (num_panels, PICARD_ORDER, *trailing)
@@ -574,40 +574,35 @@ class TestBufferedSweeps:
         if dtype is complex:
             g = g + 1j * rng.standard_normal(shape)
         ref_cum, ref_total = frozen_cumulative(panels, g)
-        per_block = max(1, solver._PANEL_BLOCK_BYTES // g[0].nbytes)
-        block_size = min(num_panels, per_block) * g[0].size
+        blocks = panel_blocks(num_panels, 256)
+        block_size = blocks[0].stop * g[0].size
         fits, too_small = np.empty(block_size, g.dtype), np.empty(block_size - 1, g.dtype)
-        for out_kind in ("new", "given", "g itself"):
-            for work in (None, fits):
-                src = g.copy() if out_kind == "g itself" else g
-                out = {"new": None, "given": np.empty_like(g), "g itself": src}[out_kind]
-                cum, total = panels.cumulative(src, out=out, work=work)
-                assert cum.dtype == ref_cum.dtype and total.dtype == ref_total.dtype
-                assert cum.tobytes() == ref_cum.tobytes()
-                assert total.tobytes() == ref_total.tobytes()
-                if out is not None:
-                    assert cum is out
+        for out_is_g in (False, True):
+            src = g.copy() if out_is_g else g
+            out = src if out_is_g else np.empty_like(g)
+            cum, total = panels.cumulative(src, out, fits, blocks)
+            assert cum is out
+            assert cum.dtype == ref_cum.dtype and total.dtype == ref_total.dtype
+            assert cum.tobytes() == ref_cum.tobytes()
+            assert total.tobytes() == ref_total.tobytes()
         with pytest.raises(TypeError, match="too small"):
-            panels.cumulative(g, work=too_small)
-        # beside out, a call allocates one block's rows of panel sums plus
-        # the carried total, and a block only when no work is given; the
-        # slack is numpy's ufunc iterator buffer of getbufsize() elements
+            panels.cumulative(g, np.empty_like(g), too_small, blocks)
+        # beside out and work, a call allocates one block's rows of panel sums
+        # plus the carried total, and no block; the slack is numpy's ufunc
+        # iterator buffer of getbufsize() elements
         slack = 16 * np.getbufsize() + (1 << 14)
         if fits.nbytes <= slack:
             return  # a block too small to tell from that buffer
-        sums_bytes = (min(num_panels, per_block) + 1) * g[0, 0].nbytes
+        sums_bytes = (blocks[0].stop + 1) * g[0, 0].nbytes
         out = np.empty_like(g)
-        peaks = []
         tracemalloc.start()
         try:
-            for work in (fits, None):
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                panels.cumulative(g, out=out, work=work)
-                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            before = tracemalloc.get_traced_memory()[0]
+            panels.cumulative(g, out, fits, blocks)
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peaks[0] < sums_bytes + slack < sums_bytes + fits.nbytes <= peaks[1]
+        assert peak < sums_bytes + slack < sums_bytes + fits.nbytes
 
     @staticmethod
     def summed_in_place_peak(num_panels):
@@ -621,7 +616,7 @@ class TestBufferedSweeps:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            panels.cumulative(g, out=g, work=work)
+            panels.cumulative(g, g, work, panel_blocks(num_panels, 256))
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -647,11 +642,10 @@ class TestBufferedSweeps:
         # the 512 KiB within-panel block; the slack is numpy's iterator buffer
         original, peaks = GaussPanels.cumulative, []
 
-        def traced(self, g, out=None, work=None, blocks=None):
-            assert work is not None and blocks is not None
+        def traced(self, g, out, work, blocks):
             tracemalloc.start()
             try:
-                result = original(self, g, out=out, work=work, blocks=blocks)
+                result = original(self, g, out, work, blocks)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -928,7 +922,8 @@ class TestGaussPanels:
         # integrand t^k for k <= 7 must integrate exactly to node positions
         for k in (0, 1, 3, 7):
             g = panels.nodes[..., None] ** k
-            cum, total = panels.cumulative(g)
+            cum, total = panels.cumulative(g, np.empty_like(g), np.empty_like(g),
+                                           panel_blocks(panels.num_panels, 256))
             expected = panels.nodes ** (k + 1) / (k + 1)
             assert np.allclose(cum[..., 0], expected, rtol=1e-12, atol=1e-14)
             assert total[0] == pytest.approx(2.0 ** (k + 1) / (k + 1), rel=1e-12)

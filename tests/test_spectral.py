@@ -205,10 +205,15 @@ class TestBatchedTransforms:
             rows = np.array([transform(row) for row in x.reshape(-1, n)]).reshape(x.shape)
             assert np.max(np.abs(out - rows)) <= 1e-13 * np.max(np.abs(rows))
 
-    def test_real_input_stays_real(self, op_full):
-        x = np.random.default_rng(12).standard_normal((4, op_full.grid.num_points))
-        assert not np.iscomplexobj(op_full.to_modal(x))
-        assert not np.iscomplexobj(op_full.from_modal(x))
+    @pytest.mark.parametrize("lead", [(), (129,)])
+    def test_real_rows_transform_as_complex(self, op_full, lead):
+        # the pair takes complex rows only: a real row comes back complex,
+        # with the bits of the same row as complex with zero imaginary part
+        x = np.random.default_rng(12).standard_normal(lead + (op_full.grid.num_points,))
+        for transform in (op_full.to_modal, op_full.from_modal):
+            got = transform(x)
+            assert got.dtype == np.complex128
+            assert bitwise_equal(got, transform(x + 0j))
 
     @pytest.mark.parametrize("shape", [(256,), (8, 256)])
     def test_complex_rows_match_strided_product(self, op_full, shape):
@@ -281,15 +286,13 @@ def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def two_products(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The reference transform: real rows, or the real and imaginary parts apart,
+    """The reference transform: the real and imaginary parts of complex rows apart,
     through q inside one GEMM of at least 200 rows, past the small-matrix bound."""
     def through(part):
         rows = np.zeros((max(200, part.size // q.shape[0]), q.shape[0]))
         rows[:part.size // q.shape[0]] = part.reshape(-1, q.shape[0])
         return (rows @ q)[:part.size // q.shape[0]].reshape(part.shape)
 
-    if not np.iscomplexobj(x):
-        return through(x)
     out = np.empty(x.shape, complex)
     out.real, out.imag = through(x.real), through(x.imag)
     return out
@@ -338,14 +341,6 @@ class TestStackedTransform:
         x = rng.standard_normal((8, 2560)) + 1j * rng.standard_normal((8, 2560))
         for qq in (q, q.T):
             assert bitwise_equal(spectral._rows_times(x, qq), two_products(x, qq))
-
-    @pytest.mark.parametrize("lead", [(), (2,), (129,)])
-    def test_real_rows_stay_real(self, eigenvectors_by_size, lead):
-        q = eigenvectors_by_size[256]
-        x = np.random.default_rng(3).standard_normal(lead + (256,))
-        out = spectral._rows_times(x, q)
-        assert out.dtype == np.float64
-        assert bitwise_equal(out, two_products(x, q))
 
     def test_from_modal_divides_in_place_to_the_same_bits(self, op_full):
         rng = np.random.default_rng(5)
@@ -405,13 +400,6 @@ class TestCallerBuffers:
         held = x.copy()
         got = spectral.fractional_gradient_values(op_free, s, held, out=held, work=work)
         assert np.shares_memory(got, held) and bitwise_equal(got, expected)
-
-    def test_buffers_take_complex_rows_only(self, op_full):
-        x = np.ones((3, op_full.grid.num_points))
-        buf = np.empty(x.shape, complex)
-        for transform in (op_full.to_modal, op_full.from_modal):
-            with pytest.raises(spectral.SpectralError):
-                transform(x, out=buf, work=buf.copy())
 
 
 class TestFoldedScaling:
@@ -692,6 +680,14 @@ class TestCacheAndFieldIO:
             spectral.load_field(path, grid)
         assert f"expected {len(data)} bytes" in str(info.value)
         assert f"found {len(data) - 8}" in str(info.value)
+
+    def test_field_from_another_dimension_fails_by_name(self, grid, rng, tmp_path):
+        # same r_max and N: only the header's grid digest tells the grids apart
+        path = tmp_path / "state.fld"
+        spectral.save_field(path, random_smooth_field(grid, rng))
+        other = make_grid(7, grid.r_max, grid.num_points)
+        with pytest.raises(SpectralError, match=str(path)):
+            spectral.load_field(path, other)
 
     def test_field_io_grid_mismatch(self, grid, rng, tmp_path):
         u = random_smooth_field(grid, rng)

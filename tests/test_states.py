@@ -30,7 +30,6 @@ class TestRandomFields:
             grid=op.grid,
             eigenvalues=op.eigenvalues,
             eigenvectors=canonical_signs(-op.eigenvectors),
-            potential=op.potential,
             potential_values=op.potential_values,
         )
         a = random_low_mode_field(op, np.random.default_rng(42))
