@@ -147,8 +147,8 @@ def is_b_admissible(q: Fraction, r: Fraction, n: int) -> bool:
 def require_b_admissible(q: Fraction, r: Fraction, n: int, r_below_half_n: bool = False):
     if not is_b_admissible(q, r, n):
         raise AdmissibilityError(
-            f"(q, r) = ({q}, {r}) violates 4/q + n/r = n/2 "
-            f"(got {Fraction(4)/q + Fraction(n)/r} != {Fraction(n,2)}) or q, r < 2"
+            f"(q, r) = ({q}, {r}) violates 4/q + n/r = n/2 = {Fraction(n, 2)} "
+            f"with q, r >= 2"
         )
     if r_below_half_n and not r < Fraction(n, 2):
         raise AdmissibilityError(f"pair requires r < n/2 = {Fraction(n,2)}, got r = {r}")

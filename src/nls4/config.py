@@ -183,6 +183,14 @@ KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
 
 EXPERIMENT_KINDS = tuple(KNOB_SCHEMAS)
 
+# (kind, knob) -> least value: a decay fit needs two sample times, and the
+# draw and field loops at least one pass
+_KNOB_MINIMUMS = {
+    ("decay", "num_samples"): 2,
+    ("sobolev_equiv", "num_fields"): 1,
+    ("strichartz", "num_draws"): 1,
+}
+
 _EXPERIMENT_KEYS = {"kind": str.strip, "seed": int, "output_dir": str.strip}
 _GRID_KEYS = {"dimension": int, "r_max": float, "num_points": int}
 _POTENTIAL_KEYS = {
@@ -338,6 +346,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     schema = KNOB_SCHEMAS[kind]
     knobs = {key: default for key, (_, default) in schema.items()}
     knobs.update(_typed_section(_section_dict(parser, kind), schema, kind))
+    for (section, key), least in _KNOB_MINIMUMS.items():
+        if section == kind and knobs[key] < least:
+            raise ConfigError(f"{kind}.{key} must be at least {least}, got {knobs[key]}")
+    if kind == "perturbation" and len(set(knobs["data_gaps"])) < 2:
+        # the gap slope is a line fit through one point per distinct gap
+        raise ConfigError(
+            f"perturbation.data_gaps needs two distinct gaps, got {knobs['data_gaps']}"
+        )
+    if "eigenmode_index" in knobs and not 0 <= knobs["eigenmode_index"] < grid.num_points:
+        raise ConfigError(
+            f"{kind}.eigenmode_index must lie in [0, {grid.num_points}), "
+            f"got {knobs['eigenmode_index']}"
+        )
 
     if kind == "strichartz":
         from .analysis import MIN_TIME_SAMPLES, AdmissibilityError, require_b_admissible

@@ -112,16 +112,6 @@ class AssumptionReport:
     delta_n: float
     fourier_condition: str = "unchecked"
 
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.decay_ok
-            and self.repulsive_ok
-            and self.derivative_bound_ok
-            and self.nonneg_ok
-            and self.weak_norm_ok
-        )
-
 
 def check_assumptions(
     spec: PotentialSpec, grid: RadialGrid, delta_n: float = DEFAULT_DELTA_N

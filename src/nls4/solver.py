@@ -429,7 +429,7 @@ class GaussPanels:
     def cumulative(self, g: np.ndarray, out: np.ndarray, work: np.ndarray, blocks) -> tuple:
         """g has shape (K, m, ...); returns (G at nodes, G at t1).
 
-        A complex g is summed through its real view (K, m, 2L), where numpy's
+        g is summed through its float64 view ((K, m, 2L) if complex); numpy's
         einsum runs its real loop: the same products and sums per part as the
         complex loop, so the same bits, in about a third of the time.  G at
         the nodes is written into `out`: a C-contiguous array of g's shape
@@ -454,9 +454,7 @@ class GaussPanels:
         k, m = g.shape[:2]
         if not out.flags.c_contiguous:
             raise ValueError("cumulative needs a C-contiguous out")
-        g_flat = np.ascontiguousarray(g).reshape(k, m, -1)
-        is_complex = np.iscomplexobj(g)
-        real = g_flat.view(float) if is_complex else g_flat
+        real = np.ascontiguousarray(g).reshape(k, m, -1).view(float)
         rows = blocks[0].stop  # the longest block
         # a work too small raises
         within = np.ndarray((rows, *g.shape[1:]), g.dtype, buffer=work)
@@ -464,11 +462,9 @@ class GaussPanels:
         for block in blocks:
             start, n = block.start, block.stop - block.start
             panel_full = sums[1:n + 1]
-            panel_real = panel_full.reshape(n, -1)
+            panel_real = panel_full.reshape(n, -1).view(float)
             part = within[:n]
-            part_real = part.reshape(n, m, -1)
-            if is_complex:
-                panel_real, part_real = panel_real.view(float), part_real.view(float)
+            part_real = part.reshape(n, m, -1).view(float)
             np.einsum("m,kmx->kx", self.full_weights, real[start:start + n], out=panel_real)
             np.einsum("ms,ksx->kmx", self.partial, real[start:start + n], out=part_real)
             for j, half in enumerate(self.half[start:start + n]):

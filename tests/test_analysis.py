@@ -31,7 +31,7 @@ from nls4.analysis import (
     strichartz_quotient,
 )
 from nls4.experiments import _stock_pairs
-from nls4.radial import RadialField, localized_mass, lp_norm, lp_norm_values, zero_field
+from nls4.radial import RadialField, localized_mass, lp_norm, lp_norm_values
 from nls4.solver import SimulationConfig, mass, phase_table, run_trajectory
 from nls4.spectral import (
     apply_function,
@@ -68,6 +68,12 @@ class TestAdmissibility:
         with pytest.raises(AdmissibilityError):
             require_b_admissible(Fraction(18), Fraction(90, 41), 5 + 2)
 
+    @pytest.mark.parametrize("q, r", [(0, 3), (18, 0), (0, 0)])
+    def test_zero_exponent_rejected_by_name(self, q, r):
+        # the message must not divide by the exponent it rejects
+        with pytest.raises(AdmissibilityError, match=rf"\(q, r\) = \({q}, {r}\)"):
+            require_b_admissible(Fraction(q), Fraction(r), 5)
+
     def test_r_below_half_n_gate(self):
         with pytest.raises(AdmissibilityError):
             require_b_admissible(Fraction(2), Fraction(10), 5, r_below_half_n=True)
@@ -82,14 +88,15 @@ class TestSpaceTimeNorms:
 
     def test_zero_sample_vanishes(self, grid, op_free):
         ts = np.linspace(0, 1, 6)
-        sample = sample_of(ts, [zero_field(grid) for _ in ts], (0.0, 1.0))
+        zero = RadialField(grid, np.zeros(grid.num_points))
+        sample = sample_of(ts, [zero for _ in ts], (0.0, 1.0))
         for which in ("M", "W", "Z", "N"):
             assert spacetime_norm(sample, which, op_free) == 0.0
 
     def test_time_constant_field_separates(self, grid, op_free, rng):
         u = random_smooth_field(grid, rng)
         ts = np.linspace(0, 2, 9)
-        sample = sample_of(ts, [u.copy() for _ in ts], (0.0, 2.0))
+        sample = sample_of(ts, [RadialField(u.grid, u.values.copy()) for _ in ts], (0.0, 2.0))
         q, r = spacetime_exponents("Z", 5)
         expected = 2.0 ** (1.0 / float(q)) * lp_norm(u, float(r))
         assert spacetime_norm(sample, "Z") == pytest.approx(expected, rel=1e-12)
@@ -97,7 +104,7 @@ class TestSpaceTimeNorms:
     def test_homogeneity_and_positivity(self, grid, op_free, rng):
         u = random_smooth_field(grid, rng)
         ts = np.linspace(0, 1, 6)
-        sample = sample_of(ts, [u.copy() for _ in ts], (0.0, 1.0))
+        sample = sample_of(ts, [RadialField(u.grid, u.values.copy()) for _ in ts], (0.0, 1.0))
         double = sample_of(ts, [2.0 * u for _ in ts], (0.0, 1.0))
         for which in ("M", "W", "Z", "N"):
             base = spacetime_norm(sample, which, op_free)
@@ -161,8 +168,9 @@ class TestSobolevRatio:
             sobolev_equiv_ratio(op_full, op_free, [u], 1.0, [2.6])  # p >= n/2
 
     def test_zero_field_rejected(self, op_full, op_free, grid):
+        zero = RadialField(grid, np.zeros(grid.num_points))
         with pytest.raises(ZeroDivisionError):
-            sobolev_equiv_ratio(op_full, op_free, [zero_field(grid)], 1.0, [2.0])
+            sobolev_equiv_ratio(op_full, op_free, [zero], 1.0, [2.0])
 
     def test_many_p_equal_one_p_calls(self, op_full, op_free, rng):
         u = random_low_mode_field(op_free, rng)
@@ -190,9 +198,10 @@ class TestSobolevRatio:
                 assert row.tobytes() == alone.tobytes() == np.array(frozen).tobytes()
 
     def test_zero_field_in_a_batch_rejected(self, op_full, op_free, grid, rng):
+        zero = RadialField(grid, np.zeros(grid.num_points))
         with pytest.raises(ZeroDivisionError):
             sobolev_equiv_ratio(op_full, op_free,
-                                [random_smooth_field(grid, rng), zero_field(grid)], 1.0, [2.0])
+                                [random_smooth_field(grid, rng), zero], 1.0, [2.0])
 
     def test_bad_p_anywhere_raises_before_any_transform(self, op_full, op_free, grid, rng,
                                                         monkeypatch):
@@ -723,7 +732,8 @@ class TestMorawetz:
 
     def test_zero_solution_trivial(self, grid):
         ts = np.linspace(0, 1, 8)
-        sample = sample_of(ts, [zero_field(grid) for _ in ts], (0.0, 1.0))
+        zero = RadialField(grid, np.zeros(grid.num_points))
+        sample = sample_of(ts, [zero for _ in ts], (0.0, 1.0))
         cfg = SimulationConfig(lam=1.0, p=9.0, dt=1e-3, t_end=1.0)
         (rep,) = morawetz_check(sample, [1.0], cfg, row_h2dot(sample))
         assert rep.lhs == 0.0

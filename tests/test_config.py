@@ -175,3 +175,38 @@ pairs = 18:90/41; 12:30/13
         text = f"[experiment]\nkind = {kind}\n[grid]\ndimension = 5\n[{kind}]\n{knob} = {value}\n"
         with pytest.raises(ConfigError, match=f"{kind}.{knob}"):
             load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("kind, knob, value", [
+        ("decay", "num_samples", "1"),
+        ("decay", "num_samples", "0"),
+        ("perturbation", "data_gaps", "1e-3"),
+        ("perturbation", "data_gaps", "1e-3, 1e-3"),
+        ("strichartz", "num_draws", "0"),
+        ("sobolev_equiv", "num_fields", "0"),
+        ("strichartz", "eigenmode_index", "999"),
+        ("strichartz", "eigenmode_index", "64"),
+        ("strichartz", "eigenmode_index", "-1"),
+        ("localized_mass", "eigenmode_index", "64"),
+        ("localized_mass", "eigenmode_index", "-1"),
+    ])
+    def test_degenerate_fit_or_loop_named(self, tmp_path, kind, knob, value):
+        # a one-point fit passes vacuously; an empty loop or a missing mode
+        # would end in experiment_error after the run had started
+        text = (f"[experiment]\nkind = {kind}\n[grid]\ndimension = 5\nnum_points = 64\n"
+                f"[{kind}]\n{knob} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{kind}.{knob}"):
+            load_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("kind, knob, value", [
+        ("decay", "num_samples", "2"),
+        ("perturbation", "data_gaps", "1e-3, 1e-4"),
+        ("strichartz", "num_draws", "1"),
+        ("sobolev_equiv", "num_fields", "1"),
+        ("strichartz", "eigenmode_index", "63"),
+        ("localized_mass", "eigenmode_index", "0"),
+    ])
+    def test_least_fit_or_loop_loads(self, tmp_path, kind, knob, value):
+        text = (f"[experiment]\nkind = {kind}\n[grid]\ndimension = 5\nnum_points = 64\n"
+                f"[{kind}]\n{knob} = {value}\n")
+        parse = KNOB_SCHEMAS[kind][knob][0]
+        assert load_config(write(tmp_path, text)).knobs[knob] == parse(value)

@@ -206,6 +206,15 @@ class TestCli:
         assert cli_main([command, str(bad)]) == 2
         assert f"grid.{grid.split()[0]}" in capsys.readouterr().err
 
+    def test_one_point_decay_fit_exits_two_naming_the_key(self, tmp_path, capsys):
+        # one sample time would pass its slope checks from a one-point fit
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[experiment]\nkind = decay\n[grid]\nr_max = 16.0\nnum_points = 64\n"
+                       "[decay]\nnum_samples = 1\nlp_exponents = 2\n")
+        assert cli_main(["run", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "decay.num_samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_run_with_no_check_attempted_exits_one(self, tmp_path):
         # decay on a zero potential without its zero-potential control: every check skipped
         cfg = tmp_path / "decay.cfg"

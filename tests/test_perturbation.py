@@ -27,7 +27,8 @@ class TestPerturbation:
     def test_zero_forcing_identical_data_gives_zero(self, setup, small_op_full, small_op_free):
         u_tilde0, cfg = setup
         rec_tilde = run_trajectory(u_tilde0, small_op_full, cfg)
-        rec_exact = run_trajectory(u_tilde0.copy(), small_op_full, cfg)
+        same_data = RadialField(u_tilde0.grid, u_tilde0.values.copy())
+        rec_exact = run_trajectory(same_data, small_op_full, cfg)
         rep = perturbation_experiment(rec_tilde, rec_exact, small_op_full, small_op_free)
         assert rep.w_distance == 0.0
         assert rep.eps_data == 0.0

@@ -13,6 +13,17 @@ from nls4.potentials import (
 )
 
 
+def all_ok(report):
+    """Every hypothesis the report measures holds."""
+    return (
+        report.decay_ok
+        and report.repulsive_ok
+        and report.derivative_bound_ok
+        and report.nonneg_ok
+        and report.weak_norm_ok
+    )
+
+
 class TestEvaluate:
     def test_zero_family(self, grid):
         v = evaluate_potential(zero_potential(5), grid)
@@ -47,7 +58,7 @@ class TestEvaluate:
 class TestAssumptions:
     def test_zero_passes_everything_with_zero_constants(self, grid):
         report = check_assumptions(zero_potential(5), grid)
-        assert report.all_ok
+        assert all_ok(report)
         assert report.decay_sup == 0.0
         assert report.repulsive_max == 0.0
         assert report.c0 == 0.0 and report.c1 == 0.0
@@ -56,7 +67,7 @@ class TestAssumptions:
 
     def test_example_family_compliant(self, grid):
         report = check_assumptions(example_potential(5), grid, delta_n=0.1)
-        assert report.all_ok
+        assert all_ok(report)
         assert report.decay_sup == pytest.approx(0.01, rel=1e-9)
         assert report.repulsive_max <= 0.0
         assert report.weak_norm_value < 0.1
@@ -102,7 +113,7 @@ class TestAssumptions:
     def test_gaussian_family_compliant(self, grid):
         spec = PotentialSpec("gaussian_bump", 5, c=0.01, a=1.0)
         report = check_assumptions(spec, grid, delta_n=0.1)
-        assert report.all_ok
+        assert all_ok(report)
 
     def test_smallness_verdict_respects_delta_n(self, grid):
         spec = example_potential(5, c=10.0)

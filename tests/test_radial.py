@@ -20,8 +20,8 @@ from nls4.radial import (
     lp_norm_values,
     make_grid,
     smooth_cutoff,
+    sphere_surface_area,
     weak_lp_norm,
-    zero_field,
 )
 
 from conftest import CONFIG_GRIDS, random_smooth_field
@@ -29,9 +29,14 @@ from conftest import CONFIG_GRIDS, random_smooth_field
 OMEGA_4 = 8.0 * math.pi**2 / 3.0  # area of S^4
 
 
+def quad_weights(g):
+    """The r^{n-1} dr quadrature weights the metric holds, omega_{n-1} times them."""
+    return g.metric / sphere_surface_area(g.dimension)
+
+
 class TestMakeGrid:
     def test_surface_constant_closed_form(self, grid):
-        assert grid.surface_constant == pytest.approx(OMEGA_4, rel=1e-12)
+        assert sphere_surface_area(grid.dimension) == pytest.approx(OMEGA_4, rel=1e-12)
 
     def test_nodes_strictly_increasing_interior(self, grid):
         assert np.all(np.diff(grid.nodes) > 0)
@@ -41,7 +46,7 @@ class TestMakeGrid:
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
     def test_monomial_exactness(self, grid, k):
         n = grid.dimension
-        approx = np.sum(grid.quad_weights * grid.nodes**k)
+        approx = np.sum(quad_weights(grid) * grid.nodes**k)
         exact = grid.r_max ** (n + k) / (n + k)
         assert abs(approx - exact) / exact <= 1e-10
 
@@ -49,12 +54,12 @@ class TestMakeGrid:
     def test_monomial_exactness_other_grids(self, n, r_max, num):
         g = make_grid(n, r_max, num)
         for k in range(3):
-            approx = np.sum(g.quad_weights * g.nodes**k)
+            approx = np.sum(quad_weights(g) * g.nodes**k)
             exact = r_max ** (n + k) / (n + k)
             assert abs(approx - exact) / exact <= 1e-10
 
     def test_weights_positive(self, grid):
-        assert np.all(grid.quad_weights > 0)
+        assert np.all(quad_weights(grid) > 0)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(GridError):
@@ -73,7 +78,7 @@ class TestMakeGrid:
 class TestLpNorm:
     def test_zero_field(self, grid):
         for p in (1.0, 2.0, 5.0, math.inf):
-            assert lp_norm(zero_field(grid), p) == 0.0
+            assert lp_norm(RadialField(grid, np.zeros(grid.num_points)), p) == 0.0
 
     def test_constant_field_closed_form(self, grid):
         u = RadialField(grid, np.ones(grid.num_points, dtype=complex))
@@ -133,7 +138,7 @@ class TestLpNorm:
 
 class TestWeakNorm:
     def test_zero_field(self, grid):
-        assert weak_lp_norm(zero_field(grid), 1.25) == 0.0
+        assert weak_lp_norm(RadialField(grid, np.zeros(grid.num_points)), 1.25) == 0.0
 
     def test_rejects_r_at_most_one(self, grid, rng):
         with pytest.raises(ValueError):
@@ -197,7 +202,7 @@ class TestCutoffAndLocalizedMass:
         assert np.all(chi[s >= 2.0] == 0.0)
 
     def test_zero_field(self, grid):
-        assert localized_mass(zero_field(grid), 1.0) == 0.0
+        assert localized_mass(RadialField(grid, np.zeros(grid.num_points)), 1.0) == 0.0
 
     def test_rejects_nonpositive_radius(self, grid, rng):
         with pytest.raises(ValueError):
@@ -213,7 +218,7 @@ class TestCutoffAndLocalizedMass:
         g = make_grid(5, 12.0, 512)
         u = RadialField(g, np.exp(-g.nodes**2).astype(complex))
         rr = np.linspace(0.0, 12.0, 1_000_001)
-        reference = g.surface_constant * np.trapezoid(
+        reference = sphere_surface_area(5) * np.trapezoid(
             np.exp(-2.0 * rr**2) * smooth_cutoff(rr) ** 4 * rr**4, rr
         )
         assert localized_mass(u, 1.0) == pytest.approx(reference, rel=1e-6)

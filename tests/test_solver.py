@@ -20,7 +20,7 @@ from nls4 import solver
 from nls4.config import load_config
 from nls4.experiments import run_experiment
 from nls4.potentials import example_potential
-from nls4.radial import RadialField, _blocks, boundary_mass, make_grid, zero_field
+from nls4.radial import RadialField, _blocks, boundary_mass, make_grid
 from nls4.solver import (
     PICARD_ORDER,
     GaussPanels,
@@ -80,8 +80,9 @@ class TestConfig:
 
 class TestMassEnergy:
     def test_zero_field(self, grid):
-        assert mass(zero_field(grid)) == 0.0
-        assert energy(zero_field(grid), np.zeros(grid.num_points), 1.0, 9.0) == 0.0
+        zero = RadialField(grid, np.zeros(grid.num_points))
+        assert mass(zero) == 0.0
+        assert energy(zero, np.zeros(grid.num_points), 1.0, 9.0) == 0.0
 
     def test_constant_mass_closed_form(self, grid):
         u = RadialField(grid, np.ones(grid.num_points, dtype=complex))
