@@ -3,16 +3,18 @@
 
 Usage, from the root of a git checkout:
 
-    python3 scripts/bench_pairs.py PARENT CHANGE [--pairs 10] [--seconds 25] [--seed N]
-        [--workloads modal_small,strang_small,eig_large] [--claim WORKLOAD:METRIC]
-        [--out FILE] [--workdir DIR]
+    python3 scripts/bench_pairs.py PARENT CHANGE [--pairs 10] [--seconds S] [--seed N]
+        [--workloads W1,W2,...] [--claim WORKLOAD:METRIC] [--out FILE] [--workdir DIR]
 
 PARENT and CHANGE are git revisions.  Each is exported with `git archive`
 into a fresh directory of its own, and every pair runs
 
     python3 perfbench/run.py --workload W --seconds S --trace 0 [--seed N]
 
-once in each copy, for every workload in turn.  --seed replaces every
+once in each copy, for every workload in turn.  The workloads default to
+every one the change's BENCHMARK.json declares, and S to its run_seconds;
+a workload it does not declare stops the script before the first run.
+--seed replaces every
 config's seed in every run (default: the canonical seeds), so a claim made
 on the canonical seeds can be checked on one not used while writing it; the
 file's `command` records it.  The parent goes first in
@@ -172,10 +174,12 @@ def main(argv=None) -> int:
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=25.0)
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="per run (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--seed", type=int, default=None,
                     help="passed to every perfbench run (default: the canonical seeds)")
-    ap.add_argument("--workloads", default="modal_small,strang_small,eig_large")
+    ap.add_argument("--workloads", default=None,
+                    help="comma-separated (default: every workload BENCHMARK.json declares)")
     ap.add_argument("--claim", default=None, metavar="WORKLOAD:METRIC",
                     help="the gain the change claims; a verdict is printed and stored")
     ap.add_argument("--out", type=Path, default=None,
@@ -190,11 +194,7 @@ def main(argv=None) -> int:
     out = args.out or Path(f"BENCH_{started.date().isoformat()}.json")
     if out.exists():
         raise SystemExit(f"{out} exists; give --out a new file name")
-    workloads = args.workloads.split(",")
     claim = tuple(args.claim.split(":")) if args.claim else None
-    if claim is not None and (len(claim) != 2 or claim[0] not in workloads):
-        ap.error(f"--claim must be WORKLOAD:METRIC with a workload of --workloads, "
-                 f"got {args.claim}")
 
     commits = {
         side: subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], check=True,
@@ -205,6 +205,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as tmp:
         trees = {side: export(commit, Path(tmp) / side) for side, commit in commits.items()}
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        declared = [w["name"] for w in bench["workloads"]]
+        workloads = args.workloads.split(",") if args.workloads else declared
+        seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+        undeclared = [w for w in workloads if w not in declared]
+        if undeclared:
+            raise SystemExit(f"--workloads names {', '.join(undeclared)}, not declared in "
+                             f"BENCHMARK.json ({', '.join(declared)})")
+        if claim is not None and (len(claim) != 2 or claim[0] not in workloads):
+            ap.error(f"--claim must be WORKLOAD:METRIC with a workload of --workloads, "
+                     f"got {args.claim}")
         metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
         bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
         if claim is not None and claim[1] not in metrics:
@@ -219,7 +229,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
-                    result = run_bench(trees[side], workload, args.seconds, args.seed)
+                    result = run_bench(trees[side], workload, seconds, args.seed)
                     for name in metrics:
                         values[workload][side][name].append(result["metrics"][name]["value"])
                 print(f"pair {pair + 1}/{args.pairs} {workload}: " + ", ".join(
@@ -229,7 +239,7 @@ def main(argv=None) -> int:
     record = {
         "commits": commits,
         "started_utc": started.isoformat(timespec="seconds"),
-        "command": " ".join(perf_args("W", args.seconds, args.seed)),
+        "command": " ".join(perf_args("W", seconds, args.seed)),
         "order": "parent first in even pairs (0, 2, ...), change first in odd ones",
         "machine": machine,
         "workloads": {

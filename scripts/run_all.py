@@ -20,7 +20,8 @@ what thread count (the reports' blas_pools provenance).  The last line
 digests all body digests and all file digests in run order, so two runs of
 the same configs compare on one line.  Stale files would count, so the
 script refuses, before the first config runs, an output directory where
-any config's directory already holds files.  The heaviest configs are
+any config's directory already holds files; it refuses an --only kind with
+no config there too, with exit status 2 for both.  The heaviest configs are
 scattering, decay and wave_operator, in that order.
 """
 
@@ -74,6 +75,11 @@ def main() -> int:
     args = parser.parse_args()
 
     kinds = args.only.split(",") if args.only else ORDER
+    unknown = [kind for kind in kinds if kind not in ORDER]
+    if unknown:
+        print(f"error: no config for --only {', '.join(unknown)} (known: {', '.join(ORDER)})",
+              file=sys.stderr)
+        return 2
     for kind in kinds:
         out_dir = Path(args.output_dir) / kind
         if out_dir.is_dir() and any(path.is_file() for path in out_dir.iterdir()):

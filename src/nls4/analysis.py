@@ -42,8 +42,8 @@ from .radial import (
     RadialField,
     SpaceTimeSample,
     _blocks,
+    _boundary_masses,
     _lp_norm_values,
-    boundary_mass,
     lp_norm_values,
     smooth_cutoff,
 )
@@ -63,6 +63,7 @@ from .spectral import (
 
 SPACETIME_NORMS = ("M", "W", "Z", "N")
 MIN_TIME_SAMPLES = 4
+_MIN_FIT_SAMPLES = 2  # a line fit through fewer points fits nothing
 
 # complex bytes per row block of the row-local stages (radial._blocks): at
 # N = 256 a block is 16 rows, so its temporaries stay below glibc's 128 KiB
@@ -95,6 +96,18 @@ def spacetime_exponents(which: str, n: int) -> tuple[Fraction, Fraction]:
     raise ValueError(f"unknown space-time norm {which!r}; choose from {SPACETIME_NORMS}")
 
 
+def _require_time_samples(count: int) -> None:
+    if count < MIN_TIME_SAMPLES:
+        raise ResolutionError(f"need at least {MIN_TIME_SAMPLES} time samples, got {count}")
+
+
+def _require_clean_window(grid, times: np.ndarray, rows: np.ndarray, limit: float) -> None:
+    """WindowError at the first time whose row's boundary_mass exceeds `limit`."""
+    dirty = np.flatnonzero(_boundary_masses(grid, rows) > limit)
+    if dirty.size:
+        raise WindowError(f"boundary contamination at t = {times[dirty[0]]:.4g}")
+
+
 def _time_lq(times: np.ndarray, values: np.ndarray, q: float) -> float:
     peak = values.max() if values.size else 0.0
     if peak == 0.0:
@@ -121,10 +134,7 @@ def spacetime_norm(
     sample: SpaceTimeSample, which: str, op_free: SpectralOperator | None = None
 ) -> float:
     """L^q_t L^r_x norm over the sample; W and N need the free operator for |grad|."""
-    if sample.times.size < MIN_TIME_SAMPLES:
-        raise ResolutionError(
-            f"need at least {MIN_TIME_SAMPLES} time samples, got {sample.times.size}"
-        )
+    _require_time_samples(sample.times.size)
     grid = sample.grid
     q, r = spacetime_exponents(which, grid.dimension)
     values = sample.values
@@ -216,18 +226,17 @@ def fit_decay(
 ) -> FitResult:
     """Fit the decay rate of ||exp(itH) u0||_{L^p} on a log-spaced time grid.
 
-    Raises WindowError (with the first contamination time) if boundary mass
-    exceeds the threshold anywhere in the window.
+    Raises ValueError, before any evolution, for an empty window or fewer than
+    two samples, and WindowError at the first time boundary mass passes the threshold.
     """
     t_lo, t_hi = window
     if not 0 < t_lo < t_hi:
         raise ValueError("window must satisfy 0 < t_lo < t_hi")
+    if num_samples < _MIN_FIT_SAMPLES:
+        raise ValueError(f"num_samples must be at least {_MIN_FIT_SAMPLES}, got {num_samples}")
     times = np.geomspace(t_lo, t_hi, num_samples)
-    m0 = mass(u0)
     rows = evolve(op, u0.values, times)
-    for t, row in zip(times, rows):
-        if boundary_mass(RadialField(op.grid, row)) > boundary_threshold * m0:
-            raise WindowError(f"boundary contamination at t = {t:.4g}")
+    _require_clean_window(op.grid, times, rows, boundary_threshold * mass(u0))
     norms = lp_norm_values(op.grid, rows, p)
     logs_t = np.log(times)
     logs_n = np.log(norms)
@@ -342,10 +351,7 @@ def strichartz_quotient(
     pairs = [(Fraction(q), Fraction(r)) for q, r in pairs]
     for q, r in pairs:
         require_b_admissible(q, r, n, r_below_half_n=True)
-    if num_samples < MIN_TIME_SAMPLES:
-        raise ResolutionError(
-            f"need at least {MIN_TIME_SAMPLES} time samples, got {num_samples}"
-        )
+    _require_time_samples(num_samples)
     t0, t1 = interval
     if not t0 < t1:
         raise ValueError(f"interval must satisfy t0 < t1, got ({t0}, {t1})")

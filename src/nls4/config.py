@@ -14,7 +14,8 @@ Every key is validated against a schema: unknown sections or keys are
 rejected by name (typo safety), defaults are filled in, and the fully
 resolved configuration is echoed into reports.  The literal value
 ``critical`` for ``p`` resolves to the energy-critical power 2n/(n-4) - 1
-in exact arithmetic for the configured dimension.
+in exact arithmetic for the configured dimension.  Every bound on a knob's
+value is one row of _KNOB_BOUNDS, but Strichartz pair admissibility.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from .analysis import _MIN_FIT_SAMPLES, MIN_TIME_SAMPLES, AdmissibilityError, require_b_admissible
 from .potentials import DEFAULT_DELTA_N, PotentialSpec
 from .radial import GridError, _check_grid
 from .solver import SimulationConfig, critical_exponent
@@ -183,12 +185,27 @@ KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
 
 EXPERIMENT_KINDS = tuple(KNOB_SCHEMAS)
 
-# (kind, knob) -> least value: a decay fit needs two sample times, and the
-# draw and field loops at least one pass
-_KNOB_MINIMUMS = {
-    ("decay", "num_samples"): 2,
-    ("sobolev_equiv", "num_fields"): 1,
-    ("strichartz", "num_draws"): 1,
+
+def _at_least(least: int) -> tuple:
+    return f"must be at least {least}", lambda value, grid: value >= least
+
+
+_IN_EIGENBASIS = ("must lie in [0, {grid.num_points})",
+                  lambda value, grid: 0 <= value < grid.num_points)
+
+# (kind, knob) -> (rule, holds(value, grid)), checked in this order by load_config
+_KNOB_BOUNDS = {
+    ("decay", "num_samples"): _at_least(_MIN_FIT_SAMPLES),
+    ("sobolev_equiv", "num_fields"): _at_least(1),
+    ("strichartz", "num_draws"): _at_least(1),
+    ("perturbation", "data_gaps"): (
+        f"needs {_MIN_FIT_SAMPLES} distinct gaps",
+        lambda value, grid: len(set(value)) >= _MIN_FIT_SAMPLES,
+    ),
+    ("strichartz", "eigenmode_index"): _IN_EIGENBASIS,
+    ("localized_mass", "eigenmode_index"): _IN_EIGENBASIS,
+    ("strichartz", "num_samples"): _at_least(MIN_TIME_SAMPLES),
+    ("strichartz", "t_end"): ("must be positive", lambda value, grid: value > 0),
 }
 
 _EXPERIMENT_KEYS = {"kind": str.strip, "seed": int, "output_dir": str.strip}
@@ -346,30 +363,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     schema = KNOB_SCHEMAS[kind]
     knobs = {key: default for key, (_, default) in schema.items()}
     knobs.update(_typed_section(_section_dict(parser, kind), schema, kind))
-    for (section, key), least in _KNOB_MINIMUMS.items():
-        if section == kind and knobs[key] < least:
-            raise ConfigError(f"{kind}.{key} must be at least {least}, got {knobs[key]}")
-    if kind == "perturbation" and len(set(knobs["data_gaps"])) < 2:
-        # the gap slope is a line fit through one point per distinct gap
-        raise ConfigError(
-            f"perturbation.data_gaps needs two distinct gaps, got {knobs['data_gaps']}"
-        )
-    if "eigenmode_index" in knobs and not 0 <= knobs["eigenmode_index"] < grid.num_points:
-        raise ConfigError(
-            f"{kind}.eigenmode_index must lie in [0, {grid.num_points}), "
-            f"got {knobs['eigenmode_index']}"
-        )
-
-    if kind == "strichartz":
-        from .analysis import MIN_TIME_SAMPLES, AdmissibilityError, require_b_admissible
-
-        if knobs["num_samples"] < MIN_TIME_SAMPLES:
-            raise ConfigError(
-                f"strichartz.num_samples must be at least {MIN_TIME_SAMPLES}, "
-                f"got {knobs['num_samples']}"
-            )
-        if not knobs["t_end"] > 0:
-            raise ConfigError(f"strichartz.t_end must be positive, got {knobs['t_end']}")
+    for (section, key), (rule, holds) in _KNOB_BOUNDS.items():
+        if section == kind and not holds(knobs[key], grid):
+            raise ConfigError(f"{kind}.{key} {rule.format(grid=grid)}, got {knobs[key]}")
+    if kind == "strichartz":  # the one bound outside the table: its message names the pair
         for q, r in knobs["pairs"]:
             try:
                 require_b_admissible(q, r, grid.dimension, r_below_half_n=True)

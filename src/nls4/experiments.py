@@ -10,6 +10,7 @@ order, so identical config + seed reproduces the report body byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 import traceback
 from dataclasses import dataclass, field as dc_field
@@ -32,6 +33,7 @@ from .reporting import (
     skipped,
     write_csv,
     write_monitor_csv,
+    write_report,
 )
 
 
@@ -40,15 +42,12 @@ class RunContext:
     cfg: ExperimentConfig
     rng: np.random.Generator
     out_dir: Path
-    _grid: radial.RadialGrid | None = None
     _ops: dict = dc_field(default_factory=dict)
 
-    @property
+    @functools.cached_property
     def grid(self) -> radial.RadialGrid:
-        if self._grid is None:
-            g = self.cfg.grid
-            self._grid = radial.make_grid(g.dimension, g.r_max, g.num_points)
-        return self._grid
+        g = self.cfg.grid
+        return radial.make_grid(g.dimension, g.r_max, g.num_points)
 
     def op_free(self) -> spectral.SpectralOperator:
         if "free" not in self._ops:
@@ -652,6 +651,11 @@ EXPERIMENTS = {
 }
 
 
+def _one_line(text: str) -> str:
+    """text escaped onto one ASCII line for read_report; "unicode_escape" decodes it back."""
+    return text.encode("unicode_escape").decode("ascii")
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the configured experiment; module errors become failed checks."""
     t_start = time.perf_counter()
@@ -664,14 +668,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         try:
             checks, series = EXPERIMENTS[cfg.experiment](ctx)
         except Exception as exc:  # noqa: BLE001 - captured into the report by contract
-            # note and traceback stay one line each, so read_report parses them;
-            # codecs.decode(..., "unicode_escape") restores them
-            note = f"{type(exc).__name__}: {exc}".encode("unicode_escape").decode("ascii")
+            note = _one_line(f"{type(exc).__name__}: {exc}")
             checks = [CheckResult("experiment_error", "fail", None, None, "-", note=note)]
             series = {}
-            provenance["experiment_traceback"] = (
-                traceback.format_exc().rstrip().encode("unicode_escape").decode("ascii")
-            )
+            provenance["experiment_traceback"] = _one_line(traceback.format_exc().rstrip())
     provenance["runtime_seconds"] = f"{time.perf_counter() - t_start:.3f}"
     report = ExperimentReport(
         experiment=cfg.experiment,
@@ -680,7 +680,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         series=series,
         provenance=provenance,
     )
-    from .reporting import write_report
-
     write_report(report, out_dir / f"report-{cfg.experiment}.txt")
     return report

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import WindowError, spacetime_norm
-from .radial import RadialField, SpaceTimeSample, boundary_mass, lp_norm_values
+from .analysis import MIN_TIME_SAMPLES, _require_clean_window, spacetime_norm
+from .radial import RadialField, SpaceTimeSample, lp_norm_values
 from .solver import SimulationConfig, critical_exponent, energy, mass
 from .spectral import SpectralOperator, apply_function, evolve, h2_norm, hdot2_norm
 
@@ -61,11 +61,8 @@ def probe_wave_operator(
     times = np.asarray(times, dtype=float)
     if np.any(np.diff(times) <= 0):
         raise ValueError("probe times must be strictly increasing")
-    m0 = mass(test_state)
     free_back = evolve(op_free, test_state.values, -times)
-    for t, row in zip(times, free_back):
-        if boundary_mass(RadialField(op_free.grid, row)) > boundary_threshold * m0:
-            raise WindowError(f"free evolution leaves the clean window at t = {t:.4g}")
+    _require_clean_window(op_free.grid, times, free_back, boundary_threshold * mass(test_state))
     series = [RadialField(op_full.grid, row) for row in evolve(op_full, free_back, times)]
     gaps = np.array([h2_norm(b - a) for a, b in zip(series, series[1:])])
     return WaveOperatorProbe(series, gaps, gaps_converging(gaps, h2_norm(test_state)))
@@ -97,8 +94,8 @@ def extract_scattering_state(
     cfg: SimulationConfig,
 ) -> ScatteringReport:
     """Read v(t) = e^{-itH} u(t) off trajectory snapshots and test the identities."""
-    if sample.times.size < 4:
-        raise ValueError("need at least 4 snapshots to extract a scattering state")
+    if sample.times.size < MIN_TIME_SAMPLES:
+        raise ValueError(f"need at least {MIN_TIME_SAMPLES} snapshots for a scattering state")
     times = sample.times
     grid = sample.grid
     v_fields = [RadialField(grid, row) for row in evolve(op_full, sample.values, -times)]
@@ -116,7 +113,7 @@ def extract_scattering_state(
     # tail of the critical space-time norm over the last quarter of the window
     tail_start = times[0] + 0.75 * (times[-1] - times[0])
     tail_sample = sample.restricted(tail_start, times[-1])
-    if tail_sample.times.size >= 4:
+    if tail_sample.times.size >= MIN_TIME_SAMPLES:
         z_tail = spacetime_norm(tail_sample, "Z")
     else:
         z_tail = spacetime_norm(sample.decimated(max(1, len(v_fields) // 8)), "Z")

@@ -409,9 +409,9 @@ class GaussPanels:
     partial panels.
     """
 
-    def __init__(self, t0: float, t1: float, num_panels: int, order: int = PICARD_ORDER):
+    def __init__(self, t0: float, t1: float, num_panels: int):
         self.num_panels = num_panels
-        self.order = order
+        order = PICARD_ORDER
         x, w = np.polynomial.legendre.leggauss(order)
         edges = np.linspace(t0, t1, num_panels + 1)
         self.half = np.diff(edges) / 2.0                        # (K,)
@@ -524,8 +524,8 @@ def duhamel_window(
     # integrand array
     coeffs = node_phases * anchor
     integrand = np.empty_like(coeffs)
-    blocks = _blocks(panels.num_panels, 16 * panels.order * mu.size, _PANEL_BLOCK_BYTES)
-    block_rows = blocks[0].stop * panels.order
+    blocks = _blocks(panels.num_panels, 16 * PICARD_ORDER * mu.size, _PANEL_BLOCK_BYTES)
+    block_rows = blocks[0].stop * PICARD_ORDER
     buffer = np.empty((-(-_gemm_rows(2 * block_rows, mu.size) // 2), mu.size), complex)
     row_norms = np.empty(coeffs.shape[:2])
     diffs: list[float] = []

@@ -454,7 +454,7 @@ def build_operator(
         )
     canonical_signs(eigenvectors)
 
-    if kind == "free" or np.all(v_values >= 0):
+    if np.all(v_values >= 0):
         # Delta^2 and H with V >= 0 are nonnegative; clip eigensolver noise
         floor = -1e-9 * max(1.0, float(np.max(np.abs(eigenvalues))))
         if np.min(eigenvalues) < floor:
@@ -484,7 +484,7 @@ def load_operator(*args, **kwargs):
 
 
 def _check_field(op: SpectralOperator, u: RadialField) -> None:
-    if u.grid is not op.grid and not u.grid.same_as(op.grid):
+    if not u.grid.same_as(op.grid):
         raise SpectralError("field grid does not match operator grid")
 
 
@@ -538,8 +538,6 @@ def power_values(
     allocating call's, and nothing of values' size is allocated.
     """
     factors = _scalar_factors(op, "power_s", s)
-    if out is None:
-        return op.from_modal(op.to_modal(values) * factors)
     coeffs = op.to_modal(values, out=work, work=out)
     coeffs *= factors
     return op.from_modal(coeffs, out=out, work=work)

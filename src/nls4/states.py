@@ -19,19 +19,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .radial import RadialField
+from .radial import RadialField, smooth_cutoff
 from .spectral import SpectralOperator
 
 
+_LOW_MODES = 10  # the modes a random field draws from
+
+
 def random_low_mode_field(
-    op: SpectralOperator,
-    rng: np.random.Generator,
-    num_modes: int = 10,
-    norm: float = 1.0,
+    op: SpectralOperator, rng: np.random.Generator, norm: float = 1.0
 ) -> RadialField:
-    """Seeded superposition of the lowest eigenmodes, L^2-normalized to `norm`."""
+    """Seeded superposition of the _LOW_MODES lowest eigenmodes, L^2-normalized to `norm`."""
     coeffs = np.zeros(op.grid.num_points, dtype=complex)
-    coeffs[:num_modes] = rng.standard_normal(num_modes) + 1j * rng.standard_normal(num_modes)
+    coeffs[:_LOW_MODES] = rng.standard_normal(_LOW_MODES) + 1j * rng.standard_normal(_LOW_MODES)
     coeffs *= norm / np.linalg.norm(coeffs)
     return RadialField(op.grid, op.from_modal(coeffs))
 
@@ -48,8 +48,6 @@ def soft_lowpass(op: SpectralOperator, u: RadialField, xi_max: float) -> RadialF
     keeps the field localized while still capping the group velocity at
     4 xi_max^3 exactly.
     """
-    from .radial import smooth_cutoff
-
     coeffs = op.to_modal(u.values)
     coeffs *= smooth_cutoff(2.0 * mode_frequencies(op) / xi_max)
     return RadialField(u.grid, op.from_modal(coeffs))
@@ -66,8 +64,6 @@ def fast_escape_state(
     polynomially drained.  Used where a composition of propagators must
     converge quickly on a finite window.
     """
-    from .radial import smooth_cutoff
-
     raw = np.exp(-((op.grid.nodes / width) ** 2)).astype(complex)
     coeffs = op.to_modal(raw)
     coeffs *= smooth_cutoff(2.0 * mode_frequencies(op) / xi_cut)

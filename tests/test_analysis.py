@@ -238,6 +238,26 @@ class TestDecayFit:
         with pytest.raises(ValueError):
             fit_decay(op_full, random_smooth_field(grid, rng), 10.0, (0.0, 1.0))
 
+    def test_window_error_names_the_first_contaminated_time(self, op_full):
+        # clean at the first two of twelve log-spaced times, past 1e-6 from the third
+        u0 = RadialField(op_full.grid, np.exp(-op_full.grid.nodes**2).astype(complex))
+        times = np.geomspace(0.01, 5.0, 12)
+        rows = spectral.evolve(op_full, u0.values, times)
+        dirty = [t for t, row in zip(times, rows)
+                 if radial.boundary_mass(RadialField(op_full.grid, row)) > 1e-6 * mass(u0)]
+        assert dirty[0] > times[1]
+        with pytest.raises(analysis.WindowError, match=f"at t = {dirty[0]:.4g}$"):
+            fit_decay(op_full, u0, 10.0, (0.01, 5.0), num_samples=12)
+
+    @pytest.mark.parametrize("num_samples", [0, 1])
+    def test_fewer_than_two_samples_rejected_before_any_evolution(
+            self, op_full, grid, rng, monkeypatch, num_samples):
+        # one sample fitted a line through one point; none failed inside numpy
+        monkeypatch.setattr(analysis, "evolve", lambda *a: pytest.fail("evolve reached"))
+        with pytest.raises(ValueError, match=f"num_samples must be at least 2, got {num_samples}"):
+            fit_decay(op_full, random_smooth_field(grid, rng), 10.0, (0.05, 0.5),
+                      num_samples=num_samples)
+
 
 class TestStrichartzQuotient:
     def test_single_eigenmode_closed_form(self, op_full, op_free):

@@ -159,10 +159,14 @@ class TestClaimVerdict:
 
 
 class TestClaimInRecord:
-    def fake_main(self, monkeypatch, tmp_path, argv):
-        """main(argv) on fake trees whose runs give fixed metrics; self.runs lists the runs."""
-        bench = (ROOT / "BENCHMARK.json").read_text()
-        self.runs = []
+    def fake_main(self, monkeypatch, tmp_path, argv, bench=None):
+        """main(argv) on fake trees whose runs give fixed metrics; self.runs lists the runs.
+
+        The trees hold `bench` as their BENCHMARK.json (default: this checkout's)
+        and self.seconds the --seconds of every run.
+        """
+        bench = (ROOT / "BENCHMARK.json").read_text() if bench is None else json.dumps(bench)
+        self.runs, self.seconds = [], set()
 
         def fake_export(commit, dest):
             dest.mkdir()
@@ -175,6 +179,7 @@ class TestClaimInRecord:
 
         def fake_run_bench(tree, workload, seconds, seed=None):
             self.runs.append((tree.name, workload))
+            self.seconds.add(seconds)
             peak = 91.0 if tree.name == "parent" else 89.5
             metrics = {"wall_s": 0.7, "cpu_s": 1.0, "setup_s": 0.4, "peak_rss_mb": peak}
             if workload == "strang_small" and tree.name == "change":
@@ -237,5 +242,36 @@ class TestClaimInRecord:
             self.fake_main(monkeypatch, tmp_path, [
                 "A", "B", "--workloads", "modal_small", "--claim", claim, "--out", str(out)])
         assert message in str(stop.value) + capsys.readouterr().err
+        assert self.runs == []
+        assert not out.exists()
+
+    def test_defaults_are_the_change_trees_benchmark_json(self, monkeypatch, tmp_path):
+        # a workload the file adds is run without a flag naming it
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        bench["run_seconds"] = 7
+        bench["workloads"].append({"name": "scatter_large", "why": "a later workload"})
+        out = tmp_path / "BENCH_defaults.json"
+        self.fake_main(monkeypatch, tmp_path, ["A", "B", "--pairs", "2", "--out", str(out)],
+                       bench)
+        declared = [w["name"] for w in bench["workloads"]]
+        assert self.runs == [(side, w) for order in (("parent", "change"), ("change", "parent"))
+                             for w in declared for side in order]
+        assert self.seconds == {7}
+        record = json.loads(out.read_text())
+        assert list(record["workloads"]) == declared
+        assert "--seconds 7 " in record["command"]
+
+    def test_flags_override_the_defaults(self, monkeypatch, tmp_path):
+        out = tmp_path / "BENCH_flags.json"
+        self.fake_main(monkeypatch, tmp_path, ["A", "B", "--pairs", "2", "--seconds", "3",
+                                               "--workloads", "strang_small", "--out", str(out)])
+        assert {w for _, w in self.runs} == {"strang_small"} and self.seconds == {3.0}
+        assert "--seconds 3 " in json.loads(out.read_text())["command"]
+
+    def test_undeclared_workload_stops_before_any_run(self, monkeypatch, tmp_path):
+        out = tmp_path / "BENCH_undeclared.json"
+        with pytest.raises(SystemExit, match="--workloads names scatter_large, not declared"):
+            self.fake_main(monkeypatch, tmp_path, [
+                "A", "B", "--workloads", "modal_small,scatter_large", "--out", str(out)])
         assert self.runs == []
         assert not out.exists()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nls4.config import KNOB_SCHEMAS, ConfigError, _parse_floats, load_config
+from nls4.config import _KNOB_BOUNDS, KNOB_SCHEMAS, ConfigError, _parse_floats, load_config
 
 MINIMAL = """
 [experiment]
@@ -10,6 +10,20 @@ kind = conservation
 [grid]
 dimension = 5
 """
+
+
+# (kind, knob) -> (least value that loads, one step past it) for each edge of
+# its row in _KNOB_BOUNDS, on a grid of 64 points
+BOUND_EDGES = {
+    ("decay", "num_samples"): [("2", "1")],
+    ("sobolev_equiv", "num_fields"): [("1", "0")],
+    ("strichartz", "num_draws"): [("1", "0")],
+    ("perturbation", "data_gaps"): [("1e-3, 1e-4", "1e-3, 1e-3")],
+    ("strichartz", "eigenmode_index"): [("0", "-1"), ("63", "64")],
+    ("localized_mass", "eigenmode_index"): [("0", "-1"), ("63", "64")],
+    ("strichartz", "num_samples"): [("4", "3")],
+    ("strichartz", "t_end"): [("5e-324", "0.0")],
+}
 
 
 def write(tmp_path, text):
@@ -210,3 +224,22 @@ pairs = 18:90/41; 12:30/13
                 f"[{kind}]\n{knob} = {value}\n")
         parse = KNOB_SCHEMAS[kind][knob][0]
         assert load_config(write(tmp_path, text)).knobs[knob] == parse(value)
+
+
+def test_every_bound_has_its_edges():
+    assert list(BOUND_EDGES) == list(_KNOB_BOUNDS)
+
+
+@pytest.mark.parametrize("kind, knob, least, past", [
+    (kind, knob, least, past) for kind, knob in _KNOB_BOUNDS
+    for least, past in BOUND_EDGES.get((kind, knob), [])
+])
+def test_bound_edge_loads_and_one_step_past_fails(tmp_path, kind, knob, least, past):
+    def text(value):
+        return (f"[experiment]\nkind = {kind}\n[grid]\ndimension = 5\nnum_points = 64\n"
+                f"[{kind}]\n{knob} = {value}\n")
+
+    parse = KNOB_SCHEMAS[kind][knob][0]
+    assert load_config(write(tmp_path, text(least))).knobs[knob] == parse(least)
+    with pytest.raises(ConfigError, match=rf"^{kind}\.{knob} "):
+        load_config(write(tmp_path, text(past)))

@@ -244,11 +244,16 @@ class TestCli:
 
 
 class TestRunAll:
-    def test_refuses_a_used_output_directory(self, tmp_path, monkeypatch, capsys):
-        # a file a change stopped writing would still enter the digest column
+    @staticmethod
+    def load_run_all():
         spec = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
         run_all = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(run_all)
+        return run_all
+
+    def test_refuses_a_used_output_directory(self, tmp_path, monkeypatch, capsys):
+        # a file a change stopped writing would still enter the digest column
+        run_all = self.load_run_all()
         stale = tmp_path / "out" / "decay"
         stale.mkdir(parents=True)
         (stale / "decay_fits.csv").write_text("t\n")
@@ -256,3 +261,17 @@ class TestRunAll:
         monkeypatch.setattr(sys, "argv", ["run_all.py", str(tmp_path / "out")])
         assert run_all.main() == 2
         assert str(stale) in capsys.readouterr().err
+
+    def test_refuses_an_unknown_only_kind_before_any_config(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # conservation comes first and would run before sobolev.cfg failed to load
+        run_all = self.load_run_all()
+        monkeypatch.setattr(run_all, "load_config", lambda path: pytest.fail("a config loaded"))
+        monkeypatch.setattr(run_all, "run_experiment", lambda cfg: pytest.fail("a config ran"))
+        monkeypatch.setattr(sys, "argv", ["run_all.py", str(tmp_path / "out"), "--only",
+                                          "conservation,sobolev,strichartz,morawetz2"])
+        assert run_all.main() == 2
+        err = capsys.readouterr().err
+        assert "--only sobolev, morawetz2 " in err
+        assert "(known: " + ", ".join(run_all.ORDER) + ")" in err
+        assert not (tmp_path / "out").exists()

@@ -15,6 +15,8 @@ from nls4.radial import (
     RadialField,
     SpaceTimeSample,
     _blocks,
+    _boundary_masses,
+    boundary_mass,
     localized_mass,
     lp_norm,
     lp_norm_values,
@@ -230,6 +232,16 @@ class TestCutoffAndLocalizedMass:
         radii = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
         masses = [localized_mass(u, r) for r in radii]
         assert np.all(np.diff(masses) >= -1e-15)
+
+    @pytest.mark.parametrize("num_rows", [1, 7, 129])
+    def test_row_boundary_masses_are_boundary_mass_bit_for_bit(self, grid, rng, num_rows):
+        # the clean-window checks read a whole (T, N) array in one call
+        rows = np.array([random_smooth_field(grid, rng, width=12.0).values
+                         for _ in range(num_rows)])
+        masses = _boundary_masses(grid, rows)
+        assert masses.shape == (num_rows,) and masses.min() > 0.0
+        assert [float(m) for m in masses] == [boundary_mass(RadialField(grid, row))
+                                               for row in rows]
 
     def test_ball_mass_bounded_by_hdot2_r4(self, grid):
         # M(u, B(R)) <= C ||Delta u||^2 R^4 with one desk-scale constant

@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from nls4 import scattering
+from nls4 import analysis, scattering
 from nls4.analysis import WindowError
-from nls4.radial import RadialField
+from nls4.radial import RadialField, SpaceTimeSample, boundary_mass
 from nls4.scattering import (
     extract_scattering_state,
     free_frame_transfer,
     gaps_converging,
     probe_wave_operator,
 )
-from nls4.solver import SimulationConfig, duhamel_window, run_trajectory
-from nls4.spectral import apply_function, h2_norm, l2_norm
+from nls4.solver import SimulationConfig, duhamel_window, mass, run_trajectory
+from nls4.spectral import apply_function, evolve, h2_norm, l2_norm
 from nls4.states import soft_lowpass
 
 from conftest import random_smooth_field
@@ -77,6 +77,17 @@ class TestWaveOperatorProbe:
         with pytest.raises(WindowError):
             probe_wave_operator(op_full, op_free, psi, (5.0, 10.0))
 
+    def test_window_error_names_the_first_contaminated_time(self, op_full, op_free, grid):
+        # the free backward flow of a raw gaussian is clean at t = 0.01 only
+        psi = RadialField(grid, np.exp(-grid.nodes**2).astype(complex))
+        times = np.array([0.01, 0.1, 1.0, 5.0])
+        rows = evolve(op_free, psi.values, -times)
+        dirty = [t for t, row in zip(times, rows)
+                 if boundary_mass(RadialField(grid, row)) > 1e-6 * mass(psi)]
+        assert dirty[0] == 0.1
+        with pytest.raises(WindowError, match=r"at t = 0\.1$"):
+            probe_wave_operator(op_full, op_free, psi, times)
+
     def test_times_must_increase(self, op_full, op_free, grid, rng):
         with pytest.raises(ValueError):
             probe_wave_operator(op_full, op_free, smooth_state(op_free), (2.0, 1.0))
@@ -115,6 +126,21 @@ class TestExtraction:
             moves.append(h2_norm(rep.u_plus - base.u_plus))
         slope = np.log(moves[0] / moves[1]) / np.log(deltas[0] / deltas[1])
         assert slope == pytest.approx(1.0, abs=0.3)
+
+    def test_tail_below_the_sample_minimum_reads_the_decimated_sample(
+            self, op_full, op_free, monkeypatch):
+        # 13 snapshots leave 4 in the last quarter, [2.25, 3]: below a minimum of 5 the
+        # Z tail is read off the sample decimated by max(1, 13 // 8) = 1, all of it
+        times = 0.25 * np.arange(13)
+        u0 = smooth_state(op_full)
+        sample = SpaceTimeSample(op_full.grid, times, evolve(op_full, u0.values, times),
+                                 (0.0, 3.0))
+        assert sample.restricted(2.25, 3.0).times.size == 4
+        monkeypatch.setattr(analysis, "MIN_TIME_SAMPLES", 5)
+        monkeypatch.setattr(scattering, "MIN_TIME_SAMPLES", 5)
+        cfg = SimulationConfig(lam=0.0, p=9.0, dt=0.25, t_end=3.0)
+        report = extract_scattering_state(sample, op_full, op_free, cfg)
+        assert report.z_tail == analysis.spacetime_norm(sample, "Z")
 
     def test_free_frame_transfer_identity_for_zero_potential(self, op_zero, op_free, grid, rng):
         u = random_smooth_field(grid, rng)

@@ -37,7 +37,7 @@ class TestRandomFields:
         assert np.array_equal(a.values, b.values)
 
     def test_uses_only_low_modes(self, op_free):
-        u = random_low_mode_field(op_free, np.random.default_rng(0), num_modes=10)
+        u = random_low_mode_field(op_free, np.random.default_rng(0))
         coeffs = op_free.to_modal(u.values)
         assert np.max(np.abs(coeffs[10:])) <= 1e-12
 
