@@ -147,11 +147,14 @@ def spacetime_norm(
     return _time_lq(sample.times, lp_norm_values(grid, values, float(r)), float(q))
 
 
+def _admissible_r(q: Fraction, n: int) -> Fraction:
+    """The r with 4/q + n/r = n/2, in exact rational arithmetic; positive for q >= 2, n >= 5."""
+    return Fraction(n) / (Fraction(n, 2) - Fraction(4) / q)
+
+
 def is_b_admissible(q: Fraction, r: Fraction, n: int) -> bool:
     """4/q + n/r = n/2 with 2 <= q, r, in exact rational arithmetic."""
-    if q < 2 or r < 2:
-        return False
-    return Fraction(4) / q + Fraction(n) / r == Fraction(n, 2)
+    return q >= 2 and r >= 2 and r == _admissible_r(q, n)
 
 
 def require_b_admissible(q: Fraction, r: Fraction, n: int, r_below_half_n: bool = False):

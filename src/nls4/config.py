@@ -11,17 +11,23 @@ Grammar (configparser syntax):
     [<experiment kind>]     experiment-specific knobs (see KNOB_SCHEMAS)
 
 Every key is validated against a schema: unknown sections or keys are
-rejected by name (typo safety), defaults are filled in, and the fully
-resolved configuration is echoed into reports.  The literal value
-``critical`` for ``p`` resolves to the energy-critical power 2n/(n-4) - 1
-in exact arithmetic for the configured dimension.  Every bound on a knob's
-value is one row of _KNOB_BOUNDS, but Strichartz pair admissibility.
+rejected by name (typo safety).  Each section is then passed to its
+dataclass, so a key left out takes that field's default; only
+potential.family (zero) and simulation.p (critical) have defaults here,
+their fields having none.  The fully resolved configuration is echoed into
+reports, its [grid] and [simulation] lines walking the fields of GridParams
+and SimulationConfig (field ``lam`` is key ``lambda``); a new field is
+echoed with no further edit once its key is in _GRID_KEYS or
+_SIMULATION_KEYS.  The literal value ``critical`` for ``p`` resolves to the
+energy-critical power 2n/(n-4) - 1 in exact arithmetic for the configured
+dimension.  Every bound on a knob's value is one row of _KNOB_BOUNDS, but
+Strichartz pair admissibility.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -208,7 +214,7 @@ _KNOB_BOUNDS = {
     ("strichartz", "t_end"): ("must be positive", lambda value, grid: value > 0),
 }
 
-_EXPERIMENT_KEYS = {"kind": str.strip, "seed": int, "output_dir": str.strip}
+_EXPERIMENT_KEYS = {"kind": str.strip, "seed": int, "output_dir": lambda text: Path(text.strip())}
 _GRID_KEYS = {"dimension": int, "r_max": float, "num_points": int}
 _POTENTIAL_KEYS = {
     "family": str.strip,
@@ -251,30 +257,21 @@ class ExperimentConfig:
 
     def canonical_items(self) -> list[tuple[str, str]]:
         """Deterministic, fully resolved (key, value) echo for reports."""
-        items = [
-            ("experiment.kind", self.experiment),
-            ("experiment.seed", repr(self.seed)),
-            ("grid.dimension", repr(self.grid.dimension)),
-            ("grid.r_max", repr(self.grid.r_max)),
-            ("grid.num_points", repr(self.grid.num_points)),
+        items = [("experiment.kind", self.experiment), ("experiment.seed", repr(self.seed))]
+        items += [(f"grid.{f.name}", repr(getattr(self.grid, f.name))) for f in fields(GridParams)]
+        items += [
             ("potential.family", self.potential.family),
             ("potential.c", repr(self.potential.c)),
             ("potential.beta", repr(self.potential.beta)),
             ("potential.a", repr(self.potential.a)),
             ("potential.delta_n", repr(self.delta_n)),
-            ("simulation.lambda", repr(self.sim.lam)),
-            ("simulation.p", repr(self.sim.p)),
-            ("simulation.critical",
-             repr(abs(self.sim.p - critical_exponent(self.grid.dimension)) < 1e-12)),
-            ("simulation.dt", repr(self.sim.dt)),
-            ("simulation.t_end", repr(self.sim.t_end)),
-            ("simulation.monitor_stride", repr(self.sim.monitor_stride)),
-            ("simulation.snapshot_stride", repr(self.sim.snapshot_stride)),
-            ("simulation.picard_tol", repr(self.sim.picard_tol)),
-            ("simulation.picard_max_iter", repr(self.sim.picard_max_iter)),
-            ("simulation.boundary_threshold", repr(self.sim.boundary_threshold)),
-            ("simulation.blowup_factor", repr(self.sim.blowup_factor)),
         ]
+        for f in fields(SimulationConfig):
+            key = "lambda" if f.name == "lam" else f.name
+            items.append((f"simulation.{key}", repr(getattr(self.sim, f.name))))
+            if f.name == "p":
+                critical = abs(self.sim.p - critical_exponent(self.grid.dimension)) < 1e-12
+                items.append(("simulation.critical", repr(critical)))
         for key in sorted(self.knobs):
             items.append((f"{self.experiment}.{key}", repr(self.knobs[key])))
         return items
@@ -315,7 +312,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     exp_raw = _typed_section(_section_dict(parser, "experiment"), _EXPERIMENT_KEYS, "experiment")
     if "kind" not in exp_raw:
         raise ConfigError("missing experiment.kind")
-    kind = exp_raw["kind"]
+    kind = exp_raw.pop("kind")
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
 
@@ -334,15 +331,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
     pot_raw = _typed_section(_section_dict(parser, "potential"), _POTENTIAL_KEYS, "potential")
-    family = pot_raw.get("family", "zero")
-    delta_n = pot_raw.get("delta_n", DEFAULT_DELTA_N)
+    if "delta_n" in pot_raw:  # an ExperimentConfig field set in [potential]
+        exp_raw["delta_n"] = pot_raw.pop("delta_n")
     try:
         potential = PotentialSpec(
-            family=family,
-            dimension=grid.dimension,
-            c=pot_raw.get("c", 0.0),
-            beta=pot_raw.get("beta"),
-            a=pot_raw.get("a"),
+            family=pot_raw.pop("family", "zero"), dimension=grid.dimension, **pot_raw
         )
     except ValueError as exc:
         raise ConfigError(f"invalid [potential]: {exc}") from exc
@@ -374,12 +367,5 @@ def load_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"invalid strichartz pair: {exc}") from exc
 
     return ExperimentConfig(
-        experiment=kind,
-        grid=grid,
-        potential=potential,
-        sim=sim,
-        seed=exp_raw.get("seed", 0),
-        output_dir=Path(exp_raw.get("output_dir", "nls4-out")),
-        delta_n=delta_n,
-        knobs=knobs,
+        experiment=kind, grid=grid, potential=potential, sim=sim, knobs=knobs, **exp_raw
     )

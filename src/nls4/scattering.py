@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MIN_TIME_SAMPLES, _require_clean_window, spacetime_norm
+from .analysis import MIN_TIME_SAMPLES, _require_clean_window, _require_time_samples, spacetime_norm
 from .radial import RadialField, SpaceTimeSample, lp_norm_values
 from .solver import SimulationConfig, critical_exponent, energy, mass
 from .spectral import SpectralOperator, apply_function, evolve, h2_norm, hdot2_norm
@@ -94,8 +94,7 @@ def extract_scattering_state(
     cfg: SimulationConfig,
 ) -> ScatteringReport:
     """Read v(t) = e^{-itH} u(t) off trajectory snapshots and test the identities."""
-    if sample.times.size < MIN_TIME_SAMPLES:
-        raise ValueError(f"need at least {MIN_TIME_SAMPLES} snapshots for a scattering state")
+    _require_time_samples(sample.times.size)
     times = sample.times
     grid = sample.grid
     v_fields = [RadialField(grid, row) for row in evolve(op_full, sample.values, -times)]

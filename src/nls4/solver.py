@@ -179,6 +179,10 @@ class TrajectoryRecord:
         scale = max(abs(e0), 1e-300)
         return float(np.max(np.abs(self.energy_series - e0)) / scale)
 
+    def h2dot_growth(self) -> float:
+        """Largest ||Delta u||^2 over the run relative to its initial value."""
+        return float(np.max(self.h2dot_series) / self.h2dot_series[0])
+
 
 def mass(u: RadialField) -> float:
     return float(np.sum(u.grid.metric * np.abs(u.values) ** 2))

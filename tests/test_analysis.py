@@ -78,6 +78,18 @@ class TestAdmissibility:
         with pytest.raises(AdmissibilityError):
             require_b_admissible(Fraction(2), Fraction(10), 5, r_below_half_n=True)
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_stock_pairs_are_admissible_below_half_n(self, n):
+        for q, r in _stock_pairs(n):
+            require_b_admissible(q, r, n, r_below_half_n=True)
+
+    def test_stock_pairs_at_n5(self):
+        assert _stock_pairs(5) == (
+            (Fraction(18), Fraction(90, 41)),
+            (Fraction(12), Fraction(30, 13)),
+            (Fraction(24), Fraction(15, 7)),
+        )
+
 
 class TestSpaceTimeNorms:
     def test_exponent_table(self):

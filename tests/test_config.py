@@ -1,8 +1,24 @@
 """Configuration parsing, validation, and typo safety."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
-from nls4.config import _KNOB_BOUNDS, KNOB_SCHEMAS, ConfigError, _parse_floats, load_config
+from nls4.config import (
+    _GRID_KEYS,
+    _KNOB_BOUNDS,
+    _SIMULATION_KEYS,
+    KNOB_SCHEMAS,
+    EXPERIMENT_KINDS,
+    ConfigError,
+    GridParams,
+    _parse_floats,
+    load_config,
+)
+from nls4.solver import SimulationConfig, critical_exponent
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 MINIMAL = """
 [experiment]
@@ -243,3 +259,56 @@ def test_bound_edge_loads_and_one_step_past_fails(tmp_path, kind, knob, least, p
     assert load_config(write(tmp_path, text(least))).knobs[knob] == parse(least)
     with pytest.raises(ConfigError, match=rf"^{kind}\.{knob} "):
         load_config(write(tmp_path, text(past)))
+
+
+def hand_listed_items(cfg):
+    """The [config] echo with every field named by hand, as reports have always read."""
+    items = [
+        ("experiment.kind", cfg.experiment),
+        ("experiment.seed", repr(cfg.seed)),
+        ("grid.dimension", repr(cfg.grid.dimension)),
+        ("grid.r_max", repr(cfg.grid.r_max)),
+        ("grid.num_points", repr(cfg.grid.num_points)),
+        ("potential.family", cfg.potential.family),
+        ("potential.c", repr(cfg.potential.c)),
+        ("potential.beta", repr(cfg.potential.beta)),
+        ("potential.a", repr(cfg.potential.a)),
+        ("potential.delta_n", repr(cfg.delta_n)),
+        ("simulation.lambda", repr(cfg.sim.lam)),
+        ("simulation.p", repr(cfg.sim.p)),
+        ("simulation.critical",
+         repr(abs(cfg.sim.p - critical_exponent(cfg.grid.dimension)) < 1e-12)),
+        ("simulation.dt", repr(cfg.sim.dt)),
+        ("simulation.t_end", repr(cfg.sim.t_end)),
+        ("simulation.monitor_stride", repr(cfg.sim.monitor_stride)),
+        ("simulation.snapshot_stride", repr(cfg.sim.snapshot_stride)),
+        ("simulation.picard_tol", repr(cfg.sim.picard_tol)),
+        ("simulation.picard_max_iter", repr(cfg.sim.picard_max_iter)),
+        ("simulation.boundary_threshold", repr(cfg.sim.boundary_threshold)),
+        ("simulation.blowup_factor", repr(cfg.sim.blowup_factor)),
+    ]
+    for key in sorted(cfg.knobs):
+        items.append((f"{cfg.experiment}.{key}", repr(cfg.knobs[key])))
+    return items
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_derived_echo_is_the_hand_listed_one(kind):
+    cfg = load_config(CONFIG_DIR / f"{kind}.cfg")
+    assert cfg.canonical_items() == hand_listed_items(cfg)
+
+
+@pytest.mark.parametrize("extra", ["", "seed = 1234\n"])
+def test_derived_echo_of_the_minimal_config(tmp_path, extra):
+    cfg = load_config(write(tmp_path, MINIMAL.replace("[grid]", extra + "[grid]")))
+    assert cfg.seed == (1234 if extra else 0)
+    assert (cfg.output_dir, cfg.potential.beta, cfg.delta_n) == (Path("nls4-out"), None, 0.05)
+    assert cfg.canonical_items() == hand_listed_items(cfg)
+
+
+def test_every_echoed_field_is_settable():
+    # the echo walks the dataclass fields; each must have its key in the schema
+    assert list(_GRID_KEYS) == [f.name for f in fields(GridParams)]
+    assert list(_SIMULATION_KEYS) == [
+        "lambda" if f.name == "lam" else f.name for f in fields(SimulationConfig)
+    ]

@@ -1,6 +1,7 @@
 """Registry-level smoke runs of the remaining experiment kinds."""
 
 import copy
+import importlib.util
 import sys
 import tracemalloc
 import weakref
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from nls4 import analysis, solver, spectral
-from nls4.config import load_config
+from nls4.config import EXPERIMENT_KINDS, load_config
 from nls4.experiments import EXPERIMENTS, RunContext, run_experiment
 from nls4.potentials import example_potential, zero_potential
 from nls4.radial import RadialField
@@ -28,6 +29,24 @@ def test_every_kind_has_a_driver_and_config():
     }
     for kind in EXPERIMENTS:
         assert (CONFIG_DIR / f"{kind}.cfg").exists()
+    # a kind missing from either list would load nowhere or be skipped by run_all.py
+    spec = importlib.util.spec_from_file_location("run_all", CONFIG_DIR.parent / "run_all.py")
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    assert sorted(EXPERIMENT_KINDS) == sorted(run_all.ORDER) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_non_admissible_control_is_rejected_in_every_dimension(n, tmp_path):
+    # a fixed pair would not do: (3, 3) lies on the line at n = 8, where 4/3 + 8/3 = 4
+    path = tmp_path / "strichartz.cfg"
+    path.write_text(f"[experiment]\nkind = strichartz\n[grid]\ndimension = {n}\n"
+                    "num_points = 64\n[strichartz]\nnum_draws = 1\nnum_samples = 4\n")
+    cfg = load_config(path)
+    cfg.output_dir = tmp_path / "out"
+    checks = {c.name: c for c in run_experiment(cfg).checks}
+    assert checks["non_admissible_rejected"].verdict == "pass"
+    assert checks["non_admissible_rejected"].measured == 1.0
 
 
 @pytest.mark.parametrize("kind", ["subcritical_global_cases", "perturbation"])

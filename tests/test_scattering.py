@@ -142,6 +142,16 @@ class TestExtraction:
         report = extract_scattering_state(sample, op_full, op_free, cfg)
         assert report.z_tail == analysis.spacetime_norm(sample, "Z")
 
+    def test_too_few_snapshots_is_a_resolution_error(self, op_full, op_free):
+        # the sample minimum raises the error spacetime_norm raises for it
+        times = np.array([0.0, 0.5, 1.0])
+        u0 = smooth_state(op_full)
+        sample = SpaceTimeSample(op_full.grid, times, evolve(op_full, u0.values, times),
+                                 (0.0, 1.0))
+        cfg = SimulationConfig(lam=0.0, p=9.0, dt=0.5, t_end=1.0)
+        with pytest.raises(analysis.ResolutionError, match="got 3$"):
+            extract_scattering_state(sample, op_full, op_free, cfg)
+
     def test_free_frame_transfer_identity_for_zero_potential(self, op_zero, op_free, grid, rng):
         u = random_smooth_field(grid, rng)
         out = free_frame_transfer(op_zero, op_free, u, 3.0)
