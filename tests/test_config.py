@@ -9,8 +9,8 @@ from nls4.config import (
     _GRID_KEYS,
     _KNOB_BOUNDS,
     _SIMULATION_KEYS,
-    KNOB_SCHEMAS,
     EXPERIMENT_KINDS,
+    KNOB_SCHEMAS,
     ConfigError,
     GridParams,
     _parse_floats,
@@ -262,7 +262,7 @@ def test_bound_edge_loads_and_one_step_past_fails(tmp_path, kind, knob, least, p
 
 
 def hand_listed_items(cfg):
-    """The [config] echo with every field named by hand, as reports have always read."""
+    """The reference [config] echo: every field named by hand, in report order."""
     items = [
         ("experiment.kind", cfg.experiment),
         ("experiment.seed", repr(cfg.seed)),
