@@ -47,7 +47,6 @@ from .radial import (
     lp_norm_values,
     smooth_cutoff,
 )
-from . import solver
 from .solver import SimulationConfig, critical_exponent, mass
 from .spectral import (
     SpectralOperator,
@@ -58,6 +57,7 @@ from .spectral import (
     fractional_gradient_values,
     hdot2_norm,
     laplacian_values,
+    phase_table,
     power_values,
 )
 
@@ -316,7 +316,7 @@ def duhamel_solution(
     """
     mu = op.eigenvalues
     times = np.asarray(times, dtype=float)
-    phases = op.held(solver.phase_table, times)
+    phases = op.held(phase_table, times)
     u0_modal = op.to_modal(u0.values)
     if forcing is not None:
         g_modal = op.to_modal(np.array([g.values for g in forcing.fields]))

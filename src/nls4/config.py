@@ -212,6 +212,11 @@ _KNOB_BOUNDS = {
     ("localized_mass", "eigenmode_index"): _IN_EIGENBASIS,
     ("strichartz", "num_samples"): _at_least(MIN_TIME_SAMPLES),
     ("strichartz", "t_end"): ("must be positive", lambda value, grid: value > 0),
+    ("strichartz", "forcing_modes"): _at_least(1),
+    ("morawetz", "k_values"): ("must all be positive", lambda value, grid: min(value) > 0),
+    ("decay", "lp_exponents"): ("must all exceed 1", lambda value, grid: min(value) > 1),
+    ("final_state", "window_fraction"): ("must lie in (0, 1]", lambda value, grid: 0 < value <= 1),
+    ("final_state", "shrink_factor"): ("must be positive", lambda value, grid: value > 0),
 }
 
 _EXPERIMENT_KEYS = {"kind": str.strip, "seed": int, "output_dir": lambda text: Path(text.strip())}

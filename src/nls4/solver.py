@@ -38,9 +38,9 @@ Two independent integrators share the exact spectral propagator:
   iterate distance raises an error carrying the measured factor (the window
   was too long for the data size).  Run backward from a scattering datum u+,
   the same fixed point gives the final state, the solution scattering to u+.
-  The table e^{i t mu} at the collocation nodes is the operator's held
-  table, so windows that share (operator, [t0, t1], dt) build it once, and
-  a window on an operator a Strang run stepped with drops that run's P
+  The nodes' phases are the operator's held spectral.phase_table (the one
+  e^{i t mu}), so windows that share (operator, [t0, t1], dt) build it once,
+  and a window on an operator a Strang run stepped with drops that run's P
   before it builds the nodes' table.  A sweep forms |u|^{p-1} u, the
   conj-phase product, the next iterate and its distance in place, each
   product in the operand order of the expression form (complex products
@@ -80,9 +80,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial import RadialField, SpaceTimeSample, _blocks
-from .spectral import (
-    SpectralOperator, _apply_tridiag, _gemm_rows, _time_loop, evolve_modal, hdot2_norm,
-)
+from .spectral import (SpectralOperator, _apply_tridiag, _gemm_rows, _time_loop, evolve_modal,
+                       hdot2_norm, phase_table)
 
 PICARD_ORDER = 8
 # rows of the step propagator filled per pair of real products (radial._blocks
@@ -256,12 +255,10 @@ def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
     of _PROPAGATOR_ROWS rows from two real products, so no N x N temporary
     exists beside P: its 16 N^2 bytes are the whole memory cost.  Each
     block's scaled rows and product go into two buffers allocated once per
-    build.
+    build.  cos and sin of tau mu are the parts of spectral.phase_table.
     """
-    q = op.eigenvectors
-    qt = q.T
-    phase = tau * op.eigenvalues
-    cos, sin = np.cos(phase), np.sin(phase)
+    q, qt = op.eigenvectors, op.eigenvectors.T
+    phases = phase_table(op, tau)
     sqrt_m = op.grid.metric_sqrt
     n = q.shape[0]
     out = np.empty((n, n), dtype=complex)
@@ -269,18 +266,12 @@ def step_propagator(op: SpectralOperator, tau: float) -> np.ndarray:
     scaled, product = np.empty((2, blocks[0].stop, n))
     for rows in blocks:
         m = rows.stop - rows.start
-        for part, factor in ((out.real, cos), (out.imag, sin)):
+        for part, factor in ((out.real, phases.real), (out.imag, phases.imag)):
             block = np.matmul(np.multiply(q[rows], factor, out=scaled[:m]), qt, out=product[:m])
             block *= sqrt_m
             block /= sqrt_m[rows, None]
             part[rows] = block
     return out
-
-
-def phase_table(op: SpectralOperator, times: np.ndarray) -> np.ndarray:
-    """e^{i t mu} for every time t in `times` and eigenvalue mu: shape times.shape + (N,)."""
-    table = 1j * op.eigenvalues * times[..., None]
-    return np.exp(table, out=table)
 
 
 def run_trajectory(
@@ -514,7 +505,7 @@ def duhamel_window(
     mu = op.eigenvalues
     anchor = op.to_modal(u.values)
     if not backward:
-        anchor = anchor * np.exp(-1j * mu * t0)
+        anchor = anchor * phase_table(op, -t0)
     node_phases = op.held(phase_table, panels.nodes)
     h2_weight = 1.0 + np.sqrt(np.maximum(mu, 0.0))
 
@@ -591,5 +582,5 @@ def duhamel_window(
 
     # read at the other end: G(t1) - 0 forward, 0 - G(t1) backward
     t_out, g_out = (t0, -g_total) if backward else (t1, g_total)
-    out_modal = np.exp(1j * mu * t_out) * (anchor + 1j * cfg.lam * g_out)
+    out_modal = phase_table(op, t_out) * (anchor + 1j * cfg.lam * g_out)
     return PicardSolution(RadialField(u.grid, op.from_modal(out_modal)), len(diffs), diffs)

@@ -12,7 +12,8 @@ takes the free route.  Eigenvector signs are canonical: the first component
 of every eigenvector (the node nearest the origin) is positive.
 
 Two functions f(H) -- propagators exp(itH) and fractional powers H^{s/4} --
-are evaluated exactly in the discretization by scaling modal coefficients.
+scale modal coefficients, exact in the discretization, each by one formula:
+phase_table, the one e^{i t mu} in nls4, and _power_factors, mu_+^{s/4}.
 |grad|^s is realized as (Delta^2)^{s/4} through the free operator's
 calculus.  The modal transform pair takes batches and works on complex
 rows only: every row of an array of shape (..., N) goes through one real
@@ -476,7 +477,7 @@ def load_operator(*args, **kwargs):
     """Always raises: the eigendecomposition cache was removed; operators are built.
 
     The name exists only because perfbench's LoadGuard wraps it, and it goes
-    together with LoadGuard in the benchmark change of ROADMAP item 2.
+    together with LoadGuard in the benchmark change of ROADMAP item 6.
     """
     raise SpectralError(
         "the eigendecomposition cache was removed; build operators with build_operator"
@@ -488,24 +489,27 @@ def _check_field(op: SpectralOperator, u: RadialField) -> None:
         raise SpectralError("field grid does not match operator grid")
 
 
-def _scalar_factors(op: SpectralOperator, func: str, parameter) -> np.ndarray:
-    mu = op.eigenvalues
-    if func == "exp_it":
-        return np.exp(1j * float(parameter) * mu)
-    if func == "power_s":
-        s = float(parameter)
-        if not 0.0 <= s <= 4.0:
-            raise SpectralError(f"power_s requires s in [0, 4], got {s}")
-        return np.maximum(mu, 0.0) ** (s / 4.0)
-    raise SpectralError(f"unknown function tag {func!r}")
+def phase_table(op: SpectralOperator, times) -> np.ndarray:
+    """e^{i t mu} for every time t in `times` and eigenvalue mu: shape times.shape + (N,)."""
+    table = 1j * op.eigenvalues * np.asarray(times, dtype=float)[..., None]
+    return np.exp(table, out=table)
+
+
+def _power_factors(op: SpectralOperator, s) -> np.ndarray:
+    """mu_+^{s/4} for every eigenvalue mu: the modal factors of op^{s/4}, s in [0, 4]."""
+    if not 0.0 <= s <= 4.0:
+        raise SpectralError(f"power_s requires s in [0, 4], got {s}")
+    return np.maximum(op.eigenvalues, 0.0) ** (s / 4.0)
 
 
 def apply_function(op: SpectralOperator, func: str, parameter, u: RadialField) -> RadialField:
-    """f(H) u via exact modal calculus; func in {exp_it, power_s}."""
+    """f(H) u via exact modal calculus; func in {exp_it (coeffs * phases), power_s}."""
     _check_field(op, u)
-    coeffs = op.to_modal(u.values)
-    coeffs = coeffs * _scalar_factors(op, func, parameter)
-    return RadialField(op.grid, op.from_modal(coeffs))
+    if func == "power_s":
+        return RadialField(op.grid, power_values(op, parameter, u.values))
+    if func != "exp_it":
+        raise SpectralError(f"unknown function tag {func!r}")
+    return RadialField(op.grid, op.from_modal(op.to_modal(u.values) * phase_table(op, parameter)))
 
 
 def evolve(op: SpectralOperator, values: np.ndarray, times) -> np.ndarray:
@@ -521,10 +525,9 @@ def evolve_modal(op: SpectralOperator, coeffs: np.ndarray, times) -> np.ndarray:
     """evolve from modal coefficients (N,) or (T, N): grid values (T, N), one transform out.
 
     A caller that sends one field through several batches of times takes
-    its coefficients once.
+    its coefficients once.  The product is phase_table * coeffs, in that order.
     """
-    times = np.asarray(times, dtype=float)
-    return op.from_modal(np.exp(1j * times[:, None] * op.eigenvalues) * coeffs)
+    return op.from_modal(phase_table(op, times) * coeffs)
 
 
 def power_values(
@@ -537,7 +540,7 @@ def power_values(
     scaled in work and the result is over out's memory, bit for bit the
     allocating call's, and nothing of values' size is allocated.
     """
-    factors = _scalar_factors(op, "power_s", s)
+    factors = _power_factors(op, s)
     coeffs = op.to_modal(values, out=work, work=out)
     coeffs *= factors
     return op.from_modal(coeffs, out=out, work=work)

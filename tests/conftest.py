@@ -1,3 +1,4 @@
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +8,22 @@ from nls4 import radial, spectral
 from nls4.config import load_config
 from nls4.potentials import example_potential, zero_potential
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # every distinct (dimension, r_max, N) of the canonical configs, read at
 # collection, so a new config's grid is covered without an edit
 CONFIG_GRIDS = sorted({
     (cfg.grid.dimension, cfg.grid.r_max, cfg.grid.num_points)
-    for cfg in map(load_config, sorted(
-        (Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.cfg")))
+    for cfg in map(load_config, sorted((ROOT / "scripts" / "configs").glob("*.cfg")))
 })
+
+
+def load_run_all():
+    """scripts/run_all.py as a module, executed afresh from its file."""
+    spec = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    return run_all
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,6 @@ calls.  Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 
 import ctypes
 import hashlib
-import importlib.util
 import time
 from pathlib import Path
 
@@ -19,6 +18,8 @@ import scipy
 from nls4 import spectral
 from nls4.config import load_config
 from nls4.experiments import run_experiment
+
+from conftest import load_run_all
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "scripts" / "configs"
@@ -231,9 +232,7 @@ def test_criterion_12_pinned_bytes(tmp_path_factory):
     pins = PINNED_DIGESTS.get(key)
     if pins is None:
         pytest.skip(f"no pinned digests for numpy, scipy and their OpenBLAS builds {key}")
-    spec = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
-    run_all = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_all)
+    run_all = load_run_all()
     measured = {}
     for name in pins:
         report, _ = cached_report(name, tmp_path_factory)

@@ -39,6 +39,11 @@ BOUND_EDGES = {
     ("localized_mass", "eigenmode_index"): [("0", "-1"), ("63", "64")],
     ("strichartz", "num_samples"): [("4", "3")],
     ("strichartz", "t_end"): [("5e-324", "0.0")],
+    ("strichartz", "forcing_modes"): [("1", "0")],
+    ("morawetz", "k_values"): [("1, 5e-324", "1, 0")],
+    ("decay", "lp_exponents"): [("10, 1.0000000000000002", "10, 1")],
+    ("final_state", "window_fraction"): [("5e-324", "0"), ("1", "1.0000000000000002")],
+    ("final_state", "shrink_factor"): [("5e-324", "0")],
 }
 
 

@@ -1,7 +1,6 @@
 """Registry-level smoke runs of the remaining experiment kinds."""
 
 import copy
-import importlib.util
 import sys
 import tracemalloc
 import weakref
@@ -16,7 +15,7 @@ from nls4.experiments import EXPERIMENTS, RunContext, run_experiment
 from nls4.potentials import example_potential, zero_potential
 from nls4.radial import RadialField
 
-from conftest import row_h2dot
+from conftest import load_run_all, row_h2dot
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -30,9 +29,7 @@ def test_every_kind_has_a_driver_and_config():
     for kind in EXPERIMENTS:
         assert (CONFIG_DIR / f"{kind}.cfg").exists()
     # a kind missing from either list would load nowhere or be skipped by run_all.py
-    spec = importlib.util.spec_from_file_location("run_all", CONFIG_DIR.parent / "run_all.py")
-    run_all = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_all)
+    run_all = load_run_all()
     assert sorted(EXPERIMENT_KINDS) == sorted(run_all.ORDER) == sorted(EXPERIMENTS)
 
 

@@ -2,9 +2,7 @@
 
 import codecs
 import hashlib
-import importlib.util
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +23,7 @@ from nls4.reporting import (
     write_report,
 )
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import load_run_all
 
 FAST_CONFIG = """
 [experiment]
@@ -244,16 +242,9 @@ class TestCli:
 
 
 class TestRunAll:
-    @staticmethod
-    def load_run_all():
-        spec = importlib.util.spec_from_file_location("run_all", ROOT / "scripts" / "run_all.py")
-        run_all = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run_all)
-        return run_all
-
     def test_refuses_a_used_output_directory(self, tmp_path, monkeypatch, capsys):
         # a file a change stopped writing would still enter the digest column
-        run_all = self.load_run_all()
+        run_all = load_run_all()
         stale = tmp_path / "out" / "decay"
         stale.mkdir(parents=True)
         (stale / "decay_fits.csv").write_text("t\n")
@@ -265,7 +256,7 @@ class TestRunAll:
     def test_refuses_an_unknown_only_kind_before_any_config(self, tmp_path, monkeypatch,
                                                             capsys):
         # conservation comes first and would run before sobolev.cfg failed to load
-        run_all = self.load_run_all()
+        run_all = load_run_all()
         monkeypatch.setattr(run_all, "load_config", lambda path: pytest.fail("a config loaded"))
         monkeypatch.setattr(run_all, "run_experiment", lambda cfg: pytest.fail("a config ran"))
         monkeypatch.setattr(sys, "argv", ["run_all.py", str(tmp_path / "out"), "--only",

@@ -20,22 +20,16 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 DEFECT = 1.0 + 1e-6
 
 
-def scale_factors(monkeypatch, func, kind=None):
-    """Multiply the modal factors of `func` by DEFECT, on operators of `kind` only."""
-    original = spectral._scalar_factors
-
-    def factors(op, name, parameter):
-        out = original(op, name, parameter)
-        if name == func and kind in (None, op.kind):
-            out = out * DEFECT
-        return out
-
-    monkeypatch.setattr(spectral, "_scalar_factors", factors)
-
-
 def power_s_on_full(monkeypatch):
-    # the free calculus stays exact, else both sides of the ratio move together
-    scale_factors(monkeypatch, "power_s", kind="full")
+    # mu^{s/4} scaled on full operators only: the free calculus stays exact,
+    # else both sides of the ratio move together
+    original = spectral._power_factors
+
+    def scaled(op, s):
+        factors = original(op, s)
+        return factors * DEFECT if op.kind == "full" else factors
+
+    monkeypatch.setattr(spectral, "_power_factors", scaled)
 
 
 def growing_duhamel_rows(monkeypatch):
@@ -48,7 +42,19 @@ def growing_duhamel_rows(monkeypatch):
 
 
 def non_unitary_exp_it(monkeypatch):
-    scale_factors(monkeypatch, "exp_it")
+    # the phases scaled on apply_function's path only, the exact side of
+    # final_state.linear_case_exact; the Picard windows keep theirs
+    apply, table = spectral.apply_function, spectral.phase_table
+
+    def scaled_table(op, times):
+        return table(op, times) * DEFECT
+
+    def scaled_apply(op, func, parameter, u):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "phase_table", scaled_table)
+            return apply(op, func, parameter, u)
+
+    monkeypatch.setattr(spectral, "apply_function", scaled_apply)
 
 
 def flipped_nonlinear_sign(monkeypatch):

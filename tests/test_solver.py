@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nls4 import solver
+from nls4 import solver, spectral
 from nls4.config import load_config
 from nls4.experiments import run_experiment
 from nls4.potentials import example_potential
@@ -34,11 +34,11 @@ from nls4.solver import (
     step_propagator,
 )
 from nls4.spectral import (
-    apply_function, build_operator, evolve, evolve_modal, hdot2_norm, l2_norm,
+    SpectralOperator, apply_function, build_operator, evolve, evolve_modal, hdot2_norm, l2_norm,
 )
 from nls4.states import soft_lowpass
 
-from conftest import random_smooth_field
+from conftest import CONFIG_GRIDS, random_smooth_field
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -339,16 +339,26 @@ def window_op(n):
 
 class TestHeldTables:
     @staticmethod
-    def counting(monkeypatch):
+    def counting(monkeypatch, before_build=None):
+        """(times shape, weakref) of each phase table SpectralOperator.held builds.
+
+        Only held tables count: step_propagator and a window's anchor and
+        output phases call phase_table too.  before_build() runs before each.
+        """
         built = []
-        original = solver.phase_table
+        held = SpectralOperator.held
 
         def build(op, times):
-            table = original(op, times)
+            if before_build is not None:
+                before_build()
+            table = spectral.phase_table(op, times)
             built.append((times.shape, weakref.ref(table)))
             return table
 
-        monkeypatch.setattr(solver, "phase_table", build)
+        def counted(op, builder, arg):
+            return held(op, build if builder is spectral.phase_table else builder, arg)
+
+        monkeypatch.setattr(SpectralOperator, "held", counted)
         return built
 
     @pytest.mark.parametrize("kind, shape", [("final_state", (250, 8)), ("strichartz", (129,))])
@@ -419,14 +429,8 @@ class TestHeldTables:
         # one table per operator: a window after a stepped run frees the run's
         # P before it builds its node table, and the next run builds P again
         props = TestHeldPropagator.counting(monkeypatch)
-        original = solver.phase_table
         prop_alive = []
-
-        def build(op, times):
-            prop_alive.append(props[0][1]() is not None)
-            return original(op, times)
-
-        monkeypatch.setattr(solver, "phase_table", build)
+        self.counting(monkeypatch, lambda: prop_alive.append(props[0][1]() is not None))
         op = build_operator("full", op_full.grid, example_potential(5))
         u, cfg, t0, t1 = final_state_window(op)
         run = dataclasses.replace(cfg, t_end=0.02, boundary_threshold=1.0)
@@ -679,6 +683,55 @@ class TestBufferedSweeps:
         assert all(buffered for _, buffered in calls)
 
 
+def frozen_propagator(op, tau):
+    """step_propagator's loop before its blocks went into two buffers, with its own cos and sin."""
+    q, qt = op.eigenvectors, op.eigenvectors.T
+    phase = tau * op.eigenvalues
+    cos, sin = np.cos(phase), np.sin(phase)
+    sqrt_m = op.grid.metric_sqrt
+    n = q.shape[0]
+    frozen = np.empty((n, n), dtype=complex)
+    for start in range(0, n, 64):
+        rows = slice(start, start + 64)
+        for part, factor in ((frozen.real, cos), (frozen.imag, sin)):
+            block = (q[rows] * factor) @ qt
+            block *= sqrt_m
+            block /= sqrt_m[rows, None]
+            part[rows] = block
+    return frozen
+
+
+@pytest.fixture(scope="module")
+def finest_config_op():
+    """A full operator on the finest config grid, whose top eigenvalues make the largest t mu."""
+    grid = min(CONFIG_GRIDS, key=lambda g: g[1] / g[2])
+    return build_operator("full", make_grid(*grid), example_potential(5))
+
+
+@pytest.mark.parametrize("which", ["op_full", "finest_config_op"])
+def test_every_phase_site_equals_its_inline_expression(which, request, rng):
+    # every site that reads spectral.phase_table keeps the bits of the
+    # e^{i t mu} expression it formed itself before, operand order included
+    # (complex products are not bitwise commutative)
+    op = request.getfixturevalue(which)
+    mu = op.eigenvalues
+    u = random_smooth_field(op.grid, rng)
+    coeffs = op.to_modal(u.values)
+    for t in (-1.3, 0.0, 0.7):
+        # apply_function's exp_it; a Picard window's anchor and output factors
+        inline = op.from_modal(coeffs * np.exp(1j * t * mu))
+        assert apply_function(op, "exp_it", t, u).values.tobytes() == inline.tobytes()
+        assert spectral.phase_table(op, -t).tobytes() == np.exp(-1j * mu * t).tobytes()
+        assert spectral.phase_table(op, t).tobytes() == np.exp(1j * mu * t).tobytes()
+    # evolve_modal, the exact linear path's and evolve's
+    times = np.array([-1.3, 0.0, 0.7, 2.0])
+    inline = op.from_modal(np.exp(1j * times[:, None] * mu) * coeffs)
+    assert evolve_modal(op, coeffs, times).tobytes() == inline.tobytes()
+    # step_propagator's cos and sin
+    for tau in (2e-3, -0.37):
+        assert step_propagator(op, tau).tobytes() == frozen_propagator(op, tau).tobytes()
+
+
 class TestStepPropagator:
     @pytest.mark.parametrize("which", ["small_op_full", "op_full"])
     def test_matches_modal_round_trip(self, which, request, rng):
@@ -743,22 +796,9 @@ class TestStepPropagator:
     @pytest.mark.parametrize("n", [96, 192, 200, 512])
     @pytest.mark.parametrize("tau", [2e-3, -0.37])
     def test_buffered_blocks_equal_the_allocating_loop(self, n, tau):
-        # the loop before its blocks went into two buffers; 96 and 200 leave a
-        # short last block
+        # 96 and 200 leave a short last block
         op = build_operator("full", make_grid(5, 20.0, n), example_potential(5))
-        q, qt = op.eigenvectors, op.eigenvectors.T
-        phase = tau * op.eigenvalues
-        cos, sin = np.cos(phase), np.sin(phase)
-        sqrt_m = op.grid.metric_sqrt
-        frozen = np.empty((n, n), dtype=complex)
-        for start in range(0, n, 64):
-            rows = slice(start, start + 64)
-            for part, factor in ((frozen.real, cos), (frozen.imag, sin)):
-                block = (q[rows] * factor) @ qt
-                block *= sqrt_m
-                block /= sqrt_m[rows, None]
-                part[rows] = block
-        assert step_propagator(op, tau).tobytes() == frozen.tobytes()
+        assert step_propagator(op, tau).tobytes() == frozen_propagator(op, tau).tobytes()
 
     def test_build_memory_stays_near_the_matrix(self):
         grid = make_grid(5, 20.0, 512)
