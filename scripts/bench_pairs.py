@@ -22,7 +22,8 @@ even pairs and the change in odd ones, so a drift of the host over time
 weighs on both sides alike.  The last line a run prints is perfbench's JSON
 object; a run that is not `correct` stops the script.  The script never
 overwrites a record: if the output file exists, it stops before the first
-run.
+run, and it creates the file only once the runs are done, exclusively, so a
+file that appears during the runs stops it too, untouched.
 
 The file holds both commits, the machine (nproc, the OpenBLAS config string
 of numpy's and of scipy's library, and the Python, numpy and scipy
@@ -251,7 +252,12 @@ def main(argv=None) -> int:
     record["regressions"] = regressions(record["workloads"], bounds)
     if claim is not None:
         record["claim"] = verdict(record["workloads"], bounds, claim)
-    out.write_text(json.dumps(record, indent=1) + "\n")
+    text = json.dumps(record, indent=1) + "\n"
+    try:
+        with out.open("x") as fh:  # a file made during the runs is not overwritten
+            fh.write(text)
+    except FileExistsError:
+        raise SystemExit(f"{out} appeared during the runs; its record was not written") from None
     for w, table in record["workloads"].items():
         for m, s in table.items():
             print(f"{w:14s} {m:12s} {s['parent_median']:.4g} -> {s['change_median']:.4g} "

@@ -47,7 +47,7 @@ from .radial import (
     lp_norm_values,
     smooth_cutoff,
 )
-from .solver import SimulationConfig, critical_exponent, mass
+from .solver import SimulationConfig, _is_critical, critical_exponent, mass
 from .spectral import (
     SpectralOperator,
     _check_field,
@@ -94,6 +94,23 @@ def spacetime_exponents(which: str, n: int) -> tuple[Fraction, Fraction]:
     if which == "N":
         return Fraction(2), Fraction(2 * n, n + 2)
     raise ValueError(f"unknown space-time norm {which!r}; choose from {SPACETIME_NORMS}")
+
+
+# input rules of the analysis stages, which config checks on its knobs at load
+def _sobolev_order_ok(s) -> bool:
+    return 0.0 <= s <= 2.0
+
+
+def _lebesgue_ok(p, n: int) -> bool:
+    return 1.0 < p < n / 2.0
+
+
+def _radius_ok(radius) -> bool:
+    return radius > 0
+
+
+def _window_ok(t_lo, t_hi) -> bool:
+    return 0 < t_lo < t_hi
 
 
 def _require_time_samples(count: int) -> None:
@@ -189,10 +206,10 @@ def sobolev_equiv_ratio(
         _check_field(op_full, u)
         _check_field(op_free, u)
     n = op_full.grid.dimension
-    if not 0.0 <= s <= 2.0:
+    if not _sobolev_order_ok(s):
         raise ValueError(f"s must lie in [0, 2], got {s}")
     for p in ps:
-        if not 1.0 < p < n / 2.0:
+        if not _lebesgue_ok(p, n):
             raise ValueError(f"p must lie in (1, n/2) = (1, {n/2}), got {p}")
     values = np.array([u.values for u in fields])
     h_s = power_values(op_full, s, values)
@@ -232,12 +249,11 @@ def fit_decay(
     Raises ValueError, before any evolution, for an empty window or fewer than
     two samples, and WindowError at the first time boundary mass passes the threshold.
     """
-    t_lo, t_hi = window
-    if not 0 < t_lo < t_hi:
+    if not _window_ok(*window):
         raise ValueError("window must satisfy 0 < t_lo < t_hi")
     if num_samples < _MIN_FIT_SAMPLES:
         raise ValueError(f"num_samples must be at least {_MIN_FIT_SAMPLES}, got {num_samples}")
-    times = np.geomspace(t_lo, t_hi, num_samples)
+    times = np.geomspace(*window, num_samples)
     rows = evolve(op, u0.values, times)
     _require_clean_window(op.grid, times, rows, boundary_threshold * mass(u0))
     norms = lp_norm_values(op.grid, rows, p)
@@ -406,7 +422,7 @@ def localized_mass_rate_check(
     """
     radii = list(radii)
     for radius in radii:
-        if radius <= 0:
+        if not _radius_ok(radius):
             raise ValueError(f"radius must be positive, got {radius}")
     if sample.times.size < 3:
         raise ResolutionError("need at least 3 snapshots for a central difference")
@@ -476,7 +492,7 @@ def morawetz_check(
     grid = sample.grid
     n = grid.dimension
     p_crit = critical_exponent(n)
-    if abs(cfg.p - p_crit) > 1e-9:
+    if not _is_critical(cfg.p, n):
         raise ValueError(
             f"Morawetz check needs the critical power p = {p_crit}, got {cfg.p}"
         )

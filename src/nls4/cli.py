@@ -39,7 +39,7 @@ def _cmd_check_potential(args) -> int:
     cfg = load_config(args.config)
     grid = make_grid(cfg.grid.dimension, cfg.grid.r_max, cfg.grid.num_points)
     evaluate_potential(cfg.potential, grid)  # validates dimension/finiteness
-    report = check_assumptions(cfg.potential, grid, cfg.delta_n)
+    report = check_assumptions(cfg.potential, grid)
     print(f"potential: {cfg.potential.family} (n={cfg.potential.dimension})")
     print(f"decay_ok = {report.decay_ok} | sup <r>^{report.decay_exponent:g}|V| = {report.decay_sup:.6g}")
     print(f"repulsive_ok = {report.repulsive_ok} | max r V'(r) = {report.repulsive_max:.6g}")

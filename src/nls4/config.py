@@ -3,25 +3,19 @@
 Grammar (configparser syntax):
 
     [experiment]            required: kind; optional: seed, output_dir
-    [grid]                  dimension, r_max, num_points
-    [potential]             family, c, beta / a, delta_n
-    [simulation]            lambda, p, dt, t_end, monitor_stride,
-                            snapshot_stride, picard_tol, picard_max_iter,
-                            boundary_threshold, blowup_factor
+    [grid]                  the fields of GridParams
+    [potential]             the fields of PotentialSpec but dimension ([grid]'s)
+    [simulation]            the fields of SimulationConfig, lam as key lambda
     [<experiment kind>]     experiment-specific knobs (see KNOB_SCHEMAS)
 
-Every key is validated against a schema: unknown sections or keys are
-rejected by name (typo safety).  Each section is then passed to its
-dataclass, so a key left out takes that field's default; only
-potential.family (zero) and simulation.p (critical) have defaults here,
-their fields having none.  The fully resolved configuration is echoed into
-reports, its [grid] and [simulation] lines walking the fields of GridParams
-and SimulationConfig (field ``lam`` is key ``lambda``); a new field is
-echoed with no further edit once its key is in _GRID_KEYS or
-_SIMULATION_KEYS.  The literal value ``critical`` for ``p`` resolves to the
-energy-critical power 2n/(n-4) - 1 in exact arithmetic for the configured
-dimension.  Every bound on a knob's value is one row of _KNOB_BOUNDS, but
-Strichartz pair admissibility.
+Unknown sections or keys are rejected by name (typo safety).  The parsers
+and the [config] echo in reports walk the fields of those three dataclasses,
+a field's annotation naming its parser, so a new field is a key with no
+further edit.  A key left out takes its field's default; only
+potential.family (zero) and simulation.p (critical) are defaulted here.  The
+literal ``critical`` for ``p`` resolves to the energy-critical power
+2n/(n-4) - 1 for the configured dimension.  Each knob's bound sits in its
+KNOB_SCHEMAS row; the bounds on analysis inputs are analysis's own rules.
 """
 
 from __future__ import annotations
@@ -31,10 +25,11 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import _MIN_FIT_SAMPLES, MIN_TIME_SAMPLES, AdmissibilityError, require_b_admissible
-from .potentials import DEFAULT_DELTA_N, PotentialSpec
+from . import analysis
+from .analysis import _MIN_FIT_SAMPLES, MIN_TIME_SAMPLES
+from .potentials import PotentialSpec
 from .radial import GridError, _check_grid
-from .solver import SimulationConfig, critical_exponent
+from .solver import SimulationConfig, _is_critical, critical_exponent
 
 
 class ConfigError(ValueError):
@@ -76,7 +71,31 @@ def _parse_pairs(text: str) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple(pairs)
 
 
-# knob name -> (parser, default); one schema per experiment kind
+# a knob's bound: (rule, holds(value, grid, knobs)); the message is
+# "kind.knob {rule}, got {value}", rule formatted with grid and knobs.  _each
+# bounds every entry of a list knob by holds(entry, n), n the dimension
+def _at_least(least: int) -> tuple:
+    return f"must be at least {least}", lambda value, grid, knobs: value >= least
+
+
+def _each(rule: str, holds) -> tuple:
+    return rule, lambda values, grid, knobs: all(holds(v, grid.dimension) for v in values)
+
+
+def _admissible(pair, n: int) -> bool:
+    try:
+        analysis.require_b_admissible(*pair, n, r_below_half_n=True)
+    except analysis.AdmissibilityError:
+        return False
+    return True
+
+
+_POSITIVE = ("must be positive", lambda value, grid, knobs: value > 0)
+_IN_EIGENBASIS = ("must lie in [0, {grid.num_points})",
+                  lambda value, grid, knobs: 0 <= value < grid.num_points)
+
+# knob name -> (parser, default) or (parser, default, bound); one schema per
+# experiment kind, its bounds checked in row order by load_config
 KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
     "conservation": {
         "amplitude": (float, 1.15),
@@ -87,38 +106,46 @@ KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
         "ratio_band": (float, 0.3),
     },
     "decay": {
-        "lp_exponents": (_parse_floats, (10.0, 2.0)),
+        "lp_exponents": (_parse_floats, (10.0, 2.0),
+                         _each("must all exceed 1", lambda p, n: p > 1)),
         "xi_cut": (float, 1.6),
         "data_width": (float, 2.0),
         "t_lo": (float, 1.2),
-        "t_hi": (float, 12.0),
-        "num_samples": (int, 24),
+        "t_hi": (float, 12.0, (
+            "needs 0 < decay.t_lo = {knobs[t_lo]} < decay.t_hi",
+            lambda value, grid, knobs: analysis._window_ok(knobs["t_lo"], value))),
+        "num_samples": (int, 24, _at_least(_MIN_FIT_SAMPLES)),
         "slope_tol": (float, 0.15),
         "control_tol": (float, 0.05),
         "residual_cap": (float, 0.1),
         "include_zero_potential": (_parse_bool, True),
     },
     "sobolev_equiv": {
-        "num_fields": (int, 50),
-        "s_values": (_parse_floats, (0.5, 1.0, 1.5, 2.0)),
-        "p_values": (_parse_floats, (1.5, 2.0, 2.2)),
+        "num_fields": (int, 50, _at_least(1)),
+        "s_values": (_parse_floats, (0.5, 1.0, 1.5, 2.0),
+                     _each("must all lie in [0, 2]", lambda s, n: analysis._sobolev_order_ok(s))),
+        "p_values": (_parse_floats, (1.5, 2.0, 2.2),
+                     _each("must all lie in (1, n/2)", analysis._lebesgue_ok)),
         "ratio_lo": (float, 0.5),
         "ratio_hi": (float, 2.0),
         "exact_tol": (float, 1e-9),
         "include_zero_control": (_parse_bool, True),
     },
     "strichartz": {
-        "num_draws": (int, 30),
-        "pairs": (_parse_pairs, ()),  # empty means the three stock pairs for n
-        "t_end": (float, 1.0),
-        "num_samples": (int, 129),
+        "num_draws": (int, 30, _at_least(1)),
+        "pairs": (_parse_pairs, (),  # empty means the three stock pairs for n
+                  _each("must each lie on 4/q + n/r = n/2 with q, r >= 2 and r < n/2 "
+                        "for n = {grid.dimension}", _admissible)),
+        "t_end": (float, 1.0, _POSITIVE),
+        "num_samples": (int, 129, _at_least(MIN_TIME_SAMPLES)),
         "spread_cap": (float, 10.0),
         "eigenmode_tol": (float, 1e-6),
-        "eigenmode_index": (int, 4),
-        "forcing_modes": (int, 2),
+        "eigenmode_index": (int, 4, _IN_EIGENBASIS),
+        "forcing_modes": (int, 2, _at_least(1)),
     },
     "localized_mass": {
-        "radii": (_parse_floats, (2.0, 4.0, 8.0)),
+        "radii": (_parse_floats, (2.0, 4.0, 8.0),
+                  _each("must all be positive", lambda r, n: analysis._radius_ok(r))),
         "packet_center": (float, 3.0),
         "packet_width": (float, 2.0),
         "packet_carrier": (float, 1.0),
@@ -126,10 +153,11 @@ KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
         "amplitude": (float, 1.0),
         "ratio_band": (float, 3.0),
         "zero_tol": (float, 1e-8),
-        "eigenmode_index": (int, 2),
+        "eigenmode_index": (int, 2, _IN_EIGENBASIS),
     },
     "morawetz": {
-        "k_values": (_parse_floats, (1.0, 2.0, 4.0)),
+        "k_values": (_parse_floats, (1.0, 2.0, 4.0),
+                     _each("must all be positive", lambda k, n: k > 0)),
         "interval_lengths": (_parse_floats, (0.5, 1.0, 2.0)),
         "interval_start": (float, 0.1),
         "amplitude": (float, 1.2),
@@ -155,7 +183,9 @@ KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
         "growth_cap": (float, 10.0),
     },
     "perturbation": {
-        "data_gaps": (_parse_floats, (1e-3, 1e-4, 1e-5)),
+        "data_gaps": (_parse_floats, (1e-3, 1e-4, 1e-5), (
+            f"needs {_MIN_FIT_SAMPLES} distinct gaps",
+            lambda value, grid, knobs: len(set(value)) >= _MIN_FIT_SAMPLES)),
         "slope_band": (float, 0.3),
         "forcing_amplitude": (float, 1e-3),
         "amplitude": (float, 0.8),
@@ -183,63 +213,19 @@ KNOB_SCHEMAS: dict[str, dict[str, tuple]] = {
         "amplitude": (float, 5.0),
         "data_width": (float, 2.0),
         "xi_cut": (float, 1.4),
-        "window_fraction": (float, 0.25),
+        "window_fraction": (float, 0.25, ("must lie in (0, 1]",
+                                          lambda value, grid, knobs: 0 < value <= 1)),
         "roundtrip_factor": (float, 10.0),
-        "shrink_factor": (float, 0.1),
+        "shrink_factor": (float, 0.1, _POSITIVE),
     },
 }
 
 EXPERIMENT_KINDS = tuple(KNOB_SCHEMAS)
 
-
-def _at_least(least: int) -> tuple:
-    return f"must be at least {least}", lambda value, grid: value >= least
-
-
-_IN_EIGENBASIS = ("must lie in [0, {grid.num_points})",
-                  lambda value, grid: 0 <= value < grid.num_points)
-
-# (kind, knob) -> (rule, holds(value, grid)), checked in this order by load_config
-_KNOB_BOUNDS = {
-    ("decay", "num_samples"): _at_least(_MIN_FIT_SAMPLES),
-    ("sobolev_equiv", "num_fields"): _at_least(1),
-    ("strichartz", "num_draws"): _at_least(1),
-    ("perturbation", "data_gaps"): (
-        f"needs {_MIN_FIT_SAMPLES} distinct gaps",
-        lambda value, grid: len(set(value)) >= _MIN_FIT_SAMPLES,
-    ),
-    ("strichartz", "eigenmode_index"): _IN_EIGENBASIS,
-    ("localized_mass", "eigenmode_index"): _IN_EIGENBASIS,
-    ("strichartz", "num_samples"): _at_least(MIN_TIME_SAMPLES),
-    ("strichartz", "t_end"): ("must be positive", lambda value, grid: value > 0),
-    ("strichartz", "forcing_modes"): _at_least(1),
-    ("morawetz", "k_values"): ("must all be positive", lambda value, grid: min(value) > 0),
-    ("decay", "lp_exponents"): ("must all exceed 1", lambda value, grid: min(value) > 1),
-    ("final_state", "window_fraction"): ("must lie in (0, 1]", lambda value, grid: 0 < value <= 1),
-    ("final_state", "shrink_factor"): ("must be positive", lambda value, grid: value > 0),
-}
-
 _EXPERIMENT_KEYS = {"kind": str.strip, "seed": int, "output_dir": lambda text: Path(text.strip())}
-_GRID_KEYS = {"dimension": int, "r_max": float, "num_points": int}
-_POTENTIAL_KEYS = {
-    "family": str.strip,
-    "c": float,
-    "beta": float,
-    "a": float,
-    "delta_n": float,
-}
-_SIMULATION_KEYS = {
-    "lambda": float,
-    "p": str.strip,  # number or the literal 'critical'
-    "dt": float,
-    "t_end": float,
-    "monitor_stride": int,
-    "snapshot_stride": int,
-    "picard_tol": float,
-    "picard_max_iter": int,
-    "boundary_threshold": float,
-    "blowup_factor": float,
-}
+# a field's annotation (a string: annotations are postponed) -> its key's parser
+_PARSERS = {"int": int, "float": float, "float | None": float, "str": str.strip}
+_RENAMED = {"lam": "lambda"}  # field -> key, where they differ
 
 
 @dataclass
@@ -247,6 +233,16 @@ class GridParams:
     dimension: int = 5
     r_max: float = 20.0
     num_points: int = 256
+
+
+def _field_keys(cls) -> dict[str, tuple]:
+    """key -> (parser, field name) for each field of a section's dataclass, in field order."""
+    return {_RENAMED.get(f.name, f.name): (_PARSERS[f.type], f.name)
+            for f in fields(cls) if (cls, f.name) != (PotentialSpec, "dimension")}
+
+
+_SECTION_KEYS = {section: _field_keys(cls) for section, cls in (
+    ("grid", GridParams), ("potential", PotentialSpec), ("simulation", SimulationConfig))}
 
 
 @dataclass
@@ -257,26 +253,18 @@ class ExperimentConfig:
     sim: SimulationConfig
     seed: int = 0
     output_dir: Path = Path("nls4-out")
-    delta_n: float = DEFAULT_DELTA_N
     knobs: dict = field(default_factory=dict)
 
     def canonical_items(self) -> list[tuple[str, str]]:
         """Deterministic, fully resolved (key, value) echo for reports."""
         items = [("experiment.kind", self.experiment), ("experiment.seed", repr(self.seed))]
-        items += [(f"grid.{f.name}", repr(getattr(self.grid, f.name))) for f in fields(GridParams)]
-        items += [
-            ("potential.family", self.potential.family),
-            ("potential.c", repr(self.potential.c)),
-            ("potential.beta", repr(self.potential.beta)),
-            ("potential.a", repr(self.potential.a)),
-            ("potential.delta_n", repr(self.delta_n)),
-        ]
-        for f in fields(SimulationConfig):
-            key = "lambda" if f.name == "lam" else f.name
-            items.append((f"simulation.{key}", repr(getattr(self.sim, f.name))))
-            if f.name == "p":
-                critical = abs(self.sim.p - critical_exponent(self.grid.dimension)) < 1e-12
-                items.append(("simulation.critical", repr(critical)))
+        for section, spec in zip(_SECTION_KEYS, (self.grid, self.potential, self.sim)):
+            for key, (_, name) in _SECTION_KEYS[section].items():
+                value = getattr(spec, name)
+                items.append((f"{section}.{key}", value if isinstance(value, str) else repr(value)))
+                if name == "p":
+                    critical = _is_critical(value, self.grid.dimension)
+                    items.append(("simulation.critical", repr(critical)))
         for key in sorted(self.knobs):
             items.append((f"{self.experiment}.{key}", repr(self.knobs[key])))
         return items
@@ -300,6 +288,12 @@ def _typed_section(raw: dict[str, str], schema: dict, section: str) -> dict:
     return out
 
 
+def _typed_fields(parser: configparser.ConfigParser, section: str) -> dict:
+    """[section]'s keys, typed and renamed to the fields of its dataclass."""
+    typed = _typed_section(_section_dict(parser, section), _SECTION_KEYS[section], section)
+    return {_SECTION_KEYS[section][key][1]: value for key, value in typed.items()}
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate; returns a config with every default resolved."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -321,55 +315,41 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {EXPERIMENT_KINDS}")
 
-    known_sections = {"experiment", "grid", "potential", "simulation", kind}
+    known_sections = {"experiment", *_SECTION_KEYS, kind}
     for section in parser.sections():
         if section not in known_sections:
             raise ConfigError(
                 f"unknown section [{section}] (known: {sorted(known_sections)})"
             )
 
-    grid_raw = _typed_section(_section_dict(parser, "grid"), _GRID_KEYS, "grid")
-    grid = GridParams(**grid_raw)
+    grid = GridParams(**_typed_fields(parser, "grid"))
     try:
         _check_grid(grid.dimension, grid.r_max, grid.num_points)
     except GridError as exc:
         raise ConfigError(str(exc)) from exc
 
-    pot_raw = _typed_section(_section_dict(parser, "potential"), _POTENTIAL_KEYS, "potential")
-    if "delta_n" in pot_raw:  # an ExperimentConfig field set in [potential]
-        exp_raw["delta_n"] = pot_raw.pop("delta_n")
+    pot_fields = _typed_fields(parser, "potential")
     try:
-        potential = PotentialSpec(
-            family=pot_raw.pop("family", "zero"), dimension=grid.dimension, **pot_raw
-        )
+        potential = PotentialSpec(**{"family": "zero", **pot_fields}, dimension=grid.dimension)
     except ValueError as exc:
         raise ConfigError(f"invalid [potential]: {exc}") from exc
 
-    sim_raw = _typed_section(_section_dict(parser, "simulation"), _SIMULATION_KEYS, "simulation")
-    if "lambda" in sim_raw:
-        sim_raw["lam"] = sim_raw.pop("lambda")
-    p_text = sim_raw.pop("p", "critical")
+    if parser.get("simulation", "p", fallback="critical").lower() == "critical":  # repr round-trips
+        parser.read_dict({"simulation": {"p": repr(critical_exponent(grid.dimension))}})
+    sim_fields = _typed_fields(parser, "simulation")
     try:
-        if p_text.lower() == "critical":
-            p_value = critical_exponent(grid.dimension)
-        else:
-            p_value = float(p_text)
-        sim = SimulationConfig(p=p_value, **sim_raw)
+        sim = SimulationConfig(**sim_fields)
     except ValueError as exc:
         raise ConfigError(f"invalid [simulation]: {exc}") from exc
 
     schema = KNOB_SCHEMAS[kind]
-    knobs = {key: default for key, (_, default) in schema.items()}
+    knobs = {key: row[1] for key, row in schema.items()}
     knobs.update(_typed_section(_section_dict(parser, kind), schema, kind))
-    for (section, key), (rule, holds) in _KNOB_BOUNDS.items():
-        if section == kind and not holds(knobs[key], grid):
-            raise ConfigError(f"{kind}.{key} {rule.format(grid=grid)}, got {knobs[key]}")
-    if kind == "strichartz":  # the one bound outside the table: its message names the pair
-        for q, r in knobs["pairs"]:
-            try:
-                require_b_admissible(q, r, grid.dimension, r_below_half_n=True)
-            except AdmissibilityError as exc:
-                raise ConfigError(f"invalid strichartz pair: {exc}") from exc
+    for key, (_, _, *bound) in schema.items():
+        for rule, holds in bound:
+            if not holds(knobs[key], grid, knobs):
+                rule = rule.format(grid=grid, knobs=knobs)
+                raise ConfigError(f"{kind}.{key} {rule}, got {knobs[key]}")
 
     return ExperimentConfig(
         experiment=kind, grid=grid, potential=potential, sim=sim, knobs=knobs, **exp_raw

@@ -17,7 +17,7 @@ condition is not checkable on a radial grid and is always reported as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,8 @@ class PotentialSpec:
     c: float = 0.0
     beta: float | None = None
     a: float | None = None
+    # the bound check_assumptions puts on ||V||_{L^{n/4,inf}}: no part of V, so not compared
+    delta_n: float = field(default=DEFAULT_DELTA_N, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -113,10 +115,8 @@ class AssumptionReport:
     fourier_condition: str = "unchecked"
 
 
-def check_assumptions(
-    spec: PotentialSpec, grid: RadialGrid, delta_n: float = DEFAULT_DELTA_N
-) -> AssumptionReport:
-    """Grid-wise compliance measurement; always returns a report."""
+def check_assumptions(spec: PotentialSpec, grid: RadialGrid) -> AssumptionReport:
+    """Grid-wise compliance measurement against spec's delta_n; always returns a report."""
     n = grid.dimension
     r = grid.nodes
     bracket = np.sqrt(1.0 + r**2)
@@ -151,7 +151,7 @@ def check_assumptions(
     nonneg_ok = min_value >= 0.0 and spec.c >= 0.0
 
     weak_norm_value = weak_lp_norm(RadialField(grid, v.astype(complex)), n / 4.0)
-    weak_norm_ok = weak_norm_value <= delta_n
+    weak_norm_ok = weak_norm_value <= spec.delta_n
 
     return AssumptionReport(
         decay_ok=bool(decay_ok),
@@ -166,5 +166,5 @@ def check_assumptions(
         min_value=min_value,
         weak_norm_value=weak_norm_value,
         weak_norm_ok=bool(weak_norm_ok),
-        delta_n=delta_n,
+        delta_n=spec.delta_n,
     )

@@ -125,6 +125,11 @@ def critical_exponent(n: int) -> float:
     return 2.0 * n / (n - 4.0) - 1.0
 
 
+def _is_critical(p: float, n: int) -> bool:
+    """Whether p is the energy-critical power of dimension n, to roundoff."""
+    return abs(p - critical_exponent(n)) < 1e-12
+
+
 @dataclass(kw_only=True)
 class SimulationConfig:
     lam: float = 1.0

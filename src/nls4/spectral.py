@@ -498,15 +498,13 @@ def phase_table(op: SpectralOperator, times) -> np.ndarray:
 def _power_factors(op: SpectralOperator, s) -> np.ndarray:
     """mu_+^{s/4} for every eigenvalue mu: the modal factors of op^{s/4}, s in [0, 4]."""
     if not 0.0 <= s <= 4.0:
-        raise SpectralError(f"power_s requires s in [0, 4], got {s}")
+        raise SpectralError(f"op^(s/4) requires s in [0, 4], got {s}")
     return np.maximum(op.eigenvalues, 0.0) ** (s / 4.0)
 
 
 def apply_function(op: SpectralOperator, func: str, parameter, u: RadialField) -> RadialField:
-    """f(H) u via exact modal calculus; func in {exp_it (coeffs * phases), power_s}."""
+    """e^{itH} u via exact modal calculus (coeffs * phases), t = parameter; func is "exp_it"."""
     _check_field(op, u)
-    if func == "power_s":
-        return RadialField(op.grid, power_values(op, parameter, u.values))
     if func != "exp_it":
         raise SpectralError(f"unknown function tag {func!r}")
     return RadialField(op.grid, op.from_modal(op.to_modal(u.values) * phase_table(op, parameter)))

@@ -32,12 +32,14 @@ from nls4.analysis import (
 )
 from nls4.experiments import _stock_pairs
 from nls4.radial import RadialField, localized_mass, lp_norm, lp_norm_values
-from nls4.solver import SimulationConfig, mass, phase_table, run_trajectory
+from nls4.config import load_config
+from nls4.solver import SimulationConfig, critical_exponent, mass, phase_table, run_trajectory
 from nls4.spectral import (
     apply_function,
     fractional_gradient_values,
     hdot2_norm,
     laplacian_values,
+    power_values,
 )
 from nls4.states import random_low_mode_field, soft_lowpass
 
@@ -204,7 +206,7 @@ class TestSobolevRatio:
             assert together.shape == (len(fields), len(ps))
             for row, u in zip(together, fields):
                 alone = sobolev_equiv_ratio(op_full, op_free, [u], s, ps)[0]
-                h_s = apply_function(op_full, "power_s", s, u)
+                h_s = RadialField(grid, power_values(op_full, s, u.values))
                 grad_s = RadialField(grid, fractional_gradient_values(op_free, s, u.values))
                 frozen = [lp_norm(h_s, p) / lp_norm(grad_s, p) for p in ps]
                 assert row.tobytes() == alone.tobytes() == np.array(frozen).tobytes()
@@ -776,6 +778,23 @@ class TestMorawetz:
         cfg = SimulationConfig(lam=1.0, p=3.0, dt=1e-3, t_end=1.0)
         with pytest.raises(ValueError):
             morawetz_check(sample, [1.0], cfg, row_h2dot(sample))
+
+    @pytest.mark.parametrize("offset", [-5e-10, 0.0, 5e-10])
+    def test_echo_and_check_agree_on_the_critical_power(self, grid, tmp_path, offset):
+        # the report's simulation.critical and the check's acceptance are one rule
+        p = critical_exponent(5) + offset
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"[experiment]\nkind = morawetz\n[simulation]\np = {p!r}\n")
+        cfg = load_config(path)
+        assert dict(cfg.canonical_items())["simulation.critical"] == repr(offset == 0.0)
+        ts = np.linspace(0, 1, 8)
+        zero = RadialField(grid, np.zeros(grid.num_points))
+        sample = sample_of(ts, [zero for _ in ts], (0.0, 1.0))
+        if offset == 0.0:
+            morawetz_check(sample, [1.0], cfg.sim, row_h2dot(sample))
+        else:
+            with pytest.raises(ValueError, match="critical power"):
+                morawetz_check(sample, [1.0], cfg.sim, row_h2dot(sample))
 
     def test_lhs_monotone_in_k(self, op_full):
         sample = self._critical_sample(op_full)

@@ -159,11 +159,11 @@ class TestClaimVerdict:
 
 
 class TestClaimInRecord:
-    def fake_main(self, monkeypatch, tmp_path, argv, bench=None):
+    def fake_main(self, monkeypatch, tmp_path, argv, bench=None, during_run=None):
         """main(argv) on fake trees whose runs give fixed metrics; self.runs lists the runs.
 
         The trees hold `bench` as their BENCHMARK.json (default: this checkout's)
-        and self.seconds the --seconds of every run.
+        and self.seconds the --seconds of every run; during_run() is called in every run.
         """
         bench = (ROOT / "BENCHMARK.json").read_text() if bench is None else json.dumps(bench)
         self.runs, self.seconds = [], set()
@@ -180,6 +180,8 @@ class TestClaimInRecord:
         def fake_run_bench(tree, workload, seconds, seed=None):
             self.runs.append((tree.name, workload))
             self.seconds.add(seconds)
+            if during_run is not None:
+                during_run()
             peak = 91.0 if tree.name == "parent" else 89.5
             metrics = {"wall_s": 0.7, "cpu_s": 1.0, "setup_s": 0.4, "peak_rss_mb": peak}
             if workload == "strang_small" and tree.name == "change":
@@ -267,6 +269,21 @@ class TestClaimInRecord:
                                                "--workloads", "strang_small", "--out", str(out)])
         assert {w for _, w in self.runs} == {"strang_small"} and self.seconds == {3.0}
         assert "--seconds 3 " in json.loads(out.read_text())["command"]
+
+    def test_file_made_during_the_runs_is_not_overwritten(self, monkeypatch, tmp_path):
+        out = tmp_path / "BENCH_race.json"
+
+        def make_file():
+            if not out.exists():
+                out.write_text("{}\n")
+
+        with pytest.raises(SystemExit, match="BENCH_race.json appeared") as stop:
+            self.fake_main(monkeypatch, tmp_path, [
+                "A", "B", "--pairs", "2", "--workloads", "modal_small", "--out", str(out)],
+                during_run=make_file)
+        assert stop.value.code != 0
+        assert len(self.runs) == 4
+        assert out.read_text() == "{}\n"
 
     def test_undeclared_workload_stops_before_any_run(self, monkeypatch, tmp_path):
         out = tmp_path / "BENCH_undeclared.json"

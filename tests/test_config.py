@@ -1,22 +1,18 @@
 """Configuration parsing, validation, and typo safety."""
 
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from nls4.config import (
-    _GRID_KEYS,
-    _KNOB_BOUNDS,
-    _SIMULATION_KEYS,
+    _SECTION_KEYS,
     EXPERIMENT_KINDS,
     KNOB_SCHEMAS,
     ConfigError,
-    GridParams,
     _parse_floats,
     load_config,
 )
-from nls4.solver import SimulationConfig, critical_exponent
+from nls4.solver import critical_exponent
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -29,22 +25,32 @@ dimension = 5
 
 
 # (kind, knob) -> (least value that loads, one step past it) for each edge of
-# its row in _KNOB_BOUNDS, on a grid of 64 points
+# the bound in its KNOB_SCHEMAS row, on a grid of n = 5 and 64 points, the
+# other knobs at their defaults; in schema order
 BOUND_EDGES = {
+    ("decay", "lp_exponents"): [("10, 1.0000000000000002", "10, 1")],
+    ("decay", "t_hi"): [("1.2000000000000002", "1.2")],  # t_lo = 1.2
     ("decay", "num_samples"): [("2", "1")],
     ("sobolev_equiv", "num_fields"): [("1", "0")],
+    ("sobolev_equiv", "s_values"): [("1, 0", "1, -5e-324"), ("2, 1", "2.0000000000000004, 1")],
+    ("sobolev_equiv", "p_values"): [("1.0000000000000002, 2", "1, 2"),
+                                    ("2, 2.4999999999999996", "2, 2.5")],
     ("strichartz", "num_draws"): [("1", "0")],
-    ("perturbation", "data_gaps"): [("1e-3, 1e-4", "1e-3, 1e-3")],
-    ("strichartz", "eigenmode_index"): [("0", "-1"), ("63", "64")],
-    ("localized_mass", "eigenmode_index"): [("0", "-1"), ("63", "64")],
-    ("strichartz", "num_samples"): [("4", "3")],
+    # r = 90/37 < n/2 at q = 9; q = 8 gives r = n/2
+    ("strichartz", "pairs"): [("9:90/37", "8:5/2")],
     ("strichartz", "t_end"): [("5e-324", "0.0")],
+    ("strichartz", "num_samples"): [("4", "3")],
+    ("strichartz", "eigenmode_index"): [("0", "-1"), ("63", "64")],
     ("strichartz", "forcing_modes"): [("1", "0")],
+    ("localized_mass", "radii"): [("5e-324, 4", "0, 4")],
+    ("localized_mass", "eigenmode_index"): [("0", "-1"), ("63", "64")],
     ("morawetz", "k_values"): [("1, 5e-324", "1, 0")],
-    ("decay", "lp_exponents"): [("10, 1.0000000000000002", "10, 1")],
+    ("perturbation", "data_gaps"): [("1e-3, 1e-4", "1e-3, 1e-3")],
     ("final_state", "window_fraction"): [("5e-324", "0"), ("1", "1.0000000000000002")],
     ("final_state", "shrink_factor"): [("5e-324", "0")],
 }
+BOUNDED = [(kind, knob) for kind, schema in KNOB_SCHEMAS.items()
+           for knob, row in schema.items() if len(row) == 3]
 
 
 def write(tmp_path, text):
@@ -202,7 +208,7 @@ pairs = 18:90/41; 12:30/13
 
     @pytest.mark.parametrize("kind, knob", [
         (kind, knob) for kind, schema in KNOB_SCHEMAS.items()
-        for knob, (parse, _) in schema.items() if parse is _parse_floats
+        for knob, (parse, *_) in schema.items() if parse is _parse_floats
     ])
     @pytest.mark.parametrize("value", ["", " , ;"])
     def test_empty_list_knob_named(self, tmp_path, kind, knob, value):
@@ -214,6 +220,7 @@ pairs = 18:90/41; 12:30/13
     @pytest.mark.parametrize("kind, knob, value", [
         ("decay", "num_samples", "1"),
         ("decay", "num_samples", "0"),
+        ("decay", "t_lo", "0"),  # named in the message of the t_hi row's window bound
         ("perturbation", "data_gaps", "1e-3"),
         ("perturbation", "data_gaps", "1e-3, 1e-3"),
         ("strichartz", "num_draws", "0"),
@@ -234,6 +241,7 @@ pairs = 18:90/41; 12:30/13
 
     @pytest.mark.parametrize("kind, knob, value", [
         ("decay", "num_samples", "2"),
+        ("decay", "t_lo", "5e-324"),
         ("perturbation", "data_gaps", "1e-3, 1e-4"),
         ("strichartz", "num_draws", "1"),
         ("sobolev_equiv", "num_fields", "1"),
@@ -248,11 +256,11 @@ pairs = 18:90/41; 12:30/13
 
 
 def test_every_bound_has_its_edges():
-    assert list(BOUND_EDGES) == list(_KNOB_BOUNDS)
+    assert list(BOUND_EDGES) == BOUNDED
 
 
 @pytest.mark.parametrize("kind, knob, least, past", [
-    (kind, knob, least, past) for kind, knob in _KNOB_BOUNDS
+    (kind, knob, least, past) for kind, knob in BOUNDED
     for least, past in BOUND_EDGES.get((kind, knob), [])
 ])
 def test_bound_edge_loads_and_one_step_past_fails(tmp_path, kind, knob, least, past):
@@ -278,7 +286,7 @@ def hand_listed_items(cfg):
         ("potential.c", repr(cfg.potential.c)),
         ("potential.beta", repr(cfg.potential.beta)),
         ("potential.a", repr(cfg.potential.a)),
-        ("potential.delta_n", repr(cfg.delta_n)),
+        ("potential.delta_n", repr(cfg.potential.delta_n)),
         ("simulation.lambda", repr(cfg.sim.lam)),
         ("simulation.p", repr(cfg.sim.p)),
         ("simulation.critical",
@@ -307,13 +315,36 @@ def test_derived_echo_is_the_hand_listed_one(kind):
 def test_derived_echo_of_the_minimal_config(tmp_path, extra):
     cfg = load_config(write(tmp_path, MINIMAL.replace("[grid]", extra + "[grid]")))
     assert cfg.seed == (1234 if extra else 0)
-    assert (cfg.output_dir, cfg.potential.beta, cfg.delta_n) == (Path("nls4-out"), None, 0.05)
+    assert (cfg.output_dir, cfg.potential.beta, cfg.potential.delta_n) == (
+        Path("nls4-out"), None, 0.05)
     assert cfg.canonical_items() == hand_listed_items(cfg)
 
 
+# the hand-written key maps the sections had before their keys were derived
+# from the dataclass fields: the reference for the derived maps
+REFERENCE_KEYS = {
+    "grid": {"dimension": int, "r_max": float, "num_points": int},
+    "potential": {"family": str.strip, "c": float, "beta": float, "a": float, "delta_n": float},
+    "simulation": {
+        "lambda": float,
+        "p": str.strip,  # number or the literal 'critical'
+        "dt": float,
+        "t_end": float,
+        "monitor_stride": int,
+        "snapshot_stride": int,
+        "picard_tol": float,
+        "picard_max_iter": int,
+        "boundary_threshold": float,
+        "blowup_factor": float,
+    },
+}
+
+
 def test_every_echoed_field_is_settable():
-    # the echo walks the dataclass fields; each must have its key in the schema
-    assert list(_GRID_KEYS) == [f.name for f in fields(GridParams)]
-    assert list(_SIMULATION_KEYS) == [
-        "lambda" if f.name == "lam" else f.name for f in fields(SimulationConfig)
-    ]
+    # the parsers and the echo walk the same derived keys, in the reference's
+    # order, with its parsers; p's literal 'critical' is resolved before p parses
+    for section, reference in REFERENCE_KEYS.items():
+        derived = {key: parse for key, (parse, _) in _SECTION_KEYS[section].items()}
+        assert list(derived) == list(reference)
+        assert {k: v for k, v in derived.items() if k != "p"} == {
+            k: v for k, v in reference.items() if k != "p"}

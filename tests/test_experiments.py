@@ -1,7 +1,10 @@
 """Registry-level smoke runs of the remaining experiment kinds."""
 
+import ast
 import copy
+import inspect
 import sys
+import textwrap
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -10,8 +13,8 @@ import numpy as np
 import pytest
 
 from nls4 import analysis, solver, spectral
-from nls4.config import EXPERIMENT_KINDS, load_config
-from nls4.experiments import EXPERIMENTS, RunContext, run_experiment
+from nls4.config import EXPERIMENT_KINDS, KNOB_SCHEMAS, load_config
+from nls4.experiments import EXPERIMENTS, RunContext, _scattering_run, run_experiment
 from nls4.potentials import example_potential, zero_potential
 from nls4.radial import RadialField
 
@@ -31,6 +34,23 @@ def test_every_kind_has_a_driver_and_config():
     # a kind missing from either list would load nowhere or be skipped by run_all.py
     run_all = load_run_all()
     assert sorted(EXPERIMENT_KINDS) == sorted(run_all.ORDER) == sorted(EXPERIMENTS)
+
+
+def knob_reads(func) -> set[str]:
+    """The key of every knobs["..."] in func's source, nested defs included."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "knobs" and isinstance(node.slice, ast.Constant)}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_every_knob_is_read_by_its_runner(kind):
+    # a knob that nothing reads is deleted from its schema, not kept
+    runners = [EXPERIMENTS[kind]]
+    if kind in ("scattering", "final_state"):
+        runners.append(_scattering_run)
+    assert set().union(*map(knob_reads, runners)) == set(KNOB_SCHEMAS[kind])
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])

@@ -3,6 +3,7 @@
 import codecs
 import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +212,27 @@ class TestCli:
                        "[decay]\nnum_samples = 1\nlp_exponents = 2\n")
         assert cli_main(["run", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
         assert "decay.num_samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, line", [
+        ("sobolev_equiv", "s_values = 0.5, 3"),
+        ("sobolev_equiv", "p_values = 1.5, 3"),
+        ("localized_mass", "radii = 0, 4"),
+        ("decay", "t_hi = 1.0"),  # t_lo = 1.2
+    ])
+    def test_analysis_input_rule_exits_two_before_any_operator(self, tmp_path, capsys,
+                                                               monkeypatch, kind, line):
+        # the rules analysis checks on these inputs are checked at load as well,
+        # so a canonical config with one bad knob line builds no operator
+        def no_build(*args, **kwargs):
+            raise AssertionError("an operator was built")
+
+        monkeypatch.setattr(spectral, "build_operator", no_build)
+        canonical = Path(__file__).resolve().parents[1] / "scripts" / "configs" / f"{kind}.cfg"
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(canonical.read_text() + f"\n[{kind}]\n{line}\n")
+        assert cli_main(["run", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"error: {kind}.{line.split()[0]} " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_run_with_no_check_attempted_exits_one(self, tmp_path):

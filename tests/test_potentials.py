@@ -1,5 +1,7 @@
 """Potential families and the hypothesis compliance report."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,7 +68,8 @@ class TestAssumptions:
         assert report.fourier_condition == "unchecked"
 
     def test_example_family_compliant(self, grid):
-        report = check_assumptions(example_potential(5), grid, delta_n=0.1)
+        spec = dataclasses.replace(example_potential(5), delta_n=0.1)
+        report = check_assumptions(spec, grid)
         assert all_ok(report)
         assert report.decay_sup == pytest.approx(0.01, rel=1e-9)
         assert report.repulsive_max <= 0.0
@@ -75,8 +78,8 @@ class TestAssumptions:
     def test_weak_norm_against_dense_oracle(self, grid):
         from nls4.radial import RadialField, weak_lp_norm
 
-        spec = example_potential(5, c=0.01, beta=10.0)
-        report = check_assumptions(spec, grid, delta_n=0.1)
+        spec = dataclasses.replace(example_potential(5, c=0.01, beta=10.0), delta_n=0.1)
+        report = check_assumptions(spec, grid)
         field = evaluate_potential(spec, grid)
         a = np.abs(field.values)
         levels = np.geomspace(a.max() * 1e-12, a.max(), 10_000)
@@ -111,12 +114,16 @@ class TestAssumptions:
         assert not report.decay_ok
 
     def test_gaussian_family_compliant(self, grid):
-        spec = PotentialSpec("gaussian_bump", 5, c=0.01, a=1.0)
-        report = check_assumptions(spec, grid, delta_n=0.1)
+        spec = PotentialSpec("gaussian_bump", 5, c=0.01, a=1.0, delta_n=0.1)
+        report = check_assumptions(spec, grid)
         assert all_ok(report)
 
     def test_smallness_verdict_respects_delta_n(self, grid):
-        spec = example_potential(5, c=10.0)
-        report = check_assumptions(spec, grid, delta_n=0.05)
+        spec = dataclasses.replace(example_potential(5, c=10.0), delta_n=0.05)
+        report = check_assumptions(spec, grid)
         assert not report.weak_norm_ok
-        assert report.weak_norm_value > 0.05
+        assert report.weak_norm_value > 0.05 == report.delta_n
+        # the bound is no part of V: specs that differ only in it are one key
+        loose = dataclasses.replace(spec, delta_n=1e6)
+        assert loose == spec and hash(loose) == hash(spec)
+        assert check_assumptions(loose, grid).weak_norm_ok

@@ -23,6 +23,7 @@ from nls4.spectral import (
     hdot2_norm,
     l2_norm,
     laplacian_values,
+    power_values,
 )
 
 from conftest import CONFIG_GRIDS, random_smooth_field
@@ -120,9 +121,9 @@ class TestBuildOperator:
 
     def test_reconstruction_matches_stencil(self, grid, op_free, rng):
         u = random_smooth_field(grid, rng)
-        via_modes = apply_function(op_free, "power_s", 4.0, u)
+        via_modes = power_values(op_free, 4.0, u.values)
         direct = bilaplacian_values(grid, u.values)
-        assert np.linalg.norm(via_modes.values - direct) <= 1e-8 * np.linalg.norm(direct)
+        assert np.linalg.norm(via_modes - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 @pytest.mark.parametrize("dimension, r_max, num_points", CONFIG_GRIDS)
@@ -164,16 +165,16 @@ class TestFunctionalCalculus:
 
     def test_power_semigroup(self, op_full, grid, rng):
         u = random_smooth_field(grid, rng)
-        twice = apply_function(op_full, "power_s", 2.0, apply_function(op_full, "power_s", 2.0, u))
-        once = apply_function(op_full, "power_s", 4.0, u)
-        assert np.linalg.norm(twice.values - once.values) <= 1e-9 * np.linalg.norm(once.values)
+        twice = power_values(op_full, 2.0, power_values(op_full, 2.0, u.values))
+        once = power_values(op_full, 4.0, u.values)
+        assert np.linalg.norm(twice - once) <= 1e-9 * np.linalg.norm(once)
 
     def test_h_calculus_conserves_hdot2_surrogate(self, op_full, grid, rng):
         # ||H^{1/2} u|| is exactly invariant under exp(itH)
         u = random_smooth_field(grid, rng)
-        before = l2_norm(apply_function(op_full, "power_s", 2.0, u))
+        before = l2_norm(RadialField(grid, power_values(op_full, 2.0, u.values)))
         ut = apply_function(op_full, "exp_it", 3.0, u)
-        after = l2_norm(apply_function(op_full, "power_s", 2.0, ut))
+        after = l2_norm(RadialField(grid, power_values(op_full, 2.0, ut.values)))
         assert after == pytest.approx(before, rel=1e-8)
         # companion: ||Delta u(t)|| stays within the equivalence band
         assert 0.5 <= hdot2_norm(ut) / hdot2_norm(u) <= 2.0
@@ -181,16 +182,22 @@ class TestFunctionalCalculus:
     def test_self_adjointness_weighted_inner_product(self, op_full, grid, rng):
         u = random_smooth_field(grid, rng)
         v = random_smooth_field(grid, rng)
-        hu = apply_function(op_full, "power_s", 4.0, u)
-        hv = apply_function(op_full, "power_s", 4.0, v)
-        ip1 = np.sum(grid.metric * hu.values * np.conj(v.values))
-        ip2 = np.sum(grid.metric * u.values * np.conj(hv.values))
+        hu = power_values(op_full, 4.0, u.values)
+        hv = power_values(op_full, 4.0, v.values)
+        ip1 = np.sum(grid.metric * hu * np.conj(v.values))
+        ip2 = np.sum(grid.metric * u.values * np.conj(hv))
         assert abs(ip1 - ip2) <= 1e-10 * abs(ip1)
 
     def test_grid_mismatch_rejected(self, op_full, rng):
         other = make_grid(5, 20.0, 128)
         with pytest.raises(SpectralError):
             apply_function(op_full, "exp_it", 1.0, random_smooth_field(other, rng))
+
+    @pytest.mark.parametrize("tag", ["power_s", "exp"])
+    def test_exp_it_is_the_one_tag(self, op_full, grid, rng, tag):
+        # powers go through power_values; apply_function forms e^{itH} only
+        with pytest.raises(SpectralError, match=f"unknown function tag '{tag}'"):
+            apply_function(op_full, tag, 2.0, random_smooth_field(grid, rng))
 
 
 class TestBatchedTransforms:
