@@ -56,31 +56,28 @@ import sys
 import tempfile
 from pathlib import Path
 
-# the machine record, printed as JSON by a child process like perfbench's workers
+# the machine record as JSON, from a child process that imports nls4.spectral from argv[1]
 PROBE = r"""
-import ctypes, importlib, json, os, platform
-from pathlib import Path
-import numpy, scipy, scipy.linalg
-configs = {}
+import json, os, platform, sys
+sys.path.insert(0, sys.argv[1])
+import numpy, scipy
+from nls4 import spectral
+record = {"nproc": len(os.sched_getaffinity(0))}
 for package in ("numpy", "scipy"):
-    libs = Path(importlib.import_module(package).__file__).parent.parent / f"{package}.libs"
-    configs[package] = "not found"
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config"):
-            if hasattr(lib, name):
-                get_config = getattr(lib, name)
-                get_config.restype = ctypes.c_char_p
-                configs[package] = f"{path.name}: {get_config().decode()}"
-print(json.dumps({
-    "nproc": len(os.sched_getaffinity(0)),
-    "openblas_numpy": configs["numpy"],
-    "openblas_scipy": configs["scipy"],
-    "python": platform.python_version(),
-    "numpy": numpy.__version__,
-    "scipy": scipy.__version__,
-}))
+    pool = spectral._blas_pools().get(package)
+    record[f"openblas_{package}"] = f"{pool.file_name}: {pool.config()}" if pool else "not found"
+record.update(python=platform.python_version(), numpy=numpy.__version__, scipy=scipy.__version__)
+print(json.dumps(record))
 """
+
+
+def probe_machine() -> dict:
+    """PROBE's record, from a child process at one OpenBLAS thread on this checkout's nls4."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", PROBE, str(src)], check=True, capture_output=True, text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    ).stdout)
 
 
 def export(commit: str, dest: Path) -> Path:
@@ -221,10 +218,7 @@ def main(argv=None) -> int:
         if claim is not None and claim[1] not in metrics:
             raise SystemExit(f"--claim names {claim[1]}, not an end-to-end metric of "
                              f"BENCHMARK.json ({', '.join(metrics)})")
-        machine = json.loads(subprocess.run(
-            [sys.executable, "-c", PROBE], check=True, capture_output=True, text=True,
-            env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
-        ).stdout)
+        machine = probe_machine()
         values = {w: {side: {m: [] for m in metrics} for side in commits} for w in workloads}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")

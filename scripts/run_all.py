@@ -95,8 +95,8 @@ def main() -> int:
         report = run_experiment(cfg)
         elapsed, cpu = time.perf_counter() - started, cpu_seconds() - cpu_started
         verdict = report.worst_verdict
-        digest = hashlib.sha256(report.body_text().encode()).hexdigest()[:16]
-        files = files_digest(cfg.output_dir, f"report-{kind}.txt")
+        digest = report.body_sha256[:16]
+        files = files_digest(cfg.output_dir, report.file_name)
         bodies.update(digest.encode())
         outputs.update(files.encode())
         print(f"{kind:28s} {verdict.upper():4s}  {digest}  {files}  "

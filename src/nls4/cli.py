@@ -31,7 +31,7 @@ def _cmd_run(args) -> int:
     report = run_experiment(cfg)
     for check in report.checks:
         print(check.line())
-    print(f"report: {Path(cfg.output_dir) / f'report-{cfg.experiment}.txt'}")
+    print(f"report: {Path(cfg.output_dir) / report.file_name}")
     return 0 if report.worst_verdict == "pass" else 1
 
 

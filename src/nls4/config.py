@@ -8,6 +8,8 @@ Grammar (configparser syntax):
     [simulation]            the fields of SimulationConfig, lam as key lambda
     [<experiment kind>]     experiment-specific knobs (see KNOB_SCHEMAS)
 
+A line that starts with # or ; is a comment; inline, only # starts one, as
+; separates list entries, and % is a literal character (no interpolation).
 Unknown sections or keys are rejected by name (typo safety).  The parsers
 and the [config] echo in reports walk the fields of those three dataclasses,
 a field's annotation naming its parser, so a new field is a key with no
@@ -296,7 +298,7 @@ def _typed_fields(parser: configparser.ConfigParser, section: str) -> dict:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate; returns a config with every default resolved."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")

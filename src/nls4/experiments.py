@@ -105,6 +105,11 @@ def _smooth_data(ctx: RunContext, op, amplitude: float, width: float, xi_cut: fl
 
 # ---------------------------------------------------------------------------
 
+def _status_check(name: str, rec: solver.TrajectoryRecord) -> CheckResult:
+    """A flag that the trajectory ran to its end, carrying its last time and its status."""
+    return check_flag(name, rec.status == "ok", rec.times[-1], note=f"status={rec.status}")
+
+
 def run_conservation(ctx: RunContext):
     cfg, knobs = ctx.cfg, ctx.cfg.knobs
     op = ctx.op_full()
@@ -132,8 +137,7 @@ def run_conservation(ctx: RunContext):
             "energy_drift_halving_ratio",
             "drift at roundoff; the dt^2 law is not measurable",
         ))
-    checks.append(check_flag("run_completed", rec.status == "ok", rec.times[-1],
-                             note=f"status={rec.status}"))
+    checks.append(_status_check("run_completed", rec))
 
     write_monitor_csv(ctx.out_dir / "conservation_monitors.csv", rec)
     return checks, {"monitors": "conservation_monitors.csv"}
@@ -386,8 +390,7 @@ def run_morawetz(ctx: RunContext):
         checks.append(check_leq("c_emp_max", float(values.max()), knobs["c_cap"]))
     else:
         checks.append(skipped("c_emp_spread", "all constants vanished"))
-    checks.append(check_flag("run_status", rec.status == "ok", rec.times[-1],
-                             note=f"status={rec.status}"))
+    checks.append(_status_check("run_status", rec))
     write_csv(
         ctx.out_dir / "morawetz_constants.csv",
         ["K", "interval_length", "c_emp"],
@@ -406,8 +409,7 @@ def run_small_data_global(ctx: RunContext):
     growth = float(np.sqrt(rec.h2dot_growth()))
     checks = [
         check_leq("h2dot_growth", growth, knobs["growth_cap"]),
-        check_flag("run_status", rec.status == "ok", rec.times[-1],
-                   note=f"status={rec.status}"),
+        _status_check("run_status", rec),
     ]
     write_monitor_csv(ctx.out_dir / "small_data_monitors.csv", rec)
     return checks, {"monitors": "small_data_monitors.csv"}
@@ -665,5 +667,5 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         series=series,
         provenance=provenance,
     )
-    write_report(report, out_dir / f"report-{cfg.experiment}.txt")
+    write_report(report, out_dir / report.file_name)
     return report

@@ -112,11 +112,20 @@ class ExperimentReport:
         lines.append("")
         return "\n".join(lines)
 
+    @property
+    def body_sha256(self) -> str:
+        """The sha256 of the body, the digest [provenance] records and run_all.py prints."""
+        return hashlib.sha256(self.body_text().encode()).hexdigest()
+
+    @property
+    def file_name(self) -> str:
+        """The name the report is written under in its run's output directory."""
+        return f"report-{self.experiment}.txt"
+
     def full_text(self) -> str:
-        body = self.body_text()
         prov = dict(self.provenance)
-        prov["body_sha256"] = hashlib.sha256(body.encode()).hexdigest()
-        lines = [body, PROVENANCE_MARKER]
+        prov["body_sha256"] = self.body_sha256
+        lines = [self.body_text(), PROVENANCE_MARKER]
         lines.extend(f"{k} = {v}" for k, v in sorted(prov.items()))
         lines.append("")
         return "\n".join(lines)

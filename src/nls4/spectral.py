@@ -53,7 +53,9 @@ nls4 makes gives the same bits at one and at two threads, so no body moves.
 OpenBLAS restarts a stopped pool on that library's next threaded call or
 count change.  A stop is safe because nls4 runs in one thread, so no BLAS
 call is in flight.  Where the wheel libraries are not found (MKL, a system
-or conda BLAS) no count is set and nothing is stopped.
+or conda BLAS) no count is set and nothing is stopped.  _blas_pools is the one
+lookup of those libraries and their symbols: the criterion-12 pin's key and
+scripts/bench_pairs.py's machine record read their config strings from it.
 
 Single fields are saved and loaded in a little-endian binary container
 (save_field / load_field).
@@ -168,8 +170,35 @@ def _gemm_rows(num_rows: int, n: int) -> int:
     return max(num_rows, 2, int(_SMALL_GEMM_WORK // (n * n)) + 1)
 
 
+class _WheelBlas:
+    """A wheel OpenBLAS library and its scipy_openblas_* calls, each symbol named by one rule.
+
+    numpy's ILP64 build ends the symbols in 64_.  The thread-count getter and
+    setter are resolved at once, the config string only on request; a symbol
+    the library lacks raises an AttributeError that names it.
+    """
+
+    def __init__(self, lib: ctypes.CDLL):
+        self.lib, self.file_name = lib, Path(lib._name).name
+        self._suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
+        self.get_threads = self._symbol("get_num_threads", ctypes.c_int)
+        self.set_threads = self._symbol("set_num_threads", None, ctypes.c_int)
+
+    def _symbol(self, name: str, restype, *argtypes):
+        symbol = f"scipy_openblas_{name}{self._suffix}"
+        if not hasattr(self.lib, symbol):
+            raise AttributeError(f"{self.file_name} exports no {symbol}")
+        call = getattr(self.lib, symbol)
+        call.argtypes, call.restype = argtypes, restype
+        return call
+
+    def config(self) -> str:
+        """The OpenBLAS config string: version, build options, kernel and thread cap."""
+        return self._symbol("get_config", ctypes.c_char_p)().decode()
+
+
 @functools.cache
-def _blas_pools() -> dict[str, ctypes.CDLL]:
+def _blas_pools() -> dict[str, _WheelBlas]:
     """The wheel OpenBLAS libraries this process has loaded, by package (numpy, scipy).
 
     A library is opened only if it is already loaded (RTLD_NOLOAD), so a
@@ -185,7 +214,7 @@ def _blas_pools() -> dict[str, ctypes.CDLL]:
             except OSError:
                 continue
             if hasattr(lib, "blas_thread_shutdown_"):
-                pools[package] = lib
+                pools[package] = _WheelBlas(lib)
                 break
     return pools
 
@@ -196,19 +225,9 @@ def _stop_blas_pool(package: str) -> None:
     Only safe while no BLAS call of that library is in flight, which holds
     as nls4 runs in one thread.
     """
-    lib = _blas_pools().get(package)
-    if lib is not None:
-        lib.blas_thread_shutdown_()
-
-
-def _thread_count_calls(lib: ctypes.CDLL):
-    """lib's (get, set) OpenBLAS thread-count functions; numpy's ILP64 build ends them in 64_."""
-    suffix = "64_" if hasattr(lib, "scipy_openblas_get_num_threads64_") else ""
-    get_threads = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-    set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get_threads, set_threads
+    pool = _blas_pools().get(package)
+    if pool is not None:
+        pool.lib.blas_thread_shutdown_()
 
 
 @contextlib.contextmanager
@@ -223,21 +242,20 @@ def _blas_threads(package: str, threads: int | None):
     one thread starts with the pool stopped again: its helper would spin
     through the body with no work.
     """
-    lib = _blas_pools().get(package)
-    if lib is None:
+    pool = _blas_pools().get(package)
+    if pool is None:
         yield None
         return
-    get_threads, set_threads = _thread_count_calls(lib)
-    before = get_threads()
+    before = pool.get_threads()
     if threads is not None:
-        set_threads(threads)
+        pool.set_threads(threads)
         if threads == 1:
             _stop_blas_pool(package)
     try:
         yield before
     finally:
         if threads is not None:
-            set_threads(before)
+            pool.set_threads(before)
         _stop_blas_pool(package)
 
 
@@ -279,16 +297,16 @@ def _blas_pools_note() -> str:
     """
     notes = []
     for package in _WHEEL_BLAS:
-        lib = _blas_pools().get(package)
-        if lib is None:
+        pool = _blas_pools().get(package)
+        if pool is None:
             notes.append(f"{package} library not found, no count set, not stopped")
             continue
         if package == "numpy":
-            where = (f"at {_thread_count_calls(lib)[0]()} threads in Strang stretches and "
+            where = (f"at {pool.get_threads()} threads in Strang stretches and "
                      "Picard sweeps and at 1 elsewhere")
         else:
             where = f"at {EIG_THREADS} threads in eigensolves"
-        notes.append(f"{package} {Path(lib._name).name} {where}, stopped after each")
+        notes.append(f"{package} {pool.file_name} {where}, stopped after each")
     return "; ".join(notes)
 
 

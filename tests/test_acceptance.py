@@ -6,8 +6,6 @@ Runtime caps from the criteria are enforced with wall clocks around the
 calls.  Run with `pytest -v -s tests/test_acceptance.py` to see the lines.
 """
 
-import ctypes
-import hashlib
 import time
 from pathlib import Path
 
@@ -70,17 +68,6 @@ def cached_report(name, tmp_path_factory):
         _reports[name] = run_config(name, base)
         _output_dirs[name] = base / name
     return _reports[name]
-
-
-def openblas_config(package):
-    """The config string of the OpenBLAS the package's wheel ships; None where not found."""
-    lib = spectral._blas_pools().get(package)
-    for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config"):
-        if lib is not None and hasattr(lib, name):
-            getter = getattr(lib, name)
-            getter.restype = ctypes.c_char_p
-            return getter().decode()
-    return None
 
 
 def emit(criterion, name, report, elapsed=None):
@@ -228,7 +215,10 @@ def test_criterion_11_wave_operator(tmp_path_factory):
 def test_criterion_12_pinned_bytes(tmp_path_factory):
     # every config the criteria above ran, so none runs twice, and the two
     # no criterion runs: subcritical_global_cases and perturbation
-    key = (np.__version__, scipy.__version__, openblas_config("numpy"), openblas_config("scipy"))
+    pools = spectral._blas_pools()
+    key = (np.__version__, scipy.__version__,
+           *(pools[package].config() if package in pools else None
+             for package in ("numpy", "scipy")))
     pins = PINNED_DIGESTS.get(key)
     if pins is None:
         pytest.skip(f"no pinned digests for numpy, scipy and their OpenBLAS builds {key}")
@@ -236,8 +226,8 @@ def test_criterion_12_pinned_bytes(tmp_path_factory):
     measured = {}
     for name in pins:
         report, _ = cached_report(name, tmp_path_factory)
-        digest = hashlib.sha256(report.body_text().encode()).hexdigest()[:16]
-        measured[name] = (digest, run_all.files_digest(_output_dirs[name], f"report-{name}.txt"))
+        measured[name] = (report.body_sha256[:16],
+                          run_all.files_digest(_output_dirs[name], report.file_name))
     assert measured == pins
 
 

@@ -292,3 +292,19 @@ class TestClaimInRecord:
                 "A", "B", "--workloads", "modal_small,scatter_large", "--out", str(out)])
         assert self.runs == []
         assert not out.exists()
+
+
+class TestMachine:
+    def test_probe_reads_the_lookup_of_this_checkout(self):
+        # PROBE runs for real: a child process that imports nls4 from the script's own
+        # checkout, so a pair of old commits is probed the same way
+        from nls4 import spectral
+
+        record = bench_pairs.probe_machine()
+        pools = spectral._blas_pools()
+        for package in ("numpy", "scipy"):
+            pool = pools.get(package)
+            expected = f"{pool.file_name}: {pool.config()}" if pool else "not found"
+            assert record[f"openblas_{package}"] == expected
+        assert list(record) == ["nproc", "openblas_numpy", "openblas_scipy", "python", "numpy",
+                                "scipy"]

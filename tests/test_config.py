@@ -1,5 +1,6 @@
 """Configuration parsing, validation, and typo safety."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,26 @@ pairs = 18:90/41; 12:30/13
 """
         cfg = load_config(write(tmp_path, text))
         assert len(cfg.knobs["pairs"]) == 2
+
+    @pytest.mark.parametrize("kind, line, expected", [
+        ("decay", "lp_exponents = 4.0 ;2.0", (4.0, 2.0)),
+        ("strichartz", "pairs = 18:90/41 ; 12:30/13",
+         ((Fraction(18), Fraction(90, 41)), (Fraction(12), Fraction(30, 13)))),
+    ])
+    def test_semicolon_after_whitespace_separates_entries(self, tmp_path, kind, line, expected):
+        # ; was an inline comment prefix too, which dropped every entry after it
+        text = (f"; a full-line comment\n[experiment]\nkind = {kind}\n[grid]\ndimension = 5\n"
+                f"[{kind}]\n  ; an indented full-line comment\n{line}   # an inline comment\n")
+        knob = line.partition(" = ")[0]
+        assert load_config(write(tmp_path, text)).knobs[knob] == expected
+
+    def test_percent_is_literal(self, tmp_path):
+        # configparser's default interpolation raised its own error, outside ConfigError
+        text = "[experiment]\nkind = conservation\noutput_dir = runs/50%\n[grid]\nr_max = 20%\n"
+        with pytest.raises(ConfigError, match=r"grid\.r_max.*'20%'"):
+            load_config(write(tmp_path, text))
+        cfg = load_config(write(tmp_path, text.replace("20%", "20")))
+        assert cfg.output_dir == Path("runs/50%")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

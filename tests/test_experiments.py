@@ -286,14 +286,13 @@ def test_sobolev_zero_control_runs_no_second_solve(tmp_path, monkeypatch):
 @pytest.fixture()
 def numpy_blas_at_two():
     """numpy's OpenBLAS count set to 2 for the test, whatever the environment asks; its getter."""
-    lib = spectral._blas_pools().get("numpy")
-    if lib is None:
+    pool = spectral._blas_pools().get("numpy")
+    if pool is None:
         pytest.skip("numpy's OpenBLAS wheel library is not loaded")
-    get_threads, set_threads = spectral._thread_count_calls(lib)
-    before = get_threads()
-    set_threads(2)
-    yield get_threads
-    set_threads(before)
+    before = pool.get_threads()
+    pool.set_threads(2)
+    yield pool.get_threads
+    pool.set_threads(before)
 
 
 def spy_threads(monkeypatch, get_threads):
@@ -360,7 +359,7 @@ class TestBlasThreadScopes:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_loops_outside_a_run_keep_the_count(self, numpy_blas_at_two, monkeypatch,
                                                 grid, threads):
-        spectral._thread_count_calls(spectral._blas_pools()["numpy"])[1](threads)
+        spectral._blas_pools()["numpy"].set_threads(threads)
         seen = spy_threads(monkeypatch, numpy_blas_at_two)
         op = spectral.build_operator("full", grid, example_potential(5))
         u = RadialField(grid, 0.3 * np.exp(-((grid.nodes / 3.0) ** 2)).astype(complex))

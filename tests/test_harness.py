@@ -90,6 +90,14 @@ class TestReports:
         assert "timestamp" in provenance
         assert "body_sha256" in provenance
 
+    def test_written_digest_and_name_are_the_reports(self, fast_cfg):
+        cfg, _ = fast_cfg
+        report = run_experiment(cfg)
+        assert report.file_name == f"report-{cfg.experiment}.txt"
+        _, provenance = read_report(cfg.output_dir / report.file_name)
+        assert provenance["body_sha256"] == report.body_sha256
+        assert report.body_sha256 == hashlib.sha256(report.body_text().encode()).hexdigest()
+
     def test_blas_pools_in_provenance_not_body(self, fast_cfg):
         cfg, _ = fast_cfg
         report = run_experiment(cfg)
@@ -178,6 +186,7 @@ class TestCli:
         code = cli_main(["run", str(cfg_path), "--output-dir", str(out_dir), "--seed", "5"])
         assert code == 0
         report_path = out_dir / "report-sobolev_equiv.txt"
+        assert capsys.readouterr().out.splitlines()[-1] == f"report: {report_path}"
         assert report_path.exists()
         code = cli_main(["emit", str(report_path), "ratios"])
         assert code == 0
@@ -190,6 +199,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "weak_norm_ok = True" in out
         assert "fourier_condition = unchecked" in out
+
+    def test_percent_in_a_value_exits_two_naming_the_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[experiment]\nkind = conservation\n[grid]\nr_max = 20%\n")
+        assert cli_main(["run", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert "grid.r_max" in capsys.readouterr().err
 
     def test_bad_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

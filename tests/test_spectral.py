@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -508,7 +509,7 @@ class TestBlasPools:
         assert events == ["numpy", "eigh_tridiagonal", "scipy", "numpy", "eigh", "scipy"]
 
     def test_thread_counts_unchanged(self, grid):
-        pools = spectral._blas_pools()
+        pools = {package: pool.lib for package, pool in spectral._blas_pools().items()}
         if not pools:
             pytest.skip("no OpenBLAS wheel library is loaded")
         busy_numpy_blas()
@@ -517,6 +518,28 @@ class TestBlasPools:
         assert {package: blas_threads(lib) for package, lib in pools.items()} == before
         busy_numpy_blas()
         assert {package: blas_threads(lib) for package, lib in pools.items()} == before
+
+    def test_lookup_resolves_each_library_by_one_rule(self):
+        for pool in spectral._blas_pools().values():
+            assert pool.get_threads() == blas_threads(pool.lib)
+            assert pool.config().startswith("OpenBLAS ")
+
+    @pytest.mark.parametrize("suffix", ["64_", ""])
+    def test_missing_symbol_raises_naming_it(self, suffix):
+        lib = types.SimpleNamespace(**{
+            "_name": "/libs/libfake.so",
+            f"scipy_openblas_get_num_threads{suffix}": lambda: 3,
+            f"scipy_openblas_set_num_threads{suffix}": lambda threads: None,
+        })
+        pool = spectral._WheelBlas(lib)
+        assert pool.get_threads() == 3
+        with pytest.raises(AttributeError,
+                           match=f"libfake.so exports no scipy_openblas_get_config{suffix}$"):
+            pool.config()
+        delattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        with pytest.raises(AttributeError,
+                           match=f"libfake.so exports no scipy_openblas_set_num_threads{suffix}$"):
+            spectral._WheelBlas(lib)
 
     def test_no_library_found_leaves_the_build_working(self, monkeypatch, grid, op_full):
         monkeypatch.setattr(spectral, "_blas_pools", lambda: {})
@@ -530,17 +553,18 @@ class TestBlasPools:
     def test_note_names_each_library_found(self):
         pools = spectral._blas_pools()
         note = spectral._blas_pools_note()
-        for package, lib in pools.items():
+        for package, pool in pools.items():
             # numpy's count is the one its time loops take in a run
-            threads = blas_threads(lib) if package == "numpy" else spectral.EIG_THREADS
-            assert f"{package} {Path(lib._name).name} at {threads} threads" in note
+            threads = blas_threads(pool.lib) if package == "numpy" else spectral.EIG_THREADS
+            assert f"{package} {Path(pool.lib._name).name} at {threads} threads" in note
         assert note.count("stopped after each") == len(pools)
         assert note.count("not found") == 2 - len(pools)
 
     def test_eigensolves_run_at_the_fixed_count(self, monkeypatch, grid):
-        lib = spectral._blas_pools().get("scipy")
-        if lib is None:
+        pool = spectral._blas_pools().get("scipy")
+        if pool is None:
             pytest.skip("scipy's OpenBLAS wheel library is not loaded")
+        lib = pool.lib
         counts = []
 
         def counted(name):
