@@ -342,7 +342,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         sim = SimulationConfig(**sim_fields)
     except ValueError as exc:
-        raise ConfigError(f"invalid [simulation]: {exc}") from exc
+        # a message that opens with a field's name opens with its key here
+        name, _, rule = str(exc).partition(" ")
+        raise ConfigError(f"invalid [simulation]: {_RENAMED.get(name, name)} {rule}") from exc
 
     schema = KNOB_SCHEMAS[kind]
     knobs = {key: row[1] for key, row in schema.items()}

@@ -650,7 +650,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(cfg=cfg, rng=np.random.default_rng(cfg.seed), out_dir=out_dir)
     provenance = {"code_version": __version__, "blas_pools": spectral._blas_pools_note()}
-    # numpy's BLAS at one thread but in the solver's time loops; its count comes back after
+    # numpy's BLAS at one thread but in the Strang stretches; its count comes back after
     with spectral._run_scope():
         try:
             checks, series = EXPERIMENTS[cfg.experiment](ctx)

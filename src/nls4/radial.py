@@ -123,8 +123,8 @@ def _check_grid(n: int, r_max: float, num_points: int) -> None:
     """GridError naming the [grid] key unless n, r_max and N meet the standing hypotheses."""
     if n < MIN_DIMENSION:
         raise GridError(f"grid.dimension must be >= {MIN_DIMENSION}, got {n}")
-    if not r_max > 0:
-        raise GridError(f"grid.r_max must be positive, got {r_max}")
+    if not 0 < r_max < math.inf:
+        raise GridError(f"grid.r_max must be positive and finite, got {r_max}")
     if num_points < MIN_POINTS:
         raise GridError(f"grid.num_points must be >= {MIN_POINTS}, got {num_points}")
 

@@ -26,8 +26,8 @@ Two independent integrators share the exact spectral propagator:
   (non-finite values included) or sees mass at the boundary, and says
   which.  The propagator builds, the stretches and the monitors between
   them run in spectral._time_loop: inside run_experiment, numpy's BLAS
-  threads there and in the Picard sweeps only, as the step's zgemv needs
-  both cores.  The exact linear path runs at one thread.
+  threads there only, as the step's zgemv needs both cores.  The exact
+  linear path and the Picard sweeps run at one thread.
 
 * A Picard iteration on the integral form
   u(t) = e^{itH} u0 + i lambda int_0^t e^{i(t-s)H} |u|^{p-1} u(s) ds,
@@ -68,13 +68,15 @@ Two independent integrators share the exact spectral propagator:
   where each of the three large arrays is 8.2 MB and a block 16 panels.
   That is the floor of this scheme: a backward sweep needs G(t1) before any
   block's next iterate exists, so the node table and two iterate
-  generations coexist.  The sweeps run in spectral._time_loop, like the
-  Strang stretches.
+  generations coexist.  The sweeps run outside spectral._time_loop, so
+  inside run_experiment at numpy's one thread: at N = 256 a second thread
+  helps only each block's GEMM and spins through the rest of the sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,10 +146,17 @@ class SimulationConfig:
     blowup_factor: float = 1e6
 
     def __post_init__(self):
+        # nan passes every comparison below, and an infinite t_end / dt overflows round()
+        for name in ("lam", "p", "dt", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p <= 1:
             raise ValueError(f"nonlinearity power must satisfy p > 1, got {self.p}")
         if self.dt <= 0 or self.t_end <= 0 or self.dt > self.t_end:
             raise ValueError(f"need 0 < dt <= t_end, got dt={self.dt}, t_end={self.t_end}")
+        if not math.isfinite(self.t_end / self.dt):
+            raise ValueError(f"t_end / dt must be a finite step count, got t_end={self.t_end}, "
+                             f"dt={self.dt}")
         if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(
                 f"t_end must be a whole number of dt steps, got t_end={self.t_end}, dt={self.dt}"
@@ -530,60 +539,59 @@ def duhamel_window(
     row_norms = np.empty(coeffs.shape[:2])
     diffs: list[float] = []
     growth_streak = 0
-    with _time_loop():  # numpy's BLAS threads only in the sweeps
-        for _ in range(cfg.picard_max_iter):
-            with np.errstate(over="ignore", invalid="ignore"):
-                for block in blocks:
-                    rows = coeffs[block]
-                    flat = (rows.size // mu.size, mu.size)
-                    # the block's integrand rows, unpadded: a block below the
-                    # small-GEMM bound transforms in fresh memory instead
-                    own = integrand[block].reshape(flat)
-                    u_nodes = op.from_modal(rows.reshape(flat), out=buffer, work=own)
-                    power = np.abs(u_nodes, out=np.ndarray(flat, buffer=own))
-                    power **= cfg.p - 1.0
-                    np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
-                    f_modal = op.to_modal(u_nodes, out=own, work=buffer).reshape(rows.shape)
-                    conj_phases = np.conjugate(node_phases[block],
-                                               out=buffer[:flat[0]].reshape(rows.shape))
-                    np.multiply(conj_phases, f_modal, out=integrand[block])
-                # the buffer is idle here, and holds cumulative's block
-                g_cum, g_total = panels.cumulative(integrand, integrand, buffer, blocks)
+    for _ in range(cfg.picard_max_iter):
+        with np.errstate(over="ignore", invalid="ignore"):
             for block in blocks:
-                g_block = g_cum[block]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if backward:
-                        g_block -= g_total  # G measured from the anchored end, t1
-                    # (i lam G + anchor) * node_phases in g_block: the operand order
-                    # numpy took when it reused the temporaries of
-                    # node_phases * (anchor + i lam G)
-                    np.multiply(1j * cfg.lam, g_block, out=g_block)
-                    np.add(g_block, anchor, out=g_block)
-                    np.multiply(g_block, node_phases[block], out=g_block)
-                # the old rows take the weighted distance, and a buffer the squares
-                # np.linalg.norm(delta, axis=1) sums, formed as it forms them
-                flat = (g_block.size // mu.size, mu.size)
-                delta = np.subtract(g_block, coeffs[block], out=coeffs[block]).reshape(flat)
-                delta *= h2_weight
-                squares = np.ndarray(flat, complex, buffer=buffer)
-                np.multiply(np.conjugate(delta, out=squares), delta, out=squares)
-                np.sqrt(np.add.reduce(squares.real, axis=1), out=row_norms[block].reshape(-1))
-            d = float(np.max(row_norms))
-            if not np.isfinite(d):
-                raise PicardNonContraction(np.inf)
-            diffs.append(d)
-            coeffs, integrand = g_cum, coeffs
-            if d < cfg.picard_tol:
-                break
-            if len(diffs) > 1:
-                growth_streak = growth_streak + 1 if d > diffs[-2] else 0
-                if growth_streak >= 3:
-                    raise PicardNonContraction(d / diffs[-2])
-        else:
-            raise SolverError(
-                f"fixed-point iteration did not reach tol={cfg.picard_tol} in "
-                f"{cfg.picard_max_iter} sweeps (last diff {diffs[-1]:.3g})"
-            )
+                rows = coeffs[block]
+                flat = (rows.size // mu.size, mu.size)
+                # the block's integrand rows, unpadded: a block below the
+                # small-GEMM bound transforms in fresh memory instead
+                own = integrand[block].reshape(flat)
+                u_nodes = op.from_modal(rows.reshape(flat), out=buffer, work=own)
+                power = np.abs(u_nodes, out=np.ndarray(flat, buffer=own))
+                power **= cfg.p - 1.0
+                np.multiply(power, u_nodes, out=u_nodes)  # now f(u) = |u|^{p-1} u
+                f_modal = op.to_modal(u_nodes, out=own, work=buffer).reshape(rows.shape)
+                conj_phases = np.conjugate(node_phases[block],
+                                           out=buffer[:flat[0]].reshape(rows.shape))
+                np.multiply(conj_phases, f_modal, out=integrand[block])
+            # the buffer is idle here, and holds cumulative's block
+            g_cum, g_total = panels.cumulative(integrand, integrand, buffer, blocks)
+        for block in blocks:
+            g_block = g_cum[block]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if backward:
+                    g_block -= g_total  # G measured from the anchored end, t1
+                # (i lam G + anchor) * node_phases in g_block: the operand order
+                # numpy took when it reused the temporaries of
+                # node_phases * (anchor + i lam G)
+                np.multiply(1j * cfg.lam, g_block, out=g_block)
+                np.add(g_block, anchor, out=g_block)
+                np.multiply(g_block, node_phases[block], out=g_block)
+            # the old rows take the weighted distance, and a buffer the squares
+            # np.linalg.norm(delta, axis=1) sums, formed as it forms them
+            flat = (g_block.size // mu.size, mu.size)
+            delta = np.subtract(g_block, coeffs[block], out=coeffs[block]).reshape(flat)
+            delta *= h2_weight
+            squares = np.ndarray(flat, complex, buffer=buffer)
+            np.multiply(np.conjugate(delta, out=squares), delta, out=squares)
+            np.sqrt(np.add.reduce(squares.real, axis=1), out=row_norms[block].reshape(-1))
+        d = float(np.max(row_norms))
+        if not np.isfinite(d):
+            raise PicardNonContraction(np.inf)
+        diffs.append(d)
+        coeffs, integrand = g_cum, coeffs
+        if d < cfg.picard_tol:
+            break
+        if len(diffs) > 1:
+            growth_streak = growth_streak + 1 if d > diffs[-2] else 0
+            if growth_streak >= 3:
+                raise PicardNonContraction(d / diffs[-2])
+    else:
+        raise SolverError(
+            f"fixed-point iteration did not reach tol={cfg.picard_tol} in "
+            f"{cfg.picard_max_iter} sweeps (last diff {diffs[-1]:.3g})"
+        )
 
     # read at the other end: G(t1) - 0 forward, 0 - G(t1) backward
     t_out, g_out = (t0, -g_total) if backward else (t1, g_total)

@@ -44,10 +44,11 @@ than one thread only where it has work, and is stopped when that work ends:
    their work by the thread count, so the eigenvectors would otherwise
    depend on OPENBLAS_NUM_THREADS), then puts the count back and stops
    scipy's pool.
- * numpy's, in the solver's two time loops (_time_loop): the Strang
-   stretches, with their propagator builds and monitors, and the Picard
-   sweeps.  Inside run_experiment (_run_scope) numpy runs at one thread and
-   the loops at the count the run found; outside a run no count changes.
+ * numpy's, in the solver's one threaded time loop (_time_loop): a stepped
+   run's Strang stretches, with their propagator builds and monitors.
+   Inside run_experiment (_run_scope) numpy runs at one thread, the Picard
+   sweeps included, and that loop at the count the run found; outside a run
+   no count changes.
 Both go through one context manager, _blas_threads.  Every numpy product
 nls4 makes gives the same bits at one and at two threads, so no body moves.
 OpenBLAS restarts a stopped pool on that library's next threaded call or
@@ -259,15 +260,15 @@ def _blas_threads(package: str, threads: int | None):
         _stop_blas_pool(package)
 
 
-# numpy's OpenBLAS count in the solver's time loops: the count run_experiment
-# found, or None outside a run, where the loops keep the count as it is.  A
+# numpy's OpenBLAS count in the solver's time loop: the count run_experiment
+# found, or None outside a run, where the loop keeps the count as it is.  A
 # module variable, as the OpenBLAS count it stands for is one per process
 _loop_threads: int | None = None
 
 
 @contextlib.contextmanager
 def _run_scope():
-    """numpy's OpenBLAS at one thread for a run, at the count it found in the run's time loops."""
+    """numpy's OpenBLAS at one thread for a run, at the count it found in its stepped runs."""
     global _loop_threads
     with _blas_threads("numpy", 1) as found:
         _loop_threads = found
@@ -278,7 +279,11 @@ def _run_scope():
 
 
 def _time_loop():
-    """numpy's OpenBLAS for one of the solver's time loops: at the run's count, stopped after."""
+    """numpy's OpenBLAS for a stepped run's Strang stretches: at the run's count, stopped after.
+
+    The Picard sweeps stay outside: at N = 256 a second thread helps only
+    their GEMMs and spins through the rest of each sweep.
+    """
     return _blas_threads("numpy", _loop_threads)
 
 
@@ -302,8 +307,7 @@ def _blas_pools_note() -> str:
             notes.append(f"{package} library not found, no count set, not stopped")
             continue
         if package == "numpy":
-            where = (f"at {pool.get_threads()} threads in Strang stretches and "
-                     "Picard sweeps and at 1 elsewhere")
+            where = f"at {pool.get_threads()} threads in Strang stretches and at 1 elsewhere"
         else:
             where = f"at {EIG_THREADS} threads in eigensolves"
         notes.append(f"{package} {pool.file_name} {where}, stopped after each")

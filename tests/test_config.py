@@ -135,6 +135,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(write(tmp_path, text))
 
+    @pytest.mark.parametrize("line, named", [
+        ("lambda = nan", "lambda must be finite"),
+        ("lambda = inf", "lambda must be finite"),
+        ("p = nan", "p must be finite"),
+        ("p = inf", "p must be finite"),
+        ("dt = nan", "dt must be finite"),
+        ("t_end = inf", "t_end must be finite"),
+        ("dt = 1e-320", "t_end / dt must be a finite step count"),
+    ])
+    def test_non_finite_simulation_value_named(self, tmp_path, line, named):
+        # nan and p = inf passed every bound; t_end / dt = inf raised OverflowError
+        text = MINIMAL + f"\n[simulation]\n{line}\n"
+        with pytest.raises(ConfigError, match=rf"^invalid \[simulation\]: {named}"):
+            load_config(write(tmp_path, text))
+
     def test_potential_validation(self, tmp_path):
         text = MINIMAL + "\n[potential]\nfamily = inverse_bracket\nc = 0.01\n"
         with pytest.raises(ConfigError, match="beta"):
@@ -214,6 +229,7 @@ pairs = 18:90/41; 12:30/13
         ("r_max = 0.0", "critical", "grid.r_max"),
         ("r_max = -1.0", "critical", "grid.r_max"),
         ("r_max = nan", "critical", "grid.r_max"),
+        ("r_max = inf", "critical", "grid.r_max"),
     ])
     def test_bad_grid_named_before_the_power_resolves(self, tmp_path, grid, p, key):
         # the bounds are make_grid's, checked before p = critical divides by n - 4

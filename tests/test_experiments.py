@@ -299,7 +299,7 @@ def spy_threads(monkeypatch, get_threads):
     """The sets of numpy's counts seen in _advance, strichartz_quotient and to_modal.
 
     to_modal counts only under duhamel_window: "sweep" for the sweeps' buffered
-    transforms, "anchor" for the window's first transform, before its loop.
+    transforms, "anchor" for the window's first transform, before its sweeps.
     """
     seen = {"advance": set(), "sweep": set(), "anchor": set(), "strichartz": set()}
 
@@ -328,17 +328,17 @@ def run_config(kind, out_dir):
 
 
 class TestBlasThreadScopes:
-    """numpy's OpenBLAS threads in a run's time loops only, and its count comes back."""
+    """numpy's OpenBLAS threads in a run's Strang stretches only, and its count comes back."""
 
     def test_threads_only_in_the_time_loops(self, numpy_blas_at_two, monkeypatch, tmp_path):
         seen = spy_threads(monkeypatch, numpy_blas_at_two)
         for kind in ("final_state", "strichartz"):
             assert run_config(kind, tmp_path).worst_verdict == "pass"
             assert numpy_blas_at_two() == 2
-        assert seen == {"advance": {2}, "sweep": {2}, "anchor": {1}, "strichartz": {1}}
+        assert seen == {"advance": {2}, "sweep": {1}, "anchor": {1}, "strichartz": {1}}
         assert spectral._loop_threads is None
 
-    @pytest.mark.parametrize("where", ["experiment", "time loop"])
+    @pytest.mark.parametrize("where", ["experiment", "time loop", "sweep"])
     def test_count_comes_back_when_the_run_raises(self, numpy_blas_at_two, monkeypatch,
                                                   tmp_path, where):
         def fail(*args, **kwargs):
@@ -346,12 +346,13 @@ class TestBlasThreadScopes:
 
         if where == "experiment":
             monkeypatch.setitem(EXPERIMENTS, "final_state", fail)
-        else:
-            monkeypatch.setattr(solver, "_advance", fail)
+        else:  # final_state steps its scattering run before its first sweep
+            if where == "time loop":
+                monkeypatch.setattr(solver, "_advance", fail)
             monkeypatch.setattr(solver.GaussPanels, "cumulative", fail)
         report = run_config("final_state", tmp_path)
         assert [c.name for c in report.checks] == ["experiment_error"]
-        threads = 1 if where == "experiment" else 2
+        threads = 2 if where == "time loop" else 1
         assert f"raised at {threads} threads" in report.checks[0].note
         assert numpy_blas_at_two() == 2
         assert spectral._loop_threads is None

@@ -106,7 +106,7 @@ class TestReports:
         assert provenance["blas_pools"] == spectral._blas_pools_note()
         assert "numpy" in provenance["blas_pools"] and "scipy" in provenance["blas_pools"]
         if spectral._blas_pools().get("numpy") is not None:
-            policy = "in Strang stretches and Picard sweeps and at 1 elsewhere"
+            policy = "in Strang stretches and at 1 elsewhere"
             assert policy in provenance["blas_pools"]
         assert "blas" not in report.body_text().lower()
         assert "blas" not in report_body_from_file(path).lower()
@@ -205,6 +205,20 @@ class TestCli:
         bad.write_text("[experiment]\nkind = conservation\n[grid]\nr_max = 20%\n")
         assert cli_main(["run", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
         assert "grid.r_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, line, named", [
+        ("grid", "r_max = inf", "grid.r_max"),
+        ("simulation", "t_end = inf", "t_end"),
+        ("simulation", "dt = 1e-320", "t_end / dt"),
+    ])
+    def test_non_finite_value_exits_two_naming_the_key(self, tmp_path, capsys,
+                                                       section, line, named):
+        # r_max = inf died in make_grid's lstsq, the others in an OverflowError traceback
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[experiment]\nkind = conservation\n[{section}]\n{line}\n")
+        assert cli_main(["run", str(bad), "--output-dir", str(tmp_path / "out")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_exits_two(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -74,6 +74,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             SimulationConfig(lam=1.0, p=9.0, dt=2.0, t_end=1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.nan), ("lam", math.inf), ("p", math.nan), ("p", math.inf),
+        ("dt", math.nan), ("t_end", math.inf),
+    ])
+    def test_rejects_non_finite_values_by_field(self, field, value):
+        # nan passed every bound, p = inf made the flow linear below |u| = 1, and
+        # t_end = inf raised OverflowError from round()
+        kwargs = dict(lam=1.0, p=9.0, dt=1e-3, t_end=1.0) | {field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SimulationConfig(**kwargs)
+
+    def test_rejects_a_non_finite_step_count(self):
+        with pytest.raises(ValueError, match="^t_end / dt must be a finite step count"):
+            SimulationConfig(lam=1.0, p=9.0, dt=1e-320, t_end=1.0)
+
     def test_critical_exponent_value(self):
         assert critical_exponent(5) == pytest.approx(9.0, abs=1e-14)
 
