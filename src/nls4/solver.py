@@ -96,9 +96,9 @@ _PROPAGATOR_ROWS = 64
 # perfbench's modal_small read peak_rss_mb 91.08 -> 89.68 MB and wall_s
 # 0.880 -> 0.885 s (with final_state's free operator freed as well; medians
 # of 10 alternating pairs, 2 cores).  Median sweep of final_state's backward
-# window at N = 256 (12 alternating repetitions, 2 threads): 59.5 ms at
-# 1 MiB, 59.8 ms at 512 KiB, 61.1 ms at 256 KiB, whose blocks peak only
-# 0.3 MB lower (warm, traced), so 256 KiB is not taken
+# window at N = 256 (12 alternating repetitions, numpy at one thread, as in
+# a run): 65.5 ms at 1 MiB, 61.6 ms at 512 KiB, 67.6 ms at 256 KiB, whose
+# blocks peak only 0.3 MB lower (warm, traced), so 256 KiB is not taken
 _PANEL_BLOCK_BYTES = 1 << 19
 # complex bytes of one chunk (radial._blocks) of the exact linear path's
 # states: 16 monitor steps at N = 512.  A chunk's transforms hold about four
